@@ -62,15 +62,16 @@ class KVCache:
     holds the absolute positions with a KV entry at layer l. t_l equals the
     number of processed tokens except at layers run with KV computation for
     unselected tokens disabled. ``score_history[o]`` (one score per processed
-    token, +inf for the sink) and ``sink_normalized[o]`` exist only for
-    layers run selectively.
+    token, +inf for the sink) and ``sink_state[o]`` (the sink's row at the
+    criterion's stage, normalized or raw, that decode scores new tokens
+    against) exist only for layers run selectively.
     """
 
     keys: list[np.ndarray]
     values: list[np.ndarray]
     positions: list[np.ndarray]
     score_history: dict[int, list[float]] = field(default_factory=dict)
-    sink_normalized: dict[int, np.ndarray] = field(default_factory=dict)
+    sink_state: dict[int, np.ndarray] = field(default_factory=dict)
     n_tokens: int = 0
 
     @classmethod
@@ -96,13 +97,15 @@ def block_forward(
     kv_rows: np.ndarray,
     cache: KVCache | None = None,
     capture_attn0: bool = False,
+    xn: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Run decoder block ``layer`` in place on rows ``sel`` of ``x``.
 
-    RMSNorm is evaluated for every row; keys and values are computed for
-    ``kv_rows`` (and appended to ``cache`` when given); the query, attention,
-    output projection, and FFN run only for ``sel`` rows. Rows outside
-    ``sel`` are left untouched, so they pass through bitwise.
+    RMSNorm is evaluated for every row, or passed in as ``xn``; keys and
+    values are computed for ``kv_rows`` (and appended to ``cache`` when
+    given); the query, attention, output projection, and FFN run only for
+    ``sel`` rows. Rows outside ``sel`` are left untouched, so they pass
+    through bitwise.
 
     Returns the new key and value rows plus the per-``sel``-row
     mean-over-heads attention probability on key position 0 when
@@ -113,7 +116,8 @@ def block_forward(
     w = model.w
     prefix = f"layers.{layer}"
 
-    xn = tc.rms_norm(x, w(f"{prefix}.attn_norm.gain"), cfg.norm_eps)
+    if xn is None:
+        xn = tc.rms_norm(x, w(f"{prefix}.attn_norm.gain"), cfg.norm_eps)
 
     xk = xn[kv_rows]
     kv_pos = positions[kv_rows]

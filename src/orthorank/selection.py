@@ -8,6 +8,12 @@ reshape, and |<h_bar_0, h_bar_i>| ranks them without computing cosines. A
 selective layer fully computes only the k = floor(p * T) lowest-scoring
 tokens; every token still contributes keys and values by default, and
 unselected tokens ride the residual stream through unchanged.
+
+Prefill and decode run one per-layer step: the layer's attention RMSNorm
+once, one scoring rule against a sink state, row selection, the block.
+Prefill ranks all T rows against row 0 and caches that sink row at the
+criterion's stage (normalized or raw); decode scores its new row against
+the cached sink state, so both score a token the same way.
 """
 
 import csv
@@ -89,8 +95,7 @@ def compute_scores(states: np.ndarray, sink_index: int = 0) -> SelectionScores:
     states = np.asarray(states)
     if states.ndim != 2 or states.shape[0] < 1:
         raise UsageError(f"states must be (T, d) with T >= 1, got {states.shape}")
-    s64 = states.astype(np.float64, copy=False)
-    scores = np.abs(s64 @ s64[sink_index])
+    scores = _score_keys(states, states[sink_index], DEFAULT_CRITERION, None)
     scores[sink_index] = np.inf
     return SelectionScores(scores)
 
@@ -108,10 +113,6 @@ def select_topk(scores, keep_ratio: float) -> SelectionMask:
     """Indices of the k = floor(p * T) smallest scores, sorted ascending."""
     keys = scores.scores if isinstance(scores, SelectionScores) else np.asarray(scores)
     return _topk_ascending(keys, keep_ratio)
-
-
-def _norms_f64(x: np.ndarray, axis=None) -> np.ndarray:
-    return np.linalg.norm(x.astype(np.float64, copy=False), axis=axis)
 
 
 def cos_gradient(h0: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -158,29 +159,27 @@ def selection_keys(
     +inf for every kind.
     """
     states = np.asarray(states)
-    t = states.shape[0]
-    if criterion.kind in ("orthogonal_asc", "orthogonal_desc"):
-        keys = compute_scores(states, sink_index).scores
-        if criterion.kind == "orthogonal_desc":
-            finite = keys != np.inf
-            keys = np.where(finite, -keys, keys)
-    elif criterion.kind in ("norm_asc", "norm_desc"):
-        keys = _norms_f64(states, axis=1)
-        if criterion.kind == "norm_desc":
-            keys = -keys
-    else:
-        rng = np.random.default_rng((criterion.seed, layer, t))
-        keys = rng.random(t)
-    keys = np.asarray(keys, dtype=np.float64)
+    rng_key = (criterion.seed, layer, states.shape[0])
+    keys = _score_keys(states, states[sink_index], criterion, rng_key)
     keys[sink_index] = np.inf
     return keys
 
 
-def _stage_states(model: Model, layer: int, x: np.ndarray, stage: str) -> np.ndarray:
-    if stage == "raw_hidden":
-        return x
-    gain = model.w(f"layers.{layer}.attn_norm.gain")
-    return tc.rms_norm(x, gain, model.config.norm_eps)
+def _score_keys(states: np.ndarray, sink_state, criterion: Criterion, rng_key) -> np.ndarray:
+    """The one scoring rule of prefill and decode: float64 keys of ``states``' rows.
+
+    Orthogonal kinds score |<sink_state, h_i>|, norm kinds ||h_i||, and
+    ``random`` draws one key per row from a generator keyed by ``rng_key``;
+    descending kinds negate their ascending counterparts.
+    """
+    if criterion.kind == "random":
+        return np.random.default_rng(rng_key).random(states.shape[0])
+    s64 = states.astype(np.float64, copy=False)
+    if criterion.kind.startswith("orthogonal"):
+        keys = np.abs(s64 @ np.asarray(sink_state).astype(np.float64, copy=False))
+    else:
+        keys = np.linalg.norm(s64, axis=1)
+    return -keys if criterion.kind.endswith("_desc") else keys
 
 
 @dataclass
@@ -200,6 +199,90 @@ class AuditLog:
                 writer.writerow([row[0], row[1], row[2], repr(row[3]), row[4]])
 
 
+def _plan_ratios(plan_layers, keep_ratio, n_layers: int) -> dict[int, float]:
+    """Resolve a plan to ``{layer: keep ratio}``, checked against the model.
+
+    ``keep_ratio`` is a scalar for every plan layer, a sequence aligned
+    with ``plan_layers``, or a mapping from layer to ratio.
+    """
+    layers = [int(l) for l in plan_layers]
+    if isinstance(keep_ratio, dict):
+        ratios = [keep_ratio.get(l, math.nan) for l in layers]
+    elif isinstance(keep_ratio, (list, tuple, np.ndarray)):
+        ratios = list(keep_ratio)
+    else:
+        ratios = [keep_ratio] * len(layers)
+    if len(set(layers)) != len(layers) or len(ratios) != len(layers):
+        raise ConfigError(f"plan needs distinct layers with one keep ratio each, "
+                          f"got layers {layers} and keep_ratio {keep_ratio}")
+    bad = sorted(l for l in layers if not 0 <= l < n_layers)
+    if bad:
+        raise ConfigError(f"plan layers out of range: {bad}")
+    plan = {l: float(r) for l, r in zip(layers, ratios)}
+    if not all(0.0 <= r <= 1.0 for r in plan.values()):
+        raise ConfigError(f"keep ratios must lie in [0, 1], got {plan}")
+    return plan
+
+
+def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
+                ratio: float | None, criterion: Criterion, compute_kv_for_unselected: bool,
+                cache: KVCache | None, audit: AuditLog | None,
+                trace: HiddenTrace | None = None, decode: bool = False):
+    """Run block ``layer`` in place on ``x``; selectively unless ``ratio`` is None.
+
+    The attention RMSNorm is computed once and shared by the trace, the
+    scoring stage and the block. Prefill keeps the k = floor(p * T) rows
+    with the lowest keys against row 0 and caches the keys as the layer's
+    score history and row 0 at the criterion's stage as its sink state;
+    decode scores its one row against that sink state and asks
+    ``decode_select``. Returns the selected rows and the block's new key
+    and value rows (None when a decode row stores nothing).
+    """
+    xn = tc.rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), model.config.norm_eps)
+    if trace is not None:
+        trace.layers.append(layer)
+        trace.hidden.append(x.copy())
+        trace.normalized.append(xn)
+    rows = np.arange(x.shape[0], dtype=np.int64)
+    sel = rows
+    if ratio is not None:
+        stage = x if criterion.stage == "raw_hidden" else xn
+        if decode:
+            pos = int(positions[0])
+            keys = _score_keys(stage, cache.sink_state[layer], criterion, (criterion.seed, layer, pos))
+            if not decode_select(cache, layer, float(keys[0]), ratio):
+                sel = rows[:0]
+        else:
+            keys = selection_keys(stage, criterion, layer)
+            sel = _topk_ascending(keys, ratio).selected
+            if cache is not None:
+                cache.score_history[layer] = keys.tolist()
+                cache.sink_state[layer] = stage[0].copy()
+        if audit is not None:
+            step = int(positions[0]) if decode else 0
+            chosen = np.isin(rows, sel)
+            for i in rows:
+                audit.record(layer, step, int(positions[i]), keys[i], bool(chosen[i]))
+    kv_rows = rows if compute_kv_for_unselected else sel
+    if decode and kv_rows.size == 0:  # unselected with KV off: the token skips the layer
+        return sel, None, None
+    k_new, v_new, _ = block_forward(model, layer, x, positions, sel, kv_rows, cache, xn=xn)
+    return sel, k_new, v_new
+
+
+def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselected,
+                audit, trace=None) -> np.ndarray:
+    """Prefill ``token_ids`` into an empty ``cache``, or decode one token onto it; logits."""
+    x, tokens = embed_tokens(model, token_ids)
+    start = cache.n_tokens
+    positions = np.arange(start, start + tokens.size, dtype=np.int64)
+    for layer in range(model.config.n_layers):
+        _layer_step(model, layer, x, positions, plan.get(layer), criterion,
+                    compute_kv_for_unselected, cache, audit, trace, decode=start > 0)
+    cache.n_tokens += tokens.size
+    return lm_head_logits(model, x)
+
+
 def forward_orthorank_layer(
     model: Model,
     layer_index: int,
@@ -207,10 +290,7 @@ def forward_orthorank_layer(
     keep_ratio: float,
     criterion: Criterion = DEFAULT_CRITERION,
     compute_kv_for_unselected: bool = True,
-    positions: np.ndarray | None = None,
-    cache: KVCache | None = None,
     audit: AuditLog | None = None,
-    step: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SelectionMask]:
     """One selective block: full compute for the top-k tokens only.
 
@@ -221,40 +301,12 @@ def forward_orthorank_layer(
     result are bitwise equal to the input. Returns the updated states, the
     new key and value rows, and the selection mask.
     """
-    if not 0 <= layer_index < model.config.n_layers:
-        raise ConfigError(f"layer_index {layer_index} out of range")
+    (layer, ratio), = _plan_ratios([layer_index], keep_ratio, model.config.n_layers).items()
     x_out = np.array(x, copy=True)
-    t = x_out.shape[0]
-    if positions is None:
-        positions = np.arange(t, dtype=np.int64)
-
-    stage = _stage_states(model, layer_index, x_out, criterion.stage)
-    keys = selection_keys(stage, criterion, layer_index)
-    mask = _topk_ascending(keys, keep_ratio)
-
-    if cache is not None:
-        cache.score_history.setdefault(layer_index, []).extend(float(v) for v in keys)
-        norm_stage = _stage_states(model, layer_index, x_out, "normalized")
-        cache.sink_normalized.setdefault(layer_index, norm_stage[0].copy())
-    if audit is not None:
-        in_mask = np.zeros(t, dtype=bool)
-        in_mask[mask.selected] = True
-        for pos in range(t):
-            audit.record(layer_index, step, int(positions[pos]), keys[pos], bool(in_mask[pos]))
-
-    kv_rows = np.arange(t, dtype=np.int64) if compute_kv_for_unselected else mask.selected
-    k_new, v_new, _ = block_forward(
-        model, layer_index, x_out, positions, mask.selected, kv_rows, cache
-    )
-    return x_out, k_new, v_new, mask
-
-
-def _ratio_for(layer: int, plan_layers, keep_ratio) -> float:
-    if isinstance(keep_ratio, dict):
-        return float(keep_ratio[layer])
-    if isinstance(keep_ratio, (list, tuple, np.ndarray)):
-        return float(keep_ratio[list(plan_layers).index(layer)])
-    return float(keep_ratio)
+    positions = np.arange(x_out.shape[0], dtype=np.int64)
+    sel, k_new, v_new = _layer_step(model, layer, x_out, positions, ratio, criterion,
+                                    compute_kv_for_unselected, None, audit)
+    return x_out, k_new, v_new, SelectionMask(sel, sel.size)
 
 
 def forward_with_plan(
@@ -270,47 +322,17 @@ def forward_with_plan(
     """Full-sequence forward pass with the plan's layers run selectively.
 
     ``plan_layers`` is any iterable of layer indices; ``keep_ratio`` is a
-    scalar or a per-plan-layer list. An empty plan is exactly the dense
-    forward pass (same kernel, same arithmetic). The returned cache holds
-    score histories and the cached sink state for each plan layer, ready
-    for decode.
+    scalar, a per-plan-layer list, or a ``{layer: ratio}`` mapping. An
+    empty plan is exactly the dense forward pass (same kernel, same
+    arithmetic). The returned cache holds score histories and the cached
+    sink state for each plan layer, ready for decode.
     """
-    converted = {int(l) for l in plan_layers}
-    bad = [l for l in converted if not 0 <= l < model.config.n_layers]
-    if bad:
-        raise ConfigError(f"plan layers out of range: {sorted(bad)}")
-
-    x, tokens = embed_tokens(model, token_ids)
-    seq = tokens.size
-    positions = np.arange(seq, dtype=np.int64)
-    all_rows = np.arange(seq, dtype=np.int64)
+    plan = _plan_ratios(plan_layers, keep_ratio, model.config.n_layers)
     cache = KVCache.empty(model.config)
     trace = HiddenTrace() if capture_trace else None
-
-    for layer in range(model.config.n_layers):
-        if capture_trace:
-            trace.layers.append(layer)
-            trace.hidden.append(x.copy())
-            trace.normalized.append(_stage_states(model, layer, x, "normalized"))
-        if layer in converted:
-            ratio = _ratio_for(layer, plan_layers, keep_ratio)
-            stage = _stage_states(model, layer, x, criterion.stage)
-            keys = selection_keys(stage, criterion, layer)
-            mask = _topk_ascending(keys, ratio)
-            cache.score_history[layer] = [float(v) for v in keys]
-            cache.sink_normalized[layer] = _stage_states(model, layer, x, "normalized")[0].copy()
-            if audit is not None:
-                in_mask = np.zeros(seq, dtype=bool)
-                in_mask[mask.selected] = True
-                for pos in range(seq):
-                    audit.record(layer, 0, pos, keys[pos], bool(in_mask[pos]))
-            kv_rows = all_rows if compute_kv_for_unselected else mask.selected
-            block_forward(model, layer, x, positions, mask.selected, kv_rows, cache)
-        else:
-            block_forward(model, layer, x, positions, all_rows, all_rows, cache)
-
-    cache.n_tokens = seq
-    return lm_head_logits(model, x), trace, cache
+    logits = _run_layers(model, token_ids, cache, plan, criterion,
+                         compute_kv_for_unselected, audit, trace)
+    return logits, trace, cache
 
 
 def decode_select(cache: KVCache, layer: int, new_score: float, keep_ratio: float) -> bool:
@@ -345,49 +367,20 @@ def decode_step_with_plan(
     """Decode one token under a layer plan.
 
     At each plan layer the new token is scored against the sink state cached
-    at prefill; unselected tokens skip the block (keeping their KV
-    contribution unless disabled). The random criterion draws a per-token
-    key from (seed, layer, position).
+    at prefill, at the criterion's stage; unselected tokens skip the block
+    (keeping their KV contribution unless disabled). The random criterion
+    draws a per-token key from (seed, layer, position). A plan layer the
+    prefill did not run selectively raises StateError before any layer
+    runs, leaving the cache as it was.
     """
     check_cache(model, cache)
-    converted = {int(l) for l in plan_layers}
-    x, _ = embed_tokens(model, [token_id])
-    pos = cache.n_tokens
-    positions = np.array([pos], dtype=np.int64)
-    row = np.array([0], dtype=np.int64)
-    none = np.zeros(0, dtype=np.int64)
-
-    for layer in range(model.config.n_layers):
-        if layer not in converted:
-            block_forward(model, layer, x, positions, row, row, cache)
-            continue
-        ratio = _ratio_for(layer, plan_layers, keep_ratio)
-        stage = _stage_states(model, layer, x, criterion.stage)[0]
-        if criterion.kind in ("orthogonal_asc", "orthogonal_desc"):
-            score = float(
-                np.abs(
-                    stage.astype(np.float64)
-                    @ cache.sink_normalized[layer].astype(np.float64)
-                )
-            )
-            if criterion.kind == "orthogonal_desc":
-                score = -score
-        elif criterion.kind in ("norm_asc", "norm_desc"):
-            score = float(_norms_f64(stage))
-            if criterion.kind == "norm_desc":
-                score = -score
-        else:
-            score = float(np.random.default_rng((criterion.seed, layer, pos)).random())
-        selected = decode_select(cache, layer, score, ratio)
-        if audit is not None:
-            audit.record(layer, pos, pos, score, selected)
-        if selected:
-            block_forward(model, layer, x, positions, row, row, cache)
-        elif compute_kv_for_unselected:
-            block_forward(model, layer, x, positions, none, row, cache)
-
-    cache.n_tokens += 1
-    return lm_head_logits(model, x), cache
+    plan = _plan_ratios(plan_layers, keep_ratio, model.config.n_layers)
+    missing = sorted(l for l in plan if l not in cache.score_history or l not in cache.sink_state)
+    if missing:
+        raise StateError(f"plan layers {missing} have no score history; prefill with the plan first")
+    logits = _run_layers(model, [token_id], cache, plan, criterion,
+                         compute_kv_for_unselected, audit)
+    return logits, cache
 
 
 def generate_greedy(

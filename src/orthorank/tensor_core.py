@@ -88,8 +88,9 @@ def softmax_causal(
 
     allowed = k_pos[None, :] <= q_pos[:, None]
     masked = np.where(allowed, scores, -np.inf)
-    # Every row admits at least one key (its own position), so the max is finite.
-    row_max = np.max(masked, axis=1, keepdims=True)
+    # Every row admits at least one key (its own position), so the max is
+    # finite; the initial value only serves an empty batch of rows.
+    row_max = np.max(masked, axis=1, keepdims=True, initial=-np.inf)
     exp = np.exp(masked - row_max)
     # Row sums via einsum: a fixed left-to-right reduction per row, so a
     # row's denominator does not change when extra masked (exactly zero)

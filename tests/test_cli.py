@@ -7,13 +7,16 @@ codes are part of the contract (0 iff outputs were written, 2 with an
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
+import orthorank
 from orthorank import LayerPlan
 from orthorank.cli import load_corpus, main, parse_positions
 from orthorank.errors import UsageError
@@ -345,10 +348,13 @@ class TestGenerate:
 
 def test_console_entry_point(tmp_path):
     """The installed script and python -m both reach the same parser."""
+    # the child imports the package this suite imports, installed or not
+    src = str(Path(orthorank.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "orthorank", "synth-model", "--out",
          str(tmp_path / "ck"), "--layers", "2", "--d-model", "16",
          "--heads", "2", "--vocab", "32"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "sha256" in proc.stdout

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from orthorank import (
     importance_norm_sq,
     select_topk,
 )
+from orthorank import tensor_core
 from orthorank.selection import AuditLog, selection_keys
 
 import reference as ref
@@ -283,6 +286,15 @@ class TestForwardOrthorankLayer:
         with pytest.raises(ConfigError):
             forward_orthorank_layer(tiny_model, 99, x, 0.5)
 
+    def test_no_row_with_kv_off_skips_block(self, tiny_model, tiny_tokens):
+        x = self.embed(tiny_model, tiny_tokens[:2])  # k = floor(0.333 * 2) = 0
+        x_out, keys, values, mask = forward_orthorank_layer(
+            tiny_model, 1, x, 0.333, compute_kv_for_unselected=False)
+        assert mask.k == 0
+        assert np.array_equal(x_out, x)
+        cfg = tiny_model.config
+        assert keys.shape == values.shape == (0, cfg.n_kv_heads, cfg.d_head)
+
 
 class TestDecodeSelect:
     def cache_with_history(self, model, layer, history):
@@ -359,11 +371,36 @@ class TestForwardWithPlan:
             hist = cache.score_history[layer]
             assert len(hist) == len(tiny_tokens)
             assert hist[0] == np.inf
-            assert np.array_equal(cache.sink_normalized[layer], trace.normalized[layer][0])
+            assert np.array_equal(cache.sink_state[layer], trace.normalized[layer][0])
 
     def test_out_of_range_plan_layer(self, tiny_model, tiny_tokens):
         with pytest.raises(ConfigError):
             forward_with_plan(tiny_model, tiny_tokens, [99], 0.5)
+
+    @pytest.mark.parametrize("layers, ratio", [
+        ([1, 2], [0.5]),           # fewer ratios than layers
+        ([1, 2], [0.5, 0.5, 0.5]),  # more ratios than layers
+        ([1, 2], {1: 0.5}),        # mapping misses a layer
+        ([1, 1], 0.5),             # repeated layer
+        ([1], 1.5),                # ratio out of range
+        ([1], float("nan")),
+    ])
+    def test_bad_plan_is_config_error(self, tiny_model, tiny_tokens, layers, ratio):
+        with pytest.raises(ConfigError):
+            forward_with_plan(tiny_model, tiny_tokens, layers, ratio)
+
+    def test_ratio_forms_agree(self, tiny_model, tiny_tokens):
+        as_list, _, _ = forward_with_plan(tiny_model, tiny_tokens, [3, 1], [0.25, 0.5])
+        as_dict, _, _ = forward_with_plan(tiny_model, tiny_tokens, [1, 3], {1: 0.5, 3: 0.25})
+        assert np.array_equal(as_list, as_dict)
+
+    def test_no_row_with_kv_off(self, tiny_model, tiny_tokens):
+        # k = floor(0.333 * 2) = 0 at layer 1, with no KV rows to attend over
+        logits, _, cache = forward_with_plan(
+            tiny_model, tiny_tokens[:2], [1], 0.333, compute_kv_for_unselected=False)
+        assert np.all(np.isfinite(logits))
+        assert cache.keys[1].shape[0] == 0
+        assert cache.keys[0].shape[0] == 2
 
     def test_kv_off_stores_only_selected(self, tiny_model, tiny_tokens):
         _, _, cache = forward_with_plan(
@@ -438,6 +475,73 @@ class TestDecodeWithPlan:
                 tiny_model, cache, int(tiny_tokens[12]), [1], 0.5, criterion=crit)
             outs.append(logits)
         assert np.array_equal(outs[0], outs[1])
+
+
+    @pytest.mark.parametrize("stage", ["normalized", "raw_hidden"])
+    @pytest.mark.parametrize("layer", [1, 2, 3])
+    def test_decode_score_matches_prefill(self, tiny_model, tiny_tokens, stage, layer):
+        # every layer before the plan layer is dense, so the new token's state
+        # at the plan layer is the one a prefill of the longer sequence sees
+        crit = Criterion(stage=stage)
+        t = 20
+        _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:t], [layer], 0.5, crit)
+        decode_step_with_plan(tiny_model, cache, int(tiny_tokens[t]), [layer], 0.5, crit)
+        _, _, full = forward_with_plan(tiny_model, tiny_tokens[:t + 1], [layer], 0.5, crit)
+        decoded, prefilled = cache.score_history[layer][-1], full.score_history[layer][-1]
+        assert abs(decoded - prefilled) <= 1e-5
+
+    def test_plan_layer_without_history_leaves_cache_unchanged(self, tiny_model, tiny_tokens):
+        _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [2], 0.5)
+        rows = [(k.shape[0], p.size) for k, p in zip(cache.keys, cache.positions)]
+        with pytest.raises(StateError):
+            decode_step_with_plan(tiny_model, cache, int(tiny_tokens[10]), [2, 3], 0.5)
+        assert [(k.shape[0], p.size) for k, p in zip(cache.keys, cache.positions)] == rows
+        assert cache.n_tokens == 10
+        assert len(cache.score_history[2]) == 10
+
+    def test_bad_plan_is_config_error(self, tiny_model, tiny_tokens):
+        _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1, 2], 0.5)
+        with pytest.raises(ConfigError):
+            decode_step_with_plan(tiny_model, cache, int(tiny_tokens[10]), [1, 2], [0.5])
+        assert cache.n_tokens == 10
+
+
+class TestRmsNormOncePerLayer:
+    """Each layer's attention RMSNorm is computed at most once per call."""
+
+    @pytest.fixture
+    def norm_calls(self, monkeypatch):
+        calls = Counter()
+        real = tensor_core.rms_norm
+
+        def counting(x, gain, eps=1e-5):
+            calls[id(gain)] += 1
+            return real(x, gain, eps)
+
+        monkeypatch.setattr(tensor_core, "rms_norm", counting)
+        return calls
+
+    def assert_once(self, model, calls):
+        per_layer = [calls[id(model.w(f"layers.{l}.attn_norm.gain"))]
+                     for l in range(model.config.n_layers)]
+        assert sum(calls.values()) > 0
+        assert max(per_layer) <= 1, per_layer
+        calls.clear()
+
+    @pytest.mark.parametrize("layers, kwargs", [
+        ([], {}),
+        ([1, 2], {}),
+        ([1, 2], {"criterion": Criterion(stage="raw_hidden")}),
+        ([1, 2], {"capture_trace": True}),
+        ([1, 3], {"compute_kv_for_unselected": False}),
+    ])
+    def test_prefill_and_decode(self, tiny_model, tiny_tokens, norm_calls, layers, kwargs):
+        _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:12], layers, 0.333, **kwargs)
+        self.assert_once(tiny_model, norm_calls)
+        kwargs.pop("capture_trace", None)
+        for token in tiny_tokens[12:16]:
+            decode_step_with_plan(tiny_model, cache, int(token), layers, 0.333, **kwargs)
+            self.assert_once(tiny_model, norm_calls)
 
 
 class TestGenerateGreedy:

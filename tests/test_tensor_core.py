@@ -164,6 +164,12 @@ class TestSoftmaxCausal:
         with pytest.raises(ShapeError):
             softmax_causal(np.zeros((1, 1), np.float32), [-1])
 
+    @pytest.mark.parametrize("n_keys", [0, 3])
+    def test_empty_query_batch(self, n_keys):
+        out = softmax_causal(np.zeros((0, n_keys), np.float32), [],
+                             key_positions=np.arange(n_keys))
+        assert out.shape == (0, n_keys)
+
 
 class TestRopeApply:
     def test_position_zero_identity(self):
