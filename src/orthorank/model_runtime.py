@@ -64,7 +64,8 @@ class KVCache:
     unselected tokens disabled. ``score_history[o]`` (one score per processed
     token, +inf for the sink) and ``sink_state[o]`` (the sink's row at the
     criterion's stage, normalized or raw, that decode scores new tokens
-    against) exist only for layers run selectively.
+    against) exist only for layers run selectively; ``sorted_history[o]``
+    is the same scores in ascending order, which decode ranks against.
     """
 
     keys: list[np.ndarray]
@@ -73,6 +74,7 @@ class KVCache:
     score_history: dict[int, list[float]] = field(default_factory=dict)
     sink_state: dict[int, np.ndarray] = field(default_factory=dict)
     n_tokens: int = 0
+    sorted_history: dict[int, list[float]] = field(default_factory=dict)
 
     @classmethod
     def empty(cls, config: ModelConfig) -> "KVCache":
@@ -105,7 +107,9 @@ def block_forward(
     values are computed for ``kv_rows`` (and appended to ``cache`` when
     given); the query, attention, output projection, and FFN run only for
     ``sel`` rows. Rows outside ``sel`` are left untouched, so they pass
-    through bitwise.
+    through bitwise, and an empty ``sel`` returns right after the keys and
+    values. The query heads of one GQA group share a score and a context
+    product while their stacked rows fit one matmul row block.
 
     Returns the new key and value rows plus the per-``sel``-row
     mean-over-heads attention probability on key position 0 when
@@ -133,22 +137,33 @@ def block_forward(
         key_pos = np.concatenate([cache.positions[layer], kv_pos])
         cache.keys[layer], cache.values[layer], cache.positions[layer] = keys, values, key_pos
 
+    attn0 = np.zeros(len(sel), dtype=np.float64) if capture_attn0 else None
+    if len(sel) == 0:
+        return k_new, v_new, attn0
+
     q_pos = positions[sel]
     q = tc.matmul(xn[sel], w(f"{prefix}.attn.wq.weight")).reshape(len(sel), n_heads, d_head)
     q = tc.rope_apply(q, q_pos, cfg.rope_theta)
 
     scale = tc.attention_scale(d_head)
     group = n_heads // n_kv
+    # heads per attention product: a whole GQA group, stacked head-major,
+    # while its rows fit one block; the kernel's row invariance makes the
+    # stacked and the per-head products bit-identical
+    stack = group if len(sel) * group <= tc.MATMUL_ROW_BLOCK else 1
+    stacked_pos = np.tile(q_pos, stack)
     ctx = np.empty((len(sel), n_heads, d_head), dtype=x.dtype)
-    attn0 = np.zeros(len(sel), dtype=np.float64) if capture_attn0 else None
     sink_col = np.flatnonzero(key_pos == 0)
-    for h in range(n_heads):
+    for h in range(0, n_heads, stack):
         g = h // group
-        scores = tc.matmul(q[:, h, :], keys[:, g, :].T) * scale
-        probs = tc.softmax_causal(scores, q_pos, key_positions=key_pos)
-        ctx[:, h, :] = tc.matmul(probs, values[:, g, :])
+        qh = q[:, h:h + stack].transpose(1, 0, 2).reshape(stack * len(sel), d_head)
+        scores = tc.matmul(qh, keys[:, g, :].T) * scale
+        probs = tc.softmax_causal(scores, stacked_pos, key_positions=key_pos)
+        ctx_h = tc.matmul(probs, values[:, g, :]).reshape(stack, len(sel), d_head)
+        ctx[:, h:h + stack] = ctx_h.transpose(1, 0, 2)
         if attn0 is not None and sink_col.size:
-            attn0 += probs[:, sink_col[0]]
+            for head_probs in probs[:, sink_col[0]].reshape(stack, len(sel)):
+                attn0 += head_probs
     if attn0 is not None:
         attn0 /= n_heads
 
@@ -196,9 +211,10 @@ def forward_dense(
 ) -> tuple[np.ndarray, HiddenTrace | None, KVCache]:
     """Teacher-forced dense forward pass over a full sequence.
 
-    Returns (T, vocab) logits, an optional trace of per-layer block inputs
-    (their pre-attention RMSNorm outputs, and attention-to-sink masses when
-    requested), and the populated KV cache.
+    Returns (T, vocab) logits, a trace when either capture flag is set
+    (per-layer block inputs and their pre-attention RMSNorm outputs under
+    ``capture_trace``, attention-to-sink masses under
+    ``capture_attn_to_sink``), and the populated KV cache.
     """
     x, tokens = embed_tokens(model, token_ids)
     seq = tokens.size
@@ -212,15 +228,15 @@ def forward_dense(
         trace = HiddenTrace(attn_to_sink=[] if capture_attn_to_sink else None)
 
     for layer in range(model.config.n_layers):
+        xn = tc.rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), model.config.norm_eps)
         if capture:
             trace.layers.append(layer)
+        if capture_trace:
             trace.hidden.append(x.copy())
-            trace.normalized.append(
-                tc.rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), model.config.norm_eps)
-            )
+            trace.normalized.append(xn)
         _, _, attn0 = block_forward(
             model, layer, x, positions, all_rows, all_rows, cache,
-            capture_attn0=capture_attn_to_sink,
+            capture_attn0=capture_attn_to_sink, xn=xn,
         )
         if capture_attn_to_sink:
             trace.attn_to_sink.append(attn0)

@@ -18,6 +18,7 @@ the cached sink state, so both score a token the same way.
 
 import csv
 import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,6 +258,7 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
             sel = _topk_ascending(keys, ratio).selected
             if cache is not None:
                 cache.score_history[layer] = keys.tolist()
+                cache.sorted_history[layer] = sorted(cache.score_history[layer])
                 cache.sink_state[layer] = stage[0].copy()
         if audit is not None:
             step = int(positions[0]) if decode else 0
@@ -341,16 +343,22 @@ def decode_select(cache: KVCache, layer: int, new_score: float, keep_ratio: floa
     With history H (scores of all prior tokens at this layer) and the new
     score s, the token is selected iff s ranks within k = floor(p * (|H|+1))
     of the pooled set; equal scores favor the incumbent history entry. The
-    score joins the history either way: every token becomes context.
+    score joins the history either way: every token becomes context. The
+    rank is a binary search in ``cache.sorted_history``, rebuilt from the
+    history when it is missing or its length differs.
     """
     if layer not in cache.score_history:
         raise StateError(f"layer {layer} has no score history; prefill with the plan first")
     if not math.isfinite(new_score):
         raise UsageError(f"new_score must be finite, got {new_score}")
     history = cache.score_history[layer]
+    ranked = cache.sorted_history.get(layer)
+    if ranked is None or len(ranked) != len(history):
+        ranked = cache.sorted_history[layer] = sorted(history)
     k = int(math.floor(keep_ratio * (len(history) + 1)))
-    rank = sum(1 for v in history if v <= new_score) + 1
+    rank = bisect_right(ranked, new_score) + 1
     history.append(float(new_score))
+    insort(ranked, float(new_score))
     return rank <= k
 
 

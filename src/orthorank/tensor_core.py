@@ -6,6 +6,21 @@ is deterministic for a fixed process environment: calling the same op twice
 on the same data yields bit-identical results, which the test suite relies
 on. Verification code passes float64 arrays through the same functions to
 get the extra precision (see ``as_f64``).
+
+Matrix products run on BLAS through one padded-block kernel whose output
+rows do not depend on the batch shape: a row of ``matmul(a, b)`` is
+bit-identical whether ``a`` holds 1 row or 500, whichever other rows sit
+beside it, however many columns ``b`` has, and whether trailing zero
+columns of ``a`` (with matching zero rows of ``b``) are appended. The
+causal-prefix, bypass and empty-plan contracts of the model rest on this.
+BLAS libraries pick different code paths by operand shape and layout, so
+the kernel hands BLAS only canonical shapes: rows of ``a`` padded to a
+multiple of ``_ROW_ALIGN`` and cut into blocks of at most
+``MATMUL_ROW_BLOCK`` rows, ``b`` C-contiguous with its columns padded to a
+multiple of ``_COL_ALIGN``, and the inner dimension cut into
+``_K_CHUNK``-wide chunks whose products are added in order. Each rule was
+found necessary on OpenBLAS 0.3.31; the invariance tests in
+``tests/test_tensor_core.py`` are the gate on any other build.
 """
 
 import math
@@ -15,6 +30,11 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 DEFAULT_DTYPE = np.float32
+
+MATMUL_ROW_BLOCK = 64  # rows of ``a`` per BLAS call
+_ROW_ALIGN = 8  # rows of ``a`` are zero-padded to a multiple of this
+_COL_ALIGN = 16  # columns of ``b`` are zero-padded to a multiple of this
+_K_CHUNK = 256  # inner-dimension width of one BLAS call
 
 
 def as_f32(x) -> np.ndarray:
@@ -28,19 +48,53 @@ def as_f64(x) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D tensors.
+    """Matrix product of two 2-D tensors, row-invariant to the batch shape.
 
-    Uses an unoptimized einsum rather than BLAS: each output row is reduced
-    in a fixed order that depends only on the inner dimension, never on the
-    batch shape, so truncating rows of ``a`` or masking trailing zero
-    columns leaves the remaining rows bit-identical. Raises ShapeError if
-    either operand is not 2-D or the inner dimensions disagree.
+    Each output row depends only on its own row of ``a``, on ``b`` and on
+    the inner dimension up to trailing zeros: truncating or gathering rows
+    of ``a``, truncating columns of ``b``, or appending zero columns to
+    ``a`` with zero rows to ``b`` leaves the remaining entries
+    bit-identical (see the module docstring for the padded-block rules).
+    Raises ShapeError if either operand is not 2-D or the inner dimensions
+    disagree.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return np.einsum("ik,kj->ij", a, b)
+    return _blocked_matmul(a, b)
+
+
+def _round_up(n: int, multiple: int) -> int:
+    return -(-n // multiple) * multiple
+
+
+def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` through BLAS on canonical padded blocks; checked 2-D operands."""
+    m, k = a.shape
+    n = b.shape[1]
+    dtype = np.result_type(a, b)
+    if m == 0 or n == 0:
+        return np.zeros((m, n), dtype)
+    m_pad, n_pad = _round_up(m, _ROW_ALIGN), _round_up(n, _COL_ALIGN)
+    # BLAS rounds a transposed b, or a with strided columns, differently from
+    # the row-major layout, so both are brought to it here.
+    if m_pad != m or a.dtype != dtype or a.strides[1] != a.itemsize:
+        padded = np.zeros((m_pad, k), dtype)
+        padded[:m] = a
+        a = padded
+    if n_pad != n or b.dtype != dtype or not b.flags.c_contiguous:
+        padded = np.zeros((k, n_pad), dtype)
+        padded[:, :n] = b
+        b = padded
+    out = np.empty((m_pad, n_pad), dtype)
+    for r in range(0, m_pad, MATMUL_ROW_BLOCK):
+        rows = a[r:r + MATMUL_ROW_BLOCK]
+        block = out[r:r + MATMUL_ROW_BLOCK]
+        np.matmul(rows[:, :_K_CHUNK], b[:_K_CHUNK], out=block)
+        for c in range(_K_CHUNK, k, _K_CHUNK):
+            block += np.matmul(rows[:, c:c + _K_CHUNK], b[c:c + _K_CHUNK])
+    return np.ascontiguousarray(out[:m, :n])
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -92,11 +146,13 @@ def softmax_causal(
     # finite; the initial value only serves an empty batch of rows.
     row_max = np.max(masked, axis=1, keepdims=True, initial=-np.inf)
     exp = np.exp(masked - row_max)
-    # Row sums via einsum: a fixed left-to-right reduction per row, so a
-    # row's denominator does not change when extra masked (exactly zero)
-    # columns are appended.  np.sum uses pairwise grouping that shifts with
-    # row length and would break bitwise causality.
-    denom = np.einsum("ij->i", exp)
+    # Row sums as a product with a ones column through the row-invariant
+    # kernel: masked columns add exact zeros, so a row's denominator does
+    # not change when they are appended or when other rows join the batch.
+    # np.sum and einsum group their partial sums by row length and would
+    # break bitwise causality.
+    ones = np.ones((exp.shape[1], _COL_ALIGN), dtype=exp.dtype)
+    denom = _blocked_matmul(exp, ones)[:, 0]
     return exp / denom[:, np.newaxis]
 
 

@@ -14,7 +14,8 @@ class HiddenTrace:
     ``normalized[j]`` the corresponding pre-attention RMSNorm output
     (gain included), the direct input to that layer's attention module.
     ``attn_to_sink[j][t]``, when captured, is the mean over heads of the
-    attention probability token t puts on key position 0.
+    attention probability token t puts on key position 0. A trace that
+    captured only those masses leaves ``hidden`` and ``normalized`` empty.
 
     Traces satisfy ``normalized[j] == rms_norm(hidden[j], gain)`` bitwise,
     with the gain of layer ``layers[j]`` for captured traces and unit gain

@@ -4,12 +4,15 @@ import pytest
 from orthorank import (
     KVCache,
     Model,
+    ModelConfig,
     StateError,
     UsageError,
     decode_step_dense,
     detect_sink_layer,
     forward_dense,
+    generate_synthetic_model,
 )
+from orthorank import tensor_core
 from orthorank.tensor_core import rms_norm
 from orthorank.trace import dump_trace_csv
 
@@ -53,10 +56,17 @@ class TestForwardDense:
         with pytest.raises(UsageError):
             forward_dense(tiny_model, [-1])
 
-    def test_causality_bitwise(self, tiny_model, tiny_tokens):
+    def test_causality_bitwise(self, tiny_model, tiny_tokens, tiny_config):
         full, _, _ = forward_dense(tiny_model, tiny_tokens)
         for cut in (1, 2, 7, 12, len(tiny_tokens) - 1):
             part, _, _ = forward_dense(tiny_model, tiny_tokens[:cut])
+            assert np.array_equal(part, full[:cut]), f"cut={cut}"
+        # every prefix of a sequence long enough to cross the matmul row
+        # block, the K chunk of the attention products and the GQA stacking
+        tokens = make_tokens(130, tiny_config.vocab_size, seed=3)
+        full, _, _ = forward_dense(tiny_model, tokens)
+        for cut in range(1, len(tokens)):
+            part, _, _ = forward_dense(tiny_model, tokens[:cut])
             assert np.array_equal(part, full[:cut]), f"cut={cut}"
 
     def test_cache_lengths(self, tiny_model, tiny_tokens, tiny_config):
@@ -164,6 +174,27 @@ class TestDetectSinkLayer:
             detect_sink_layer(sink_probe_model, tokens, 0.0)
         with pytest.raises(UsageError):
             detect_sink_layer(sink_probe_model, tokens, 1.5)
+
+    def test_detection_norms_each_layer_once(self, tmp_path, monkeypatch):
+        # attention masses only: no trace copies and no second attention norm
+        config = ModelConfig(n_layers=8, d_model=16, n_heads=2, n_kv_heads=1,
+                             d_head=8, d_ffn=32, vocab_size=40)
+        generate_synthetic_model(config, 4, tmp_path / "m8")
+        model = Model.from_checkpoint(tmp_path / "m8")
+        calls = []
+        real = tensor_core.rms_norm
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tensor_core, "rms_norm", counting)
+        detect_sink_layer(model, make_tokens(32, config.vocab_size), 0.3)
+        assert len(calls) == 2 * config.n_layers + 1
+        _, trace, _ = forward_dense(model, make_tokens(16, config.vocab_size),
+                                    capture_attn_to_sink=True)
+        assert trace.layers == list(range(8)) and len(trace.attn_to_sink) == 8
+        assert trace.hidden == [] and trace.normalized == []
 
     def test_short_sequence_rejected(self, sink_probe_model):
         with pytest.raises(UsageError):

@@ -24,7 +24,7 @@ from orthorank import (
     importance_norm_sq,
     select_topk,
 )
-from orthorank import tensor_core
+from orthorank import selection, tensor_core
 from orthorank.selection import AuditLog, selection_keys
 
 import reference as ref
@@ -347,6 +347,33 @@ class TestDecodeSelect:
             assert got == (len(prefix) + offset in full)
 
 
+    @given(history=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0, 2),
+                            max_size=40),
+           arrivals=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 2),
+                             min_size=1, max_size=10),
+           keep_ratio=st.sampled_from([0.0, 0.2, 0.333, 0.5, 1.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_rank_matches_brute_force_count(self, tiny_model, history, arrivals, keep_ratio):
+        # ties and the +inf sink entry included; the sorted copy is rebuilt
+        # from the history on first use and kept in step after that
+        cache = self.cache_with_history(tiny_model, 2, [np.inf] + history)
+        pooled = [np.inf] + history
+        for s in arrivals:
+            k = int(np.floor(keep_ratio * (len(pooled) + 1)))
+            expect = sum(1 for v in pooled if v <= s) + 1 <= k
+            assert decode_select(cache, 2, s, keep_ratio) is expect
+            pooled.append(s)
+            assert cache.score_history[2] == pooled
+            assert cache.sorted_history[2] == sorted(pooled)
+
+    def test_prefill_keeps_sorted_history(self, tiny_model, tiny_tokens):
+        _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1, 2], 0.5)
+        for token in tiny_tokens[10:14]:
+            decode_step_with_plan(tiny_model, cache, int(token), [1, 2], 0.5)
+        for layer in (1, 2):
+            assert cache.sorted_history[layer] == sorted(cache.score_history[layer])
+
+
 class TestForwardWithPlan:
     def test_empty_plan_is_bitwise_dense(self, tiny_model, tiny_tokens):
         dense, _, _ = forward_dense(tiny_model, tiny_tokens)
@@ -542,6 +569,46 @@ class TestRmsNormOncePerLayer:
         for token in tiny_tokens[12:16]:
             decode_step_with_plan(tiny_model, cache, int(token), layers, 0.333, **kwargs)
             self.assert_once(tiny_model, norm_calls)
+
+
+class TestSkippedRowsDoNoBlockWork:
+    """An unselected decode token costs a plan layer its K/V products only."""
+
+    @pytest.mark.parametrize("kv_on, expected", [(True, 2), (False, 0)])
+    def test_matmul_calls_at_unselected_layer(self, tiny_model, monkeypatch, kv_on, expected):
+        calls = [0]
+        real_matmul, real_step = tensor_core.matmul, selection._layer_step
+        per_layer = []
+
+        def counting_matmul(a, b):
+            calls[0] += 1
+            return real_matmul(a, b)
+
+        def counting_step(model, layer, *args, **kwargs):
+            before = calls[0]
+            sel, k_new, v_new = real_step(model, layer, *args, **kwargs)
+            per_layer.append((layer, sel.size, calls[0] - before))
+            return sel, k_new, v_new
+
+        monkeypatch.setattr(tensor_core, "matmul", counting_matmul)
+        monkeypatch.setattr(selection, "_layer_step", counting_step)
+        plan = [1, 2, 3]
+        tokens = make_tokens(40, tiny_model.config.vocab_size, seed=8)
+        _, _, cache = forward_with_plan(tiny_model, tokens[:24], plan, 0.25,
+                                        compute_kv_for_unselected=kv_on)
+        skipped = 0
+        for token in tokens[24:]:
+            per_layer.clear()
+            decode_step_with_plan(tiny_model, cache, int(token), plan, 0.25,
+                                  compute_kv_for_unselected=kv_on)
+            dense_cost = per_layer[0][2]
+            for layer, n_sel, n_calls in per_layer:
+                if layer in plan and n_sel == 0:
+                    skipped += 1
+                    assert n_calls == expected, (layer, n_calls)
+                else:
+                    assert n_calls == dense_cost, (layer, n_calls)
+        assert skipped > 0
 
 
 class TestGenerateGreedy:

@@ -83,6 +83,54 @@ class TestMatmul:
         eye = np.eye(a.shape[1], dtype=np.float32)
         assert np.array_equal(matmul(a, eye), a)
 
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (4, 5, 0), (0, 0, 0)])
+    def test_empty_product_is_zeros(self, shape):
+        m, k, n = shape
+        out = matmul(rand((m, k)), rand((k, n), seed=1))
+        assert out.shape == (m, n) and out.dtype == np.float32
+
+    def test_zero_inner_dimension(self):
+        out = matmul(rand((3, 0)), rand((0, 4), seed=1))
+        assert np.array_equal(out, np.zeros((3, 4), np.float32))
+
+    def test_transposed_operands(self):
+        # strided and transposed views give the rows of their contiguous copies
+        base = rand((40, 3, 300), seed=6)
+        a, b = base[:9, 0, :], base[:, 2, :].T
+        expect = matmul(np.ascontiguousarray(a), np.ascontiguousarray(b))
+        assert np.array_equal(matmul(a, b), expect)
+        assert np.array_equal(matmul(np.asfortranarray(a), b), expect)
+
+    @given(m=st.integers(1, 129),
+           n=st.one_of(st.just(1), st.integers(1, 40).map(lambda v: 2 * v + 1),
+                       st.integers(2, 200)),
+           k=st.one_of(st.integers(1, 64), st.integers(257, 1100)),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_shape_invariance_property(self, m, n, k, dtype, data):
+        # a row's result depends on nothing but that row, b and the nonzero K
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, k)).astype(dtype)
+        b = rng.standard_normal((k, n)).astype(dtype)
+        full = matmul(a, b)
+        assert full.dtype == dtype
+        # the float64 product within the summation-order error bound k*eps*(|a| @ |b|)
+        bound = k * np.finfo(dtype).eps * (np.abs(as_f64(a)) @ np.abs(as_f64(b)))
+        assert np.all(np.abs(full - as_f64(a) @ as_f64(b)) <= bound)
+        rows = data.draw(st.integers(1, m), label="rows")
+        assert np.array_equal(matmul(a[:rows], b), full[:rows])
+        subset = np.sort(rng.choice(m, size=data.draw(st.integers(1, m), label="subset"),
+                                    replace=False))
+        assert np.array_equal(matmul(a[subset], b), full[subset])
+        cols = data.draw(st.integers(1, n), label="cols")
+        assert np.array_equal(matmul(a, b[:, :cols]), full[:, :cols])
+        zeros = data.draw(st.integers(1, 300), label="zero_k")
+        a_pad = np.concatenate([a, np.zeros((m, zeros), dtype)], axis=1)
+        b_pad = np.concatenate([b, np.zeros((zeros, n), dtype)], axis=0)
+        assert np.array_equal(matmul(a_pad, b_pad), full)
+
 
 class TestRmsNorm:
     def test_constant_vector(self):
@@ -159,6 +207,13 @@ class TestSoftmaxCausal:
         long = softmax_causal(scores, np.arange(5))
         assert np.array_equal(long[:, :5], short)
         assert np.all(long[:, 5:] == 0.0)
+        row = rand((1, 664), seed=5) * 4
+        for length in range(1, 601):
+            short = softmax_causal(row[:, :length], [length - 1])
+            for extra in (1, 5, 64):
+                long = softmax_causal(row[:, :length + extra], [length - 1])
+                assert np.array_equal(long[:, :length], short), (length, extra)
+                assert np.all(long[:, length:] == 0.0)
 
     def test_negative_position_rejected(self):
         with pytest.raises(ShapeError):
