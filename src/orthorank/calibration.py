@@ -17,9 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint_io import ModelConfig
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 
 DEFAULT_KEEP_RATIO = 0.333
+
+
+def _is_json_number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass
@@ -62,10 +66,6 @@ class LayerPlan:
     def entries(self) -> list[tuple[int, float]]:
         return list(zip(self.layers, self.ratios()))
 
-    def ratio_for(self, layer: int) -> float | None:
-        """Keep ratio for a planned layer, or None if the layer runs dense."""
-        return dict(self.entries()).get(layer)
-
     def to_json(self) -> str:
         keep = self.keep_ratio
         if isinstance(keep, (list, tuple)):
@@ -83,13 +83,25 @@ class LayerPlan:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "LayerPlan":
-        data = json.loads(text)
+    def from_json(cls, text) -> "LayerPlan":
+        """Parse a plan from JSON text or bytes; a malformed plan raises ConfigError."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise ConfigError(f"plan is not valid JSON: {exc}") from None
+        if not isinstance(data, dict) or not {"layers", "keep_ratio"} <= data.keys():
+            raise ConfigError("plan must be a JSON object with 'layers' and 'keep_ratio'")
+        layers, keep, l_sink = data["layers"], data["keep_ratio"], data.get("l_sink", 0)
+        ratios = keep if isinstance(keep, list) else [keep]
+        if not (isinstance(layers, list) and all(_is_json_number(v, int) for v in layers + [l_sink])
+                and all(_is_json_number(r) for r in ratios)):
+            raise ConfigError(f"plan needs integer layers and l_sink and numeric keep ratios, got "
+                              f"layers {layers!r}, l_sink {l_sink!r}, keep_ratio {keep!r}")
         return cls(
-            layers=data["layers"],
-            keep_ratio=data["keep_ratio"],
+            layers=layers,
+            keep_ratio=keep,
             model_id=data.get("model_id", "unknown"),
-            l_sink=data.get("l_sink", 0),
+            l_sink=l_sink,
             target_sparsity=data.get("target_sparsity"),
             calib=data.get("calib", {}),
         )
@@ -99,7 +111,35 @@ class LayerPlan:
 
     @classmethod
     def load(cls, path) -> "LayerPlan":
-        return cls.from_json(Path(path).read_text())
+        path = Path(path)
+        if not path.is_file():
+            raise UsageError(f"plan file not found: {path}")
+        return cls.from_json(path.read_bytes())
+
+
+def _plan_ratios(plan_layers, keep_ratio, n_layers: int) -> dict[int, float]:
+    """Resolve a plan to ``{layer: keep ratio}``, checked against the model.
+
+    ``keep_ratio`` is a scalar for every plan layer, a sequence aligned
+    with ``plan_layers``, or a mapping from layer to ratio.
+    """
+    layers = [int(l) for l in plan_layers]
+    if isinstance(keep_ratio, dict):
+        ratios = [keep_ratio.get(l, math.nan) for l in layers]
+    elif isinstance(keep_ratio, (list, tuple, np.ndarray)):
+        ratios = list(keep_ratio)
+    else:
+        ratios = [keep_ratio] * len(layers)
+    if len(set(layers)) != len(layers) or len(ratios) != len(layers):
+        raise ConfigError(f"plan needs distinct layers with one keep ratio each, "
+                          f"got layers {layers} and keep_ratio {keep_ratio}")
+    bad = sorted(l for l in layers if not 0 <= l < n_layers)
+    if bad:
+        raise ConfigError(f"plan layers out of range: {bad}")
+    plan = {l: float(r) for l, r in zip(layers, ratios)}
+    if not all(0.0 <= r <= 1.0 for r in plan.values()):
+        raise ConfigError(f"keep ratios must lie in [0, 1], got {plan}")
+    return plan
 
 
 def effective_sparsity(layer_fraction: float, keep_ratio: float) -> float:
@@ -266,10 +306,7 @@ def flop_count(config: ModelConfig, plan: LayerPlan, seq_len: int) -> dict:
     """
     if seq_len < 1:
         raise ConfigError(f"seq_len must be >= 1, got {seq_len}")
-    ratios = dict(plan.entries())
-    bad = [l for l in ratios if not 0 <= l < config.n_layers]
-    if bad:
-        raise ConfigError(f"plan layers out of range: {sorted(bad)}")
+    ratios = _plan_ratios(plan.layers, plan.ratios(), config.n_layers)
     dense_layers = [_dense_layer_flops(config, seq_len) for _ in range(config.n_layers)]
     plan_layers = [
         _selective_layer_flops(config, seq_len, ratios[l])

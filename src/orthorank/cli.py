@@ -2,9 +2,10 @@
 
 Commands: synth-model, analyze, calibrate, eval-ppl, layerwise, ablate,
 flops, generate. Corpora are plain-text files of whitespace-separated token
-ids. All randomness sits behind explicit --seed flags; --threads (or the
-ORTHORANK_THREADS variable) caps calibration workers. Exit code 0 means all
-outputs were written; errors print one line to stderr and exit nonzero.
+ids. All randomness sits behind explicit --seed flags on the commands that
+draw random numbers; calibrate's --threads (or the ORTHORANK_THREADS
+variable) caps its workers. Exit code 0 means all outputs were written;
+errors print one line to stderr and exit nonzero.
 """
 
 import argparse
@@ -285,11 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default: ORTHORANK_THREADS or serial)")
-
     p = sub.add_parser("synth-model", help="write a deterministic random checkpoint")
     p.add_argument("--out", required=True)
     p.add_argument("--layers", type=int, required=True)
@@ -301,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rope-theta", type=float, default=10000.0)
     p.add_argument("--norm-eps", type=float, default=1e-5)
     p.add_argument("--untied", action="store_true")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth_model)
 
     p = sub.add_parser("analyze", help="similarity and norm CSVs from a trace")
@@ -317,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-positions", default=None, help='e.g. "0,50,100"')
     p.add_argument("--dump-trace", action="store_true")
     p.add_argument("--out", required=True)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("calibrate", help="greedy layer selection to a target sparsity")
@@ -330,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.3)
     p.add_argument("--one-shot", action="store_true")
     p.add_argument("--out", required=True)
-    add_common(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker cap (default: ORTHORANK_THREADS or serial)")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("eval-ppl", help="chunked perplexity under a plan (or dense)")
@@ -342,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", default="normalized")
     p.add_argument("--no-kv", action="store_true")
     p.add_argument("--out", default=None)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval_ppl)
 
     p = sub.add_parser("layerwise", help="single-layer conversion sweep per criterion")
@@ -354,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.3)
     p.add_argument("--criteria", default="orthogonal_asc,orthogonal_desc,random")
     p.add_argument("--out", required=True)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_layerwise)
 
     p = sub.add_parser("ablate", help="criterion/stage/KV ablation grid for a plan")
@@ -364,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context-len", type=int, default=128)
     p.add_argument("--audit-csv", default=None)
     p.add_argument("--out", required=True)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("flops", help="dense vs plan FLOP totals and ratio")
@@ -374,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-ratio", type=float, default=0.333)
     p.add_argument("--seq-len", type=int, default=128)
     p.add_argument("--out", default=None)
-    add_common(p)
     p.set_defaults(func=cmd_flops)
 
     p = sub.add_parser("generate", help="greedy decode with optional selective plan")
@@ -386,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", default="normalized")
     p.add_argument("--no-kv", action="store_true")
     p.add_argument("--audit-csv", default=None)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
 
     return parser

@@ -3,8 +3,9 @@
 Architecture: pre-norm blocks, x += Attn(RMSNorm(x)) then x += SwiGLU(RMSNorm(x)),
 grouped-query attention (query head h reads KV head h // (n_heads // n_kv_heads)),
 rotary position embeddings on Q and K, final RMSNorm before the output
-projection. All sequence paths, dense and selective alike, run through
-``block_forward`` so that full selection is bitwise identical to the dense
+projection. Dense inference is the empty plan of the one layer loop in
+``selection``: ``forward_dense`` and ``decode_step_dense`` run that loop with
+no selective layers, so full selection is bitwise identical to the dense
 pass by construction.
 """
 
@@ -97,15 +98,15 @@ def block_forward(
     positions: np.ndarray,
     sel: np.ndarray,
     kv_rows: np.ndarray,
+    xn: np.ndarray,
     cache: KVCache | None = None,
     capture_attn0: bool = False,
-    xn: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Run decoder block ``layer`` in place on rows ``sel`` of ``x``.
 
-    RMSNorm is evaluated for every row, or passed in as ``xn``; keys and
-    values are computed for ``kv_rows`` (and appended to ``cache`` when
-    given); the query, attention, output projection, and FFN run only for
+    ``xn`` is the attention RMSNorm of every row of ``x``; keys and values
+    are computed for ``kv_rows`` (and appended to ``cache`` when given);
+    the query, attention, output projection, and FFN run only for
     ``sel`` rows. Rows outside ``sel`` are left untouched, so they pass
     through bitwise, and an empty ``sel`` returns right after the keys and
     values. The query heads of one GQA group share a score and a context
@@ -119,9 +120,6 @@ def block_forward(
     n_heads, n_kv, d_head = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
     w = model.w
     prefix = f"layers.{layer}"
-
-    if xn is None:
-        xn = tc.rms_norm(x, w(f"{prefix}.attn_norm.gain"), cfg.norm_eps)
 
     xk = xn[kv_rows]
     kv_pos = positions[kv_rows]
@@ -209,40 +207,21 @@ def forward_dense(
     capture_trace: bool = False,
     capture_attn_to_sink: bool = False,
 ) -> tuple[np.ndarray, HiddenTrace | None, KVCache]:
-    """Teacher-forced dense forward pass over a full sequence.
+    """Teacher-forced dense forward pass over a full sequence: the empty plan.
 
     Returns (T, vocab) logits, a trace when either capture flag is set
     (per-layer block inputs and their pre-attention RMSNorm outputs under
     ``capture_trace``, attention-to-sink masses under
     ``capture_attn_to_sink``), and the populated KV cache.
     """
-    x, tokens = embed_tokens(model, token_ids)
-    seq = tokens.size
-    positions = np.arange(seq, dtype=np.int64)
-    all_rows = np.arange(seq, dtype=np.int64)
-    cache = KVCache.empty(model.config)
+    from .selection import DEFAULT_CRITERION, _run_layers
 
     capture = capture_trace or capture_attn_to_sink
-    trace = None
-    if capture:
-        trace = HiddenTrace(attn_to_sink=[] if capture_attn_to_sink else None)
-
-    for layer in range(model.config.n_layers):
-        xn = tc.rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), model.config.norm_eps)
-        if capture:
-            trace.layers.append(layer)
-        if capture_trace:
-            trace.hidden.append(x.copy())
-            trace.normalized.append(xn)
-        _, _, attn0 = block_forward(
-            model, layer, x, positions, all_rows, all_rows, cache,
-            capture_attn0=capture_attn_to_sink, xn=xn,
-        )
-        if capture_attn_to_sink:
-            trace.attn_to_sink.append(attn0)
-
-    cache.n_tokens = seq
-    return lm_head_logits(model, x), trace, cache
+    trace = HiddenTrace(attn_to_sink=[] if capture_attn_to_sink else None) if capture else None
+    cache = KVCache.empty(model.config)
+    logits = _run_layers(model, token_ids, cache, {}, DEFAULT_CRITERION, True, None,
+                         trace, capture_states=capture_trace)
+    return logits, trace, cache
 
 
 def decode_step_dense(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray, KVCache]:
@@ -251,14 +230,10 @@ def decode_step_dense(model: Model, cache: KVCache, token_id: int) -> tuple[np.n
     An empty cache makes this a length-1 prefill. Matches the corresponding
     row of a from-scratch dense forward within normal f32 accumulation noise.
     """
+    from .selection import DEFAULT_CRITERION, _run_layers
+
     check_cache(model, cache)
-    x, _ = embed_tokens(model, [token_id])
-    positions = np.array([cache.n_tokens], dtype=np.int64)
-    row = np.array([0], dtype=np.int64)
-    for layer in range(model.config.n_layers):
-        block_forward(model, layer, x, positions, row, row, cache)
-    cache.n_tokens += 1
-    return lm_head_logits(model, x), cache
+    return _run_layers(model, [token_id], cache, {}, DEFAULT_CRITERION, True, None), cache
 
 
 def detect_sink_layer(model: Model, calib_tokens, tau: float = 0.3) -> int:

@@ -9,8 +9,9 @@ selective layer fully computes only the k = floor(p * T) lowest-scoring
 tokens; every token still contributes keys and values by default, and
 unselected tokens ride the residual stream through unchanged.
 
-Prefill and decode run one per-layer step: the layer's attention RMSNorm
-once, one scoring rule against a sink state, row selection, the block.
+Prefill and decode, dense and selective, run one per-layer step: the
+layer's attention RMSNorm once, one scoring rule against a sink state, row
+selection, the block; a layer outside the plan keeps every row.
 Prefill ranks all T rows against row 0 and caches that sink row at the
 criterion's stage (normalized or raw); decode scores its new row against
 the cached sink state, so both score a token the same way.
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_core as tc
+from .calibration import _plan_ratios
 from .errors import ConfigError, DomainError, StateError, UsageError
 from .model_runtime import (
     KVCache,
@@ -200,35 +202,11 @@ class AuditLog:
                 writer.writerow([row[0], row[1], row[2], repr(row[3]), row[4]])
 
 
-def _plan_ratios(plan_layers, keep_ratio, n_layers: int) -> dict[int, float]:
-    """Resolve a plan to ``{layer: keep ratio}``, checked against the model.
-
-    ``keep_ratio`` is a scalar for every plan layer, a sequence aligned
-    with ``plan_layers``, or a mapping from layer to ratio.
-    """
-    layers = [int(l) for l in plan_layers]
-    if isinstance(keep_ratio, dict):
-        ratios = [keep_ratio.get(l, math.nan) for l in layers]
-    elif isinstance(keep_ratio, (list, tuple, np.ndarray)):
-        ratios = list(keep_ratio)
-    else:
-        ratios = [keep_ratio] * len(layers)
-    if len(set(layers)) != len(layers) or len(ratios) != len(layers):
-        raise ConfigError(f"plan needs distinct layers with one keep ratio each, "
-                          f"got layers {layers} and keep_ratio {keep_ratio}")
-    bad = sorted(l for l in layers if not 0 <= l < n_layers)
-    if bad:
-        raise ConfigError(f"plan layers out of range: {bad}")
-    plan = {l: float(r) for l, r in zip(layers, ratios)}
-    if not all(0.0 <= r <= 1.0 for r in plan.values()):
-        raise ConfigError(f"keep ratios must lie in [0, 1], got {plan}")
-    return plan
-
-
 def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
                 ratio: float | None, criterion: Criterion, compute_kv_for_unselected: bool,
                 cache: KVCache | None, audit: AuditLog | None,
-                trace: HiddenTrace | None = None, decode: bool = False):
+                trace: HiddenTrace | None = None, decode: bool = False,
+                capture_states: bool = True):
     """Run block ``layer`` in place on ``x``; selectively unless ``ratio`` is None.
 
     The attention RMSNorm is computed once and shared by the trace, the
@@ -236,14 +214,18 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
     with the lowest keys against row 0 and caches the keys as the layer's
     score history and row 0 at the criterion's stage as its sink state;
     decode scores its one row against that sink state and asks
-    ``decode_select``. Returns the selected rows and the block's new key
-    and value rows (None when a decode row stores nothing).
+    ``decode_select``. A ``trace`` records the layer, its block input and
+    normalized rows when ``capture_states``, and the attention mass on key
+    0 when its ``attn_to_sink`` is a list. Returns the selected rows and
+    the block's new key and value rows (None when a decode row stores
+    nothing).
     """
     xn = tc.rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), model.config.norm_eps)
     if trace is not None:
         trace.layers.append(layer)
-        trace.hidden.append(x.copy())
-        trace.normalized.append(xn)
+        if capture_states:
+            trace.hidden.append(x.copy())
+            trace.normalized.append(xn)
     rows = np.arange(x.shape[0], dtype=np.int64)
     sel = rows
     if ratio is not None:
@@ -268,19 +250,28 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
     kv_rows = rows if compute_kv_for_unselected else sel
     if decode and kv_rows.size == 0:  # unselected with KV off: the token skips the layer
         return sel, None, None
-    k_new, v_new, _ = block_forward(model, layer, x, positions, sel, kv_rows, cache, xn=xn)
+    capture_attn0 = trace is not None and trace.attn_to_sink is not None
+    k_new, v_new, attn0 = block_forward(model, layer, x, positions, sel, kv_rows, xn,
+                                        cache, capture_attn0)
+    if capture_attn0:
+        trace.attn_to_sink.append(attn0)
     return sel, k_new, v_new
 
 
 def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselected,
-                audit, trace=None) -> np.ndarray:
-    """Prefill ``token_ids`` into an empty ``cache``, or decode one token onto it; logits."""
+                audit, trace=None, capture_states=True) -> np.ndarray:
+    """Prefill ``token_ids`` into an empty ``cache``, or decode one token onto it; logits.
+
+    The one layer loop: layers outside ``plan`` run dense, so the empty plan
+    is the dense forward pass and the dense decode step.
+    """
     x, tokens = embed_tokens(model, token_ids)
     start = cache.n_tokens
     positions = np.arange(start, start + tokens.size, dtype=np.int64)
     for layer in range(model.config.n_layers):
         _layer_step(model, layer, x, positions, plan.get(layer), criterion,
-                    compute_kv_for_unselected, cache, audit, trace, decode=start > 0)
+                    compute_kv_for_unselected, cache, audit, trace, decode=start > 0,
+                    capture_states=capture_states)
     cache.n_tokens += tokens.size
     return lm_head_logits(model, x)
 

@@ -31,10 +31,6 @@ class HiddenTrace:
     def seq_len(self) -> int:
         return 0 if not self.normalized else self.normalized[0].shape[0]
 
-    def layer_index(self, layer: int) -> int:
-        """Position of ``layer`` in the captured list."""
-        return self.layers.index(layer)
-
 
 def dump_trace_csv(trace: HiddenTrace, states_path, norms_path) -> None:
     """Write captured states and their norms as CSV.

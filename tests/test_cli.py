@@ -18,6 +18,7 @@ import pytest
 import helpers
 import orthorank
 from orthorank import LayerPlan
+from orthorank.cli import build_parser
 from orthorank.cli import load_corpus, main, parse_positions
 from orthorank.errors import UsageError
 
@@ -248,6 +249,21 @@ class TestEvalPpl:
         assert err.startswith("error:")
 
 
+    @pytest.mark.parametrize("content", [
+        None, "not json", '{"layers": [2]}', '{"layers": [2], "keep_ratio": null}',
+        '{"layers": [2], "keep_ratio": "abc"}', '[2]',
+    ])
+    def test_malformed_plan_is_one_line_error(self, cli_ck, tmp_path, capsys, content):
+        corpus = write_corpus(tmp_path / "c.txt", helpers.make_tokens(32, 64, seed=7))
+        plan_path = tmp_path / "bad.json"
+        if content is not None:
+            plan_path.write_text(content)
+        code, _, err = run_cli("eval-ppl", "--model", cli_ck, "--corpus", corpus,
+                               "--context-len", "16", "--plan", plan_path, capsys=capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 class TestLayerwise:
     def test_sweep_csv(self, cli_ck, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "c.txt", helpers.make_tokens(32, 64, seed=8))
@@ -344,6 +360,33 @@ class TestGenerate:
             rows = list(csv.reader(fh))
         assert rows[0] == ["layer", "step", "position", "score", "selected"]
         assert len(rows) > 1
+
+
+REQUIRED_ARGS = {
+    "synth-model": ["--out", "o", "--layers", "1", "--d-model", "8"],
+    "analyze": ["--out", "o"],
+    "calibrate": ["--model", "m", "--corpus", "c", "--sparsity", "0.1", "--out", "o"],
+    "eval-ppl": ["--model", "m", "--corpus", "c"],
+    "layerwise": ["--model", "m", "--corpus", "c", "--out", "o"],
+    "ablate": ["--model", "m", "--corpus", "c", "--plan", "p", "--out", "o"],
+    "flops": ["--model", "m"],
+    "generate": ["--model", "m", "--prompt", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+def test_seed_and_threads_only_where_read(command, capsys):
+    readers = {"--seed": set(REQUIRED_ARGS) - {"calibrate", "flops"}, "--threads": {"calibrate"}}
+    parser = build_parser()
+    argv = [command, *REQUIRED_ARGS[command]]
+    parser.parse_args(argv)
+    for flag, commands in readers.items():
+        if command in commands:
+            assert parser.parse_args(argv + [flag, "3"]) is not None
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + [flag, "3"])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):

@@ -8,10 +8,13 @@ from orthorank import (
     StateError,
     UsageError,
     decode_step_dense,
+    decode_step_with_plan,
     detect_sink_layer,
     forward_dense,
+    forward_with_plan,
     generate_synthetic_model,
 )
+from orthorank import selection
 from orthorank import tensor_core
 from orthorank.tensor_core import rms_norm
 from orthorank.trace import dump_trace_csv
@@ -199,6 +202,50 @@ class TestDetectSinkLayer:
     def test_short_sequence_rejected(self, sink_probe_model):
         with pytest.raises(UsageError):
             detect_sink_layer(sink_probe_model, [0, 1, 2], 0.3)
+
+
+class TestDenseIsTheEmptyPlan:
+    """Dense prefill, decode and sink detection run the selective layer step."""
+
+    @pytest.fixture
+    def stepped(self, monkeypatch):
+        layers = []
+        real_step = selection._layer_step
+
+        def counting_step(model, layer, *args, **kwargs):
+            layers.append(layer)
+            return real_step(model, layer, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "_layer_step", counting_step)
+        return layers
+
+    @pytest.mark.parametrize("trace, attn", [(False, False), (True, False),
+                                             (False, True), (True, True)])
+    def test_forward_steps_each_layer(self, tiny_model, tiny_tokens, stepped, trace, attn):
+        forward_dense(tiny_model, tiny_tokens, capture_trace=trace, capture_attn_to_sink=attn)
+        assert stepped == list(range(tiny_model.config.n_layers))
+
+    def test_decode_and_detection_step_each_layer(self, tiny_model, tiny_tokens, stepped):
+        every_layer = list(range(tiny_model.config.n_layers))
+        _, _, cache = forward_dense(tiny_model, tiny_tokens)
+        stepped.clear()
+        decode_step_dense(tiny_model, cache, 3)
+        assert stepped == every_layer
+        stepped.clear()
+        detect_sink_layer(tiny_model, tiny_tokens, 0.3)
+        assert stepped == every_layer
+
+    def test_decode_equals_empty_plan_decode(self, tiny_model, tiny_tokens):
+        _, _, dense = forward_dense(tiny_model, tiny_tokens[:16])
+        _, _, planned = forward_with_plan(tiny_model, tiny_tokens[:16], [], 1.0)
+        for token in tiny_tokens[16:20]:
+            a, _ = decode_step_dense(tiny_model, dense, int(token))
+            b, _ = decode_step_with_plan(tiny_model, planned, int(token), [], 1.0)
+            assert np.array_equal(a, b)
+        assert dense.n_tokens == planned.n_tokens == 20
+        for name in ("keys", "values", "positions"):
+            for x, y in zip(getattr(dense, name), getattr(planned, name)):
+                assert np.array_equal(x, y)
 
 
 class TestModelIdentity:
