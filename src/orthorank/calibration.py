@@ -10,7 +10,9 @@ after the sink layer and never touching the final layer.
 import hashlib
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +24,8 @@ from .errors import ConfigError, UsageError
 DEFAULT_KEEP_RATIO = 0.333
 
 
-def _is_json_number(value, kinds=(int, float)) -> bool:
+def _is_number(value, kinds=numbers.Real) -> bool:
+    """A real scalar (numpy scalars included) that is not a bool."""
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
@@ -55,21 +58,25 @@ class LayerPlan:
             raise ConfigError(f"keep ratios must lie in (0, 1], got {ratios}")
 
     def ratios(self) -> list[float]:
-        if isinstance(self.keep_ratio, (int, float)):
-            return [float(self.keep_ratio)] * len(self.layers)
-        if len(self.keep_ratio) != len(self.layers):
-            raise ConfigError(
-                f"{len(self.keep_ratio)} keep ratios for {len(self.layers)} layers"
-            )
-        return [float(r) for r in self.keep_ratio]
+        keep = self.keep_ratio
+        if _is_number(keep):
+            return [float(keep)] * len(self.layers)
+        if not (isinstance(keep, (list, tuple, np.ndarray)) and np.ndim(keep) == 1
+                and all(_is_number(r) for r in keep)):
+            raise ConfigError(f"keep_ratio must be a number or a list of numbers, got {keep!r}")
+        if len(keep) != len(self.layers):
+            raise ConfigError(f"{len(keep)} keep ratios for {len(self.layers)} layers")
+        return [float(r) for r in keep]
 
     def entries(self) -> list[tuple[int, float]]:
         return list(zip(self.layers, self.ratios()))
 
     def to_json(self) -> str:
         keep = self.keep_ratio
-        if isinstance(keep, (list, tuple)):
+        if isinstance(keep, (list, tuple, np.ndarray)):
             keep = [float(r) for r in keep]
+        elif not isinstance(keep, (int, float)):  # a numpy scalar
+            keep = float(keep)
         return json.dumps(
             {
                 "model_id": self.model_id,
@@ -93,8 +100,8 @@ class LayerPlan:
             raise ConfigError("plan must be a JSON object with 'layers' and 'keep_ratio'")
         layers, keep, l_sink = data["layers"], data["keep_ratio"], data.get("l_sink", 0)
         ratios = keep if isinstance(keep, list) else [keep]
-        if not (isinstance(layers, list) and all(_is_json_number(v, int) for v in layers + [l_sink])
-                and all(_is_json_number(r) for r in ratios)):
+        if not (isinstance(layers, list) and all(_is_number(v, int) for v in layers + [l_sink])
+                and all(_is_number(r) for r in ratios)):
             raise ConfigError(f"plan needs integer layers and l_sink and numeric keep ratios, got "
                               f"layers {layers!r}, l_sink {l_sink!r}, keep_ratio {keep!r}")
         return cls(
@@ -217,12 +224,20 @@ def calibrate_greedy(
     Greedy mode converts one layer per round, each round trying every
     remaining eligible layer on top of the already-converted set and keeping
     the argmin; ties go to the smaller layer index. One-shot mode scores
-    every single-layer conversion once and takes the m best. Candidate
-    evaluations are read-only over the model and may run in parallel; the
-    argmin is reduced in candidate order afterward, so the result is
-    deterministic either way.
+    every single-layer conversion once and takes the m best.
+
+    A candidate ``chosen + [c]`` agrees with the round's base plan
+    ``chosen`` below layer ``c``, so it resumes at ``c`` from the base's
+    recorded input states there. The dense pass records the first base,
+    once per corpus chunk; after each round the winner's own states from
+    its layer up replace the base's. Only the running best candidate's
+    states are kept, besides the base and the candidates still running.
+    One-shot candidates resume from the dense base. Candidates are
+    read-only over the model and the base and may run in parallel; the
+    argmin is reduced in candidate order, so the result is deterministic
+    and bitwise that of evaluating every candidate from the embeddings.
     """
-    from .eval_harness import perplexity
+    from .eval_harness import _corpus_chunks, _eval_chunks, _perplexity_of
 
     eligible = sorted({int(l) for l in eligible})
     if m > len(eligible):
@@ -230,32 +245,39 @@ def calibrate_greedy(
     n_layers = model.config.n_layers
     if any(not 0 <= l < n_layers for l in eligible):
         raise ConfigError(f"eligible layers out of range for {n_layers}-layer model")
+    _, chunks = _corpus_chunks(calib_tokens, context_len)
 
-    def ppl_of(layers: list[int]) -> float:
+    def run(layers: list[int], first: int, record: bool):
         plan = LayerPlan(
             layers=sorted(layers), keep_ratio=keep_ratio,
             model_id=model.model_id, l_sink=l_sink,
         )
-        return perplexity(model, plan, calib_tokens, context_len).perplexity
+        starts = [states[first] for states in base]
+        nlls, inputs = _eval_chunks(model, chunks, plan, resume=(first, starts), record=record)
+        return _perplexity_of(nlls, context_len)[1], inputs
 
-    def sweep(candidate_sets: list[list[int]]) -> list[float]:
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(ppl_of, candidate_sets))
-        return [ppl_of(c) for c in candidate_sets]
-
+    _, base = _eval_chunks(model, chunks, None, record=True)  # base[chunk][layer]
     chosen: list[int] = []
     remaining = list(eligible)
-    if one_shot:
-        ppls = sweep([[c] for c in remaining])
-        order = sorted(range(len(remaining)), key=lambda i: (ppls[i], remaining[i]))
-        chosen = sorted(remaining[i] for i in order[:m])
-    else:
-        for _ in range(m):
-            ppls = sweep([chosen + [c] for c in remaining])
-            best = min(range(len(remaining)), key=lambda i: (ppls[i], remaining[i]))
-            chosen.append(remaining.pop(best))
-        chosen.sort()
+    parallel = threads is not None and threads > 1
+    with ThreadPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
+        mapper = pool.map if parallel else map  # both yield in candidate order
+        if one_shot:
+            ppls = [ppl for ppl, _ in mapper(lambda c: run([c], c, False), remaining)]
+            order = sorted(range(len(remaining)), key=lambda i: (ppls[i], remaining[i]))
+            chosen = sorted(remaining[i] for i in order[:m])
+        else:
+            for _ in range(m):
+                best = None
+                runs = mapper(lambda c: run(chosen + [c], c, True), remaining)
+                for c, (ppl, inputs) in zip(remaining, runs):
+                    if best is None or ppl < best[1]:  # remaining ascends: ties keep the smaller
+                        best = (c, ppl, inputs)
+                c, _, inputs = best
+                base = [states[:c] + tail for states, tail in zip(base, inputs)]
+                chosen.append(c)
+                remaining.remove(c)
+            chosen.sort()
 
     return LayerPlan(
         layers=chosen,

@@ -71,7 +71,15 @@ def _threads(args) -> int | None:
     if args.threads is not None:
         return args.threads
     env = os.environ.get("ORTHORANK_THREADS")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"ORTHORANK_THREADS must be an integer >= 1, got {env!r}")
+    return threads
 
 
 def _resolve_l_sink(args, model, corpus) -> int:

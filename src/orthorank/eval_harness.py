@@ -3,7 +3,10 @@
 Perplexity uses non-overlapping context_len chunks (final partial chunk
 dropped) and teacher-forced NLL of every position after the first, summed in
 float64. Dense evaluation is the empty plan: both run the same kernel, so
-their reports agree bitwise.
+their reports agree bitwise. The layerwise sweep, the ablation grid and
+greedy calibration resume each evaluation at the first layer where its plan
+differs from a run already made, from that run's recorded layer inputs;
+their perplexities equal the standalone op's bitwise.
 """
 
 import csv
@@ -13,10 +16,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calibration import LayerPlan, corpus_sha256, flop_count
+from .calibration import LayerPlan, _plan_ratios, corpus_sha256, flop_count
 from .errors import UsageError
-from .model_runtime import Model
-from .selection import DEFAULT_CRITERION, AuditLog, Criterion, forward_with_plan
+from .model_runtime import KVCache, Model
+from .selection import DEFAULT_CRITERION, AuditLog, Criterion, _run_layers, forward_with_plan
+from .trace import HiddenTrace
 
 
 @dataclass
@@ -61,6 +65,66 @@ def _chunk_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return lse - picked
 
 
+def _corpus_chunks(corpus_tokens, context_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The corpus as int64 ids and its (n_chunks, context_len) chunks, partial chunk dropped."""
+    if context_len < 2:
+        raise UsageError(f"context_len must be >= 2, got {context_len}")
+    tokens = np.asarray(corpus_tokens, dtype=np.int64)
+    if tokens.ndim != 1 or tokens.size < context_len:
+        raise UsageError(
+            f"corpus has {tokens.size} tokens, need at least context_len={context_len}"
+        )
+    n_chunks = tokens.size // context_len
+    return tokens, tokens[:n_chunks * context_len].reshape(n_chunks, context_len)
+
+
+def _eval_chunks(model, chunks, plan, criterion=DEFAULT_CRITERION,
+                 compute_kv_for_unselected=True, audit=None, resume=None, record=False):
+    """NLL total of every chunk under ``plan`` (None = dense), and the states it passed.
+
+    Each chunk runs from its embeddings through the public
+    ``forward_with_plan`` (so a trace of the public API sees it) or,
+    with ``resume=(s, states)``, from layer ``s`` on ``states[c]``: chunk
+    c's input to layer ``s`` under a plan that agrees with ``plan`` below
+    ``s``, which makes the result bitwise that of a run from the embeddings.
+    With ``record`` the second return value holds, per chunk, the input
+    state of every layer the chunk ran (from 0, or from ``s``); else None.
+    An audit log records the chunk index as the step.
+    """
+    layers = [] if plan is None else plan.layers
+    ratios = 1.0 if plan is None else plan.keep_ratio
+    if resume is not None:
+        first, starts = resume
+        ratio_map = _plan_ratios(layers, ratios, model.config.n_layers)
+    nlls, inputs = [], [] if record else None
+    for c, chunk in enumerate(chunks):
+        chunk_audit = AuditLog() if audit is not None else None
+        if resume is None:
+            logits, trace, _ = forward_with_plan(
+                model, chunk, layers, ratios, criterion,
+                compute_kv_for_unselected, capture_trace=record, audit=chunk_audit,
+            )
+        else:
+            trace = HiddenTrace() if record else None
+            logits = _run_layers(model, None, KVCache.empty(model.config), ratio_map, criterion,
+                                 compute_kv_for_unselected, chunk_audit, trace,
+                                 resume=(first, starts[c]))
+        if audit is not None:
+            audit.rows.extend((l, c, p, s, sel) for l, _, p, s, sel in chunk_audit.rows)
+        nlls.append(float(np.sum(_chunk_nll(logits[:-1], chunk[1:]))))
+        if record:
+            inputs.append(trace.hidden)
+    return nlls, inputs
+
+
+def _perplexity_of(chunk_nlls: list[float], context_len: int) -> tuple[float, float]:
+    """Total NLL, chunk totals added in order, and exp(total / predictions)."""
+    total = 0.0
+    for nll in chunk_nlls:
+        total += nll
+    return total, float(np.exp(total / (len(chunk_nlls) * (context_len - 1))))
+
+
 def perplexity(
     model: Model,
     plan: LayerPlan | None,
@@ -76,45 +140,21 @@ def perplexity(
     positions 1..W-1; perplexity is exp(total NLL / total predictions).
     When an audit log is given it records chunk index as the step.
     """
-    if context_len < 2:
-        raise UsageError(f"context_len must be >= 2, got {context_len}")
-    tokens = np.asarray(corpus_tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size < context_len:
-        raise UsageError(
-            f"corpus has {tokens.size} tokens, need at least context_len={context_len}"
-        )
-    layers = [] if plan is None else plan.layers
-    ratios = 1.0 if plan is None else plan.keep_ratio
-
-    n_chunks = tokens.size // context_len
-    chunk_nlls = []
-    total = 0.0
-    for c in range(n_chunks):
-        chunk = tokens[c * context_len:(c + 1) * context_len]
-        chunk_audit = AuditLog() if audit is not None else None
-        logits, _, _ = forward_with_plan(
-            model, chunk, layers, ratios, criterion,
-            compute_kv_for_unselected, audit=chunk_audit,
-        )
-        if audit is not None:
-            audit.rows.extend((l, c, p, s, sel) for l, _, p, s, sel in chunk_audit.rows)
-        nll = _chunk_nll(logits[:-1], chunk[1:])
-        chunk_total = float(np.sum(nll))
-        chunk_nlls.append(chunk_total)
-        total += chunk_total
-
-    n_predicted = n_chunks * (context_len - 1)
-    ppl = float(np.exp(total / n_predicted))
+    tokens, chunks = _corpus_chunks(corpus_tokens, context_len)
+    chunk_nlls, _ = _eval_chunks(model, chunks, plan, criterion,
+                                 compute_kv_for_unselected, audit)
+    total, ppl = _perplexity_of(chunk_nlls, context_len)
+    n_chunks = len(chunks)
     flops = flop_count(model.config, plan if plan is not None else LayerPlan(), context_len)
     return EvalReport(
         model_id=model.model_id,
         plan_id=_plan_id(plan),
-        plan_layers=list(layers),
+        plan_layers=[] if plan is None else list(plan.layers),
         corpus_sha256=corpus_sha256(tokens),
         context_len=context_len,
         n_chunks=n_chunks,
         n_tokens=n_chunks * context_len,
-        n_predicted=n_predicted,
+        n_predicted=n_chunks * (context_len - 1),
         chunk_nll=chunk_nlls,
         total_nll=total,
         perplexity=ppl,
@@ -136,12 +176,16 @@ def layerwise_comparison(
 
     Sweeps every layer index in (l_sink, n_layers), final layer included so
     its degradation is visible. Returns {"layers", "dense", "columns":
-    {label: [ppl per layer]}}.
+    {label: [ppl per layer]}}. The dense pass runs once per chunk and
+    records its layer inputs; every cell resumes at its layer from the
+    dense input state there, which the single-layer plan shares.
     """
     if not criteria:
         raise UsageError("need at least one criterion")
+    _, chunks = _corpus_chunks(corpus_tokens, context_len)
     layers = list(range(l_sink + 1, model.config.n_layers))
-    dense = perplexity(model, None, corpus_tokens, context_len).perplexity
+    dense_nlls, dense_inputs = _eval_chunks(model, chunks, None, record=True)
+    dense = _perplexity_of(dense_nlls, context_len)[1]
     columns: dict[str, list[float]] = {}
     for crit in criteria:
         label = criterion_label(crit, kv=True)
@@ -149,9 +193,9 @@ def layerwise_comparison(
         for layer in layers:
             plan = LayerPlan(layers=[layer], keep_ratio=keep_ratio,
                              model_id=model.model_id, l_sink=l_sink)
-            cells.append(
-                perplexity(model, plan, corpus_tokens, context_len, criterion=crit).perplexity
-            )
+            starts = [states[layer] for states in dense_inputs]
+            nlls, _ = _eval_chunks(model, chunks, plan, crit, resume=(layer, starts))
+            cells.append(_perplexity_of(nlls, context_len)[1])
         columns[label] = cells
     return {"layers": layers, "dense": dense, "columns": columns}
 
@@ -187,22 +231,26 @@ def ablation_grid(
 ) -> list[dict]:
     """The seven-row criterion/stage/KV ablation over one plan.
 
-    The last row is the default configuration and matches the standalone
-    perplexity op exactly (same code path).
+    The rows differ only at the plan's layers, so the first row runs from
+    the embeddings and records its input state of the plan's first layer
+    (the dense prefix); the other six resume there. The last row is the
+    default configuration and equals the standalone perplexity op bitwise.
     """
-    rows = []
+    _, chunks = _corpus_chunks(corpus_tokens, context_len)
+    first = min(plan.layers if plan else [], default=0)
+    rows, prefix = [], None
     for kind, stage, kv in ABLATION_ROWS:
         crit = Criterion(kind, stage, seed=random_seed if kind == "random" else None)
-        report = perplexity(
-            model, plan, corpus_tokens, context_len,
-            criterion=crit, compute_kv_for_unselected=kv,
-        )
+        nlls, inputs = _eval_chunks(model, chunks, plan, crit, kv,
+                                    resume=prefix, record=prefix is None)
+        if prefix is None:
+            prefix = (first, [states[first] for states in inputs])
         rows.append(
             {
                 "criterion": kind,
                 "stage": stage,
                 "kv_for_unselected": kv,
-                "perplexity": report.perplexity,
+                "perplexity": _perplexity_of(nlls, context_len)[1],
             }
         )
     return rows

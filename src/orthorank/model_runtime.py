@@ -90,6 +90,34 @@ class KVCache:
     def n_layers(self) -> int:
         return len(self.keys)
 
+    def check(self) -> None:
+        """Raise StateError unless the cache is one consistent sequence.
+
+        Every layer holds as many key, value and position rows, at strictly
+        ascending positions below ``n_tokens``. A layer without a score
+        history ran dense, so with KV for every token: it holds
+        ``n_tokens`` rows. A selective layer holds at most that many (fewer
+        only with KV for unselected tokens off), one score per token, its
+        sink state, and its scores in ascending order in ``sorted_history``.
+        """
+        n = self.n_tokens
+        for layer, (k, v, pos) in enumerate(zip(self.keys, self.values, self.positions)):
+            if not k.shape[0] == v.shape[0] == pos.size:
+                raise StateError(f"layer {layer} holds {k.shape[0]} keys, {v.shape[0]} values "
+                                 f"and {pos.size} positions")
+            if np.any(np.diff(pos) <= 0) or (pos.size and not 0 <= pos[0] <= pos[-1] < n):
+                raise StateError(f"layer {layer} positions are not ascending below {n}")
+            history = self.score_history.get(layer)
+            if history is None:
+                if pos.size != n:
+                    raise StateError(f"dense layer {layer} holds {pos.size} rows for {n} tokens")
+                continue
+            if pos.size > n or len(history) != n:
+                raise StateError(f"selective layer {layer} holds {pos.size} rows and "
+                                 f"{len(history)} scores for {n} tokens")
+            if layer not in self.sink_state or self.sorted_history.get(layer) != sorted(history):
+                raise StateError(f"layer {layer} lacks its sink state or sorted score history")
+
 
 def block_forward(
     model: Model,

@@ -259,20 +259,30 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
 
 
 def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselected,
-                audit, trace=None, capture_states=True) -> np.ndarray:
+                audit, trace=None, capture_states=True, resume=None) -> np.ndarray:
     """Prefill ``token_ids`` into an empty ``cache``, or decode one token onto it; logits.
 
     The one layer loop: layers outside ``plan`` run dense, so the empty plan
-    is the dense forward pass and the dense decode step.
+    is the dense forward pass and the dense decode step. ``resume=(s, x)``
+    starts a prefill at layer ``s`` from ``x``, the (T, d) input states of
+    that layer recorded by an earlier run (``x`` is not modified and
+    ``token_ids`` is not read). Layers below ``s`` neither run nor fill the
+    cache; from ``s`` on, the same ops run on the same rows as in a run
+    from the embeddings under any plan that agrees with ``plan`` below
+    ``s``, so the result is bitwise that run's. A trace with
+    ``capture_states`` records the input state of every layer it passes.
     """
-    x, tokens = embed_tokens(model, token_ids)
+    if resume is None:
+        first, (x, _) = 0, embed_tokens(model, token_ids)
+    else:
+        first, x = resume[0], resume[1].copy()
     start = cache.n_tokens
-    positions = np.arange(start, start + tokens.size, dtype=np.int64)
-    for layer in range(model.config.n_layers):
+    positions = np.arange(start, start + x.shape[0], dtype=np.int64)
+    for layer in range(first, model.config.n_layers):
         _layer_step(model, layer, x, positions, plan.get(layer), criterion,
                     compute_kv_for_unselected, cache, audit, trace, decode=start > 0,
                     capture_states=capture_states)
-    cache.n_tokens += tokens.size
+    cache.n_tokens += x.shape[0]
     return lm_head_logits(model, x)
 
 

@@ -87,3 +87,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def layer_steps(monkeypatch):
+    """Layers passed to ``selection._layer_step``, in call order."""
+    from orthorank import selection
+
+    layers = []
+    real_step = selection._layer_step
+
+    def counting_step(model, layer, *args, **kwargs):
+        layers.append(layer)
+        return real_step(model, layer, *args, **kwargs)
+
+    monkeypatch.setattr(selection, "_layer_step", counting_step)
+    return layers

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from orthorank import (
     ConfigError,
     LayerPlan,
+    Model,
     ModelConfig,
     UsageError,
     calibrate_greedy,
@@ -16,9 +17,11 @@ from orthorank import (
     effective_sparsity,
     eligible_layers,
     flop_count,
+    generate_synthetic_model,
     perplexity,
     plan_from_sparsity,
 )
+from orthorank import eval_harness
 from orthorank.calibration import plan_effective_sparsity
 
 import helpers
@@ -121,6 +124,23 @@ class TestLayerPlan:
             self.plan(keep_ratio=1.5)
         with pytest.raises(ConfigError):
             self.plan(keep_ratio=[0.5, 0.5])  # length mismatch
+
+    @pytest.mark.parametrize("keep", [np.float32(0.5), np.float64(0.5), np.int64(1)])
+    def test_numpy_scalar_is_one_ratio(self, keep):
+        plan = self.plan(keep_ratio=keep)
+        assert plan.ratios() == [float(keep)] * 3
+        assert LayerPlan.from_json(plan.to_json()).ratios() == plan.ratios()
+
+    def test_numpy_ratio_array(self):
+        plan = self.plan(keep_ratio=np.array([0.25, 0.5, 0.75], dtype=np.float32))
+        assert plan.ratios() == [0.25, 0.5, 0.75]
+        assert json.loads(plan.to_json())["keep_ratio"] == [0.25, 0.5, 0.75]
+
+    @pytest.mark.parametrize("keep", ["abc", None, True, {2: 0.5}, [0.5, "x", 0.5],
+                                      np.array([[0.5, 0.5, 0.5]])])
+    def test_non_numeric_ratio_is_config_error(self, keep):
+        with pytest.raises(ConfigError, match="keep_ratio must be a number"):
+            self.plan(keep_ratio=keep)
 
     def test_json_schema_keys(self):
         data = json.loads(self.plan().to_json())
@@ -264,6 +284,98 @@ class TestCalibrateGreedy:
                               "context_len": self.W}
         assert plan.model_id == rotation_model.model_id
         assert plan.target_sparsity == 0.06
+
+
+def brute_force_greedy(model, corpus, m, keep_ratio, eligible, context_len, l_sink):
+    """Greedy calibration over the public perplexity op, every candidate from scratch."""
+    chosen, remaining = [], sorted(eligible)
+    for _ in range(m):
+        ppls = [perplexity(model, LayerPlan(layers=sorted(chosen + [c]), keep_ratio=keep_ratio,
+                                            model_id=model.model_id, l_sink=l_sink),
+                           corpus, context_len).perplexity
+                for c in remaining]
+        best = min(range(len(remaining)), key=lambda i: (ppls[i], remaining[i]))
+        chosen.append(remaining.pop(best))
+    return sorted(chosen)
+
+
+@pytest.fixture(scope="module")
+def live_model(tmp_path_factory):
+    config = ModelConfig(n_layers=8, d_model=32, n_heads=4, n_kv_heads=2,
+                         d_head=8, d_ffn=64, vocab_size=64)
+    path = tmp_path_factory.mktemp("ck") / "live8"
+    generate_synthetic_model(config, 5, path)
+    return Model.from_checkpoint(path)
+
+
+class TestResumedCalibration:
+    """Candidates resume at their own layer from the round's base states."""
+
+    W = 32
+    ELIGIBLE = range(1, 7)
+
+    @pytest.fixture(scope="class")
+    def live_corpus(self):
+        return helpers.make_tokens(2 * self.W + 5, 64, seed=21)
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_equals_brute_force_greedy(self, live_model, threads, seed):
+        corpus = helpers.make_tokens(2 * self.W + 5, 64, seed=seed)
+        plan = calibrate_greedy(live_model, corpus, 3, 0.333, self.ELIGIBLE, self.W,
+                                threads=threads)
+        assert plan.layers == brute_force_greedy(live_model, corpus, 3, 0.333,
+                                                 self.ELIGIBLE, self.W, 0)
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_exact_tie_equals_brute_force(self, corpus, threads):
+        model = helpers.make_rotation_model(11, {4, 7})
+        plan = calibrate_greedy(model, corpus, 2, 0.333, range(2, 10), 128, l_sink=1,
+                                threads=threads)
+        assert plan.layers == brute_force_greedy(model, corpus, 2, 0.333, range(2, 10), 128, 1)
+        assert plan.layers == [4, 7]
+
+    @pytest.mark.parametrize("one_shot", [False, True])
+    def test_every_evaluation_equals_standalone_perplexity(self, live_model, live_corpus,
+                                                           monkeypatch, one_shot):
+        seen = []
+        real = eval_harness._eval_chunks
+
+        def spy(model, chunks, plan, *args, **kwargs):
+            nlls, inputs = real(model, chunks, plan, *args, **kwargs)
+            seen.append((plan, kwargs.get("resume") is not None, nlls))
+            return nlls, inputs
+
+        monkeypatch.setattr(eval_harness, "_eval_chunks", spy)
+        calibrate_greedy(live_model, live_corpus, 3, 0.333, self.ELIGIBLE, self.W,
+                         one_shot=one_shot)
+        monkeypatch.undo()
+        assert [resumed for _, resumed, _ in seen] == [False] + [True] * (len(seen) - 1)
+        assert len(seen) == 1 + (6 if one_shot else 6 + 5 + 4)
+        for plan, _, nlls in seen:
+            assert nlls == perplexity(live_model, plan, live_corpus, self.W).chunk_nll
+
+    def test_greedy_layer_steps(self, corpus, layer_steps):
+        # 8 layers, 2 chunks; the identity layers 2 and 5 win rounds one and two
+        model = helpers.make_rotation_model(8, {2, 5})
+        plan = calibrate_greedy(model, corpus, 3, 0.333, range(1, 7), 128)
+        assert {2, 5} < set(plan.layers)
+        rounds = [[1, 2, 3, 4, 5, 6], [1, 3, 4, 5, 6], [1, 3, 4, 6]]
+        # the dense base, then each candidate from its own layer up
+        expected = 2 * (8 + sum(8 - c for r in rounds for c in r))
+        assert len(layer_steps) == expected == 148  # 240 from the embeddings
+
+    def test_one_shot_layer_steps(self, corpus, layer_steps):
+        model = helpers.make_rotation_model(8, {2, 5})
+        plan = calibrate_greedy(model, corpus, 2, 0.333, range(1, 7), 128, one_shot=True)
+        assert plan.layers == [2, 5]
+        assert len(layer_steps) == 2 * (8 + sum(8 - c for c in range(1, 7))) == 70  # 96 before
+
+    @pytest.mark.parametrize("corpus_len, context_len", [(20, 32), (64, 1)])
+    def test_short_corpus_or_context_is_usage_error(self, live_model, corpus_len, context_len):
+        tokens = helpers.make_tokens(corpus_len, 64)
+        with pytest.raises(UsageError):
+            calibrate_greedy(live_model, tokens, 1, 0.333, self.ELIGIBLE, context_len)
 
 
 def ref_layer_flops(cfg, t, k, selective):

@@ -208,6 +208,21 @@ class TestCalibrate:
         assert "detected l_sink=1" in out
         assert LayerPlan.load(plan_path).l_sink == 1
 
+    @pytest.mark.parametrize("value, code", [
+        ("abc", 2), ("0", 2), ("-2", 2), ("1.5", 2), ("2", 0),
+    ])
+    def test_threads_variable(self, cli_ck, tmp_path, capsys, monkeypatch, value, code):
+        monkeypatch.setenv("ORTHORANK_THREADS", value)
+        corpus = write_corpus(tmp_path / "c.txt", helpers.make_tokens(32, 64, seed=5))
+        got, _, err = run_cli(
+            "calibrate", "--model", cli_ck, "--corpus", corpus,
+            "--sparsity", "0.1", "--l-sink", "0", "--context-len", "16",
+            "--out", tmp_path / "plan.json", capsys=capsys)
+        assert got == code
+        if code:
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert "ORTHORANK_THREADS" in err
+
 
 class TestEvalPpl:
     def test_empty_plan_matches_dense_report(self, cli_ck, tmp_path, capsys):

@@ -26,7 +26,7 @@ from orthorank import (
     layerwise_to_csv,
     perplexity,
 )
-from orthorank.eval_harness import ABLATION_ROWS
+from orthorank.eval_harness import ABLATION_ROWS, criterion_label
 
 
 def make_plan(model, layers, keep_ratio=0.333, l_sink=1):
@@ -263,3 +263,58 @@ class TestAblationGrid:
         assert got[7][:3] == ["orthogonal_asc", "normalized", "on"]
         assert got[6][2] == "off"
         assert float(got[7][3]) == rows[-1]["perplexity"]
+
+
+class TestResumedPrefix:
+    """Grid rows and sweep cells resume from a dense prefix computed once per chunk."""
+
+    def test_every_grid_row_equals_standalone_perplexity(self, grid):
+        model, corpus, plan, rows = grid
+        for (kind, stage, kv), row in zip(ABLATION_ROWS, rows):
+            crit = Criterion(kind, stage, seed=0 if kind == "random" else None)
+            standalone = perplexity(model, plan, corpus, 64, criterion=crit,
+                                    compute_kv_for_unselected=kv)
+            assert row["perplexity"] == standalone.perplexity, (kind, stage, kv)
+
+    def test_every_sweep_cell_equals_standalone_perplexity(self, planted_model):
+        corpus = helpers.planted_tokens(128, seed=10)
+        criteria = [Criterion("orthogonal_asc", "normalized"),
+                    Criterion("norm_desc", "raw_hidden"),
+                    Criterion("random", "normalized", seed=5)]
+        table = layerwise_comparison(planted_model, corpus, 0.333, criteria,
+                                     l_sink=1, context_len=48)
+        assert table["dense"] == perplexity(planted_model, None, corpus, 48).perplexity
+        for crit in criteria:
+            cells = table["columns"][criterion_label(crit, kv=True)]
+            for layer, cell in zip(table["layers"], cells):
+                plan = make_plan(planted_model, [layer])
+                assert cell == perplexity(planted_model, plan, corpus, 48,
+                                          criterion=crit).perplexity, (crit, layer)
+
+    def test_grid_layer_steps(self, planted_model, layer_steps):
+        # 10 layers, 2 chunks: the first row runs every layer, the other six
+        # resume at the plan's first layer (140 from the embeddings)
+        corpus = helpers.planted_tokens(128, seed=9)
+        ablation_grid(planted_model, make_plan(planted_model, [3, 5, 6]), corpus, 64)
+        assert len(layer_steps) == 2 * (10 + 6 * 7) == 104
+        assert layer_steps.count(0) == 2
+
+    def test_sweep_layer_steps(self, planted_model, layer_steps):
+        # 10 layers, 2 chunks, 2 criteria: one dense pass, each cell from its
+        # layer up (2 * (10 + 2 * 8 * 10) = 340 from the embeddings)
+        corpus = helpers.planted_tokens(128, seed=9)
+        layerwise_comparison(planted_model, corpus, 0.5,
+                             [Criterion(), Criterion("norm_asc", "normalized")],
+                             l_sink=1, context_len=64)
+        cells = sum(10 - layer for layer in range(2, 10))
+        assert len(layer_steps) == 2 * (10 + 2 * cells) == 164
+
+    @pytest.mark.parametrize("corpus_len, context_len", [(20, 32), (64, 1)])
+    def test_short_corpus_or_context_is_usage_error(self, planted_model, corpus_len,
+                                                    context_len):
+        tokens = helpers.planted_tokens(corpus_len)
+        with pytest.raises(UsageError):
+            ablation_grid(planted_model, make_plan(planted_model, [2]), tokens, context_len)
+        with pytest.raises(UsageError):
+            layerwise_comparison(planted_model, tokens, 0.5, [Criterion()], l_sink=1,
+                                 context_len=context_len)

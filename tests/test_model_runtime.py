@@ -118,6 +118,7 @@ class TestDecodeDense:
         logits, cache = decode_step_dense(tiny_model, cache, int(toks[4]))
         assert logits.shape == (1, tiny_model.config.vocab_size)
         assert np.max(np.abs(logits[0] - full[4])) < 1e-5
+        cache.check()
 
     def test_empty_cache_is_length_one_prefill(self, tiny_model):
         full, _, _ = forward_dense(tiny_model, [7])
@@ -143,6 +144,7 @@ class TestDecodeDense:
             logits, cache = decode_step_dense(tiny_model, cache, int(t))
             worst = max(worst, float(np.max(np.abs(logits[0] - full[i]))))
         assert worst < 1e-5
+        cache.check()
 
     def test_cache_layer_mismatch(self, tiny_model, micro_model):
         _, _, cache = forward_dense(micro_model, [1, 2])

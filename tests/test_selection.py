@@ -372,6 +372,7 @@ class TestDecodeSelect:
             decode_step_with_plan(tiny_model, cache, int(token), [1, 2], 0.5)
         for layer in (1, 2):
             assert cache.sorted_history[layer] == sorted(cache.score_history[layer])
+        cache.check()
 
 
 class TestForwardWithPlan:
@@ -465,11 +466,13 @@ class TestDecodeWithPlan:
         decode_step_with_plan(tiny_model, cache, int(tiny_tokens[10]), [1], 0.5)
         assert len(cache.score_history[1]) == 11
         assert cache.n_tokens == 11
+        cache.check()
 
     def test_unselected_token_keeps_kv_by_default(self, tiny_model, tiny_tokens):
         _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1], 0.2)
         decode_step_with_plan(tiny_model, cache, int(tiny_tokens[10]), [1], 0.2)
         assert cache.positions[1].tolist() == list(range(11))
+        cache.check()
 
     def test_kv_off_skips_unselected_decode_token(self, tiny_model, tiny_tokens):
         _, _, cache = forward_with_plan(
@@ -482,6 +485,7 @@ class TestDecodeWithPlan:
         row = audit.rows[-1]
         grew = cache.positions[1].size - before
         assert grew == (1 if row[4] else 0)
+        cache.check()
 
     def test_decode_deterministic(self, tiny_model, tiny_tokens):
         outs = []
@@ -609,6 +613,55 @@ class TestSkippedRowsDoNoBlockWork:
                 else:
                     assert n_calls == dense_cost, (layer, n_calls)
         assert skipped > 0
+
+
+class TestKVCacheCheck:
+    """KVCache.check holds through prefill and decode and catches each broken invariant."""
+
+    @pytest.mark.parametrize("model_name", ["tiny_model", "micro_model"])
+    @pytest.mark.parametrize("kv_on", [True, False])
+    @pytest.mark.parametrize("plan", [[], [1], "all"])
+    def test_holds_through_prefill_and_decode(self, request, model_name, kv_on, plan):
+        model = request.getfixturevalue(model_name)
+        n = model.config.n_layers
+        plan = list(range(n)) if plan == "all" else [l for l in plan if l < n]
+        tokens = make_tokens(20, model.config.vocab_size, seed=12)
+        _, _, cache = forward_with_plan(model, tokens[:12], plan, 0.4,
+                                        compute_kv_for_unselected=kv_on)
+        cache.check()
+        for token in tokens[12:]:
+            decode_step_with_plan(model, cache, int(token), plan, 0.4,
+                                  compute_kv_for_unselected=kv_on)
+            cache.check()
+        rows = [p.size for p in cache.positions]
+        if kv_on:
+            assert rows == [cache.n_tokens] * n
+        else:
+            assert all(r < cache.n_tokens for l, r in enumerate(rows) if l in plan)
+
+    @pytest.mark.parametrize("breakage", [
+        "extra_token", "short_values", "positions_unsorted", "dense_layer_short",
+        "history_short", "sorted_stale", "sink_missing",
+    ])
+    def test_broken_invariant_raises(self, tiny_model, tiny_tokens, breakage):
+        _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1, 2], 0.5)
+        if breakage == "extra_token":
+            cache.n_tokens += 1
+        elif breakage == "short_values":
+            cache.values[1] = cache.values[1][:-1]
+        elif breakage == "positions_unsorted":
+            cache.positions[2] = cache.positions[2][::-1].copy()
+        elif breakage == "dense_layer_short":
+            for name in ("keys", "values", "positions"):
+                getattr(cache, name)[0] = getattr(cache, name)[0][:-1]
+        elif breakage == "history_short":
+            cache.score_history[1].pop()
+        elif breakage == "sorted_stale":
+            cache.sorted_history[2][0] = -1.0
+        else:
+            del cache.sink_state[1]
+        with pytest.raises(StateError):
+            cache.check()
 
 
 class TestGenerateGreedy:
