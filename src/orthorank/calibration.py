@@ -229,13 +229,15 @@ def calibrate_greedy(
     A candidate ``chosen + [c]`` agrees with the round's base plan
     ``chosen`` below layer ``c``, so it resumes at ``c`` from the base's
     recorded input states there. The dense pass records the first base,
-    once per corpus chunk; after each round the winner's own states from
-    its layer up replace the base's. Only the running best candidate's
-    states are kept, besides the base and the candidates still running.
-    One-shot candidates resume from the dense base. Candidates are
-    read-only over the model and the base and may run in parallel; the
-    argmin is reduced in candidate order, so the result is deterministic
-    and bitwise that of evaluating every candidate from the embeddings.
+    once per corpus chunk; after each round but the last, the winner's
+    own states from its layer up replace the base's. Only the running best
+    candidate's states are kept, besides the base and the candidates still
+    running; the last round records none. One-shot candidates resume from
+    the dense base, and m=0 returns the empty plan without a pass.
+    Candidates are read-only over the model and the base and may run in
+    parallel; the argmin is reduced in candidate order, so the result is
+    deterministic and bitwise that of evaluating every candidate from the
+    embeddings.
     """
     from .eval_harness import _corpus_chunks, _eval_chunks, _perplexity_of
 
@@ -246,14 +248,25 @@ def calibrate_greedy(
     if any(not 0 <= l < n_layers for l in eligible):
         raise ConfigError(f"eligible layers out of range for {n_layers}-layer model")
     _, chunks = _corpus_chunks(calib_tokens, context_len)
+    calib = {"corpus_sha256": corpus_sha256(calib_tokens), "context_len": context_len}
+
+    def plan_of(layers: list[int]) -> LayerPlan:
+        return LayerPlan(
+            layers=sorted(layers),
+            keep_ratio=keep_ratio,
+            model_id=model.model_id,
+            l_sink=l_sink,
+            target_sparsity=target_sparsity,
+            calib=calib,
+        )
+
+    if m == 0:
+        return plan_of([])
 
     def run(layers: list[int], first: int, record: bool):
-        plan = LayerPlan(
-            layers=sorted(layers), keep_ratio=keep_ratio,
-            model_id=model.model_id, l_sink=l_sink,
-        )
         starts = [states[first] for states in base]
-        nlls, inputs = _eval_chunks(model, chunks, plan, resume=(first, starts), record=record)
+        nlls, inputs = _eval_chunks(model, chunks, plan_of(layers), resume=(first, starts),
+                                    record=record)
         return _perplexity_of(nlls, context_len)[1], inputs
 
     _, base = _eval_chunks(model, chunks, None, record=True)  # base[chunk][layer]
@@ -265,28 +278,21 @@ def calibrate_greedy(
         if one_shot:
             ppls = [ppl for ppl, _ in mapper(lambda c: run([c], c, False), remaining)]
             order = sorted(range(len(remaining)), key=lambda i: (ppls[i], remaining[i]))
-            chosen = sorted(remaining[i] for i in order[:m])
+            chosen = [remaining[i] for i in order[:m]]
         else:
             for _ in range(m):
+                last = len(chosen) == m - 1  # no later round reads the winner's states
                 best = None
-                runs = mapper(lambda c: run(chosen + [c], c, True), remaining)
+                runs = mapper(lambda c: run(chosen + [c], c, not last), remaining)
                 for c, (ppl, inputs) in zip(remaining, runs):
                     if best is None or ppl < best[1]:  # remaining ascends: ties keep the smaller
                         best = (c, ppl, inputs)
                 c, _, inputs = best
-                base = [states[:c] + tail for states, tail in zip(base, inputs)]
+                if not last:
+                    base = [states[:c] + tail for states, tail in zip(base, inputs)]
                 chosen.append(c)
                 remaining.remove(c)
-            chosen.sort()
-
-    return LayerPlan(
-        layers=chosen,
-        keep_ratio=keep_ratio,
-        model_id=model.model_id,
-        l_sink=l_sink,
-        target_sparsity=target_sparsity,
-        calib={"corpus_sha256": corpus_sha256(calib_tokens), "context_len": context_len},
-    )
+    return plan_of(chosen)
 
 
 def _dense_layer_flops(cfg: ModelConfig, seq_len: int) -> int:
@@ -321,10 +327,14 @@ def flop_count(config: ModelConfig, plan: LayerPlan, seq_len: int) -> dict:
     """Matmul-dominated FLOP totals for one dense vs. planned forward pass.
 
     Conventions: 2 FLOPs per multiply-add; attention score/value matmuls
-    counted at full (unmasked) size as executed; RMSNorm costed at 4 FLOPs
-    per element; a selective layer pays K/V, pre-attention norms, and
-    scoring for all T tokens but everything else for its k tokens. The
-    final norm and output projection appear in both totals.
+    counted at full (unmasked) size, every query row against all T keys;
+    RMSNorm costed at 4 FLOPs per element; a selective layer pays K/V,
+    pre-attention norms, and scoring for all T tokens but everything else
+    for its k tokens. The final norm and output projection appear in both
+    totals. The runtime skips most of the masked attention half (each block
+    of query rows reads only its key prefix), so these are a fixed
+    convention, not the FLOPs executed; a traced benchmark run reports
+    those as ``tensor_core.matmul.gflop``.
     """
     if seq_len < 1:
         raise ConfigError(f"seq_len must be >= 1, got {seq_len}")

@@ -18,6 +18,8 @@ from .checkpoint_io import ModelConfig, load_checkpoint, weights_sha256
 from .errors import StateError, UsageError
 from .trace import HiddenTrace
 
+ATTN_ROW_BLOCK = 256  # query rows per attention block; each reads only its key prefix
+
 
 @dataclass
 class Model:
@@ -137,8 +139,16 @@ def block_forward(
     the query, attention, output projection, and FFN run only for
     ``sel`` rows. Rows outside ``sel`` are left untouched, so they pass
     through bitwise, and an empty ``sel`` returns right after the keys and
-    values. The query heads of one GQA group share a score and a context
-    product while their stacked rows fit one matmul row block.
+    values.
+
+    Attention runs on blocks of ``ATTN_ROW_BLOCK`` selected rows (their
+    positions ascend). A block reads only the key prefix up to its last
+    row's position: every later key is masked in all of its rows. Within a
+    block, the query heads of one GQA group share a score and a context
+    product while their stacked rows fit one matmul row block. Both cuts
+    are bitwise exact because the matmul kernel is invariant to the batch
+    rows, to truncated columns of ``b`` and to trailing zero K, and the
+    causal softmax to dropped masked columns.
 
     Returns the new key and value rows plus the per-``sel``-row
     mean-over-heads attention probability on key position 0 when
@@ -173,23 +183,29 @@ def block_forward(
 
     scale = tc.attention_scale(d_head)
     group = n_heads // n_kv
-    # heads per attention product: a whole GQA group, stacked head-major,
-    # while its rows fit one block; the kernel's row invariance makes the
-    # stacked and the per-head products bit-identical
-    stack = group if len(sel) * group <= tc.MATMUL_ROW_BLOCK else 1
-    stacked_pos = np.tile(q_pos, stack)
     ctx = np.empty((len(sel), n_heads, d_head), dtype=x.dtype)
-    sink_col = np.flatnonzero(key_pos == 0)
-    for h in range(0, n_heads, stack):
-        g = h // group
-        qh = q[:, h:h + stack].transpose(1, 0, 2).reshape(stack * len(sel), d_head)
-        scores = tc.matmul(qh, keys[:, g, :].T) * scale
-        probs = tc.softmax_causal(scores, stacked_pos, key_positions=key_pos)
-        ctx_h = tc.matmul(probs, values[:, g, :]).reshape(stack, len(sel), d_head)
-        ctx[:, h:h + stack] = ctx_h.transpose(1, 0, 2)
-        if attn0 is not None and sink_col.size:
-            for head_probs in probs[:, sink_col[0]].reshape(stack, len(sel)):
-                attn0 += head_probs
+    for r in range(0, len(sel), ATTN_ROW_BLOCK):
+        rows = slice(r, r + ATTN_ROW_BLOCK)
+        block_pos = q_pos[rows]
+        n = len(block_pos)
+        # the block's key prefix: keys past its last query are masked in every row
+        cut = int(np.searchsorted(key_pos, block_pos[-1], side="right"))
+        block_keys, block_values = keys[:cut], values[:cut]
+        # heads per attention product: a whole GQA group, stacked head-major,
+        # while its rows fit one matmul block; the kernel's row invariance
+        # makes the stacked and the per-head products bit-identical
+        stack = group if n * group <= tc.MATMUL_ROW_BLOCK else 1
+        stacked_pos = np.tile(block_pos, stack)
+        for h in range(0, n_heads, stack):
+            g = h // group
+            qh = q[rows, h:h + stack].transpose(1, 0, 2).reshape(stack * n, d_head)
+            scores = tc.matmul(qh, block_keys[:, g, :].T) * scale
+            probs = tc.softmax_causal(scores, stacked_pos, key_positions=key_pos[:cut])
+            ctx_h = tc.matmul(probs, block_values[:, g, :]).reshape(stack, n, d_head)
+            ctx[rows, h:h + stack] = ctx_h.transpose(1, 0, 2)
+            if attn0 is not None and key_pos[0] == 0:  # positions ascend: key 0 is column 0
+                for head_probs in probs[:, 0].reshape(stack, n):
+                    attn0[rows] += head_probs
     if attn0 is not None:
         attn0 /= n_heads
 

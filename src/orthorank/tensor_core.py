@@ -12,7 +12,11 @@ rows do not depend on the batch shape: a row of ``matmul(a, b)`` is
 bit-identical whether ``a`` holds 1 row or 500, whichever other rows sit
 beside it, however many columns ``b`` has, and whether trailing zero
 columns of ``a`` (with matching zero rows of ``b``) are appended. The
-causal-prefix, bypass and empty-plan contracts of the model rest on this.
+causal-prefix, bypass and empty-plan contracts of the model rest on this,
+and so does causal block-truncated attention: a block of query rows that
+reads only its key prefix drops score columns (column truncation) and
+probability columns that are exactly zero (trailing zero K), so its rows
+equal those of the full-width product bit for bit.
 BLAS libraries pick different code paths by operand shape and layout, so
 the kernel hands BLAS only canonical shapes: rows of ``a`` padded to a
 multiple of ``_ROW_ALIGN`` and cut into blocks of at most
@@ -124,6 +128,12 @@ def softmax_causal(
     key position exceeds it are masked to exactly 0. Key positions default to
     0..Tk-1 but can be passed explicitly when the key set is a subsequence of
     the context (selective KV). Rows are stabilized by max subtraction.
+
+    The mask is built only from the first column whose key lies past the
+    smallest query position; for a row block over its key prefix that is
+    the block's diagonal. A row's output does not depend on other rows, and
+    dropping trailing masked columns leaves its other entries bit-identical
+    (the row sums run through the row-invariant kernel).
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
@@ -140,8 +150,12 @@ def softmax_causal(
         if k_pos.shape != (scores.shape[1],):
             raise ShapeError(f"key_positions length {k_pos.shape} != key count {scores.shape[1]}")
 
-    allowed = k_pos[None, :] <= q_pos[:, None]
-    masked = np.where(allowed, scores, -np.inf)
+    masked = scores.astype(np.result_type(scores, -np.inf), copy=True)
+    # no row masks a column at or before the smallest query position
+    past = np.flatnonzero(k_pos > q_pos.min()) if q_pos.size else ()
+    if len(past):
+        lo = past[0]
+        np.copyto(masked[:, lo:], -np.inf, where=k_pos[lo:] > q_pos[:, None])
     # Every row admits at least one key (its own position), so the max is
     # finite; the initial value only serves an empty batch of rows.
     row_max = np.max(masked, axis=1, keepdims=True, initial=-np.inf)

@@ -103,3 +103,19 @@ def layer_steps(monkeypatch):
 
     monkeypatch.setattr(selection, "_layer_step", counting_step)
     return layers
+
+
+@pytest.fixture
+def softmax_entries(monkeypatch):
+    """``scores.size`` of every ``tensor_core.softmax_causal`` call, in call order."""
+    from orthorank import tensor_core
+
+    sizes = []
+    real_softmax = tensor_core.softmax_causal
+
+    def counting_softmax(scores, *args, **kwargs):
+        sizes.append(np.asarray(scores).size)
+        return real_softmax(scores, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_core, "softmax_causal", counting_softmax)
+    return sizes

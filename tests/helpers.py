@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 
 from orthorank import Model, ModelConfig, generate_synthetic_model, load_checkpoint
+from orthorank import tensor_core as tc
 from orthorank.checkpoint_io import required_tensors, save_checkpoint
 
 
@@ -156,3 +157,58 @@ def save_planted_sink_checkpoint(dir_path):
 def planted_tokens(n=128, seed=9):
     rest = np.random.default_rng(seed).integers(1, 32, size=n - 1)
     return np.concatenate([[0], rest])
+
+
+def full_width_block_forward(model, layer, x, positions, sel, kv_rows, xn, cache=None,
+                             capture_attn0=False):
+    """``model_runtime.block_forward`` with full-width attention, one head at a time.
+
+    Every selected query row is scored against every key and the causal
+    mask discards the later ones; no row blocks, no key prefixes, no GQA
+    stacking. Same signature, in-place update and returns as
+    ``block_forward``, which must match it bitwise.
+    """
+    cfg = model.config
+    n_heads, n_kv, d_head = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
+    w = model.w
+    prefix = f"layers.{layer}"
+
+    xk, kv_pos = xn[kv_rows], positions[kv_rows]
+    k_new = tc.matmul(xk, w(f"{prefix}.attn.wk.weight")).reshape(len(kv_rows), n_kv, d_head)
+    k_new = tc.rope_apply(k_new, kv_pos, cfg.rope_theta)
+    v_new = tc.matmul(xk, w(f"{prefix}.attn.wv.weight")).reshape(len(kv_rows), n_kv, d_head)
+    if cache is None:
+        keys, values, key_pos = k_new, v_new, kv_pos
+    else:
+        keys = np.concatenate([cache.keys[layer], k_new])
+        values = np.concatenate([cache.values[layer], v_new])
+        key_pos = np.concatenate([cache.positions[layer], kv_pos])
+        cache.keys[layer], cache.values[layer], cache.positions[layer] = keys, values, key_pos
+
+    attn0 = np.zeros(len(sel), dtype=np.float64) if capture_attn0 else None
+    if len(sel) == 0:
+        return k_new, v_new, attn0
+
+    q_pos = positions[sel]
+    q = tc.matmul(xn[sel], w(f"{prefix}.attn.wq.weight")).reshape(len(sel), n_heads, d_head)
+    q = tc.rope_apply(q, q_pos, cfg.rope_theta)
+    ctx = np.empty((len(sel), n_heads, d_head), dtype=x.dtype)
+    sink_col = np.flatnonzero(key_pos == 0)
+    scale = tc.attention_scale(d_head)
+    for h in range(n_heads):
+        g = h // (n_heads // n_kv)
+        scores = tc.matmul(np.ascontiguousarray(q[:, h]), keys[:, g, :].T) * scale
+        probs = tc.softmax_causal(scores, q_pos, key_positions=key_pos)
+        ctx[:, h] = tc.matmul(probs, values[:, g, :])
+        if attn0 is not None and sink_col.size:
+            attn0 += probs[:, sink_col[0]]
+    if attn0 is not None:
+        attn0 /= n_heads
+
+    x[sel] = x[sel] + tc.matmul(ctx.reshape(len(sel), n_heads * d_head),
+                                w(f"{prefix}.attn.wo.weight"))
+    xn2 = tc.rms_norm(x[sel], w(f"{prefix}.ffn_norm.gain"), cfg.norm_eps)
+    hidden = (tc.silu(tc.matmul(xn2, w(f"{prefix}.ffn.w_gate.weight")))
+              * tc.matmul(xn2, w(f"{prefix}.ffn.w_up.weight")))
+    x[sel] = x[sel] + tc.matmul(hidden, w(f"{prefix}.ffn.w_down.weight"))
+    return k_new, v_new, attn0

@@ -371,6 +371,13 @@ class TestResumedCalibration:
         assert plan.layers == [2, 5]
         assert len(layer_steps) == 2 * (8 + sum(8 - c for c in range(1, 7))) == 70  # 96 before
 
+    @pytest.mark.parametrize("one_shot", [False, True])
+    def test_zero_rounds_make_no_layer_steps(self, corpus, layer_steps, one_shot):
+        model = helpers.make_rotation_model(8, {2, 5})
+        plan = calibrate_greedy(model, corpus, 0, 0.333, range(1, 7), 128, one_shot=one_shot)
+        assert plan.layers == [] and plan.calib["context_len"] == 128
+        assert layer_steps == []
+
     @pytest.mark.parametrize("corpus_len, context_len", [(20, 32), (64, 1)])
     def test_short_corpus_or_context_is_usage_error(self, live_model, corpus_len, context_len):
         tokens = helpers.make_tokens(corpus_len, 64)

@@ -16,6 +16,8 @@ from orthorank import (
 )
 from orthorank import selection
 from orthorank import tensor_core
+from orthorank.model_runtime import ATTN_ROW_BLOCK, block_forward
+from orthorank.selection import DEFAULT_CRITERION, _topk_ascending, selection_keys
 from orthorank.tensor_core import rms_norm
 from orthorank.trace import dump_trace_csv
 
@@ -69,6 +71,12 @@ class TestForwardDense:
         tokens = make_tokens(130, tiny_config.vocab_size, seed=3)
         full, _, _ = forward_dense(tiny_model, tokens)
         for cut in range(1, len(tokens)):
+            part, _, _ = forward_dense(tiny_model, tokens[:cut])
+            assert np.array_equal(part, full[:cut]), f"cut={cut}"
+        # prefixes on both sides of an attention row block
+        tokens = make_tokens(300, tiny_config.vocab_size, seed=4)
+        full, _, _ = forward_dense(tiny_model, tokens)
+        for cut in (ATTN_ROW_BLOCK - 1, ATTN_ROW_BLOCK, ATTN_ROW_BLOCK + 1, 300):
             part, _, _ = forward_dense(tiny_model, tokens[:cut])
             assert np.array_equal(part, full[:cut]), f"cut={cut}"
 
@@ -248,6 +256,66 @@ class TestDenseIsTheEmptyPlan:
         for name in ("keys", "values", "positions"):
             for x, y in zip(getattr(dense, name), getattr(planned, name)):
                 assert np.array_equal(x, y)
+
+
+@pytest.fixture(scope="module")
+def mha_model(tmp_path_factory):
+    config = ModelConfig(n_layers=2, d_model=24, n_heads=3, n_kv_heads=3,
+                         d_head=8, d_ffn=48, vocab_size=40)
+    path = tmp_path_factory.mktemp("ck") / "mha"
+    generate_synthetic_model(config, 2, path)
+    return Model.from_checkpoint(path)
+
+
+class TestBlockTruncatedAttention:
+    """Row blocks over key prefixes equal full-width attention bitwise."""
+
+    @pytest.mark.parametrize("history", [0, 300])
+    @pytest.mark.parametrize("t", [1, 255, 256, 257, 513, 700])
+    @pytest.mark.parametrize("model_name", ["tiny_model", "micro_model", "mha_model"])
+    def test_equals_full_width(self, request, model_name, t, history):
+        model = request.getfixturevalue(model_name)
+        cfg, layer = model.config, 1
+        rng = np.random.default_rng(t + history)
+        x = rng.standard_normal((t, cfg.d_model)).astype(np.float32)
+        xn = rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), cfg.norm_eps)
+        positions = np.arange(history, history + t, dtype=np.int64)
+        rows = np.arange(t, dtype=np.int64)
+        picks = {
+            "all": rows,
+            "topk": _topk_ascending(selection_keys(xn, DEFAULT_CRITERION, layer), 0.333).selected,
+            "random": np.sort(rng.choice(t, size=max(1, t // 3), replace=False)),
+            "single": rows[t // 2:t // 2 + 1],
+        }
+        # queries after a prefilled cache, as in decode
+        if history:
+            prefilled = forward_dense(model, make_tokens(history, cfg.vocab_size))[2]
+        for pick, sel in picks.items():
+            for kv_rows in (rows, sel):  # KV for every row, or only for sel (gaps)
+                got_x, want_x = x.copy(), x.copy()
+                got_cache = want_cache = None
+                if history:  # block_forward replaces a layer's arrays, never writes into them
+                    got_cache, want_cache = (KVCache(list(prefilled.keys), list(prefilled.values),
+                                                     list(prefilled.positions)) for _ in range(2))
+                got = block_forward(model, layer, got_x, positions, sel, kv_rows, xn,
+                                    got_cache, capture_attn0=True)
+                want = helpers.full_width_block_forward(model, layer, want_x, positions, sel,
+                                                        kv_rows, xn, want_cache,
+                                                        capture_attn0=True)
+                where = f"{pick} sel, {len(kv_rows)} kv rows"
+                assert np.array_equal(got_x, want_x), where
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b), where
+                if history:
+                    for name in ("keys", "values", "positions"):
+                        assert np.array_equal(getattr(got_cache, name)[layer],
+                                              getattr(want_cache, name)[layer]), where
+
+    def test_dense_softmax_entries_pinned(self, tiny_model, tiny_config, softmax_entries):
+        # 4 layers x 4 heads x 256 rows x (256 + 512 + 768 + 1024) keys; the
+        # full-width matrices held 4 x 4 x 1024 x 1024 = 16,777,216 entries
+        forward_dense(tiny_model, make_tokens(1024, tiny_config.vocab_size, seed=6))
+        assert sum(softmax_entries) == 10_485_760
 
 
 class TestModelIdentity:

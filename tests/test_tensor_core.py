@@ -226,6 +226,51 @@ class TestSoftmaxCausal:
         assert out.shape == (0, n_keys)
 
 
+def whole_matrix_softmax(scores, q_pos, k_pos):
+    """The causal softmax with its mask built over every column at once."""
+    masked = np.where(k_pos[None, :] <= q_pos[:, None], scores, -np.inf)
+    exp = np.exp(masked - np.max(masked, axis=1, keepdims=True, initial=-np.inf))
+    return exp / matmul(exp, np.ones((exp.shape[1], 1), exp.dtype))
+
+
+class TestSoftmaxMaskEquivalence:
+    @given(st.data(), st.sampled_from([np.float32, np.float64]), st.sampled_from([1, 2, 4]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_whole_matrix_mask(self, data, dtype, stack):
+        # key positions: an ascending subset of the context (selective KV);
+        # query positions: ascending, not contiguous, at or after the first
+        # key, possibly on it (the only allowed key is the row's own), and
+        # tiled as the GQA-stacked heads pass them
+        k_pos = np.array(sorted(data.draw(st.sets(st.integers(0, 400), min_size=1,
+                                                  max_size=300))), dtype=np.int64)
+        q_set = data.draw(st.sets(st.integers(int(k_pos[0]), int(k_pos[-1]) + 3), max_size=40))
+        q_pos = np.tile(np.array(sorted(q_set), dtype=np.int64), stack)
+        seed = data.draw(st.integers(0, 2**31))
+        scores = rand((q_pos.size, k_pos.size), seed=seed, dtype=dtype) * 8
+        out = softmax_causal(scores, q_pos, key_positions=k_pos)
+        assert out.dtype == scores.dtype
+        assert np.array_equal(out, whole_matrix_softmax(scores, q_pos, k_pos))
+
+    def test_own_key_only(self):
+        k_pos = np.array([3, 9, 10, 40])
+        scores = rand((2, 4), seed=6)
+        out = softmax_causal(scores, [3, 3], key_positions=k_pos)
+        assert out.tolist() == [[1.0, 0.0, 0.0, 0.0]] * 2
+
+    @pytest.mark.parametrize("n_keys", [0, 5])
+    def test_empty_row_batch_equals_whole_matrix_mask(self, n_keys):
+        k_pos = np.arange(n_keys, dtype=np.int64)
+        scores = np.zeros((0, n_keys), np.float32)
+        out = softmax_causal(scores, np.zeros(0, np.int64), key_positions=k_pos)
+        assert np.array_equal(out, whole_matrix_softmax(scores, np.zeros(0, np.int64), k_pos))
+
+    def test_input_not_modified(self):
+        scores = rand((3, 6), seed=7)
+        before = scores.copy()
+        softmax_causal(scores, [0, 2, 4])
+        assert np.array_equal(scores, before)
+
+
 class TestRopeApply:
     def test_position_zero_identity(self):
         x = rand((1, 2, 8))
