@@ -29,13 +29,53 @@ def _is_number(value, kinds=numbers.Real) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _integers(values, what: str) -> list[int]:
+    """``values`` as ints: integers only, numpy integers included, bools not."""
+    try:
+        items = list(values)
+    except TypeError:
+        items = None
+    if items is None or not all(_is_number(v, numbers.Integral) for v in items):
+        raise ConfigError(f"{what}: expected integers, got {values!r}")
+    return [int(v) for v in items]
+
+
+def _plan_ratios(plan_layers, keep_ratio, n_layers: int | None = None) -> dict[int, float]:
+    """Resolve a plan to ``{layer: keep ratio}``; the one reader of plan layers and ratios.
+
+    Layers are distinct integers. ``keep_ratio`` is one real number (numpy
+    scalars included, bools not) for every layer, or a 1-D list, tuple or
+    array of them with one per layer; there is no mapping form. Every
+    ratio lies in [0, 1]. Layers are checked against the model only when
+    ``n_layers`` is given. Anything else raises ConfigError.
+    """
+    layers = _integers(plan_layers, "plan layers")
+    if _is_number(keep_ratio):
+        ratios = [keep_ratio] * len(layers)
+    elif (isinstance(keep_ratio, (list, tuple, np.ndarray)) and getattr(keep_ratio, "ndim", 1) == 1
+          and all(_is_number(r) for r in keep_ratio)):
+        ratios = list(keep_ratio)
+    else:
+        raise ConfigError(f"keep_ratio must be a number or a list of numbers, got {keep_ratio!r}")
+    if len(set(layers)) != len(layers) or len(ratios) != len(layers):
+        raise ConfigError(f"plan needs distinct layers with one keep ratio each, "
+                          f"got layers {layers} and keep_ratio {keep_ratio!r}")
+    if n_layers is not None and not all(0 <= l < n_layers for l in layers):
+        raise ConfigError(f"plan layers out of range for a {n_layers}-layer model: {layers}")
+    if not all(0 <= r <= 1 for r in ratios):
+        raise ConfigError(f"keep ratios must lie in [0, 1], got {keep_ratio!r}")
+    return {l: float(r) for l, r in zip(layers, ratios)}
+
+
 @dataclass
 class LayerPlan:
     """The calibrated set of selective layers plus audit metadata.
 
-    ``keep_ratio`` is a scalar applied to every layer or a list aligned
-    with ``layers``. ``calib`` records corpus hash and context length so a
-    plan states what produced it.
+    ``layers`` and ``keep_ratio`` resolve through ``_plan_ratios`` (no
+    mapping form) and are kept as ascending ints after ``l_sink`` and one
+    float or a list of floats aligned with ``layers``, each in (0, 1].
+    ``LayerPlan()`` is the dense plan. ``calib`` records corpus hash and
+    context length so a plan states what produced it.
     """
 
     layers: list[int] = field(default_factory=list)
@@ -46,43 +86,33 @@ class LayerPlan:
     calib: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.layers = [int(l) for l in self.layers]
-        if self.layers != sorted(set(self.layers)):
+        ratios = _plan_ratios(self.layers, self.keep_ratio)
+        self.layers = list(ratios)
+        self.keep_ratio = (float(self.keep_ratio) if _is_number(self.keep_ratio)
+                           else list(ratios.values()))
+        (self.l_sink,) = _integers([self.l_sink], "l_sink")
+        if self.layers != sorted(self.layers):
             raise ConfigError(f"plan layers must be strictly ascending, got {self.layers}")
         if self.layers and self.layers[0] <= self.l_sink:
             raise ConfigError(
                 f"plan layer {self.layers[0]} is not after the sink layer {self.l_sink}"
             )
-        ratios = self.ratios()
-        if any(not 0.0 < r <= 1.0 for r in ratios):
-            raise ConfigError(f"keep ratios must lie in (0, 1], got {ratios}")
+        if any(r <= 0 for r in ratios.values()):
+            raise ConfigError(f"keep ratios must lie in (0, 1], got {self.keep_ratio}")
 
     def ratios(self) -> list[float]:
-        keep = self.keep_ratio
-        if _is_number(keep):
-            return [float(keep)] * len(self.layers)
-        if not (isinstance(keep, (list, tuple, np.ndarray)) and np.ndim(keep) == 1
-                and all(_is_number(r) for r in keep)):
-            raise ConfigError(f"keep_ratio must be a number or a list of numbers, got {keep!r}")
-        if len(keep) != len(self.layers):
-            raise ConfigError(f"{len(keep)} keep ratios for {len(self.layers)} layers")
-        return [float(r) for r in keep]
+        return list(_plan_ratios(self.layers, self.keep_ratio).values())
 
     def entries(self) -> list[tuple[int, float]]:
         return list(zip(self.layers, self.ratios()))
 
     def to_json(self) -> str:
-        keep = self.keep_ratio
-        if isinstance(keep, (list, tuple, np.ndarray)):
-            keep = [float(r) for r in keep]
-        elif not isinstance(keep, (int, float)):  # a numpy scalar
-            keep = float(keep)
         return json.dumps(
             {
                 "model_id": self.model_id,
                 "l_sink": self.l_sink,
                 "target_sparsity": self.target_sparsity,
-                "keep_ratio": keep,
+                "keep_ratio": self.keep_ratio,
                 "layers": self.layers,
                 "calib": self.calib,
             },
@@ -98,17 +128,11 @@ class LayerPlan:
             raise ConfigError(f"plan is not valid JSON: {exc}") from None
         if not isinstance(data, dict) or not {"layers", "keep_ratio"} <= data.keys():
             raise ConfigError("plan must be a JSON object with 'layers' and 'keep_ratio'")
-        layers, keep, l_sink = data["layers"], data["keep_ratio"], data.get("l_sink", 0)
-        ratios = keep if isinstance(keep, list) else [keep]
-        if not (isinstance(layers, list) and all(_is_number(v, int) for v in layers + [l_sink])
-                and all(_is_number(r) for r in ratios)):
-            raise ConfigError(f"plan needs integer layers and l_sink and numeric keep ratios, got "
-                              f"layers {layers!r}, l_sink {l_sink!r}, keep_ratio {keep!r}")
         return cls(
-            layers=layers,
-            keep_ratio=keep,
+            layers=data["layers"],
+            keep_ratio=data["keep_ratio"],
             model_id=data.get("model_id", "unknown"),
-            l_sink=l_sink,
+            l_sink=data.get("l_sink", 0),
             target_sparsity=data.get("target_sparsity"),
             calib=data.get("calib", {}),
         )
@@ -122,31 +146,6 @@ class LayerPlan:
         if not path.is_file():
             raise UsageError(f"plan file not found: {path}")
         return cls.from_json(path.read_bytes())
-
-
-def _plan_ratios(plan_layers, keep_ratio, n_layers: int) -> dict[int, float]:
-    """Resolve a plan to ``{layer: keep ratio}``, checked against the model.
-
-    ``keep_ratio`` is a scalar for every plan layer, a sequence aligned
-    with ``plan_layers``, or a mapping from layer to ratio.
-    """
-    layers = [int(l) for l in plan_layers]
-    if isinstance(keep_ratio, dict):
-        ratios = [keep_ratio.get(l, math.nan) for l in layers]
-    elif isinstance(keep_ratio, (list, tuple, np.ndarray)):
-        ratios = list(keep_ratio)
-    else:
-        ratios = [keep_ratio] * len(layers)
-    if len(set(layers)) != len(layers) or len(ratios) != len(layers):
-        raise ConfigError(f"plan needs distinct layers with one keep ratio each, "
-                          f"got layers {layers} and keep_ratio {keep_ratio}")
-    bad = sorted(l for l in layers if not 0 <= l < n_layers)
-    if bad:
-        raise ConfigError(f"plan layers out of range: {bad}")
-    plan = {l: float(r) for l, r in zip(layers, ratios)}
-    if not all(0.0 <= r <= 1.0 for r in plan.values()):
-        raise ConfigError(f"keep ratios must lie in [0, 1], got {plan}")
-    return plan
 
 
 def effective_sparsity(layer_fraction: float, keep_ratio: float) -> float:
@@ -180,10 +179,10 @@ def plan_from_sparsity(
     Raises when the target exceeds what the eligible set can deliver,
     naming the maximum achievable value.
     """
-    if not 0.0 <= target_sparsity < 1.0:
-        raise ConfigError(f"target_sparsity must be in [0, 1), got {target_sparsity}")
-    if not 0.0 < keep_ratio <= 1.0:
-        raise ConfigError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
+    if not (_is_number(target_sparsity) and 0.0 <= target_sparsity < 1.0):
+        raise ConfigError(f"target_sparsity must be in [0, 1), got {target_sparsity!r}")
+    if not (_is_number(keep_ratio) and 0.0 < keep_ratio <= 1.0):
+        raise ConfigError(f"keep_ratio must be in (0, 1], got {keep_ratio!r}")
     eligible = eligible_layers(n_layers, l_sink)
     if target_sparsity == 0.0:
         return 0, eligible
@@ -241,14 +240,13 @@ def calibrate_greedy(
     """
     from .eval_harness import _corpus_chunks, _eval_chunks, _perplexity_of
 
-    eligible = sorted({int(l) for l in eligible})
-    if m > len(eligible):
-        raise ConfigError(f"m={m} exceeds the {len(eligible)} eligible layers")
-    n_layers = model.config.n_layers
-    if any(not 0 <= l < n_layers for l in eligible):
-        raise ConfigError(f"eligible layers out of range for {n_layers}-layer model")
+    eligible = sorted(set(_integers(eligible, "eligible layers")))
+    if not (_is_number(m, numbers.Integral) and 0 <= m <= len(eligible)):
+        raise ConfigError(f"m must be an integer in [0, {len(eligible)}], got {m!r}")
+    if not all(0 <= l < model.config.n_layers for l in eligible):
+        raise ConfigError(f"eligible layers out of range for {model.config.n_layers}-layer model")
     _, chunks = _corpus_chunks(calib_tokens, context_len)
-    calib = {"corpus_sha256": corpus_sha256(calib_tokens), "context_len": context_len}
+    calib = {"corpus_sha256": corpus_sha256(calib_tokens), "context_len": int(context_len)}
 
     def plan_of(layers: list[int]) -> LayerPlan:
         return LayerPlan(
@@ -269,7 +267,7 @@ def calibrate_greedy(
                                     record=record)
         return _perplexity_of(nlls, context_len)[1], inputs
 
-    _, base = _eval_chunks(model, chunks, None, record=True)  # base[chunk][layer]
+    _, base = _eval_chunks(model, chunks, LayerPlan(), record=True)  # base[chunk][layer]
     chosen: list[int] = []
     remaining = list(eligible)
     parallel = threads is not None and threads > 1
@@ -338,7 +336,7 @@ def flop_count(config: ModelConfig, plan: LayerPlan, seq_len: int) -> dict:
     """
     if seq_len < 1:
         raise ConfigError(f"seq_len must be >= 1, got {seq_len}")
-    ratios = _plan_ratios(plan.layers, plan.ratios(), config.n_layers)
+    ratios = _plan_ratios(plan.layers, plan.keep_ratio, config.n_layers)
     dense_layers = [_dense_layer_flops(config, seq_len) for _ in range(config.n_layers)]
     plan_layers = [
         _selective_layer_flops(config, seq_len, ratios[l])

@@ -99,10 +99,8 @@ def _criterion(args) -> Criterion:
     return Criterion(args.criterion, args.stage, seed=seed)
 
 
-def _load_plan(args) -> LayerPlan | None:
-    if getattr(args, "plan", None):
-        return LayerPlan.load(args.plan)
-    return None
+def _load_plan(args) -> LayerPlan:
+    return LayerPlan.load(args.plan) if args.plan else LayerPlan()
 
 
 def cmd_synth_model(args) -> int:
@@ -192,9 +190,8 @@ def cmd_calibrate(args) -> int:
 def cmd_eval_ppl(args) -> int:
     model = Model.from_checkpoint(args.model)
     corpus = load_corpus(args.corpus)
-    plan = _load_plan(args)
     report = eval_harness.perplexity(
-        model, plan, corpus, args.context_len,
+        model, _load_plan(args), corpus, args.context_len,
         criterion=_criterion(args),
         compute_kv_for_unselected=not args.no_kv,
     )
@@ -250,13 +247,10 @@ def cmd_ablate(args) -> int:
 
 def cmd_flops(args) -> int:
     model = Model.from_checkpoint(args.model)
-    if args.plan:
-        plan = LayerPlan.load(args.plan)
-    elif args.layers:
+    plan = _load_plan(args)
+    if args.layers and not args.plan:
         plan = LayerPlan(layers=parse_positions(args.layers), keep_ratio=args.keep_ratio,
                          l_sink=-1)
-    else:
-        plan = LayerPlan(layers=[], l_sink=-1)
     counts = flop_count(model.config, plan, args.seq_len)
     payload = {k: counts[k] for k in ("dense_flops", "plan_flops", "ratio")}
     text = json.dumps(payload, indent=2)
@@ -271,11 +265,9 @@ def cmd_generate(args) -> int:
     model = Model.from_checkpoint(args.model)
     prompt = [int(t) for t in args.prompt.split()]
     plan = _load_plan(args)
-    layers = plan.layers if plan else []
-    ratio = plan.keep_ratio if plan else 1.0
     audit = AuditLog() if args.audit_csv else None
     tokens = generate_greedy(
-        model, prompt, args.n_new, layers, ratio,
+        model, prompt, args.n_new, plan.layers, plan.keep_ratio,
         criterion=_criterion(args),
         compute_kv_for_unselected=not args.no_kv,
         audit=audit,

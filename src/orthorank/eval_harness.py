@@ -12,11 +12,12 @@ their perplexities equal the standalone op's bitwise.
 import csv
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calibration import LayerPlan, _plan_ratios, corpus_sha256, flop_count
+from .calibration import LayerPlan, _is_number, _plan_ratios, corpus_sha256, flop_count
 from .errors import UsageError
 from .model_runtime import KVCache, Model
 from .selection import DEFAULT_CRITERION, AuditLog, Criterion, _run_layers, forward_with_plan
@@ -46,8 +47,8 @@ class EvalReport:
         return json.dumps(asdict(self), indent=2)
 
 
-def _plan_id(plan: LayerPlan | None) -> str:
-    if plan is None or not plan.layers:
+def _plan_id(plan: LayerPlan) -> str:
+    if not plan.layers:
         return "dense"
     return hashlib.sha256(plan.to_json().encode()).hexdigest()[:12]
 
@@ -66,21 +67,20 @@ def _chunk_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _corpus_chunks(corpus_tokens, context_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """The corpus as int64 ids and its (n_chunks, context_len) chunks, partial chunk dropped."""
-    if context_len < 2:
-        raise UsageError(f"context_len must be >= 2, got {context_len}")
-    tokens = np.asarray(corpus_tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size < context_len:
-        raise UsageError(
-            f"corpus has {tokens.size} tokens, need at least context_len={context_len}"
-        )
+    """The corpus as an integer id array and its (n_chunks, context_len) chunks, partial dropped."""
+    if not (_is_number(context_len, numbers.Integral) and context_len >= 2):
+        raise UsageError(f"context_len must be an integer >= 2, got {context_len!r}")
+    tokens = np.asarray(corpus_tokens)
+    if tokens.ndim != 1 or tokens.size < context_len or tokens.dtype.kind not in "iu":
+        raise UsageError(f"corpus needs at least context_len={context_len} integer ids, "
+                         f"got {tokens.size} of dtype {tokens.dtype}")
     n_chunks = tokens.size // context_len
     return tokens, tokens[:n_chunks * context_len].reshape(n_chunks, context_len)
 
 
 def _eval_chunks(model, chunks, plan, criterion=DEFAULT_CRITERION,
                  compute_kv_for_unselected=True, audit=None, resume=None, record=False):
-    """NLL total of every chunk under ``plan`` (None = dense), and the states it passed.
+    """NLL total of every chunk under ``plan``, and the states it passed.
 
     Each chunk runs from its embeddings through the public
     ``forward_with_plan`` (so a trace of the public API sees it) or,
@@ -91,17 +91,15 @@ def _eval_chunks(model, chunks, plan, criterion=DEFAULT_CRITERION,
     state of every layer the chunk ran (from 0, or from ``s``); else None.
     An audit log records the chunk index as the step.
     """
-    layers = [] if plan is None else plan.layers
-    ratios = 1.0 if plan is None else plan.keep_ratio
     if resume is not None:
         first, starts = resume
-        ratio_map = _plan_ratios(layers, ratios, model.config.n_layers)
+        ratio_map = _plan_ratios(plan.layers, plan.keep_ratio, model.config.n_layers)
     nlls, inputs = [], [] if record else None
     for c, chunk in enumerate(chunks):
         chunk_audit = AuditLog() if audit is not None else None
         if resume is None:
             logits, trace, _ = forward_with_plan(
-                model, chunk, layers, ratios, criterion,
+                model, chunk, plan.layers, plan.keep_ratio, criterion,
                 compute_kv_for_unselected, capture_trace=record, audit=chunk_audit,
             )
         else:
@@ -134,22 +132,24 @@ def perplexity(
     compute_kv_for_unselected: bool = True,
     audit: AuditLog | None = None,
 ) -> EvalReport:
-    """Chunked teacher-forced perplexity under a plan (None = dense).
+    """Chunked teacher-forced perplexity under a plan; ``None`` means ``LayerPlan()``.
 
-    Every chunk of ``context_len`` tokens contributes the NLL of its
-    positions 1..W-1; perplexity is exp(total NLL / total predictions).
-    When an audit log is given it records chunk index as the step.
+    The plan resolves through ``_plan_ratios`` (no ``{layer: ratio}``
+    mapping form). Every chunk of ``context_len`` tokens contributes the
+    NLL of its positions 1..W-1; perplexity is exp(total NLL / total
+    predictions). When an audit log is given it records chunk index as the step.
     """
+    plan = LayerPlan() if plan is None else plan
     tokens, chunks = _corpus_chunks(corpus_tokens, context_len)
     chunk_nlls, _ = _eval_chunks(model, chunks, plan, criterion,
                                  compute_kv_for_unselected, audit)
     total, ppl = _perplexity_of(chunk_nlls, context_len)
-    n_chunks = len(chunks)
-    flops = flop_count(model.config, plan if plan is not None else LayerPlan(), context_len)
+    n_chunks, context_len = chunks.shape  # Python ints, whatever integer type came in
+    flops = flop_count(model.config, plan, context_len)
     return EvalReport(
         model_id=model.model_id,
         plan_id=_plan_id(plan),
-        plan_layers=[] if plan is None else list(plan.layers),
+        plan_layers=list(plan.layers),
         corpus_sha256=corpus_sha256(tokens),
         context_len=context_len,
         n_chunks=n_chunks,
@@ -184,7 +184,7 @@ def layerwise_comparison(
         raise UsageError("need at least one criterion")
     _, chunks = _corpus_chunks(corpus_tokens, context_len)
     layers = list(range(l_sink + 1, model.config.n_layers))
-    dense_nlls, dense_inputs = _eval_chunks(model, chunks, None, record=True)
+    dense_nlls, dense_inputs = _eval_chunks(model, chunks, LayerPlan(), record=True)
     dense = _perplexity_of(dense_nlls, context_len)[1]
     columns: dict[str, list[float]] = {}
     for crit in criteria:
@@ -237,7 +237,7 @@ def ablation_grid(
     default configuration and equals the standalone perplexity op bitwise.
     """
     _, chunks = _corpus_chunks(corpus_tokens, context_len)
-    first = min(plan.layers if plan else [], default=0)
+    first = min(plan.layers, default=0)
     rows, prefix = [], None
     for kind, stage, kv in ABLATION_ROWS:
         crit = Criterion(kind, stage, seed=random_seed if kind == "random" else None)

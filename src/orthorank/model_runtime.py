@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_core as tc
+from .calibration import _is_number
 from .checkpoint_io import ModelConfig, load_checkpoint, weights_sha256
 from .errors import StateError, UsageError
 from .trace import HiddenTrace
@@ -227,9 +228,11 @@ def lm_head_logits(model: Model, x: np.ndarray) -> np.ndarray:
 
 def embed_tokens(model: Model, token_ids) -> tuple[np.ndarray, np.ndarray]:
     """Validate token ids and return (embeddings copy, ids array)."""
-    tokens = np.asarray(token_ids, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise UsageError("token sequence must be a non-empty 1-D list of ids")
+    tokens = np.asarray(token_ids)
+    if tokens.ndim != 1 or tokens.size == 0 or tokens.dtype.kind not in "iu":
+        raise UsageError(f"token sequence must be a non-empty 1-D list of integer ids, "
+                         f"got {tokens.dtype} of shape {tokens.shape}")
+    tokens = tokens.astype(np.int64, copy=False)
     if tokens.min() < 0 or tokens.max() >= model.config.vocab_size:
         raise UsageError(
             f"token ids must lie in [0, {model.config.vocab_size}), "
@@ -286,8 +289,8 @@ def detect_sink_layer(model: Model, calib_tokens, tau: float = 0.3) -> int:
     The mean runs over all heads and all query positions >= 1. Returns
     n_layers as a sentinel when no layer reaches the threshold.
     """
-    if not 0.0 < tau <= 1.0:
-        raise UsageError(f"tau must be in (0, 1], got {tau}")
+    if not (_is_number(tau) and 0.0 < tau <= 1.0):
+        raise UsageError(f"tau must be in (0, 1], got {tau!r}")
     tokens = np.asarray(calib_tokens)
     if tokens.size < 8:
         raise UsageError(f"sink detection needs >= 8 calibration tokens, got {tokens.size}")

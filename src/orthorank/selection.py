@@ -19,13 +19,14 @@ the cached sink state, so both score a token the same way.
 
 import csv
 import math
+import numbers
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor_core as tc
-from .calibration import _plan_ratios
+from .calibration import _is_number, _plan_ratios
 from .errors import ConfigError, DomainError, StateError, UsageError
 from .model_runtime import (
     KVCache,
@@ -324,11 +325,13 @@ def forward_with_plan(
 ) -> tuple[np.ndarray, HiddenTrace | None, KVCache]:
     """Full-sequence forward pass with the plan's layers run selectively.
 
-    ``plan_layers`` is any iterable of layer indices; ``keep_ratio`` is a
-    scalar, a per-plan-layer list, or a ``{layer: ratio}`` mapping. An
-    empty plan is exactly the dense forward pass (same kernel, same
-    arithmetic). The returned cache holds score histories and the cached
-    sink state for each plan layer, ready for decode.
+    ``plan_layers`` is any iterable of distinct layer indices and
+    ``keep_ratio`` one number or a per-plan-layer list, resolved by
+    ``_plan_ratios``: there is no ``{layer: ratio}`` mapping form, and a
+    bad plan raises ConfigError. The empty plan, ``LayerPlan()``'s, is
+    exactly the dense forward pass (same kernel, same arithmetic). The
+    returned cache holds score histories and the cached sink state for
+    each plan layer, ready for decode.
     """
     plan = _plan_ratios(plan_layers, keep_ratio, model.config.n_layers)
     cache = KVCache.empty(model.config)
@@ -378,8 +381,10 @@ def decode_step_with_plan(
     At each plan layer the new token is scored against the sink state cached
     at prefill, at the criterion's stage; unselected tokens skip the block
     (keeping their KV contribution unless disabled). The random criterion
-    draws a per-token key from (seed, layer, position). A plan layer the
-    prefill did not run selectively raises StateError before any layer
+    draws a per-token key from (seed, layer, position). The plan resolves
+    as in ``forward_with_plan`` (no mapping form; ``LayerPlan()``'s empty
+    plan is the dense step; a bad plan raises ConfigError). A plan layer
+    the prefill did not run selectively raises StateError before any layer
     runs, leaving the cache as it was.
     """
     check_cache(model, cache)
@@ -407,8 +412,8 @@ def generate_greedy(
     Returns the prompt plus ``n_new`` generated ids. Argmax ties resolve to
     the smallest token id.
     """
-    if n_new < 0:
-        raise UsageError(f"n_new must be >= 0, got {n_new}")
+    if not (_is_number(n_new, numbers.Integral) and n_new >= 0):
+        raise UsageError(f"n_new must be an integer >= 0, got {n_new!r}")
     logits, _, cache = forward_with_plan(
         model, prompt_tokens, plan_layers, keep_ratio, criterion,
         compute_kv_for_unselected, audit=audit,

@@ -463,3 +463,68 @@ class TestFlopCount:
         # a ratio for a plan the model cannot run
         with pytest.raises(ConfigError, match="out of range"):
             flop_count(self.CFG, self.plan([2, 40]), 128)
+
+
+class TestPlanCanonicalForm:
+    """``LayerPlan`` keeps what ``_plan_ratios`` resolved: ints and floats."""
+
+    def test_numpy_ratio_array_plan_compares_equal(self):
+        def build():
+            return LayerPlan(layers=[2, 3], keep_ratio=np.array([0.25, 0.5]), l_sink=1)
+        assert build() == build()
+        assert build() == LayerPlan(layers=[2, 3], keep_ratio=[0.25, 0.5], l_sink=1)
+
+    def test_tuple_ratios_survive_json(self):
+        plan = LayerPlan(layers=[1, 2], keep_ratio=(0.25, 0.5))
+        assert LayerPlan.from_json(plan.to_json()) == plan
+        assert plan.keep_ratio == [0.25, 0.5]
+
+    def test_numpy_fields_become_python_numbers(self):
+        plan = LayerPlan(layers=np.array([2, 4]), keep_ratio=np.float32(0.5),
+                         l_sink=np.int64(1))
+        assert plan.layers == [2, 4] and all(type(l) is int for l in plan.layers)
+        assert type(plan.keep_ratio) is float and type(plan.l_sink) is int
+        assert LayerPlan.from_json(plan.to_json()) == plan
+
+    def test_integer_ratio_is_a_float(self):
+        plan = LayerPlan(layers=[2], keep_ratio=1)
+        assert type(plan.keep_ratio) is float
+        assert json.loads(plan.to_json())["keep_ratio"] == 1.0
+
+    @pytest.mark.parametrize("kw", [
+        dict(layers=[2.0]), dict(layers=[True]), dict(layers="2"), dict(layers=None),
+        dict(layers=[2, 2]), dict(l_sink=None), dict(l_sink=0.5), dict(keep_ratio=[[0.5]]),
+        dict(keep_ratio={2: 0.5}), dict(keep_ratio=float("nan")),
+    ])
+    def test_bad_fields_are_config_errors(self, kw):
+        with pytest.raises(ConfigError):
+            LayerPlan(**{"layers": [2], "keep_ratio": 0.5, **kw})
+
+    def test_dense_plan_flops(self):
+        config = ModelConfig(n_layers=4, d_model=32, n_heads=4, n_kv_heads=2, d_head=8,
+                             d_ffn=64, vocab_size=50)
+        assert flop_count(config, LayerPlan(), 16)["ratio"] == 1.0
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("m", [1.5, -1, "1", None, True])
+    def test_calibration_rounds_must_be_counts(self, rotation_model, corpus, m):
+        with pytest.raises(ConfigError):
+            calibrate_greedy(rotation_model, corpus, m, 0.5, [2, 3], context_len=128, l_sink=1)
+
+    @pytest.mark.parametrize("eligible", [["a"], [2.5], [None], [True], 3])
+    def test_eligible_layers_must_be_integers(self, rotation_model, corpus, eligible):
+        with pytest.raises(ConfigError):
+            calibrate_greedy(rotation_model, corpus, 1, 0.5, eligible, context_len=128)
+
+    def test_numpy_counts_accepted(self, rotation_model, corpus):
+        plan = calibrate_greedy(rotation_model, corpus, np.int64(1), 0.5, np.array([5, 6]),
+                                context_len=np.int64(128), l_sink=1)
+        assert plan.to_json() == calibrate_greedy(rotation_model, corpus, 1, 0.5, [5, 6],
+                                                  context_len=128, l_sink=1).to_json()
+
+    @pytest.mark.parametrize("args", [(4, 0, "x"), (4, 0, None), (4, 0, 0.1, "x"),
+                                      (4, 0, 0.1, True)])
+    def test_sparsity_arguments_must_be_numbers(self, args):
+        with pytest.raises(ConfigError):
+            plan_from_sparsity(*args)

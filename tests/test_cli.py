@@ -416,3 +416,18 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "sha256" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["eval-ppl", "generate"])
+def test_empty_plan_prints_dense_lines(cli_ck, tmp_path, capsys, command):
+    corpus = write_corpus(tmp_path / "c.txt", helpers.make_tokens(48, 64, seed=7))
+    plan_path = tmp_path / "empty.json"
+    LayerPlan().save(plan_path)
+    args = {"eval-ppl": ["--corpus", corpus, "--context-len", "16"],
+            "generate": ["--prompt", "3 1 4 1 5", "--n-new", "5"]}[command]
+    outs = []
+    for plan_args in ([], ["--plan", plan_path], ["--plan", ""]):
+        code, out, _ = run_cli(command, "--model", cli_ck, *args, *plan_args, capsys=capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] and outs[1] == outs[0] and outs[2] == outs[0]

@@ -8,6 +8,7 @@ A scalar cross-entropy oracle covers the general case.
 import csv
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from orthorank import (
     perplexity,
 )
 from orthorank.eval_harness import ABLATION_ROWS, criterion_label
+from orthorank import calibrate_greedy
 
 
 def make_plan(model, layers, keep_ratio=0.333, l_sink=1):
@@ -318,3 +320,50 @@ class TestResumedPrefix:
         with pytest.raises(UsageError):
             layerwise_comparison(planted_model, tokens, 0.5, [Criterion()], l_sink=1,
                                  context_len=context_len)
+
+
+class TestDensePlanIsLayerPlan:
+    def test_none_equals_empty_layer_plan(self, tiny_model):
+        corpus = helpers.make_tokens(96, tiny_model.config.vocab_size, seed=5)
+        for kv in (True, False):
+            dense = perplexity(tiny_model, None, corpus, 32, compute_kv_for_unselected=kv)
+            empty = perplexity(tiny_model, LayerPlan(), corpus, 32, compute_kv_for_unselected=kv)
+            assert asdict(dense) == asdict(empty)
+            assert dense.plan_id == "dense" and dense.flop_ratio == 1.0
+
+
+class TestCorpusArguments:
+    @pytest.fixture(scope="class")
+    def calls(self, planted_model):
+        corpus = helpers.planted_tokens(128)
+        plan = make_plan(planted_model, [2, 3])
+        return {
+            "perplexity": lambda w, c=corpus: perplexity(planted_model, None, c, w),
+            "calibrate": lambda w, c=corpus: calibrate_greedy(planted_model, c, 1, 0.5, [2, 3],
+                                                              context_len=w),
+            "layerwise": lambda w, c=corpus: layerwise_comparison(
+                planted_model, c, 0.5, [Criterion()], 1, w),
+            "ablation": lambda w, c=corpus: ablation_grid(planted_model, plan, c, w),
+        }
+
+    @pytest.mark.parametrize("op", ["perplexity", "calibrate", "layerwise", "ablation"])
+    @pytest.mark.parametrize("context_len", [10.5, None, "32", True])
+    def test_context_len_must_be_integer(self, calls, op, context_len):
+        with pytest.raises(UsageError, match="context_len"):
+            calls[op](context_len)
+
+    @pytest.mark.parametrize("op", ["perplexity", "calibrate", "layerwise", "ablation"])
+    def test_float_corpus_is_usage_error(self, calls, op):
+        corpus = helpers.planted_tokens(128).astype(np.float64)
+        with pytest.raises(UsageError, match="integer ids"):
+            calls[op](32, corpus)
+
+    def test_numpy_context_len_report(self, planted_model):
+        corpus = helpers.planted_tokens(128)
+        report = perplexity(planted_model, None, corpus, np.int64(32))
+        assert report.to_json() == perplexity(planted_model, None, corpus, 32).to_json()
+
+    def test_int32_corpus_equals_int64(self, planted_model):
+        corpus = helpers.planted_tokens(128)
+        wide = perplexity(planted_model, None, corpus.astype(np.int64), 32)
+        assert asdict(perplexity(planted_model, None, corpus.astype(np.int32), 32)) == asdict(wide)

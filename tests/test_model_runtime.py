@@ -327,3 +327,33 @@ class TestModelIdentity:
     def test_missing_weight_lookup(self, tiny_model):
         with pytest.raises(StateError):
             tiny_model.w("layers.99.attn.wq.weight")
+
+
+class TestTokenIdTypes:
+    @pytest.mark.parametrize("ids", [[1.0, 2.0], np.array([1.5, 2.0]), [True, False],
+                                     np.array(["1", "2"]), [1, 2.5]])
+    def test_non_integer_ids_rejected(self, tiny_model, ids):
+        with pytest.raises(UsageError, match="integer ids"):
+            forward_dense(tiny_model, ids)
+
+    @pytest.mark.parametrize("token", [3.5, 3.0, np.float32(3), True])
+    def test_non_integer_decode_token_rejected(self, tiny_model, tiny_config, token):
+        cache = KVCache.empty(tiny_config)
+        with pytest.raises(UsageError):
+            decode_step_dense(tiny_model, cache, token)
+        assert cache.n_tokens == 0
+
+    def test_integer_dtypes_agree(self, tiny_model, tiny_tokens):
+        ids = [int(t) for t in tiny_tokens]
+        want, _, _ = forward_dense(tiny_model, ids)
+        for dtype in (np.int64, np.int32, np.uint16):
+            got, _, _ = forward_dense(tiny_model, np.asarray(ids, dtype=dtype))
+            assert np.array_equal(got, want)
+        step, _ = decode_step_dense(tiny_model, KVCache.empty(tiny_model.config), np.int32(3))
+        assert np.array_equal(step, decode_step_dense(
+            tiny_model, KVCache.empty(tiny_model.config), 3)[0])
+
+    @pytest.mark.parametrize("tau", ["x", None, [0.3]])
+    def test_tau_must_be_a_number(self, sink_probe_model, tau):
+        with pytest.raises(UsageError, match="tau"):
+            detect_sink_layer(sink_probe_model, helpers.sink_probe_tokens(), tau=tau)

@@ -25,6 +25,7 @@ from orthorank import (
     select_topk,
 )
 from orthorank import selection, tensor_core
+from orthorank import LayerPlan
 from orthorank.selection import AuditLog, selection_keys
 
 import reference as ref
@@ -417,11 +418,6 @@ class TestForwardWithPlan:
         with pytest.raises(ConfigError):
             forward_with_plan(tiny_model, tiny_tokens, layers, ratio)
 
-    def test_ratio_forms_agree(self, tiny_model, tiny_tokens):
-        as_list, _, _ = forward_with_plan(tiny_model, tiny_tokens, [3, 1], [0.25, 0.5])
-        as_dict, _, _ = forward_with_plan(tiny_model, tiny_tokens, [1, 3], {1: 0.5, 3: 0.25})
-        assert np.array_equal(as_list, as_dict)
-
     def test_no_row_with_kv_off(self, tiny_model, tiny_tokens):
         # k = floor(0.333 * 2) = 0 at layer 1, with no KV rows to attend over
         logits, _, cache = forward_with_plan(
@@ -685,3 +681,75 @@ class TestGenerateGreedy:
     def test_negative_count_rejected(self, tiny_model):
         with pytest.raises(UsageError):
             generate_greedy(tiny_model, [1], -1)
+
+
+# Plan layers and keep ratios of every shape a caller might pass: scalars
+# (bools and numpy scalars included), 0-d, 1-D and 2-D arrays, tuples, nested
+# lists, mappings, strings and None; well-formed plans are drawn often too.
+_PLAN_SCALARS = st.one_of(
+    st.integers(-2, 5), st.floats(-0.5, 1.5), st.sampled_from([float("nan"), float("inf")]),
+    st.booleans(), st.integers(-2, 5).map(np.int64), st.floats(0, 1, width=32).map(np.float32),
+    st.booleans().map(np.bool_), st.none(), st.text(max_size=2),
+)
+_PLAN_VALUES = st.one_of(
+    _PLAN_SCALARS,
+    st.lists(_PLAN_SCALARS, max_size=4),
+    st.lists(_PLAN_SCALARS, max_size=4).map(tuple),
+    st.lists(st.lists(_PLAN_SCALARS, max_size=2), max_size=2),
+    st.dictionaries(st.integers(0, 4), _PLAN_SCALARS, max_size=3),
+    _PLAN_SCALARS.map(np.array),
+    st.lists(st.floats(0, 1), max_size=4).map(np.array),
+    st.lists(st.integers(0, 4), max_size=4).map(np.array),
+    st.lists(st.lists(st.floats(0, 1), min_size=2, max_size=2), max_size=2).map(np.array),
+)
+_PLAN_LAYERS = st.one_of(st.lists(st.integers(1, 3), unique=True, max_size=3).map(sorted),
+                         _PLAN_VALUES)
+_PLAN_RATIOS = st.one_of(st.floats(0.05, 1.0), st.lists(st.floats(0.05, 1.0), max_size=3),
+                         _PLAN_VALUES)
+
+
+class TestPlanResolver:
+    """``forward_with_plan`` and ``LayerPlan`` read a plan through one resolver."""
+
+    @given(layers=_PLAN_LAYERS, ratio=_PLAN_RATIOS)
+    @settings(max_examples=300, deadline=None)
+    def test_config_error_only_and_canonical_plan_agrees(self, tiny_model, layers, ratio):
+        tokens = make_tokens(12, tiny_model.config.vocab_size)
+        try:
+            plan = LayerPlan(layers=layers, keep_ratio=ratio)
+        except ConfigError:
+            plan = None
+        try:
+            logits, _, _ = forward_with_plan(tiny_model, tokens, layers, ratio)
+        except ConfigError:
+            logits = None
+        if plan is None or any(l >= tiny_model.config.n_layers for l in plan.layers):
+            return
+        assert type(plan.keep_ratio) in (float, list)
+        assert all(type(v) is int for v in plan.layers)
+        assert all(type(r) is float for r in plan.ratios())
+        assert logits is not None, (layers, ratio)
+        canonical, _, _ = forward_with_plan(tiny_model, tokens, plan.layers, plan.keep_ratio)
+        assert np.array_equal(logits, canonical)
+
+    @pytest.mark.parametrize("layers, ratio", [
+        ([1], "abc"), ([1], None), ([1], [[0.5]]), ([1], True), ([1.7], 0.5),
+        ([True], 0.5), (None, 0.5), ([1], np.array(0.5)), ([1, 2], [[0.5], 0.5]),
+        pytest.param([1], 10 ** 400, id="huge-int-ratio"), ([1], {1: 0.5}),
+    ])
+    def test_bad_forms_are_config_errors(self, tiny_model, tiny_tokens, layers, ratio):
+        with pytest.raises(ConfigError):
+            forward_with_plan(tiny_model, tiny_tokens, layers, ratio)
+        _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1], 0.5)
+        with pytest.raises(ConfigError):
+            decode_step_with_plan(tiny_model, cache, int(tiny_tokens[10]), layers, ratio)
+        assert cache.n_tokens == 10
+
+    @pytest.mark.parametrize("n_new", [2.5, "2", None, True])
+    def test_generate_count_must_be_integer(self, tiny_model, n_new):
+        with pytest.raises(UsageError):
+            generate_greedy(tiny_model, [1, 2, 3], n_new)
+
+    def test_generate_numpy_count(self, tiny_model):
+        assert generate_greedy(tiny_model, [1, 2, 3], np.int64(2)) == \
+            generate_greedy(tiny_model, [1, 2, 3], 2)
