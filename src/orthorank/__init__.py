@@ -64,8 +64,6 @@ from .selection import (
     AuditLog,
     Criterion,
     SelectionMask,
-    SelectionScores,
-    compute_scores,
     cos_gradient,
     decode_select,
     decode_step_with_plan,
@@ -95,7 +93,6 @@ __all__ = [
     "NormProfile",
     "OrthoRankError",
     "SelectionMask",
-    "SelectionScores",
     "ShapeError",
     "SimilarityMatrix",
     "StateError",
@@ -104,7 +101,6 @@ __all__ = [
     "ablation_to_csv",
     "block_forward",
     "calibrate_greedy",
-    "compute_scores",
     "corpus_sha256",
     "cos_gradient",
     "cross_layer_self_similarity",

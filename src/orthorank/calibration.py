@@ -150,10 +150,9 @@ class LayerPlan:
 
 def effective_sparsity(layer_fraction: float, keep_ratio: float) -> float:
     """Fraction of block compute removed: f * (1 - r)."""
-    if not 0.0 <= layer_fraction <= 1.0:
-        raise ConfigError(f"layer_fraction must be in [0, 1], got {layer_fraction}")
-    if not 0.0 <= keep_ratio <= 1.0:
-        raise ConfigError(f"keep_ratio must be in [0, 1], got {keep_ratio}")
+    for name, value in (("layer_fraction", layer_fraction), ("keep_ratio", keep_ratio)):
+        if not (_is_number(value) and 0.0 <= value <= 1.0):
+            raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
     return layer_fraction * (1.0 - keep_ratio)
 
 
@@ -164,6 +163,7 @@ def plan_effective_sparsity(plan: LayerPlan, n_layers: int) -> float:
 
 def eligible_layers(n_layers: int, l_sink: int) -> list[int]:
     """Layers a plan may convert: strictly after the sink, before the last."""
+    n_layers, l_sink = _integers((n_layers, l_sink), "n_layers and l_sink")
     return list(range(l_sink + 1, n_layers - 1))
 
 
@@ -293,28 +293,15 @@ def calibrate_greedy(
     return plan_of(chosen)
 
 
-def _dense_layer_flops(cfg: ModelConfig, seq_len: int) -> int:
+def _layer_flops(cfg: ModelConfig, t: int, k: int) -> int:
+    """One block over t tokens of which k run fully (k = t for a dense layer)."""
     d, dffn = cfg.d_model, cfg.d_ffn
     q_dim, kv_dim = cfg.n_heads * cfg.d_head, cfg.n_kv_heads * cfg.d_head
-    t = seq_len
-    proj = 2 * t * d * q_dim + 2 * 2 * t * d * kv_dim + 2 * t * q_dim * d
-    mix = 2 * 2 * cfg.n_heads * t * t * cfg.d_head
-    ffn = 2 * t * d * dffn * 2 + 2 * t * dffn * d
-    norms = 2 * 4 * t * d
-    return proj + mix + ffn + norms
-
-
-def _selective_layer_flops(cfg: ModelConfig, seq_len: int, keep_ratio: float) -> int:
-    d, dffn = cfg.d_model, cfg.d_ffn
-    q_dim, kv_dim = cfg.n_heads * cfg.d_head, cfg.n_kv_heads * cfg.d_head
-    t = seq_len
-    k = int(math.floor(keep_ratio * t))
     proj = 2 * k * d * q_dim + 2 * 2 * t * d * kv_dim + 2 * k * q_dim * d
     mix = 2 * 2 * cfg.n_heads * k * t * cfg.d_head
     ffn = 2 * k * d * dffn * 2 + 2 * k * dffn * d
     norms = 4 * t * d + 4 * k * d
-    scoring = 2 * t * d
-    return proj + mix + ffn + norms + scoring
+    return proj + mix + ffn + norms
 
 
 def _head_flops(cfg: ModelConfig, seq_len: int) -> int:
@@ -328,18 +315,21 @@ def flop_count(config: ModelConfig, plan: LayerPlan, seq_len: int) -> dict:
     counted at full (unmasked) size, every query row against all T keys;
     RMSNorm costed at 4 FLOPs per element; a selective layer pays K/V,
     pre-attention norms, and scoring for all T tokens but everything else
-    for its k tokens. The final norm and output projection appear in both
-    totals. The runtime skips most of the masked attention half (each block
-    of query rows reads only its key prefix), so these are a fixed
-    convention, not the FLOPs executed; a traced benchmark run reports
-    those as ``tensor_core.matmul.gflop``.
+    for its k = floor(p * T) tokens. One layer formula serves both: a dense
+    layer is the k = T case, and a plan layer adds 2 * T * d for scoring.
+    The final norm and output projection appear in both totals. The
+    runtime skips most of the masked attention half (each block of query
+    rows reads only its key prefix), so these are a fixed convention, not
+    the FLOPs executed; a traced benchmark run reports those as
+    ``tensor_core.matmul.gflop``.
     """
     if seq_len < 1:
         raise ConfigError(f"seq_len must be >= 1, got {seq_len}")
     ratios = _plan_ratios(plan.layers, plan.keep_ratio, config.n_layers)
-    dense_layers = [_dense_layer_flops(config, seq_len) for _ in range(config.n_layers)]
+    dense_layers = [_layer_flops(config, seq_len, seq_len)] * config.n_layers
     plan_layers = [
-        _selective_layer_flops(config, seq_len, ratios[l])
+        _layer_flops(config, seq_len, int(math.floor(ratios[l] * seq_len)))
+        + 2 * seq_len * config.d_model
         if l in ratios else dense_layers[l]
         for l in range(config.n_layers)
     ]

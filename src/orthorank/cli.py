@@ -36,17 +36,20 @@ from .selection import AuditLog, Criterion, generate_greedy
 from .trace import dump_trace_csv
 
 
+def _int(text: str, what: str) -> int:
+    """``text`` as an int; UsageError naming ``what`` otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} {text!r} is not an integer") from None
+
+
 def load_corpus(path) -> np.ndarray:
     """Whitespace-separated token ids from a text file."""
     path = Path(path)
     if not path.exists():
         raise UsageError(f"corpus file not found: {path}")
-    tokens = []
-    for word in path.read_text().split():
-        try:
-            tokens.append(int(word))
-        except ValueError:
-            raise UsageError(f"corpus token {word!r} is not an integer") from None
+    tokens = [_int(word, "corpus token") for word in path.read_text().split()]
     if not tokens:
         raise UsageError(f"corpus file {path} is empty")
     return np.asarray(tokens, dtype=np.int64)
@@ -59,9 +62,9 @@ def parse_positions(text: str) -> list[int]:
         part = part.strip()
         if ".." in part:
             lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            out.extend(range(_int(lo, "position"), _int(hi, "position") + 1))
         elif part:
-            out.append(int(part))
+            out.append(_int(part, "position"))
     if not out:
         raise UsageError(f"no positions in {text!r}")
     return out
@@ -160,7 +163,7 @@ def cmd_analyze(args) -> int:
         )
     analysis.norm_profile(trace).to_csv(out_dir / "norms.csv")
     if args.dump_trace:
-        dump_trace_csv(trace, out_dir / "trace_states.csv", out_dir / "trace_norms.csv")
+        dump_trace_csv(trace, out_dir / "trace_states.csv")
     written = ["sink_vs_tokens.csv"] + [f"cross_layer_p{p}.csv" for p in cross_positions]
     print(f"wrote {', '.join(written)}, norms.csv to {out_dir}")
     return 0
@@ -263,7 +266,7 @@ def cmd_flops(args) -> int:
 
 def cmd_generate(args) -> int:
     model = Model.from_checkpoint(args.model)
-    prompt = [int(t) for t in args.prompt.split()]
+    prompt = [_int(t, "prompt token") for t in args.prompt.split()]
     plan = _load_plan(args)
     audit = AuditLog() if args.audit_csv else None
     tokens = generate_greedy(

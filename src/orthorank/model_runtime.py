@@ -10,6 +10,7 @@ pass by construction.
 """
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -65,17 +66,16 @@ class KVCache:
     ``keys[l]``/``values[l]`` are (t_l, n_kv_heads, d_head); ``positions[l]``
     holds the absolute positions with a KV entry at layer l. t_l equals the
     number of processed tokens except at layers run with KV computation for
-    unselected tokens disabled. ``score_history[o]`` (one score per processed
-    token, +inf for the sink) and ``sink_state[o]`` (the sink's row at the
-    criterion's stage, normalized or raw, that decode scores new tokens
-    against) exist only for layers run selectively; ``sorted_history[o]``
-    is the same scores in ascending order, which decode ranks against.
+    unselected tokens disabled. Only layers run selectively have
+    ``sorted_history[o]``, their one score list: one score per processed
+    token in ascending order, +inf for the sink, which decode ranks a new
+    score against; and ``sink_state[o]``, the sink's row at the criterion's
+    stage (normalized or raw) that decode scores new tokens against.
     """
 
     keys: list[np.ndarray]
     values: list[np.ndarray]
     positions: list[np.ndarray]
-    score_history: dict[int, list[float]] = field(default_factory=dict)
     sink_state: dict[int, np.ndarray] = field(default_factory=dict)
     n_tokens: int = 0
     sorted_history: dict[int, list[float]] = field(default_factory=dict)
@@ -98,10 +98,10 @@ class KVCache:
 
         Every layer holds as many key, value and position rows, at strictly
         ascending positions below ``n_tokens``. A layer without a score
-        history ran dense, so with KV for every token: it holds
-        ``n_tokens`` rows. A selective layer holds at most that many (fewer
-        only with KV for unselected tokens off), one score per token, its
-        sink state, and its scores in ascending order in ``sorted_history``.
+        list ran dense, so with KV for every token: it holds ``n_tokens``
+        rows. A selective layer holds at most that many (fewer only with KV
+        for unselected tokens off), its sink state, and an ascending score
+        list with one score per token (checked in one pass, no sort).
         """
         n = self.n_tokens
         for layer, (k, v, pos) in enumerate(zip(self.keys, self.values, self.positions)):
@@ -110,16 +110,16 @@ class KVCache:
                                  f"and {pos.size} positions")
             if np.any(np.diff(pos) <= 0) or (pos.size and not 0 <= pos[0] <= pos[-1] < n):
                 raise StateError(f"layer {layer} positions are not ascending below {n}")
-            history = self.score_history.get(layer)
-            if history is None:
+            ranked = self.sorted_history.get(layer)
+            if ranked is None:
                 if pos.size != n:
                     raise StateError(f"dense layer {layer} holds {pos.size} rows for {n} tokens")
                 continue
-            if pos.size > n or len(history) != n:
+            if pos.size > n or len(ranked) != n:
                 raise StateError(f"selective layer {layer} holds {pos.size} rows and "
-                                 f"{len(history)} scores for {n} tokens")
-            if layer not in self.sink_state or self.sorted_history.get(layer) != sorted(history):
-                raise StateError(f"layer {layer} lacks its sink state or sorted score history")
+                                 f"{len(ranked)} scores for {n} tokens")
+            if layer not in self.sink_state or not all(a <= b for a, b in pairwise(ranked)):
+                raise StateError(f"layer {layer} lacks its sink state or ascending score list")
 
 
 def block_forward(

@@ -48,7 +48,8 @@ class Criterion:
 
     ``orthogonal_asc`` over ``normalized`` states is the default selection
     rule; the remaining kinds and the ``raw_hidden`` stage exist for
-    ablations. ``random`` requires an explicit seed.
+    ablations. ``random`` requires an explicit seed, and a seed is a
+    non-negative integer.
     """
 
     kind: str = "orthogonal_asc"
@@ -62,19 +63,12 @@ class Criterion:
             raise ConfigError(f"unknown criterion stage {self.stage!r}")
         if self.kind == "random" and self.seed is None:
             raise ConfigError("random criterion requires an explicit seed")
+        seed = self.seed
+        if seed is not None and not (_is_number(seed, numbers.Integral) and seed >= 0):
+            raise ConfigError(f"criterion seed must be an integer >= 0, got {seed!r}")
 
 
 DEFAULT_CRITERION = Criterion()
-
-
-@dataclass
-class SelectionScores:
-    """Per-token scores |<h_bar_0, h_bar_i>| with the sink pinned to +inf."""
-
-    scores: np.ndarray
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
 
 
 @dataclass
@@ -90,33 +84,18 @@ class SelectionMask:
             raise StateError(f"mask holds {self.selected.size} indices, k={self.k}")
 
 
-def compute_scores(states: np.ndarray, sink_index: int = 0) -> SelectionScores:
-    """Absolute inner products of every token state with the sink state.
+def select_topk(keys, keep_ratio: float) -> SelectionMask:
+    """Indices of the k = floor(p * T) smallest of the T keys, sorted ascending.
 
-    The sink's own score is overwritten to +inf so it is never ranked into
-    the selected set unless selection is exhaustive.
+    ``keys`` is any 1-D array of sort keys, such as ``selection_keys``
+    returns; ties resolve to the smaller index.
     """
-    states = np.asarray(states)
-    if states.ndim != 2 or states.shape[0] < 1:
-        raise UsageError(f"states must be (T, d) with T >= 1, got {states.shape}")
-    scores = _score_keys(states, states[sink_index], DEFAULT_CRITERION, None)
-    scores[sink_index] = np.inf
-    return SelectionScores(scores)
-
-
-def _topk_ascending(keys: np.ndarray, keep_ratio: float) -> SelectionMask:
-    if not 0.0 <= keep_ratio <= 1.0:
-        raise ConfigError(f"keep_ratio must be in [0, 1], got {keep_ratio}")
-    t = keys.shape[0]
-    k = int(math.floor(keep_ratio * t))
-    order = np.argsort(keys, kind="stable")  # ties resolve to the smaller index
+    if not (_is_number(keep_ratio) and 0.0 <= keep_ratio <= 1.0):
+        raise ConfigError(f"keep_ratio must be in [0, 1], got {keep_ratio!r}")
+    keys = np.asarray(keys)
+    k = int(math.floor(keep_ratio * keys.shape[0]))
+    order = np.argsort(keys, kind="stable")
     return SelectionMask(np.sort(order[:k]), k)
-
-
-def select_topk(scores, keep_ratio: float) -> SelectionMask:
-    """Indices of the k = floor(p * T) smallest scores, sorted ascending."""
-    keys = scores.scores if isinstance(scores, SelectionScores) else np.asarray(scores)
-    return _topk_ascending(keys, keep_ratio)
 
 
 def cos_gradient(h0: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -149,23 +128,23 @@ def importance_norm_sq(h0: np.ndarray, hi: np.ndarray) -> float:
     return float(grad @ grad)
 
 
-def selection_keys(
-    states: np.ndarray,
-    criterion: Criterion,
-    layer: int,
-    sink_index: int = 0,
-) -> np.ndarray:
-    """Float64 sort keys for one layer's ranking; smaller key = selected.
+def selection_keys(states: np.ndarray, criterion: Criterion, layer: int) -> np.ndarray:
+    """Float64 sort keys for one layer's ranking of (T, d) ``states``; smaller key = selected.
 
-    Descending kinds negate their ascending counterparts. The random
-    criterion draws from a generator keyed by (seed, layer, T) so every
-    (layer, length) pair gets a reproducible permutation. The sink key is
-    +inf for every kind.
+    The public scoring entry: under the default criterion the key of row i
+    is the score |<h_bar_0, h_bar_i>| against row 0, the sink. Descending
+    kinds negate their ascending counterparts. The random criterion draws
+    from a generator keyed by (seed, layer, T) so every (layer, length)
+    pair gets a reproducible permutation. The sink key is +inf for every
+    kind, so the sink is selected only when selection is exhaustive.
+    States that are not (T, d) with T >= 1 raise UsageError.
     """
     states = np.asarray(states)
+    if states.ndim != 2 or states.shape[0] < 1:
+        raise UsageError(f"states must be (T, d) with T >= 1, got {states.shape}")
     rng_key = (criterion.seed, layer, states.shape[0])
-    keys = _score_keys(states, states[sink_index], criterion, rng_key)
-    keys[sink_index] = np.inf
+    keys = _score_keys(states, states[0], criterion, rng_key)
+    keys[0] = np.inf
     return keys
 
 
@@ -206,20 +185,19 @@ class AuditLog:
 def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
                 ratio: float | None, criterion: Criterion, compute_kv_for_unselected: bool,
                 cache: KVCache | None, audit: AuditLog | None,
-                trace: HiddenTrace | None = None, decode: bool = False,
-                capture_states: bool = True):
+                trace: HiddenTrace | None = None, capture_states: bool = True):
     """Run block ``layer`` in place on ``x``; selectively unless ``ratio`` is None.
 
     The attention RMSNorm is computed once and shared by the trace, the
-    scoring stage and the block. Prefill keeps the k = floor(p * T) rows
-    with the lowest keys against row 0 and caches the keys as the layer's
-    score history and row 0 at the criterion's stage as its sink state;
-    decode scores its one row against that sink state and asks
-    ``decode_select``. A ``trace`` records the layer, its block input and
-    normalized rows when ``capture_states``, and the attention mass on key
-    0 when its ``attn_to_sink`` is a list. Returns the selected rows and
-    the block's new key and value rows (None when a decode row stores
-    nothing).
+    scoring stage and the block. A step onto a non-empty ``cache`` decodes.
+    Prefill keeps the k = floor(p * T) rows with the lowest keys against
+    row 0 and caches the keys in ascending order as the layer's score list
+    and row 0 at the criterion's stage as its sink state; decode scores its
+    one row against that sink state and asks ``decode_select``. A
+    ``trace`` records the layer, its block input and normalized rows when
+    ``capture_states``, and the attention mass on key 0 when its
+    ``attn_to_sink`` is a list. Returns the selected rows and the block's
+    new key and value rows (None when a decode row stores nothing).
     """
     xn = tc.rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), model.config.norm_eps)
     if trace is not None:
@@ -227,6 +205,7 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
         if capture_states:
             trace.hidden.append(x.copy())
             trace.normalized.append(xn)
+    decode = cache is not None and cache.n_tokens > 0
     rows = np.arange(x.shape[0], dtype=np.int64)
     sel = rows
     if ratio is not None:
@@ -238,10 +217,9 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
                 sel = rows[:0]
         else:
             keys = selection_keys(stage, criterion, layer)
-            sel = _topk_ascending(keys, ratio).selected
+            sel = select_topk(keys, ratio).selected
             if cache is not None:
-                cache.score_history[layer] = keys.tolist()
-                cache.sorted_history[layer] = sorted(cache.score_history[layer])
+                cache.sorted_history[layer] = sorted(keys.tolist())
                 cache.sink_state[layer] = stage[0].copy()
         if audit is not None:
             step = int(positions[0]) if decode else 0
@@ -281,8 +259,7 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     positions = np.arange(start, start + x.shape[0], dtype=np.int64)
     for layer in range(first, model.config.n_layers):
         _layer_step(model, layer, x, positions, plan.get(layer), criterion,
-                    compute_kv_for_unselected, cache, audit, trace, decode=start > 0,
-                    capture_states=capture_states)
+                    compute_kv_for_unselected, cache, audit, trace, capture_states)
     cache.n_tokens += x.shape[0]
     return lm_head_logits(model, x)
 
@@ -330,8 +307,8 @@ def forward_with_plan(
     ``_plan_ratios``: there is no ``{layer: ratio}`` mapping form, and a
     bad plan raises ConfigError. The empty plan, ``LayerPlan()``'s, is
     exactly the dense forward pass (same kernel, same arithmetic). The
-    returned cache holds score histories and the cached sink state for
-    each plan layer, ready for decode.
+    returned cache holds the ascending score list and the cached sink state
+    for each plan layer, ready for decode.
     """
     plan = _plan_ratios(plan_layers, keep_ratio, model.config.n_layers)
     cache = KVCache.empty(model.config)
@@ -344,24 +321,24 @@ def forward_with_plan(
 def decode_select(cache: KVCache, layer: int, new_score: float, keep_ratio: float) -> bool:
     """Streaming selection for one new token at one selective layer.
 
-    With history H (scores of all prior tokens at this layer) and the new
+    With H the layer's score list ``cache.sorted_history[layer]`` (every
+    prior token's score, ascending, the sink's +inf included) and the new
     score s, the token is selected iff s ranks within k = floor(p * (|H|+1))
-    of the pooled set; equal scores favor the incumbent history entry. The
-    score joins the history either way: every token becomes context. The
-    rank is a binary search in ``cache.sorted_history``, rebuilt from the
-    history when it is missing or its length differs.
+    of the pooled set; equal scores favor the incumbent entry. The rank is
+    a binary search in H, and s is inserted in order either way: every
+    token becomes context. A layer without a list raises StateError, a
+    score that is not a finite number UsageError, and a ratio outside
+    [0, 1] ConfigError.
     """
-    if layer not in cache.score_history:
-        raise StateError(f"layer {layer} has no score history; prefill with the plan first")
-    if not math.isfinite(new_score):
-        raise UsageError(f"new_score must be finite, got {new_score}")
-    history = cache.score_history[layer]
     ranked = cache.sorted_history.get(layer)
-    if ranked is None or len(ranked) != len(history):
-        ranked = cache.sorted_history[layer] = sorted(history)
-    k = int(math.floor(keep_ratio * (len(history) + 1)))
+    if ranked is None:
+        raise StateError(f"layer {layer} has no score list; prefill with the plan first")
+    if not (_is_number(new_score) and math.isfinite(new_score)):
+        raise UsageError(f"new_score must be finite, got {new_score}")
+    if not (_is_number(keep_ratio) and 0.0 <= keep_ratio <= 1.0):
+        raise ConfigError(f"keep_ratio must be in [0, 1], got {keep_ratio!r}")
+    k = int(math.floor(keep_ratio * (len(ranked) + 1)))
     rank = bisect_right(ranked, new_score) + 1
-    history.append(float(new_score))
     insort(ranked, float(new_score))
     return rank <= k
 
@@ -389,9 +366,9 @@ def decode_step_with_plan(
     """
     check_cache(model, cache)
     plan = _plan_ratios(plan_layers, keep_ratio, model.config.n_layers)
-    missing = sorted(l for l in plan if l not in cache.score_history or l not in cache.sink_state)
+    missing = sorted(l for l in plan if l not in cache.sorted_history or l not in cache.sink_state)
     if missing:
-        raise StateError(f"plan layers {missing} have no score history; prefill with the plan first")
+        raise StateError(f"plan layers {missing} have no score list; prefill with the plan first")
     logits = _run_layers(model, [token_id], cache, plan, criterion,
                          compute_kv_for_unselected, audit)
     return logits, cache

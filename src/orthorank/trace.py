@@ -32,11 +32,11 @@ class HiddenTrace:
         return 0 if not self.normalized else self.normalized[0].shape[0]
 
 
-def dump_trace_csv(trace: HiddenTrace, states_path, norms_path) -> None:
-    """Write captured states and their norms as CSV.
+def dump_trace_csv(trace: HiddenTrace, states_path) -> None:
+    """Write the captured normalized states as CSV.
 
-    States file rows: layer, position, then the d state values. Norms file
-    rows: layer, position, L2 norm of the normalized state.
+    Rows: layer, position, then the d state values. Their norms are
+    ``analysis.norm_profile(trace)``'s table (``NormProfile.to_csv``).
     """
     with open(states_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -45,10 +45,3 @@ def dump_trace_csv(trace: HiddenTrace, states_path, norms_path) -> None:
         for layer, states in zip(trace.layers, trace.normalized):
             for t in range(states.shape[0]):
                 writer.writerow([layer, t] + [repr(float(v)) for v in states[t]])
-    with open(norms_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "position", "norm"])
-        for layer, states in zip(trace.layers, trace.normalized):
-            norms = np.linalg.norm(states, axis=1)
-            for t in range(states.shape[0]):
-                writer.writerow([layer, t, repr(float(norms[t]))])

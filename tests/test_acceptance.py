@@ -83,7 +83,7 @@ def test_criterion_2_selection_oracle():
         scores = rng.standard_normal(t)
         if trial % 3 == 0:
             scores = np.round(scores, 1)  # force ties
-        scores[0] = np.inf  # the sink slot, as compute_scores pins it
+        scores[0] = np.inf  # the sink slot, as selection_keys pins it
         p = float(rng.uniform(0.0, 1.0)) if trial % 10 else 1.0
         mask = select_topk(scores, p)
         want = ref.ref_topk_ascending(list(scores), p)

@@ -43,6 +43,11 @@ class TestEffectiveSparsity:
         with pytest.raises(ConfigError):
             effective_sparsity(0.5, 1.5)
 
+    @pytest.mark.parametrize("args", [("x", 0.5), (0.5, "x"), (None, 0.5), (True, 0.5)])
+    def test_non_numbers_rejected(self, args):
+        with pytest.raises(ConfigError):
+            effective_sparsity(*args)
+
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=60, deadline=None)
     def test_monotone(self, f, r, delta):
@@ -85,11 +90,23 @@ class TestPlanFromSparsity:
         with pytest.raises(ConfigError):
             plan_from_sparsity(10, 1, 0.2, 0.0)
 
+    @pytest.mark.parametrize("n_layers, l_sink", [(4.5, 0), (10, 1.0), ("10", 1), (10, None)])
+    def test_non_integer_layer_counts(self, n_layers, l_sink):
+        with pytest.raises(ConfigError):
+            plan_from_sparsity(n_layers, l_sink, 0.1)
+
 
 def test_eligible_layers_excludes_sink_and_final():
     assert eligible_layers(10, 1) == list(range(2, 9))
     assert eligible_layers(4, 2) == []
     assert eligible_layers(6, 0) == [1, 2, 3, 4]
+
+
+def test_eligible_layers_needs_integers():
+    assert eligible_layers(np.int64(6), np.int32(0)) == [1, 2, 3, 4]
+    for bad in (("x", 0), (6, 0.5), (6, False)):
+        with pytest.raises(ConfigError):
+            eligible_layers(*bad)
 
 
 class TestLayerPlan:

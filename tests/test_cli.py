@@ -72,6 +72,11 @@ class TestHelpers:
         with pytest.raises(UsageError):
             parse_positions(",")
 
+    @pytest.mark.parametrize("text", ["1..x", "x..3", "1,b", "2.5"])
+    def test_parse_positions_non_integer(self, text):
+        with pytest.raises(UsageError, match="not an integer"):
+            parse_positions(text)
+
     def test_load_corpus(self, tmp_path):
         path = write_corpus(tmp_path / "c.txt", [3, 1, 4, 1, 5])
         assert load_corpus(path).tolist() == [3, 1, 4, 1, 5]
@@ -156,12 +161,19 @@ class TestAnalyze:
         assert code == 0
         assert (out / "norms.csv").exists()
         assert (out / "trace_states.csv").exists()
-        assert (out / "trace_norms.csv").exists()
+        assert not (out / "trace_norms.csv").exists()
 
     def test_needs_source(self, tmp_path, capsys):
         code, _, err = run_cli("analyze", "--out", tmp_path / "x", capsys=capsys)
         assert code == 2
         assert "error:" in err
+
+    def test_non_integer_positions(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            "analyze", "--synthetic", "--layers", "3", "--seq-len", "12", "--d", "8",
+            "--positions", "1..x", "--out", tmp_path / "out", capsys=capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestCalibrate:
@@ -342,6 +354,11 @@ class TestFlops:
         assert code == 0
         assert json.loads(text[text.index("{"):])["ratio"] < 1.0
 
+    def test_non_integer_layers(self, cli_ck, capsys):
+        code, _, err = run_cli("flops", "--model", cli_ck, "--layers", "1..x", capsys=capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestGenerate:
     def test_full_keep_plan_matches_dense(self, cli_ck, tmp_path, capsys):
@@ -355,6 +372,11 @@ class TestGenerate:
         assert code == 0
         assert dense_out == plan_out
         assert len(dense_out.split()) == 13
+
+    def test_non_integer_prompt(self, cli_ck, capsys):
+        code, _, err = run_cli("generate", "--model", cli_ck, "--prompt", "a b", capsys=capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_deterministic(self, cli_ck, capsys):
         args = ["generate", "--model", cli_ck, "--prompt", "2 7", "--n-new", "6"]

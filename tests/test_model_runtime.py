@@ -17,7 +17,7 @@ from orthorank import (
 from orthorank import selection
 from orthorank import tensor_core
 from orthorank.model_runtime import ATTN_ROW_BLOCK, block_forward
-from orthorank.selection import DEFAULT_CRITERION, _topk_ascending, selection_keys
+from orthorank.selection import DEFAULT_CRITERION, select_topk, selection_keys
 from orthorank.tensor_core import rms_norm
 from orthorank.trace import dump_trace_csv
 
@@ -107,15 +107,13 @@ class TestHiddenTrace:
 
     def test_trace_csv_dump(self, tiny_model, tiny_tokens, tmp_path):
         _, trace, _ = forward_dense(tiny_model, tiny_tokens, capture_trace=True)
-        states, norms = tmp_path / "states.csv", tmp_path / "norms.csv"
-        dump_trace_csv(trace, states, norms)
+        states = tmp_path / "states.csv"
+        dump_trace_csv(trace, states)
         lines = states.read_text().splitlines()
         d = tiny_model.config.d_model
         assert lines[0].split(",")[:2] == ["layer", "position"]
         assert len(lines[0].split(",")) == 2 + d
         assert len(lines) == 1 + len(trace.layers) * len(tiny_tokens)
-        norm_lines = norms.read_text().splitlines()
-        assert norm_lines[0] == "layer,position,norm"
 
 
 class TestDecodeDense:
@@ -283,7 +281,7 @@ class TestBlockTruncatedAttention:
         rows = np.arange(t, dtype=np.int64)
         picks = {
             "all": rows,
-            "topk": _topk_ascending(selection_keys(xn, DEFAULT_CRITERION, layer), 0.333).selected,
+            "topk": select_topk(selection_keys(xn, DEFAULT_CRITERION, layer), 0.333).selected,
             "random": np.sort(rng.choice(t, size=max(1, t // 3), replace=False)),
             "single": rows[t // 2:t // 2 + 1],
         }

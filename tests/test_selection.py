@@ -10,10 +10,8 @@ from orthorank import (
     Criterion,
     DomainError,
     KVCache,
-    SelectionScores,
     StateError,
     UsageError,
-    compute_scores,
     cos_gradient,
     decode_select,
     decode_step_with_plan,
@@ -36,44 +34,45 @@ def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
+def sink_scores(states):
+    """The default criterion's keys: |<h_bar_0, h_bar_i>| with the sink at +inf."""
+    return selection_keys(states, Criterion(), layer=0)
+
+
 class TestComputeScores:
     def test_orthogonal_scores_zero(self):
         states = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-        scores = compute_scores(states)
-        assert scores.scores[1] == 0.0
+        assert sink_scores(states)[1] == 0.0
 
     def test_collinear_sign_absorbed(self):
         states = np.array([[1.0, 0, 0], [-2.0, 0, 0]])
-        assert compute_scores(states).scores[1] == 2.0
+        assert sink_scores(states)[1] == 2.0
 
     def test_sink_is_inf(self):
-        scores = compute_scores(rand((6, 8)))
-        assert scores.scores[0] == np.inf
-        assert np.all(np.isfinite(scores.scores[1:]))
-        assert np.all(scores.scores[1:] >= 0.0)
+        scores = sink_scores(rand((6, 8)))
+        assert scores[0] == np.inf
+        assert np.all(np.isfinite(scores[1:]))
+        assert np.all(scores[1:] >= 0.0)
 
     def test_single_token(self):
-        scores = compute_scores(rand((1, 4)))
-        assert scores.scores.tolist() == [np.inf]
+        assert sink_scores(rand((1, 4))).tolist() == [np.inf]
 
 
 class TestSelectTopk:
     def test_floor_semantics(self):
-        scores = compute_scores(rand((10, 4)))
-        assert select_topk(scores, 0.333).k == 3
+        assert select_topk(sink_scores(rand((10, 4))), 0.333).k == 3
 
     def test_hand_example(self):
-        s = SelectionScores(np.array([np.inf, 0.5, 0.1, 0.9, 0.2]))
+        s = np.array([np.inf, 0.5, 0.1, 0.9, 0.2])
         mask = select_topk(s, 0.4)
         assert mask.selected.tolist() == [2, 4]
 
     def test_full_selection_includes_sink(self):
-        s = compute_scores(rand((7, 4)))
-        mask = select_topk(s, 1.0)
+        mask = select_topk(sink_scores(rand((7, 4))), 1.0)
         assert mask.selected.tolist() == list(range(7))
 
     def test_zero_ratio(self):
-        mask = select_topk(compute_scores(rand((7, 4))), 0.0)
+        mask = select_topk(sink_scores(rand((7, 4))), 0.0)
         assert mask.k == 0 and mask.selected.size == 0
 
     def test_accepts_raw_array(self):
@@ -83,21 +82,26 @@ class TestSelectTopk:
         assert mask.selected.tolist() == [2, 3]
 
     def test_ties_break_to_smaller_index(self):
-        s = SelectionScores(np.array([np.inf, 0.5, 0.5, 0.5, 0.5]))
+        s = np.array([np.inf, 0.5, 0.5, 0.5, 0.5])
         assert select_topk(s, 0.4).selected.tolist() == [1, 2]
 
     def test_ratio_domain(self):
         with pytest.raises(ConfigError):
-            select_topk(compute_scores(rand((4, 4))), -0.1)
+            select_topk(sink_scores(rand((4, 4))), -0.1)
         with pytest.raises(ConfigError):
-            select_topk(compute_scores(rand((4, 4))), 1.1)
+            select_topk(sink_scores(rand((4, 4))), 1.1)
+
+    @pytest.mark.parametrize("ratio", ["x", None, True, [0.5]])
+    def test_ratio_must_be_number(self, ratio):
+        with pytest.raises(ConfigError):
+            select_topk(np.array([np.inf, 0.5, 0.1]), ratio)
 
     @given(st.integers(1, 512), st.floats(0.0, 1.0), st.integers(0, 2**31))
     @settings(max_examples=120, deadline=None)
     def test_matches_brute_force(self, t, p, seed):
         scores = np.random.default_rng(seed).random(t)
         scores[0] = np.inf
-        mask = select_topk(SelectionScores(scores), p)
+        mask = select_topk(scores, p)
         assert mask.selected.tolist() == ref.ref_topk_ascending(scores.tolist(), p)
         if mask.k < t:
             assert 0 not in mask.selected.tolist()
@@ -107,8 +111,8 @@ class TestSelectTopk:
         states = rand((12, 8), seed=3)
         scaled = states.copy()
         scaled[0] *= 7.5
-        a = select_topk(compute_scores(states), 0.5)
-        b = select_topk(compute_scores(scaled), 0.5)
+        a = select_topk(sink_scores(states), 0.5)
+        b = select_topk(sink_scores(scaled), 0.5)
         assert a.selected.tolist() == b.selected.tolist()
 
 
@@ -116,7 +120,7 @@ def test_ranking_matches_cosine_under_equal_norms():
     # equal-norm rows: |dot| and |cos| order identically
     states = rand((20, 16), seed=4)
     states[1:] /= np.linalg.norm(states[1:], axis=1, keepdims=True)
-    scores = compute_scores(states).scores[1:]
+    scores = sink_scores(states)[1:]
     cosines = np.array([abs(ref.ref_cosine(states[0].tolist(), s.tolist()))
                         for s in states[1:]])
     assert np.array_equal(np.argsort(scores, kind="stable"),
@@ -182,10 +186,10 @@ class TestImportanceNormSq:
 
 
 class TestSelectionKeys:
-    def test_orthogonal_asc_is_score(self):
-        states = rand((8, 4), seed=7)
-        keys = selection_keys(states, Criterion(), layer=0)
-        assert np.array_equal(keys, compute_scores(states).scores)
+    @pytest.mark.parametrize("shape", [(0, 4), (4,), (2, 3, 4), ()])
+    def test_states_must_be_t_by_d(self, shape):
+        with pytest.raises(UsageError):
+            selection_keys(np.zeros(shape), Criterion(), layer=0)
 
     def test_orthogonal_desc_negates_ranking(self):
         states = rand((8, 4), seed=7)
@@ -216,6 +220,16 @@ class TestSelectionKeys:
     def test_random_requires_seed(self):
         with pytest.raises(ConfigError):
             Criterion(kind="random")
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, -1, True, [1]])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError):
+            Criterion(kind="random", seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        states = rand((6, 4), seed=9)
+        a = selection_keys(states, Criterion(kind="random", seed=np.int64(5)), layer=1)
+        assert np.array_equal(a, selection_keys(states, Criterion(kind="random", seed=5), layer=1))
 
     def test_criterion_validation(self):
         with pytest.raises(ConfigError):
@@ -300,13 +314,13 @@ class TestForwardOrthorankLayer:
 class TestDecodeSelect:
     def cache_with_history(self, model, layer, history):
         cache = KVCache.empty(model.config)
-        cache.score_history[layer] = list(history)
+        cache.sorted_history[layer] = sorted(history)
         return cache
 
     def test_rank_within_k(self, tiny_model):
         cache = self.cache_with_history(tiny_model, 1, [np.inf, 0.1, 0.2, 0.9])
         assert decode_select(cache, 1, 0.15, 0.5) is True
-        assert cache.score_history[1][-1] == 0.15
+        assert cache.sorted_history[1] == [0.1, 0.15, 0.2, 0.9, np.inf]
 
     def test_zero_ratio_never_selects(self, tiny_model):
         cache = self.cache_with_history(tiny_model, 1, [np.inf, 0.1])
@@ -324,7 +338,7 @@ class TestDecodeSelect:
     def test_appends_even_when_rejected(self, tiny_model):
         cache = self.cache_with_history(tiny_model, 1, [np.inf, 0.1])
         decode_select(cache, 1, 0.9, 0.5)
-        assert cache.score_history[1] == [np.inf, 0.1, 0.9]
+        assert cache.sorted_history[1] == [0.1, 0.9, np.inf]
 
     def test_missing_history(self, tiny_model):
         cache = KVCache.empty(tiny_model.config)
@@ -335,6 +349,19 @@ class TestDecodeSelect:
         cache = self.cache_with_history(tiny_model, 1, [np.inf, 0.1])
         with pytest.raises(UsageError):
             decode_select(cache, 1, np.nan, 0.5)
+
+    def test_non_number_score_rejected(self, tiny_model):
+        cache = self.cache_with_history(tiny_model, 1, [np.inf, 0.1])
+        with pytest.raises(UsageError):
+            decode_select(cache, 1, "0.5", 0.5)
+        assert cache.sorted_history[1] == [0.1, np.inf]
+
+    @pytest.mark.parametrize("ratio", [7.0, -0.5, "x", None])
+    def test_ratio_domain(self, tiny_model, ratio):
+        cache = self.cache_with_history(tiny_model, 1, [np.inf, 0.1])
+        with pytest.raises(ConfigError):
+            decode_select(cache, 1, 5.0, ratio)
+        assert cache.sorted_history[1] == [0.1, np.inf]
 
     def test_consistent_with_prefill_when_boundary_stable(self, tiny_model):
         # constructed so each arrival decision matches the full-sequence mask
@@ -355,8 +382,7 @@ class TestDecodeSelect:
            keep_ratio=st.sampled_from([0.0, 0.2, 0.333, 0.5, 1.0]))
     @settings(max_examples=80, deadline=None)
     def test_rank_matches_brute_force_count(self, tiny_model, history, arrivals, keep_ratio):
-        # ties and the +inf sink entry included; the sorted copy is rebuilt
-        # from the history on first use and kept in step after that
+        # ties and the +inf sink entry included; the list stays in step
         cache = self.cache_with_history(tiny_model, 2, [np.inf] + history)
         pooled = [np.inf] + history
         for s in arrivals:
@@ -364,15 +390,16 @@ class TestDecodeSelect:
             expect = sum(1 for v in pooled if v <= s) + 1 <= k
             assert decode_select(cache, 2, s, keep_ratio) is expect
             pooled.append(s)
-            assert cache.score_history[2] == pooled
             assert cache.sorted_history[2] == sorted(pooled)
 
     def test_prefill_keeps_sorted_history(self, tiny_model, tiny_tokens):
-        _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1, 2], 0.5)
+        audit = AuditLog()
+        _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1, 2], 0.5, audit=audit)
         for token in tiny_tokens[10:14]:
-            decode_step_with_plan(tiny_model, cache, int(token), [1, 2], 0.5)
+            decode_step_with_plan(tiny_model, cache, int(token), [1, 2], 0.5, audit=audit)
         for layer in (1, 2):
-            assert cache.sorted_history[layer] == sorted(cache.score_history[layer])
+            scored = sorted(row[3] for row in audit.rows if row[0] == layer)
+            assert cache.sorted_history[layer] == scored
         cache.check()
 
 
@@ -395,11 +422,11 @@ class TestForwardWithPlan:
     def test_cache_state_for_plan_layers(self, tiny_model, tiny_tokens):
         _, trace, cache = forward_with_plan(
             tiny_model, tiny_tokens, [1, 3], 0.5, capture_trace=True)
-        assert set(cache.score_history) == {1, 3}
+        assert set(cache.sorted_history) == {1, 3}
         for layer in (1, 3):
-            hist = cache.score_history[layer]
+            hist = cache.sorted_history[layer]
             assert len(hist) == len(tiny_tokens)
-            assert hist[0] == np.inf
+            assert hist[-1] == np.inf
             assert np.array_equal(cache.sink_state[layer], trace.normalized[layer][0])
 
     def test_out_of_range_plan_layer(self, tiny_model, tiny_tokens):
@@ -460,7 +487,7 @@ class TestDecodeWithPlan:
     def test_history_grows_per_decode(self, tiny_model, tiny_tokens):
         _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1], 0.5)
         decode_step_with_plan(tiny_model, cache, int(tiny_tokens[10]), [1], 0.5)
-        assert len(cache.score_history[1]) == 11
+        assert len(cache.sorted_history[1]) == 11
         assert cache.n_tokens == 11
         cache.check()
 
@@ -511,10 +538,12 @@ class TestDecodeWithPlan:
         # at the plan layer is the one a prefill of the longer sequence sees
         crit = Criterion(stage=stage)
         t = 20
+        decoding, prefilling = AuditLog(), AuditLog()
         _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:t], [layer], 0.5, crit)
-        decode_step_with_plan(tiny_model, cache, int(tiny_tokens[t]), [layer], 0.5, crit)
-        _, _, full = forward_with_plan(tiny_model, tiny_tokens[:t + 1], [layer], 0.5, crit)
-        decoded, prefilled = cache.score_history[layer][-1], full.score_history[layer][-1]
+        decode_step_with_plan(tiny_model, cache, int(tiny_tokens[t]), [layer], 0.5, crit,
+                              audit=decoding)
+        forward_with_plan(tiny_model, tiny_tokens[:t + 1], [layer], 0.5, crit, audit=prefilling)
+        decoded, prefilled = decoding.rows[-1][3], prefilling.rows[-1][3]
         assert abs(decoded - prefilled) <= 1e-5
 
     def test_plan_layer_without_history_leaves_cache_unchanged(self, tiny_model, tiny_tokens):
@@ -524,7 +553,7 @@ class TestDecodeWithPlan:
             decode_step_with_plan(tiny_model, cache, int(tiny_tokens[10]), [2, 3], 0.5)
         assert [(k.shape[0], p.size) for k, p in zip(cache.keys, cache.positions)] == rows
         assert cache.n_tokens == 10
-        assert len(cache.score_history[2]) == 10
+        assert len(cache.sorted_history[2]) == 10
 
     def test_bad_plan_is_config_error(self, tiny_model, tiny_tokens):
         _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1, 2], 0.5)
@@ -651,9 +680,9 @@ class TestKVCacheCheck:
             for name in ("keys", "values", "positions"):
                 getattr(cache, name)[0] = getattr(cache, name)[0][:-1]
         elif breakage == "history_short":
-            cache.score_history[1].pop()
+            cache.sorted_history[1].pop()
         elif breakage == "sorted_stale":
-            cache.sorted_history[2][0] = -1.0
+            cache.sorted_history[2][-1] = -1.0
         else:
             del cache.sink_state[1]
         with pytest.raises(StateError):
