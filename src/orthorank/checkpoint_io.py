@@ -96,7 +96,11 @@ def required_tensors(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def save_checkpoint(dir_path, config: ModelConfig, weights: dict[str, np.ndarray]) -> Path:
-    """Write a checkpoint directory; tensors are laid out in canonical order."""
+    """Write a checkpoint directory; tensors are laid out in canonical order.
+
+    Every tensor is checked before any file is written, then each one is
+    written to ``weights.bin`` as it is, without a copy of the whole file.
+    """
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
 
@@ -111,7 +115,7 @@ def save_checkpoint(dir_path, config: ModelConfig, weights: dict[str, np.ndarray
 
     entries = []
     offset = 0
-    blob = bytearray()
+    arrays = []
     for name, shape in layout:
         arr = np.ascontiguousarray(weights[name], dtype=F32)
         if arr.shape != shape:
@@ -119,20 +123,22 @@ def save_checkpoint(dir_path, config: ModelConfig, weights: dict[str, np.ndarray
         entries.append(
             {"name": name, "dtype": "f32", "shape": list(shape), "byte_offset": offset}
         )
-        blob += arr.tobytes()
+        arrays.append(arr)
         offset += arr.nbytes
 
     (dir_path / "config.json").write_text(config.to_json())
     (dir_path / "manifest.json").write_text(json.dumps({"entries": entries}, indent=2))
-    (dir_path / "weights.bin").write_bytes(bytes(blob))
+    with open(dir_path / "weights.bin", "wb") as fh:
+        for arr in arrays:
+            fh.write(arr.data)
     return dir_path
 
 
-def load_checkpoint(dir_path, dtype=np.float32) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+def load_checkpoint(dir_path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Load and validate a checkpoint directory.
 
-    Returns the config and a name -> tensor map. ``dtype`` other than float32
-    upcasts after the bit-exact read (verification mode).
+    Returns the config and a name -> float32 tensor map. ``weights.bin`` is
+    read once into one writable buffer, and each tensor is a view into it.
     """
     dir_path = Path(dir_path)
     for fname in ("config.json", "manifest.json", "weights.bin"):
@@ -152,7 +158,9 @@ def load_checkpoint(dir_path, dtype=np.float32) -> tuple[ModelConfig, dict[str, 
         raise CheckpointError('manifest.json must contain an "entries" list')
 
     expected = dict(required_tensors(config))
-    blob = (dir_path / "weights.bin").read_bytes()
+    blob = bytearray((dir_path / "weights.bin").stat().st_size)
+    with open(dir_path / "weights.bin", "rb") as fh:
+        del blob[fh.readinto(blob):]  # a file that shrank since stat reads as truncated
 
     seen = {}
     prev_name, prev_end = None, 0
@@ -186,8 +194,7 @@ def load_checkpoint(dir_path, dtype=np.float32) -> tuple[ModelConfig, dict[str, 
                 f"file has {len(blob)}"
             )
         arr = np.frombuffer(blob, dtype=F32, count=int(np.prod(shape)), offset=offset)
-        arr = arr.reshape(shape).copy()
-        weights[name] = arr if dtype == np.float32 else arr.astype(dtype)
+        weights[name] = arr.reshape(shape)
         seen[name] = True
         prev_name, prev_end = name, end
 
@@ -198,9 +205,12 @@ def load_checkpoint(dir_path, dtype=np.float32) -> tuple[ModelConfig, dict[str, 
 
 
 def weights_sha256(dir_path) -> str:
-    """Hex digest of weights.bin; used as the model identity."""
-    blob = (Path(dir_path) / "weights.bin").read_bytes()
-    return hashlib.sha256(blob).hexdigest()
+    """Hex digest of weights.bin, read in chunks; used as the model identity."""
+    digest = hashlib.sha256()
+    with open(Path(dir_path) / "weights.bin", "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def generate_synthetic_model(config: ModelConfig, seed: int, out_dir) -> Path:

@@ -33,8 +33,8 @@ class Model:
     _unembed: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_checkpoint(cls, dir_path, dtype=np.float32) -> "Model":
-        config, weights = load_checkpoint(dir_path, dtype=dtype)
+    def from_checkpoint(cls, dir_path) -> "Model":
+        config, weights = load_checkpoint(dir_path)
         return cls(config, weights, weights_sha256(dir_path))
 
     @classmethod
@@ -70,7 +70,8 @@ class KVCache:
     ``sorted_history[o]``, their one score list: one score per processed
     token in ascending order, +inf for the sink, which decode ranks a new
     score against; and ``sink_state[o]``, the sink's row at the criterion's
-    stage (normalized or raw) that decode scores new tokens against.
+    stage (normalized or raw) that decode scores new tokens against. A step
+    commits only after its last layer, so a failed one leaves it unchanged.
     """
 
     keys: list[np.ndarray]
@@ -241,13 +242,6 @@ def embed_tokens(model: Model, token_ids) -> tuple[np.ndarray, np.ndarray]:
     return model.w("embed.weight")[tokens].copy(), tokens
 
 
-def check_cache(model: Model, cache: KVCache) -> None:
-    if cache.n_layers != model.config.n_layers:
-        raise StateError(
-            f"cache has {cache.n_layers} layers, model has {model.config.n_layers}"
-        )
-
-
 def forward_dense(
     model: Model,
     token_ids,
@@ -279,7 +273,6 @@ def decode_step_dense(model: Model, cache: KVCache, token_id: int) -> tuple[np.n
     """
     from .selection import DEFAULT_CRITERION, _run_layers
 
-    check_cache(model, cache)
     return _run_layers(model, [token_id], cache, {}, DEFAULT_CRITERION, True, None), cache
 
 

@@ -32,7 +32,6 @@ from .model_runtime import (
     KVCache,
     Model,
     block_forward,
-    check_cache,
     embed_tokens,
     lm_head_logits,
 )
@@ -184,20 +183,21 @@ class AuditLog:
 
 def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
                 ratio: float | None, criterion: Criterion, compute_kv_for_unselected: bool,
-                cache: KVCache | None, audit: AuditLog | None,
+                cache: KVCache, audit: AuditLog | None,
                 trace: HiddenTrace | None = None, capture_states: bool = True):
     """Run block ``layer`` in place on ``x``; selectively unless ``ratio`` is None.
 
     The attention RMSNorm is computed once and shared by the trace, the
-    scoring stage and the block. A step onto a non-empty ``cache`` decodes.
-    Prefill keeps the k = floor(p * T) rows with the lowest keys against
-    row 0 and caches the keys in ascending order as the layer's score list
-    and row 0 at the criterion's stage as its sink state; decode scores its
-    one row against that sink state and asks ``decode_select``. A
-    ``trace`` records the layer, its block input and normalized rows when
-    ``capture_states``, and the attention mass on key 0 when its
-    ``attn_to_sink`` is a list. Returns the selected rows and the block's
-    new key and value rows (None when a decode row stores nothing).
+    scoring stage and the block. A step past position 0 decodes. Prefill
+    keeps the k = floor(p * T) rows with the lowest keys against row 0 (a
+    non-finite key raises UsageError) and caches the keys in ascending order
+    as the layer's score list and row 0 at the criterion's stage as its sink
+    state; decode scores its one row against that sink state (StateError if
+    none) and asks ``decode_select``. A ``trace`` records the layer, its
+    block input and normalized rows when ``capture_states``, and the
+    attention mass on key 0 when its ``attn_to_sink`` is a list. Returns the
+    selected rows and the block's new key and value rows (None when a
+    decode row stores nothing).
     """
     xn = tc.rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), model.config.norm_eps)
     if trace is not None:
@@ -205,29 +205,31 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
         if capture_states:
             trace.hidden.append(x.copy())
             trace.normalized.append(xn)
-    decode = cache is not None and cache.n_tokens > 0
+    step = int(positions[0])  # 0 in a prefill, the new token's position in decode
     rows = np.arange(x.shape[0], dtype=np.int64)
     sel = rows
     if ratio is not None:
         stage = x if criterion.stage == "raw_hidden" else xn
-        if decode:
-            pos = int(positions[0])
-            keys = _score_keys(stage, cache.sink_state[layer], criterion, (criterion.seed, layer, pos))
+        if step:
+            sink = cache.sink_state.get(layer)
+            if sink is None:
+                raise StateError(f"layer {layer} has no sink state; prefill with the plan first")
+            keys = _score_keys(stage, sink, criterion, (criterion.seed, layer, step))
             if not decode_select(cache, layer, float(keys[0]), ratio):
                 sel = rows[:0]
         else:
             keys = selection_keys(stage, criterion, layer)
+            if not np.isfinite(keys[1:]).all():
+                raise UsageError(f"layer {layer} scores must be finite; its states are not")
             sel = select_topk(keys, ratio).selected
-            if cache is not None:
-                cache.sorted_history[layer] = sorted(keys.tolist())
-                cache.sink_state[layer] = stage[0].copy()
+            cache.sorted_history[layer] = sorted(keys.tolist())
+            cache.sink_state[layer] = stage[0].copy()
         if audit is not None:
-            step = int(positions[0]) if decode else 0
             chosen = np.isin(rows, sel)
             for i in rows:
                 audit.record(layer, step, int(positions[i]), keys[i], bool(chosen[i]))
     kv_rows = rows if compute_kv_for_unselected else sel
-    if decode and kv_rows.size == 0:  # unselected with KV off: the token skips the layer
+    if step and kv_rows.size == 0:  # unselected with KV off: the token skips the layer
         return sel, None, None
     capture_attn0 = trace is not None and trace.attn_to_sink is not None
     k_new, v_new, attn0 = block_forward(model, layer, x, positions, sel, kv_rows, xn,
@@ -242,25 +244,34 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     """Prefill ``token_ids`` into an empty ``cache``, or decode one token onto it; logits.
 
     The one layer loop: layers outside ``plan`` run dense, so the empty plan
-    is the dense forward pass and the dense decode step. ``resume=(s, x)``
-    starts a prefill at layer ``s`` from ``x``, the (T, d) input states of
-    that layer recorded by an earlier run (``x`` is not modified and
-    ``token_ids`` is not read). Layers below ``s`` neither run nor fill the
-    cache; from ``s`` on, the same ops run on the same rows as in a run
-    from the embeddings under any plan that agrees with ``plan`` below
-    ``s``, so the result is bitwise that run's. A trace with
+    is the dense forward pass and the dense decode step. It alone checks and
+    commits a step: a cache that does not fit the model raises StateError;
+    the layers run on staged copies of the cache's containers (arrays are
+    replaced, never written into), committed only after the last layer, so
+    a failed step leaves the cache as it was (its ``audit`` rows stay).
+    ``resume=(s, x)`` starts a prefill at layer ``s`` from ``x``, the (T, d)
+    input states of that layer recorded by an earlier run (``x`` is not
+    modified and ``token_ids`` is not read). Layers below ``s`` neither run
+    nor fill the cache; from ``s`` on, the same ops run on the same rows as
+    in a run from the embeddings under any plan that agrees with ``plan``
+    below ``s``, so the result is bitwise that run's. A trace with
     ``capture_states`` records the input state of every layer it passes.
     """
+    cfg = model.config
+    if [k.shape[1:] for k in cache.keys] != [(cfg.n_kv_heads, cfg.d_head)] * cfg.n_layers:
+        raise StateError(f"a cache of {cache.n_layers} layers does not fit {cfg}")
     if resume is None:
         first, (x, _) = 0, embed_tokens(model, token_ids)
     else:
         first, x = resume[0], resume[1].copy()
-    start = cache.n_tokens
-    positions = np.arange(start, start + x.shape[0], dtype=np.int64)
-    for layer in range(first, model.config.n_layers):
+    staged = KVCache(list(cache.keys), list(cache.values), list(cache.positions),
+                     dict(cache.sink_state), cache.n_tokens + x.shape[0],
+                     {l: list(ranked) for l, ranked in cache.sorted_history.items()})
+    positions = np.arange(cache.n_tokens, staged.n_tokens, dtype=np.int64)
+    for layer in range(first, cfg.n_layers):
         _layer_step(model, layer, x, positions, plan.get(layer), criterion,
-                    compute_kv_for_unselected, cache, audit, trace, capture_states)
-    cache.n_tokens += x.shape[0]
+                    compute_kv_for_unselected, staged, audit, trace, capture_states)
+    vars(cache).update(vars(staged))  # commit: the staged containers replace the cache's
     return lm_head_logits(model, x)
 
 
@@ -286,7 +297,7 @@ def forward_orthorank_layer(
     x_out = np.array(x, copy=True)
     positions = np.arange(x_out.shape[0], dtype=np.int64)
     sel, k_new, v_new = _layer_step(model, layer, x_out, positions, ratio, criterion,
-                                    compute_kv_for_unselected, None, audit)
+                                    compute_kv_for_unselected, KVCache.empty(model.config), audit)
     return x_out, k_new, v_new, SelectionMask(sel, sel.size)
 
 
@@ -361,17 +372,12 @@ def decode_step_with_plan(
     draws a per-token key from (seed, layer, position). The plan resolves
     as in ``forward_with_plan`` (no mapping form; ``LayerPlan()``'s empty
     plan is the dense step; a bad plan raises ConfigError). A plan layer
-    the prefill did not run selectively raises StateError before any layer
-    runs, leaving the cache as it was.
+    the prefill did not run selectively raises StateError. A failed step
+    leaves the cache as it was and its ``audit`` rows in the caller's log.
     """
-    check_cache(model, cache)
     plan = _plan_ratios(plan_layers, keep_ratio, model.config.n_layers)
-    missing = sorted(l for l in plan if l not in cache.sorted_history or l not in cache.sink_state)
-    if missing:
-        raise StateError(f"plan layers {missing} have no score list; prefill with the plan first")
-    logits = _run_layers(model, [token_id], cache, plan, criterion,
-                         compute_kv_for_unselected, audit)
-    return logits, cache
+    return _run_layers(model, [token_id], cache, plan, criterion,
+                       compute_kv_for_unselected, audit), cache
 
 
 def generate_greedy(

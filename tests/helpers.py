@@ -24,6 +24,16 @@ def blank_weights(config):
     return weights
 
 
+def make_random_model(config, seed=0):
+    """In-memory model drawn like ``generate_synthetic_model``'s, without a file."""
+    rng = np.random.default_rng(seed)
+    scale = np.float32(config.d_model ** -0.5)
+    weights = {name: np.ones(shape, dtype=np.float32) if name.endswith("gain")
+               else rng.standard_normal(shape, dtype=np.float32) * scale
+               for name, shape in required_tensors(config)}
+    return Model.from_weights(config, weights, model_id=f"random-{seed}")
+
+
 def make_uniform_model():
     """Zero lm_head on an untied model: logits are identically zero.
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -110,6 +111,30 @@ class TestCheckpointRoundTrip:
         weights["final_norm.gain"] = np.zeros(3, np.float32)
         with pytest.raises(CheckpointError, match="final_norm.gain"):
             save_checkpoint(tmp_path / "ck", tiny_config, weights)
+
+    def test_bad_tensor_writes_no_weights(self, tiny_config, tmp_path):
+        weights = helpers.blank_weights(tiny_config)
+        weights["final_norm.gain"] = np.zeros(3, np.float32)  # the last tensor written
+        with pytest.raises(CheckpointError):
+            save_checkpoint(tmp_path / "ck", tiny_config, weights)
+        assert not (tmp_path / "ck" / "weights.bin").exists()
+
+    def test_loaded_tensors_are_writable_float32(self, tiny_checkpoint):
+        _, first = load_checkpoint(tiny_checkpoint)
+        _, second = load_checkpoint(tiny_checkpoint)
+        for name, w in first.items():
+            assert w.dtype == np.float32 and w.flags.writeable, name
+        first["embed.weight"][0] += 1.0
+        assert not np.array_equal(first["embed.weight"], second["embed.weight"])
+
+    def test_weights_hash_spans_chunks(self, tmp_path):
+        # w_gate, w_up and w_down hold 1.5 MiB: more than one read chunk
+        config = ModelConfig(n_layers=1, d_model=64, n_heads=2, n_kv_heads=2,
+                             d_head=32, d_ffn=2048, vocab_size=10)
+        generate_synthetic_model(config, 0, tmp_path / "ck")
+        blob = (tmp_path / "ck" / "weights.bin").read_bytes()
+        assert len(blob) > 1 << 20
+        assert weights_sha256(tmp_path / "ck") == hashlib.sha256(blob).hexdigest()
 
 
 def _write_corrupt(base, mutate):

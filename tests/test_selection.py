@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,9 @@ from orthorank import (
     Criterion,
     DomainError,
     KVCache,
+    Model,
+    ModelConfig,
+    OrthoRankError,
     StateError,
     UsageError,
     cos_gradient,
@@ -24,10 +28,10 @@ from orthorank import (
 )
 from orthorank import selection, tensor_core
 from orthorank import LayerPlan
-from orthorank.selection import AuditLog, selection_keys
+from orthorank.selection import CRITERION_KINDS, STAGES, AuditLog, selection_keys
 
 import reference as ref
-from helpers import make_tokens
+from helpers import make_random_model, make_tokens
 
 
 def rand(shape, seed=0):
@@ -782,3 +786,133 @@ class TestPlanResolver:
     def test_generate_numpy_count(self, tiny_model):
         assert generate_greedy(tiny_model, [1, 2, 3], np.int64(2)) == \
             generate_greedy(tiny_model, [1, 2, 3], 2)
+
+
+NAN_TOKEN = 5
+
+
+def cache_bytes(cache):
+    """Every field of a cache as bytes, so NaN entries compare equal."""
+    return (cache.n_tokens,
+            [a.tobytes() for a in cache.keys + cache.values + cache.positions],
+            {l: s.tobytes() for l, s in cache.sink_state.items()},
+            {l: np.array(h).tobytes() for l, h in cache.sorted_history.items()})
+
+
+@pytest.fixture(scope="module")
+def nan_token_model(tiny_model):
+    """tiny_model untied, with token NAN_TOKEN's embedding all NaN.
+
+    Untied, so every other token's logits stay finite and compare exactly.
+    """
+    weights = {name: w.copy() for name, w in tiny_model.weights.items()}
+    weights["lm_head.weight"] = tiny_model.unembed.copy()
+    weights["embed.weight"][NAN_TOKEN] = np.nan
+    config = dataclasses.replace(tiny_model.config, tied_embeddings=False)
+    return Model.from_weights(config, weights, model_id="nan-token")
+
+
+def finite_tokens(n, vocab, seed=3):
+    tokens = make_tokens(4 * n, vocab, seed=seed)
+    return tokens[tokens != NAN_TOKEN][:n]
+
+
+class TestFailedStepLeavesCache:
+    """A step that raises at any layer leaves the cache byte-identical."""
+
+    @pytest.mark.parametrize("plan", [[3], [1, 3], [2, 3]])
+    @pytest.mark.parametrize("kv_on", [True, False])
+    def test_nan_token_at_later_plan_layer(self, nan_token_model, plan, kv_on):
+        tokens = finite_tokens(29, nan_token_model.config.vocab_size)
+        _, _, cache = forward_with_plan(nan_token_model, tokens[:28], plan, 0.5,
+                                        compute_kv_for_unselected=kv_on)
+        before = cache_bytes(cache)
+        with pytest.raises(UsageError):
+            decode_step_with_plan(nan_token_model, cache, NAN_TOKEN, plan, 0.5,
+                                  compute_kv_for_unselected=kv_on)
+        assert cache_bytes(cache) == before
+        cache.check()
+
+    @pytest.mark.parametrize("failure", ["nan_token", "unplanned_layer", "out_of_vocab"])
+    def test_next_step_equals_one_on_a_fresh_cache(self, nan_token_model, failure):
+        model = nan_token_model
+        tokens = finite_tokens(29, model.config.vocab_size)
+        _, _, failed = forward_with_plan(model, tokens[:28], [1, 3], 0.5)
+        _, _, fresh = forward_with_plan(model, tokens[:28], [1, 3], 0.5)
+        token, plan = {"nan_token": (NAN_TOKEN, [1, 3]), "unplanned_layer": (tokens[28], [1, 2, 3]),
+                       "out_of_vocab": (model.config.vocab_size, [1, 3])}[failure]
+        with pytest.raises(OrthoRankError):
+            decode_step_with_plan(model, failed, int(token), plan, 0.5)
+        got, _ = decode_step_with_plan(model, failed, int(tokens[28]), [1, 3], 0.5)
+        want, _ = decode_step_with_plan(model, fresh, int(tokens[28]), [1, 3], 0.5)
+        assert got.tobytes() == want.tobytes() and np.isfinite(got).all()
+        assert cache_bytes(failed) == cache_bytes(fresh)
+
+    @pytest.mark.parametrize("other", [{"n_layers": 2}, {"n_kv_heads": 4}])
+    @pytest.mark.parametrize("plan", [[], [1]])
+    def test_cache_from_another_model(self, tiny_model, other, plan):
+        model = make_random_model(dataclasses.replace(tiny_model.config, **other))
+        _, _, cache = forward_with_plan(model, [1, 2, 3], plan, 0.5)
+        before = cache_bytes(cache)
+        with pytest.raises(StateError):
+            decode_step_with_plan(tiny_model, cache, 4, plan, 0.5)
+        assert cache_bytes(cache) == before
+        cache.check()
+
+    def test_nonfinite_prefill_score_raises(self, tiny_model):
+        weights = {name: w.copy() for name, w in tiny_model.weights.items()}
+        weights["layers.2.ffn.w_down.weight"][0, 0] = np.nan
+        model = Model.from_weights(tiny_model.config, weights)
+        with pytest.raises(UsageError):
+            forward_with_plan(model, np.arange(20), [3], 0.5)
+        forward_with_plan(model, np.arange(20), [1], 0.5)[2].check()  # before the NaN: fine
+        forward_with_plan(model, np.arange(20), [], 1.0)  # dense layers do not score
+
+
+# Small models of every head layout; tied and untied.
+_FUZZ_CONFIGS = st.builds(
+    lambda n_layers, n_kv, group, d_head, d_ffn, vocab, tied: ModelConfig(
+        n_layers=n_layers, d_model=n_kv * group * d_head, n_heads=n_kv * group,
+        n_kv_heads=n_kv, d_head=d_head, d_ffn=d_ffn, vocab_size=vocab, tied_embeddings=tied),
+    st.integers(1, 3), st.integers(1, 2), st.integers(1, 2), st.sampled_from([2, 4]),
+    st.integers(2, 8), st.integers(2, 12), st.booleans(),
+)
+
+
+class TestStepFuzz:
+    """Prefill and decode with valid and failing steps interleaved, over small shapes."""
+
+    @given(config=_FUZZ_CONFIGS, seed=st.integers(0, 3), data=st.data(),
+           kind=st.sampled_from(CRITERION_KINDS), stage=st.sampled_from(STAGES),
+           kv_on=st.booleans(), prompt_len=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_only_orthorank_errors_and_cache_stays_consistent(
+            self, config, seed, data, kind, stage, kv_on, prompt_len):
+        model = make_random_model(config, seed)
+        n, vocab = config.n_layers, config.vocab_size
+        plan = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n), "plan")
+        ratio = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(0, 1), "ratio")
+        criterion = Criterion(kind, stage, seed=seed if kind == "random" else None)
+        tokens = make_tokens(prompt_len, vocab, seed=seed)
+        _, _, cache = forward_with_plan(model, tokens, plan, ratio, criterion, kv_on)
+        cache.check()
+        unplanned = [l for l in range(n) if l not in plan]
+        steps = st.integers(0, vocab - 1) | st.sampled_from(["out_of_vocab", "unplanned"])
+        for step in data.draw(st.lists(steps, max_size=5), "steps"):
+            token, step_plan = step, plan
+            if step == "out_of_vocab":
+                token = data.draw(st.sampled_from([-1, vocab]), "token")
+            elif step == "unplanned":
+                if not unplanned:
+                    continue
+                token, step_plan = 0, plan + [data.draw(st.sampled_from(unplanned), "layer")]
+            before = cache_bytes(cache)
+            try:
+                decode_step_with_plan(model, cache, token, step_plan, ratio, criterion, kv_on)
+            except OrthoRankError:
+                assert not isinstance(step, int), step
+                assert cache_bytes(cache) == before
+            else:
+                assert isinstance(step, int), step
+                assert cache.n_tokens == before[0] + 1
+            cache.check()
