@@ -12,6 +12,7 @@ Projection weights are stored as (in, out) matrices applied as ``y = x @ W``.
 
 import hashlib
 import json
+import mmap
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -138,8 +139,15 @@ def load_checkpoint(dir_path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Load and validate a checkpoint directory.
 
     Returns the config and a name -> float32 tensor map. ``weights.bin`` is
-    read once into one writable buffer, and each tensor is a view into it.
+    read once into one writable anonymous memory map, and each tensor is a
+    view into it.
     """
+    config, weights, _ = _read_checkpoint(dir_path)
+    return config, weights
+
+
+def _read_checkpoint(dir_path) -> tuple[ModelConfig, dict[str, np.ndarray], memoryview]:
+    """``load_checkpoint``'s config and tensors, plus the buffer of ``weights.bin`` they view."""
     dir_path = Path(dir_path)
     for fname in ("config.json", "manifest.json", "weights.bin"):
         if not (dir_path / fname).exists():
@@ -158,9 +166,13 @@ def load_checkpoint(dir_path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         raise CheckpointError('manifest.json must contain an "entries" list')
 
     expected = dict(required_tensors(config))
-    blob = bytearray((dir_path / "weights.bin").stat().st_size)
+    # An anonymous map, not a heap buffer: its pages go back to the system
+    # when the last tensor view is freed. A heap buffer of this size can stay
+    # resident after its model is gone, and repeated loads in one process
+    # then raised the peak RSS by a whole checkpoint.
+    buf = mmap.mmap(-1, max(1, (dir_path / "weights.bin").stat().st_size))
     with open(dir_path / "weights.bin", "rb") as fh:
-        del blob[fh.readinto(blob):]  # a file that shrank since stat reads as truncated
+        blob = memoryview(buf)[:fh.readinto(buf)]  # a file that shrank since stat reads as truncated
 
     seen = {}
     prev_name, prev_end = None, 0
@@ -201,11 +213,15 @@ def load_checkpoint(dir_path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     missing = set(expected) - set(seen)
     if missing:
         raise CheckpointError(f"checkpoint is missing required tensors: {sorted(missing)}")
-    return config, weights
+    return config, weights, blob
 
 
 def weights_sha256(dir_path) -> str:
-    """Hex digest of weights.bin, read in chunks; used as the model identity."""
+    """Hex digest of weights.bin, read in chunks; the model identity.
+
+    ``Model.from_checkpoint`` computes the same digest from the buffer it
+    loaded, without reading the file again.
+    """
     digest = hashlib.sha256()
     with open(Path(dir_path) / "weights.bin", "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

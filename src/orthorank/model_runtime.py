@@ -9,14 +9,16 @@ no selective layers, so full selection is bitwise identical to the dense
 pass by construction.
 """
 
+import hashlib
 from dataclasses import dataclass, field
 from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tensor_core as tc
 from .calibration import _is_number
-from .checkpoint_io import ModelConfig, load_checkpoint, weights_sha256
+from .checkpoint_io import ModelConfig, _read_checkpoint
 from .errors import StateError, UsageError
 from .trace import HiddenTrace
 
@@ -34,8 +36,9 @@ class Model:
 
     @classmethod
     def from_checkpoint(cls, dir_path) -> "Model":
-        config, weights = load_checkpoint(dir_path)
-        return cls(config, weights, weights_sha256(dir_path))
+        """Load a checkpoint; its id is ``weights_sha256`` of the bytes it read, hashed once."""
+        config, weights, blob = _read_checkpoint(dir_path)
+        return cls(config, weights, hashlib.sha256(blob).hexdigest())
 
     @classmethod
     def from_weights(cls, config, weights, model_id="in-memory") -> "Model":
@@ -59,56 +62,141 @@ class Model:
         return self._unembed
 
 
-@dataclass
+class KVArena(NamedTuple):
+    """One layer's preallocated KV buffers; a cache commits their first rows.
+
+    ``kt`` holds the keys transposed per KV group, (n_kv_heads, d_head,
+    capacity): the column layout the matmul kernel reads, so attention
+    scores a key prefix with no copy. ``va`` holds the values, (n_kv_heads,
+    capacity, d_head), whose row prefixes are C-contiguous; ``pos`` the
+    absolute positions, (capacity,). Rows past the committed count are
+    scratch that a step writes before it commits them.
+    """
+
+    kt: np.ndarray
+    va: np.ndarray
+    pos: np.ndarray
+
+    @classmethod
+    def allocate(cls, n_kv: int, d_head: int, rows: int, dtype) -> "KVArena":
+        """Zeroed buffers with room for ``rows`` rows plus a quarter, in whole column blocks."""
+        capacity = _capacity(rows)
+        return cls(np.zeros((n_kv, d_head, capacity), dtype),
+                   np.zeros((n_kv, capacity, d_head), dtype),
+                   np.zeros(capacity, np.int64))
+
+    @property
+    def capacity(self) -> int:
+        return self.pos.shape[0]
+
+    def grown(self, count: int, rows: int, dtype) -> "KVArena":
+        """A new arena with room for ``rows`` rows holding this one's first ``count``."""
+        n_kv, d_head, _ = self.kt.shape
+        arena = KVArena.allocate(n_kv, d_head, rows, dtype)
+        arena.kt[:, :, :count] = self.kt[:, :, :count]
+        arena.va[:, :count] = self.va[:, :count]
+        arena.pos[:count] = self.pos[:count]
+        return arena
+
+    def write(self, start: int, keys: np.ndarray, values: np.ndarray, positions) -> None:
+        """Store (t, n_kv_heads, d_head) ``keys``/``values`` and ``positions`` from row ``start``."""
+        end = start + len(positions)
+        self.kt[:, :, start:end] = keys.transpose(1, 2, 0)
+        self.va[:, start:end] = values.transpose(1, 0, 2)
+        self.pos[start:end] = positions
+
+
+def _capacity(rows: int) -> int:
+    # a quarter of headroom, not doubling: an arena moves once per rows/4
+    # appended tokens and never holds more than a quarter (and one column
+    # block) of unused rows
+    return tc._round_up(rows + rows // 4, tc._COL_ALIGN)
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
 class KVCache:
     """Per-layer keys/values plus the selection state of one sequence.
 
-    ``keys[l]``/``values[l]`` are (t_l, n_kv_heads, d_head); ``positions[l]``
-    holds the absolute positions with a KV entry at layer l. t_l equals the
+    Each layer is one ``KVArena`` and a committed row count, in ``layers``;
+    the arena is the only copy of the layer's KV. ``keys[l]``/``values[l]``
+    are read-only (t_l, n_kv_heads, d_head) views of layer l's committed
+    rows and ``positions[l]`` of their absolute positions. t_l equals the
     number of processed tokens except at layers run with KV computation for
-    unselected tokens disabled. Only layers run selectively have
-    ``sorted_history[o]``, their one score list: one score per processed
-    token in ascending order, +inf for the sink, which decode ranks a new
-    score against; and ``sink_state[o]``, the sink's row at the criterion's
-    stage (normalized or raw) that decode scores new tokens against. A step
-    commits only after its last layer, so a failed one leaves it unchanged.
+    unselected tokens disabled. A step writes its rows past the counts, into
+    a larger arena when they do not fit, and commits by replacing the
+    (arena, count) pairs, so committed rows never change. Building a cache
+    from arrays copies them into its own arenas: two caches never share a
+    buffer. Only layers run selectively have ``sorted_history[o]``, their
+    one score list: one score per processed token in ascending order, +inf
+    for the sink, which decode ranks a new score against; and
+    ``sink_state[o]``, the sink's row at the criterion's stage (normalized
+    or raw) that decode scores new tokens against. ``identity`` is the
+    (config, model_id) of the model that ran the cache's first step, None
+    before (also in a cache just built from arrays); every later step must
+    come from a model with the same identity.
+    A step commits only after its last layer, so a failed one leaves the
+    cache unchanged.
     """
 
-    keys: list[np.ndarray]
-    values: list[np.ndarray]
-    positions: list[np.ndarray]
-    sink_state: dict[int, np.ndarray] = field(default_factory=dict)
-    n_tokens: int = 0
-    sorted_history: dict[int, list[float]] = field(default_factory=dict)
+    def __init__(self, keys, values, positions, sink_state=None, n_tokens: int = 0,
+                 sorted_history=None):
+        if not len(keys) == len(values) == len(positions):
+            raise StateError(f"{len(keys)} key, {len(values)} value and {len(positions)} "
+                             "position layers are not one cache")
+        self.layers: list[tuple[KVArena, int]] = [
+            _arena_of(k, v, p) for k, v, p in zip(keys, values, positions)]
+        self.sink_state: dict[int, np.ndarray] = dict(sink_state or {})
+        self.n_tokens = n_tokens
+        self.sorted_history: dict[int, list[float]] = {
+            l: list(ranked) for l, ranked in (sorted_history or {}).items()}
+        self.identity: tuple[ModelConfig, str] | None = None
 
     @classmethod
     def empty(cls, config: ModelConfig) -> "KVCache":
         shape = (0, config.n_kv_heads, config.d_head)
-        return cls(
-            keys=[np.zeros(shape, dtype=tc.DEFAULT_DTYPE) for _ in range(config.n_layers)],
-            values=[np.zeros(shape, dtype=tc.DEFAULT_DTYPE) for _ in range(config.n_layers)],
-            positions=[np.zeros(0, dtype=np.int64) for _ in range(config.n_layers)],
-        )
+        zeros = [np.zeros(shape, dtype=tc.DEFAULT_DTYPE)] * config.n_layers
+        return cls(zeros, zeros, [np.zeros(0, dtype=np.int64)] * config.n_layers)
 
     @property
     def n_layers(self) -> int:
-        return len(self.keys)
+        return len(self.layers)
+
+    @property
+    def keys(self) -> list[np.ndarray]:
+        return [_read_only(a.kt[:, :, :n].transpose(2, 0, 1)) for a, n in self.layers]
+
+    @property
+    def values(self) -> list[np.ndarray]:
+        return [_read_only(a.va[:, :n].transpose(1, 0, 2)) for a, n in self.layers]
+
+    @property
+    def positions(self) -> list[np.ndarray]:
+        return [_read_only(a.pos[:n]) for a, n in self.layers]
 
     def check(self) -> None:
         """Raise StateError unless the cache is one consistent sequence.
 
-        Every layer holds as many key, value and position rows, at strictly
-        ascending positions below ``n_tokens``. A layer without a score
-        list ran dense, so with KV for every token: it holds ``n_tokens``
-        rows. A selective layer holds at most that many (fewer only with KV
-        for unselected tokens off), its sink state, and an ascending score
-        list with one score per token (checked in one pass, no sort).
+        Every layer's arena holds keys, values and positions of one
+        capacity, a whole number of kernel column blocks, at least its
+        committed row count; the committed positions ascend strictly below
+        ``n_tokens``. A layer without a score list ran dense, so with KV
+        for every token: it holds ``n_tokens`` rows. A selective layer
+        holds at most that many (fewer only with KV for unselected tokens
+        off), its sink state, and an ascending score list with one score
+        per token (checked in one pass, no sort).
         """
         n = self.n_tokens
-        for layer, (k, v, pos) in enumerate(zip(self.keys, self.values, self.positions)):
-            if not k.shape[0] == v.shape[0] == pos.size:
-                raise StateError(f"layer {layer} holds {k.shape[0]} keys, {v.shape[0]} values "
-                                 f"and {pos.size} positions")
+        for layer, ((kt, va, pos), rows) in enumerate(self.layers):
+            if (kt.ndim != 3 or va.shape != (kt.shape[0], kt.shape[2], kt.shape[1])
+                    or pos.shape != kt.shape[2:] or pos.size % tc._COL_ALIGN
+                    or not 0 <= rows <= pos.size):
+                raise StateError(f"layer {layer} arena of keys {kt.shape}, values {va.shape} "
+                                 f"and positions {pos.shape} cannot hold {rows} rows")
+            pos = pos[:rows]
             if np.any(np.diff(pos) <= 0) or (pos.size and not 0 <= pos[0] <= pos[-1] < n):
                 raise StateError(f"layer {layer} positions are not ascending below {n}")
             ranked = self.sorted_history.get(layer)
@@ -123,6 +211,18 @@ class KVCache:
                 raise StateError(f"layer {layer} lacks its sink state or ascending score list")
 
 
+def _arena_of(keys, values, positions) -> tuple[KVArena, int]:
+    """A new arena holding copies of one layer's KV rows, and their count."""
+    keys, values, positions = np.asarray(keys), np.asarray(values), np.asarray(positions)
+    if keys.ndim != 3 or values.shape != keys.shape or positions.shape != keys.shape[:1]:
+        raise StateError(f"a layer of keys {keys.shape}, values {values.shape} and "
+                         f"positions {positions.shape} is not one set of KV rows")
+    t, n_kv, d_head = keys.shape
+    arena = KVArena.allocate(n_kv, d_head, t, np.result_type(keys, values))
+    arena.write(0, keys, values, positions)
+    return arena, t
+
+
 def block_forward(
     model: Model,
     layer: int,
@@ -131,26 +231,30 @@ def block_forward(
     sel: np.ndarray,
     kv_rows: np.ndarray,
     xn: np.ndarray,
-    cache: KVCache | None = None,
+    cache: KVCache,
     capture_attn0: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Run decoder block ``layer`` in place on rows ``sel`` of ``x``.
 
     ``xn`` is the attention RMSNorm of every row of ``x``; keys and values
-    are computed for ``kv_rows`` (and appended to ``cache`` when given);
-    the query, attention, output projection, and FFN run only for
-    ``sel`` rows. Rows outside ``sel`` are left untouched, so they pass
-    through bitwise, and an empty ``sel`` returns right after the keys and
-    values.
+    are computed for ``kv_rows`` and written into ``cache``'s arena for the
+    layer past its committed rows (a larger arena, holding a copy of them,
+    replaces it in ``cache.layers`` when they do not fit); the layer's
+    count then covers them. The query, attention, output projection, and
+    FFN run only for ``sel`` rows. Rows outside ``sel`` are left untouched,
+    so they pass through bitwise, and an empty ``sel`` returns right after
+    the keys and values.
 
     Attention runs on blocks of ``ATTN_ROW_BLOCK`` selected rows (their
     positions ascend). A block reads only the key prefix up to its last
     row's position: every later key is masked in all of its rows. Within a
     block, the query heads of one GQA group share a score and a context
-    product while their stacked rows fit one matmul row block. Both cuts
-    are bitwise exact because the matmul kernel is invariant to the batch
-    rows, to truncated columns of ``b`` and to trailing zero K, and the
-    causal softmax to dropped masked columns.
+    product while their stacked rows fit one matmul row block. Scores read
+    the arena's transposed keys in place and contexts its value rows, so no
+    key or value is copied when d_head is a multiple of the kernel's column
+    block. All cuts are bitwise exact because the matmul kernel is
+    invariant to the batch rows, to truncated columns of ``b`` and to
+    trailing zero K, and the causal softmax to dropped masked columns.
 
     Returns the new key and value rows plus the per-``sel``-row
     mean-over-heads attention probability on key position 0 when
@@ -167,13 +271,13 @@ def block_forward(
     k_new = tc.rope_apply(k_new, kv_pos, cfg.rope_theta)
     v_new = tc.matmul(xk, w(f"{prefix}.attn.wv.weight")).reshape(len(kv_rows), n_kv, d_head)
 
-    if cache is None:
-        keys, values, key_pos = k_new, v_new, kv_pos
-    else:
-        keys = np.concatenate([cache.keys[layer], k_new])
-        values = np.concatenate([cache.values[layer], v_new])
-        key_pos = np.concatenate([cache.positions[layer], kv_pos])
-        cache.keys[layer], cache.values[layer], cache.positions[layer] = keys, values, key_pos
+    arena, count = cache.layers[layer]
+    end = count + len(kv_rows)
+    if end > arena.capacity:
+        arena = arena.grown(count, end, np.result_type(arena.kt, k_new))
+    arena.write(count, k_new, v_new, kv_pos)
+    cache.layers[layer] = (arena, end)
+    key_pos = arena.pos[:end]
 
     attn0 = np.zeros(len(sel), dtype=np.float64) if capture_attn0 else None
     if len(sel) == 0:
@@ -192,7 +296,6 @@ def block_forward(
         n = len(block_pos)
         # the block's key prefix: keys past its last query are masked in every row
         cut = int(np.searchsorted(key_pos, block_pos[-1], side="right"))
-        block_keys, block_values = keys[:cut], values[:cut]
         # heads per attention product: a whole GQA group, stacked head-major,
         # while its rows fit one matmul block; the kernel's row invariance
         # makes the stacked and the per-head products bit-identical
@@ -201,9 +304,9 @@ def block_forward(
         for h in range(0, n_heads, stack):
             g = h // group
             qh = q[rows, h:h + stack].transpose(1, 0, 2).reshape(stack * n, d_head)
-            scores = tc.matmul(qh, block_keys[:, g, :].T) * scale
+            scores = tc._matmul_cols(qh, arena.kt[g], cut) * scale
             probs = tc.softmax_causal(scores, stacked_pos, key_positions=key_pos[:cut])
-            ctx_h = tc.matmul(probs, block_values[:, g, :]).reshape(stack, n, d_head)
+            ctx_h = tc.matmul(probs, arena.va[g, :cut]).reshape(stack, n, d_head)
             ctx[rows, h:h + stack] = ctx_h.transpose(1, 0, 2)
             if attn0 is not None and key_pos[0] == 0:  # positions ascend: key 0 is column 0
                 for head_probs in probs[:, 0].reshape(stack, n):

@@ -17,6 +17,7 @@ criterion's stage (normalized or raw); decode scores its new row against
 the cached sink state, so both score a token the same way.
 """
 
+import copy
 import csv
 import math
 import numbers
@@ -245,28 +246,41 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
 
     The one layer loop: layers outside ``plan`` run dense, so the empty plan
     is the dense forward pass and the dense decode step. It alone checks and
-    commits a step: a cache that does not fit the model raises StateError;
-    the layers run on staged copies of the cache's containers (arrays are
-    replaced, never written into), committed only after the last layer, so
-    a failed step leaves the cache as it was (its ``audit`` rows stay).
-    ``resume=(s, x)`` starts a prefill at layer ``s`` from ``x``, the (T, d)
-    input states of that layer recorded by an earlier run (``x`` is not
-    modified and ``token_ids`` is not read). Layers below ``s`` neither run
-    nor fill the cache; from ``s`` on, the same ops run on the same rows as
-    in a run from the embeddings under any plan that agrees with ``plan``
-    below ``s``, so the result is bitwise that run's. A trace with
-    ``capture_states`` records the input state of every layer it passes.
+    commits a step. The cache's first step records the model's identity, its
+    (config, model_id), and needs arenas of the model's KV layout; every
+    later step needs that identity, else StateError before any layer runs.
+    Two in-memory models that share a config and an id pass as one. The
+    layers run on a staged copy of the cache's containers: its
+    (arena, count) pairs, which ``block_forward`` replaces after writing
+    past the counts, its sink states and score lists. They replace the
+    cache's only after the last layer, so a failed step leaves the cache's
+    committed rows, arenas and selection state as they were (its ``audit``
+    rows stay). ``resume=(s, x)`` starts a prefill at layer ``s`` from
+    ``x``, the (T, d) input states of that layer recorded by an earlier run
+    (``x`` is not modified and ``token_ids`` is not read). Layers below
+    ``s`` neither run nor fill the cache; from ``s`` on, the same ops run on
+    the same rows as in a run from the embeddings under any plan that agrees
+    with ``plan`` below ``s``, so the result is bitwise that run's. A trace
+    with ``capture_states`` records the input state of every layer it
+    passes.
     """
     cfg = model.config
-    if [k.shape[1:] for k in cache.keys] != [(cfg.n_kv_heads, cfg.d_head)] * cfg.n_layers:
-        raise StateError(f"a cache of {cache.n_layers} layers does not fit {cfg}")
+    identity = (cfg, model.model_id)
+    if cache.identity is None:
+        layout = [arena.kt.shape[:2] for arena, _ in cache.layers]
+        if layout != [(cfg.n_kv_heads, cfg.d_head)] * cfg.n_layers:
+            raise StateError(f"a cache of {cache.n_layers} layers does not fit {cfg}")
+    elif cache.identity != identity:
+        raise StateError(f"the cache holds model {cache.identity[1]!r} with {cache.identity[0]}; "
+                         f"it cannot step model {model.model_id!r} with {cfg}")
     if resume is None:
         first, (x, _) = 0, embed_tokens(model, token_ids)
     else:
         first, x = resume[0], resume[1].copy()
-    staged = KVCache(list(cache.keys), list(cache.values), list(cache.positions),
-                     dict(cache.sink_state), cache.n_tokens + x.shape[0],
-                     {l: list(ranked) for l, ranked in cache.sorted_history.items()})
+    staged = copy.copy(cache)
+    staged.layers, staged.sink_state = list(cache.layers), dict(cache.sink_state)
+    staged.sorted_history = {l: list(ranked) for l, ranked in cache.sorted_history.items()}
+    staged.n_tokens, staged.identity = cache.n_tokens + x.shape[0], identity
     positions = np.arange(cache.n_tokens, staged.n_tokens, dtype=np.int64)
     for layer in range(first, cfg.n_layers):
         _layer_step(model, layer, x, positions, plan.get(layer), criterion,

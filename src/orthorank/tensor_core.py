@@ -25,6 +25,13 @@ multiple of ``_COL_ALIGN``, and the inner dimension cut into
 ``_K_CHUNK``-wide chunks whose products are added in order. Each rule was
 found necessary on OpenBLAS 0.3.31; the invariance tests in
 ``tests/test_tensor_core.py`` are the gate on any other build.
+
+A caller that keeps ``b`` in that layout itself skips the copy through
+the private ``_matmul_cols(a, b, n)``: ``b`` has unit column stride and at
+least ``n`` columns rounded up to ``_COL_ALIGN``, and the result is
+``matmul(a, b[:, :n])`` bit for bit, whatever the columns past ``n`` hold
+(column truncation again). The KV cache stores each layer's keys this way,
+so attention reads a key prefix without copying it.
 """
 
 import math
@@ -75,23 +82,39 @@ def _round_up(n: int, multiple: int) -> int:
 
 def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` through BLAS on canonical padded blocks; checked 2-D operands."""
-    m, k = a.shape
-    n = b.shape[1]
+    k, n = b.shape
     dtype = np.result_type(a, b)
-    if m == 0 or n == 0:
-        return np.zeros((m, n), dtype)
-    m_pad, n_pad = _round_up(m, _ROW_ALIGN), _round_up(n, _COL_ALIGN)
-    # BLAS rounds a transposed b, or a with strided columns, differently from
-    # the row-major layout, so both are brought to it here.
-    if m_pad != m or a.dtype != dtype or a.strides[1] != a.itemsize:
-        padded = np.zeros((m_pad, k), dtype)
-        padded[:m] = a
-        a = padded
+    n_pad = _round_up(n, _COL_ALIGN)
+    # BLAS rounds a transposed b differently from the row-major layout, so
+    # b is brought to it here.
     if n_pad != n or b.dtype != dtype or not b.flags.c_contiguous:
         padded = np.zeros((k, n_pad), dtype)
         padded[:, :n] = b
         b = padded
-    out = np.empty((m_pad, n_pad), dtype)
+    return _matmul_cols(a, b, n)
+
+
+def _matmul_cols(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """``a @ b[:, :n]`` for a ``b`` already in the kernel's column layout.
+
+    ``b`` has the result dtype, unit column stride and at least
+    ``_round_up(n, _COL_ALIGN)`` columns; the columns past ``n`` may hold
+    anything, since they reach only discarded output columns. No copy of
+    ``b`` is made.
+    """
+    m, k = a.shape
+    dtype = np.result_type(a, b)
+    if m == 0 or n == 0:
+        return np.zeros((m, n), dtype)
+    m_pad = _round_up(m, _ROW_ALIGN)
+    b = b[:, :_round_up(n, _COL_ALIGN)]
+    # BLAS rounds a with strided columns differently from the row-major
+    # layout, so it is brought to it here.
+    if m_pad != m or a.dtype != dtype or a.strides[1] != a.itemsize:
+        padded = np.zeros((m_pad, k), dtype)
+        padded[:m] = a
+        a = padded
+    out = np.empty((m_pad, b.shape[1]), dtype)
     for r in range(0, m_pad, MATMUL_ROW_BLOCK):
         rows = a[r:r + MATMUL_ROW_BLOCK]
         block = out[r:r + MATMUL_ROW_BLOCK]

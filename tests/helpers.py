@@ -175,8 +175,9 @@ def full_width_block_forward(model, layer, x, positions, sel, kv_rows, xn, cache
 
     Every selected query row is scored against every key and the causal
     mask discards the later ones; no row blocks, no key prefixes, no GQA
-    stacking. Same signature, in-place update and returns as
-    ``block_forward``, which must match it bitwise.
+    stacking, no arena: the keys are the cache's rows followed by the new
+    ones, and the cache is read, not appended to. Same signature, in-place
+    update and returns as ``block_forward``, which must match it bitwise.
     """
     cfg = model.config
     n_heads, n_kv, d_head = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
@@ -193,7 +194,6 @@ def full_width_block_forward(model, layer, x, positions, sel, kv_rows, xn, cache
         keys = np.concatenate([cache.keys[layer], k_new])
         values = np.concatenate([cache.values[layer], v_new])
         key_pos = np.concatenate([cache.positions[layer], kv_pos])
-        cache.keys[layer], cache.values[layer], cache.positions[layer] = keys, values, key_pos
 
     attn0 = np.zeros(len(sel), dtype=np.float64) if capture_attn0 else None
     if len(sel) == 0:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -286,28 +288,26 @@ class TestBlockTruncatedAttention:
             "single": rows[t // 2:t // 2 + 1],
         }
         # queries after a prefilled cache, as in decode
-        if history:
-            prefilled = forward_dense(model, make_tokens(history, cfg.vocab_size))[2]
+        prefilled = (forward_dense(model, make_tokens(history, cfg.vocab_size))[2] if history
+                     else KVCache.empty(cfg))
         for pick, sel in picks.items():
             for kv_rows in (rows, sel):  # KV for every row, or only for sel (gaps)
                 got_x, want_x = x.copy(), x.copy()
-                got_cache = want_cache = None
-                if history:  # block_forward replaces a layer's arrays, never writes into them
-                    got_cache, want_cache = (KVCache(list(prefilled.keys), list(prefilled.values),
-                                                     list(prefilled.positions)) for _ in range(2))
+                # a cache built from another's arrays owns copies: prefilled stays as it is
+                got_cache = KVCache(prefilled.keys, prefilled.values, prefilled.positions)
                 got = block_forward(model, layer, got_x, positions, sel, kv_rows, xn,
                                     got_cache, capture_attn0=True)
                 want = helpers.full_width_block_forward(model, layer, want_x, positions, sel,
-                                                        kv_rows, xn, want_cache,
+                                                        kv_rows, xn, prefilled,
                                                         capture_attn0=True)
                 where = f"{pick} sel, {len(kv_rows)} kv rows"
                 assert np.array_equal(got_x, want_x), where
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b), where
-                if history:
-                    for name in ("keys", "values", "positions"):
-                        assert np.array_equal(getattr(got_cache, name)[layer],
-                                              getattr(want_cache, name)[layer]), where
+                appended = (want[0], want[1], positions[kv_rows])
+                for name, new in zip(("keys", "values", "positions"), appended):
+                    assert np.array_equal(getattr(got_cache, name)[layer], np.concatenate(
+                        [getattr(prefilled, name)[layer], new])), where
 
     def test_dense_softmax_entries_pinned(self, tiny_model, tiny_config, softmax_entries):
         # 4 layers x 4 heads x 256 rows x (256 + 512 + 768 + 1024) keys; the
@@ -316,11 +316,123 @@ class TestBlockTruncatedAttention:
         assert sum(softmax_entries) == 10_485_760
 
 
+def arenas(cache):
+    return [arena for arena, _ in cache.layers]
+
+
+def growth_bound(rows):
+    """The most a layer's arena may hold: a quarter over its rows, in 16-column blocks."""
+    return -(-(rows * 5 // 4) // 16) * 16
+
+
+class TestKVArena:
+    """Each layer's KV lives in one arena that decode appends to in place."""
+
+    def test_decode_within_capacity_keeps_the_arena(self, tiny_model, tiny_config):
+        tokens = make_tokens(60, tiny_config.vocab_size, seed=2)
+        _, _, cache = forward_dense(tiny_model, tokens[:20])
+        held, capacity = arenas(cache), cache.layers[0][0].capacity
+        for i, token in enumerate(tokens[20:], start=21):
+            decode_step_dense(tiny_model, cache, int(token))
+            if i <= capacity:
+                assert all(a is b for a, b in zip(arenas(cache), held)), i
+            else:  # the first step past capacity moves to a larger arena
+                assert not any(a is b for a, b in zip(arenas(cache), held))
+                break
+        else:
+            pytest.fail("decode never outgrew the prefill's arena")
+        want = forward_dense(tiny_model, tokens[:i])[2]
+        for name in ("keys", "values", "positions"):
+            for got_rows, want_rows in zip(getattr(cache, name), getattr(want, name)):
+                assert np.array_equal(got_rows, want_rows)
+
+    @pytest.mark.parametrize("t", [1, 17, 300])
+    @pytest.mark.parametrize("kv_on", [True, False])
+    def test_capacity_never_exceeds_growth_bound(self, tiny_model, tiny_config, t, kv_on):
+        tokens = make_tokens(t + 40, tiny_config.vocab_size, seed=t)
+        _, _, cache = forward_with_plan(tiny_model, tokens[:t], [1, 2], 0.333,
+                                        compute_kv_for_unselected=kv_on)
+        for token in [None, *tokens[t:]]:
+            if token is not None:
+                decode_step_with_plan(tiny_model, cache, int(token), [1, 2], 0.333,
+                                      compute_kv_for_unselected=kv_on)
+            for arena, rows in cache.layers:
+                assert rows <= arena.capacity <= growth_bound(rows), (rows, arena.capacity)
+
+    def test_committed_rows_are_read_only_views(self, tiny_model, tiny_tokens):
+        _, _, cache = forward_dense(tiny_model, tiny_tokens[:6])
+        views = (cache.keys[1], cache.values[1], cache.positions[1])
+        for rows, buffer in zip(views, cache.layers[1][0]):  # the arena's kt, va, pos
+            assert np.shares_memory(rows, buffer)
+            with pytest.raises(ValueError):
+                rows[0] = 0
+
+    @pytest.mark.parametrize("plan", [[], [1, 3]])
+    def test_caches_built_from_one_prefill_decode_independently(self, tiny_model, plan):
+        tokens = make_tokens(12, tiny_model.config.vocab_size, seed=4)
+        _, _, prefilled = forward_with_plan(tiny_model, tokens, plan, 0.5)
+        state = (prefilled.keys, prefilled.values, prefilled.positions, prefilled.sink_state,
+                 prefilled.n_tokens, prefilled.sorted_history)
+        forks = [KVCache(*state), KVCache(*state)]
+        for a, b in zip(arenas(forks[0]), arenas(forks[1]) + arenas(prefilled)):
+            assert not any(np.shares_memory(x, y) for x in a for y in b)
+        for fork, token in zip(forks, (5, 9)):
+            got, _ = decode_step_with_plan(tiny_model, fork, token, plan, 0.5)
+            want, want_cache = decode_step_with_plan(
+                tiny_model, forward_with_plan(tiny_model, tokens, plan, 0.5)[2], token, plan, 0.5)
+            assert np.array_equal(got, want)
+            for name in ("keys", "values", "positions"):
+                for got_rows, want_rows in zip(getattr(fork, name), getattr(want_cache, name)):
+                    assert np.array_equal(got_rows, want_rows)
+        assert prefilled.n_tokens == 12 and all(p.size == 12 for p in prefilled.positions)
+
+    def test_decode_attention_reads_the_arena_in_place(self, monkeypatch):
+        # d_head 16: the value rows are already in the kernel's column layout
+        model = helpers.make_random_model(ModelConfig(
+            n_layers=2, d_model=64, n_heads=4, n_kv_heads=2, d_head=16, d_ffn=64,
+            vocab_size=48))
+        _, _, cache = forward_dense(model, make_tokens(40, 48, seed=1))
+        seen = []
+        real = tensor_core._matmul_cols
+
+        def recording(a, b, n):
+            seen.append(b)
+            return real(a, b, n)
+
+        monkeypatch.setattr(tensor_core, "_matmul_cols", recording)
+        decode_step_dense(model, cache, 3)
+        buffers = [x for arena in arenas(cache) for x in (arena.kt, arena.va)]
+        in_place = [b for b in seen if any(np.shares_memory(b, x) for x in buffers)]
+        # one score and one context product per KV group and layer, none of them copied
+        assert len(in_place) == 2 * 2 * 2
+        # every other product reads a weight as it is, or sums softmax rows
+        weights = [b for b in seen if any(b is w for w in [*model.weights.values(), model.unembed])]
+        assert len(weights) + len(in_place) + 2 * 2 == len(seen)
+
+
 class TestModelIdentity:
     def test_from_checkpoint_id_is_weights_hash(self, tiny_checkpoint):
         from orthorank import weights_sha256
         model = Model.from_checkpoint(tiny_checkpoint)
         assert model.model_id == weights_sha256(tiny_checkpoint)
+
+    def test_from_checkpoint_reads_weights_once(self, tiny_config, tmp_path, monkeypatch):
+        # bytes past the last tensor belong to the file, so to the id as well
+        from orthorank import checkpoint_io, weights_sha256
+        generate_synthetic_model(tiny_config, 3, tmp_path)
+        with open(tmp_path / "weights.bin", "ab") as fh:
+            fh.write(b"tail")
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint_io, "open", counting_open, raising=False)
+        model = Model.from_checkpoint(tmp_path)
+        assert opened == ["weights.bin"]
+        monkeypatch.undo()
+        assert model.model_id == weights_sha256(tmp_path)
 
     def test_missing_weight_lookup(self, tiny_model):
         with pytest.raises(StateError):

@@ -670,19 +670,24 @@ class TestKVCacheCheck:
 
     @pytest.mark.parametrize("breakage", [
         "extra_token", "short_values", "positions_unsorted", "dense_layer_short",
-        "history_short", "sorted_stale", "sink_missing",
+        "count_past_capacity", "keys_misshaped", "history_short", "sorted_stale",
+        "sink_missing",
     ])
     def test_broken_invariant_raises(self, tiny_model, tiny_tokens, breakage):
         _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1, 2], 0.5)
+        arena, rows = cache.layers[1 if breakage != "positions_unsorted" else 2]
         if breakage == "extra_token":
             cache.n_tokens += 1
-        elif breakage == "short_values":
-            cache.values[1] = cache.values[1][:-1]
+        elif breakage == "short_values":  # values end before the layer's committed rows
+            cache.layers[1] = (arena._replace(va=arena.va[:, :rows - 1]), rows)
         elif breakage == "positions_unsorted":
-            cache.positions[2] = cache.positions[2][::-1].copy()
+            arena.pos[:rows] = arena.pos[:rows][::-1].copy()
         elif breakage == "dense_layer_short":
-            for name in ("keys", "values", "positions"):
-                getattr(cache, name)[0] = getattr(cache, name)[0][:-1]
+            cache.layers[0] = (cache.layers[0][0], cache.layers[0][1] - 1)
+        elif breakage == "count_past_capacity":
+            cache.layers[1] = (arena, arena.capacity + 1)
+        elif breakage == "keys_misshaped":
+            cache.layers[1] = (arena._replace(kt=arena.kt[:, :-1]), rows)
         elif breakage == "history_short":
             cache.sorted_history[1].pop()
         elif breakage == "sorted_stale":
@@ -833,6 +838,32 @@ class TestFailedStepLeavesCache:
         assert cache_bytes(cache) == before
         cache.check()
 
+    @pytest.mark.parametrize("kv_on", [True, False])
+    def test_failed_step_that_grew_arenas(self, nan_token_model, kv_on):
+        # fill the prefill's arenas, so the failing step must move to larger ones
+        model, plan = nan_token_model, [3]
+        tokens = finite_tokens(40, model.config.vocab_size)
+        _, _, cache = forward_with_plan(model, tokens[:24], plan, 0.5,
+                                        compute_kv_for_unselected=kv_on)
+        full = cache.layers[0][0].capacity
+        for token in tokens[24:24 + full - 24]:
+            decode_step_with_plan(model, cache, int(token), plan, 0.5,
+                                  compute_kv_for_unselected=kv_on)
+        assert cache.layers[0][1] == full  # a dense layer: one row per token
+        held = list(cache.layers)
+        buffers = [x.tobytes() for arena, _ in held for x in arena]
+        before = cache_bytes(cache)
+        with pytest.raises(UsageError):
+            decode_step_with_plan(model, cache, NAN_TOKEN, plan, 0.5,
+                                  compute_kv_for_unselected=kv_on)
+        assert all(a is b and m == n for (a, m), (b, n) in zip(cache.layers, held))
+        assert [x.tobytes() for arena, _ in cache.layers for x in arena] == buffers
+        assert cache_bytes(cache) == before
+        decode_step_with_plan(model, cache, int(tokens[-1]), plan, 0.5,
+                              compute_kv_for_unselected=kv_on)
+        assert cache.layers[0][0] is not held[0][0]  # the step did need to grow
+        cache.check()
+
     @pytest.mark.parametrize("failure", ["nan_token", "unplanned_layer", "out_of_vocab"])
     def test_next_step_equals_one_on_a_fresh_cache(self, nan_token_model, failure):
         model = nan_token_model
@@ -848,7 +879,10 @@ class TestFailedStepLeavesCache:
         assert got.tobytes() == want.tobytes() and np.isfinite(got).all()
         assert cache_bytes(failed) == cache_bytes(fresh)
 
-    @pytest.mark.parametrize("other", [{"n_layers": 2}, {"n_kv_heads": 4}])
+    # other layers; another KV layout; the same KV layout with other query
+    # heads; the same config with other weights
+    @pytest.mark.parametrize("other", [{"n_layers": 2}, {"n_kv_heads": 4},
+                                       {"n_heads": 8, "d_model": 64}, {}])
     @pytest.mark.parametrize("plan", [[], [1]])
     def test_cache_from_another_model(self, tiny_model, other, plan):
         model = make_random_model(dataclasses.replace(tiny_model.config, **other))
@@ -897,20 +931,31 @@ class TestStepFuzz:
         _, _, cache = forward_with_plan(model, tokens, plan, ratio, criterion, kv_on)
         cache.check()
         unplanned = [l for l in range(n) if l not in plan]
-        steps = st.integers(0, vocab - 1) | st.sampled_from(["out_of_vocab", "unplanned"])
+        # the same layers and KV layout, other query heads and model width
+        group = config.n_heads // config.n_kv_heads
+        other = make_random_model(dataclasses.replace(
+            config, n_heads=config.n_kv_heads * (3 - group),
+            d_model=config.n_kv_heads * (3 - group) * config.d_head), seed)
+        steps = st.integers(0, vocab - 1) | st.sampled_from(["out_of_vocab", "unplanned",
+                                                             "other_model"])
         for step in data.draw(st.lists(steps, max_size=5), "steps"):
-            token, step_plan = step, plan
+            token, step_plan, step_model = step, plan, model
             if step == "out_of_vocab":
                 token = data.draw(st.sampled_from([-1, vocab]), "token")
             elif step == "unplanned":
                 if not unplanned:
                     continue
                 token, step_plan = 0, plan + [data.draw(st.sampled_from(unplanned), "layer")]
+            elif step == "other_model":  # under a dense step and under the prefill's plan
+                token, step_model = 0, other
+                step_plan = data.draw(st.sampled_from([[], plan]), "other_plan")
             before = cache_bytes(cache)
             try:
-                decode_step_with_plan(model, cache, token, step_plan, ratio, criterion, kv_on)
-            except OrthoRankError:
+                decode_step_with_plan(step_model, cache, token, step_plan, ratio, criterion,
+                                      kv_on)
+            except OrthoRankError as exc:
                 assert not isinstance(step, int), step
+                assert isinstance(exc, StateError) or step != "other_model", exc
                 assert cache_bytes(cache) == before
             else:
                 assert isinstance(step, int), step

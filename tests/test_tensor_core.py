@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from orthorank import ConfigError, ShapeError
 from orthorank.tensor_core import (
+    _matmul_cols,
     as_f32,
     as_f64,
     attention_scale,
@@ -130,6 +131,28 @@ class TestMatmul:
         a_pad = np.concatenate([a, np.zeros((m, zeros), dtype)], axis=1)
         b_pad = np.concatenate([b, np.zeros((zeros, n), dtype)], axis=0)
         assert np.array_equal(matmul(a_pad, b_pad), full)
+
+
+    @given(m=st.integers(1, 129), k=st.one_of(st.integers(1, 64), st.integers(257, 600)),
+           n=st.integers(1, 200), spare=st.integers(0, 40), row_gap=st.integers(0, 20),
+           dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_column_layout_entry_property(self, m, k, n, spare, row_gap, dtype, data):
+        # b already in the kernel's layout, as the KV cache keeps keys: unit
+        # column stride, capacity >= n rounded up to 16 columns, any row
+        # stride, and anything past column n, NaN and inf included
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        capacity = -(-n // 16) * 16 + spare
+        a = rng.standard_normal((m, k)).astype(dtype)
+        rows = rng.standard_normal((k, capacity + row_gap)).astype(dtype)
+        junk = rng.choice(np.array([np.nan, np.inf, -np.inf, 1e30, 0.0], dtype),
+                          size=(k, capacity + row_gap - n))
+        rows[:, n:] = np.where(rng.random(junk.shape) < 0.5, junk, rows[:, n:])
+        b = rows[:, :capacity]
+        with np.errstate(invalid="ignore", over="ignore"):  # the junk columns' own products
+            got = _matmul_cols(a, b, n)
+        assert got.flags.c_contiguous and got.dtype == dtype
+        assert np.array_equal(got, matmul(a, b[:, :n]))
 
 
 class TestRmsNorm:
