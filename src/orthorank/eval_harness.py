@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calibration import LayerPlan, _is_number, _plan_ratios, corpus_sha256, flop_count
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 from .model_runtime import KVCache, Model
 from .selection import DEFAULT_CRITERION, AuditLog, Criterion, _run_layers, forward_with_plan
 from .trace import HiddenTrace
@@ -78,6 +78,19 @@ def _corpus_chunks(corpus_tokens, context_len: int) -> tuple[np.ndarray, np.ndar
     return tokens, tokens[:n_chunks * context_len].reshape(n_chunks, context_len)
 
 
+def _resolve_plan(model: Model, plan: LayerPlan) -> dict[int, float]:
+    """``plan`` as ``{layer: keep ratio}`` on ``model``: the one check of a plan against a model.
+
+    Its layers must exist in the model, and a plan made for another model,
+    one whose ``model_id`` is neither ``"unknown"`` nor the model's, raises
+    ConfigError.
+    """
+    if plan.model_id not in ("unknown", model.model_id):
+        raise ConfigError(f"the plan was made for model {plan.model_id!r}, "
+                          f"not for model {model.model_id!r}")
+    return _plan_ratios(plan.layers, plan.keep_ratio, model.config.n_layers)
+
+
 def _eval_chunks(model, chunks, plan, criterion=DEFAULT_CRITERION,
                  compute_kv_for_unselected=True, audit=None, resume=None, record=False):
     """NLL total of every chunk under ``plan``, and the states it passed.
@@ -89,11 +102,12 @@ def _eval_chunks(model, chunks, plan, criterion=DEFAULT_CRITERION,
     ``s``, which makes the result bitwise that of a run from the embeddings.
     With ``record`` the second return value holds, per chunk, the input
     state of every layer the chunk ran (from 0, or from ``s``); else None.
-    An audit log records the chunk index as the step.
+    An audit log records the chunk index as the step. The plan is checked
+    against the model first (``_resolve_plan``).
     """
+    ratio_map = _resolve_plan(model, plan)
     if resume is not None:
         first, starts = resume
-        ratio_map = _plan_ratios(plan.layers, plan.keep_ratio, model.config.n_layers)
     nlls, inputs = [], [] if record else None
     for c, chunk in enumerate(chunks):
         chunk_audit = AuditLog() if audit is not None else None

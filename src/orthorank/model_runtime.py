@@ -22,7 +22,8 @@ from .checkpoint_io import ModelConfig, _read_checkpoint
 from .errors import StateError, UsageError
 from .trace import HiddenTrace
 
-ATTN_ROW_BLOCK = 256  # query rows per attention block; each reads only its key prefix
+ATTN_ROW_BLOCK = 256  # most query rows per attention block; each reads only its key prefix
+SCORE_BUDGET = 1 << 18  # most score entries of one attention block, all heads together
 
 
 @dataclass
@@ -113,11 +114,6 @@ def _capacity(rows: int) -> int:
     return tc._round_up(rows + rows // 4, tc._COL_ALIGN)
 
 
-def _read_only(view: np.ndarray) -> np.ndarray:
-    view.flags.writeable = False
-    return view
-
-
 class KVCache:
     """Per-layer keys/values plus the selection state of one sequence.
 
@@ -167,15 +163,15 @@ class KVCache:
 
     @property
     def keys(self) -> list[np.ndarray]:
-        return [_read_only(a.kt[:, :, :n].transpose(2, 0, 1)) for a, n in self.layers]
+        return [tc._read_only(a.kt[:, :, :n].transpose(2, 0, 1)) for a, n in self.layers]
 
     @property
     def values(self) -> list[np.ndarray]:
-        return [_read_only(a.va[:, :n].transpose(1, 0, 2)) for a, n in self.layers]
+        return [tc._read_only(a.va[:, :n].transpose(1, 0, 2)) for a, n in self.layers]
 
     @property
     def positions(self) -> list[np.ndarray]:
-        return [_read_only(a.pos[:n]) for a, n in self.layers]
+        return [tc._read_only(a.pos[:n]) for a, n in self.layers]
 
     def check(self) -> None:
         """Raise StateError unless the cache is one consistent sequence.
@@ -245,16 +241,21 @@ def block_forward(
     so they pass through bitwise, and an empty ``sel`` returns right after
     the keys and values.
 
-    Attention runs on blocks of ``ATTN_ROW_BLOCK`` selected rows (their
-    positions ascend). A block reads only the key prefix up to its last
-    row's position: every later key is masked in all of its rows. Within a
-    block, the query heads of one GQA group share a score and a context
-    product while their stacked rows fit one matmul row block. Scores read
-    the arena's transposed keys in place and contexts its value rows, so no
-    key or value is copied when d_head is a multiple of the kernel's column
-    block. All cuts are bitwise exact because the matmul kernel is
-    invariant to the batch rows, to truncated columns of ``b`` and to
-    trailing zero K, and the causal softmax to dropped masked columns.
+    Attention runs on blocks of selected rows (their positions ascend), all
+    heads at once: one stacked score product, one softmax and one context
+    product per block, with no loop over heads. A block reads only the key
+    prefix up to its last row's position: every later key is masked in all
+    of its rows. Its rows are at most ``ATTN_ROW_BLOCK``, in whole kernel
+    row groups, and so few that every head's scores together hold at most
+    ``SCORE_BUDGET`` entries (a block of one row may hold more), which
+    bounds the working set; a block's scores are freed before the next
+    block's are made. The heads of one GQA group broadcast against their
+    group's keys: scores read the arena's transposed keys in place and
+    contexts its value rows, so no key or value is copied when d_head is a
+    multiple of the kernel's column block. All cuts are bitwise exact
+    because the matmul kernel is invariant to the batch rows and the stack
+    around a matrix, to truncated columns of ``b`` and to trailing zero K,
+    and the causal softmax to dropped masked columns.
 
     Returns the new key and value rows plus the per-``sel``-row
     mean-over-heads attention probability on key position 0 when
@@ -289,38 +290,44 @@ def block_forward(
 
     scale = tc.attention_scale(d_head)
     group = n_heads // n_kv
+    # head-major views, (n_kv, group, rows, d_head): query head g * group + j
+    # reads KV group g, and the context rows land in ctx
+    heads = q.transpose(1, 0, 2).reshape(n_kv, group, len(sel), d_head)
     ctx = np.empty((len(sel), n_heads, d_head), dtype=x.dtype)
-    for r in range(0, len(sel), ATTN_ROW_BLOCK):
-        rows = slice(r, r + ATTN_ROW_BLOCK)
+    heads_ctx = ctx.transpose(1, 0, 2).reshape(n_kv, group, len(sel), d_head)
+    r = 0
+    while r < len(sel):
+        # as many rows as keep every head's scores over the key prefix of
+        # the next ATTN_ROW_BLOCK rows within SCORE_BUDGET, in whole kernel
+        # row groups; a lone row may exceed it
+        ahead = int(np.searchsorted(key_pos, q_pos[min(r + ATTN_ROW_BLOCK, len(sel)) - 1],
+                                    side="right"))
+        n = SCORE_BUDGET // (n_heads * ahead)
+        n = min(ATTN_ROW_BLOCK, n - n % tc._ROW_ALIGN if n >= tc._ROW_ALIGN else max(n, 1))
+        rows = slice(r, r + n)
         block_pos = q_pos[rows]
-        n = len(block_pos)
         # the block's key prefix: keys past its last query are masked in every row
         cut = int(np.searchsorted(key_pos, block_pos[-1], side="right"))
-        # heads per attention product: a whole GQA group, stacked head-major,
-        # while its rows fit one matmul block; the kernel's row invariance
-        # makes the stacked and the per-head products bit-identical
-        stack = group if n * group <= tc.MATMUL_ROW_BLOCK else 1
-        stacked_pos = np.tile(block_pos, stack)
-        for h in range(0, n_heads, stack):
-            g = h // group
-            qh = q[rows, h:h + stack].transpose(1, 0, 2).reshape(stack * n, d_head)
-            scores = tc._matmul_cols(qh, arena.kt[g], cut) * scale
-            probs = tc.softmax_causal(scores, stacked_pos, key_positions=key_pos[:cut])
-            ctx_h = tc.matmul(probs, arena.va[g, :cut]).reshape(stack, n, d_head)
-            ctx[rows, h:h + stack] = ctx_h.transpose(1, 0, 2)
-            if attn0 is not None and key_pos[0] == 0:  # positions ascend: key 0 is column 0
-                for head_probs in probs[:, 0].reshape(stack, n):
-                    attn0[rows] += head_probs
+        scores = tc._matmul_cols(heads[:, :, rows], arena.kt[:, None], cut)
+        scores *= scale
+        probs = tc._softmax_in_place(scores, block_pos, key_pos[:cut])
+        heads_ctx[:, :, rows] = tc._blocked_matmul(probs, arena.va[:, None, :cut])
+        if attn0 is not None and key_pos[0] == 0:  # positions ascend: key 0 is column 0
+            # heads added in order, as one at a time would
+            attn0[rows] = np.cumsum(probs[..., 0].reshape(n_heads, -1), axis=0,
+                                    dtype=np.float64)[-1]
+        del scores, probs  # this block's scores go before the next block's
+        r += n
     if attn0 is not None:
         attn0 /= n_heads
 
-    attn_out = tc.matmul(ctx.reshape(len(sel), n_heads * d_head), w(f"{prefix}.attn.wo.weight"))
-    x[sel] = x[sel] + attn_out
-
-    xn2 = tc.rms_norm(x[sel], w(f"{prefix}.ffn_norm.gain"), cfg.norm_eps)
-    gate = tc.silu(tc.matmul(xn2, w(f"{prefix}.ffn.w_gate.weight")))
-    hidden = gate * tc.matmul(xn2, w(f"{prefix}.ffn.w_up.weight"))
-    x[sel] = x[sel] + tc.matmul(hidden, w(f"{prefix}.ffn.w_down.weight"))
+    x_sel = x[sel]
+    x_sel += tc.matmul(ctx.reshape(len(sel), n_heads * d_head), w(f"{prefix}.attn.wo.weight"))
+    xn2 = tc.rms_norm(x_sel, w(f"{prefix}.ffn_norm.gain"), cfg.norm_eps)
+    hidden = tc.silu(tc.matmul(xn2, w(f"{prefix}.ffn.w_gate.weight")))
+    hidden *= tc.matmul(xn2, w(f"{prefix}.ffn.w_up.weight"))
+    x_sel += tc.matmul(hidden, w(f"{prefix}.ffn.w_down.weight"))
+    x[sel] = x_sel
     return k_new, v_new, attn0
 
 

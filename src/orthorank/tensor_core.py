@@ -1,10 +1,10 @@
 """Dense linear-algebra and transformer kernel primitives.
 
 Tensors are plain C-contiguous numpy arrays, float32 by default. Every
-operation here is a pure function, preserves the dtype of its inputs, and
-is deterministic for a fixed process environment: calling the same op twice
-on the same data yields bit-identical results, which the test suite relies
-on. Verification code passes float64 arrays through the same functions to
+public operation here is a pure function, preserves the dtype of its
+inputs, and is deterministic for a fixed process environment: calling the
+same op twice on the same data yields bit-identical results, which the
+test suite relies on. Verification code passes float64 arrays through the same functions to
 get the extra precision (see ``as_f64``).
 
 Matrix products run on BLAS through one padded-block kernel whose output
@@ -20,18 +20,32 @@ equal those of the full-width product bit for bit.
 BLAS libraries pick different code paths by operand shape and layout, so
 the kernel hands BLAS only canonical shapes: rows of ``a`` padded to a
 multiple of ``_ROW_ALIGN`` and cut into blocks of at most
-``MATMUL_ROW_BLOCK`` rows, ``b`` C-contiguous with its columns padded to a
+``MATMUL_ROW_BLOCK`` rows, ``b`` row-major with its columns padded to a
 multiple of ``_COL_ALIGN``, and the inner dimension cut into
 ``_K_CHUNK``-wide chunks whose products are added in order. Each rule was
 found necessary on OpenBLAS 0.3.31; the invariance tests in
 ``tests/test_tensor_core.py`` are the gate on any other build.
 
-A caller that keeps ``b`` in that layout itself skips the copy through
-the private ``_matmul_cols(a, b, n)``: ``b`` has unit column stride and at
+The kernel is ``_matmul_cols(a, b, n)``: it takes stacked operands,
+(..., m, k) by (..., k, c), broadcasts their leading axes, and makes one
+``np.matmul`` call per (row block, K chunk) for the whole stack, which
+hands BLAS every matrix in the same canonical shapes as a 2-D product, so
+each equals its 2-D product bit for bit. ``matmul`` is its checked 2-D
+case, and ``_blocked_matmul`` brings any ``b`` to its layout first. A caller that keeps ``b`` in that layout
+itself skips the copy: each matrix of ``b`` has unit column stride and at
 least ``n`` columns rounded up to ``_COL_ALIGN``, and the result is
-``matmul(a, b[:, :n])`` bit for bit, whatever the columns past ``n`` hold
-(column truncation again). The KV cache stores each layer's keys this way,
-so attention reads a key prefix without copying it.
+``a @ b[..., :n]``, whatever the columns past ``n`` hold (column
+truncation again). The KV cache stores each layer's keys this way, so
+attention scores all heads of a row block against a key prefix in one
+call, with no per-head loop and no copy of a key.
+
+The causal softmax likewise has one implementation, ``_softmax_in_place``:
+stacked (..., rows, keys) scores that share their query and key positions,
+one mask per block, overwritten in place with row sums taken as rows of one
+shared ones table. ``softmax_causal`` is its 2-D public call, into a new
+array. ``rope_apply`` reads cos and sin from a table per (theta, d_head,
+dtype). Shared tables are read-only and grow by replacement, so threads
+may call these functions concurrently.
 """
 
 import math
@@ -81,47 +95,51 @@ def _round_up(n: int, multiple: int) -> int:
 
 
 def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` through BLAS on canonical padded blocks; checked 2-D operands."""
-    k, n = b.shape
+    """``a @ b`` through the kernel for any ``b``; checked, possibly stacked operands."""
+    n = b.shape[-1]
     dtype = np.result_type(a, b)
-    n_pad = _round_up(n, _COL_ALIGN)
     # BLAS rounds a transposed b differently from the row-major layout, so
-    # b is brought to it here.
-    if n_pad != n or b.dtype != dtype or not b.flags.c_contiguous:
-        padded = np.zeros((k, n_pad), dtype)
-        padded[:, :n] = b
+    # each matrix of b is brought to it here.
+    if (n % _COL_ALIGN or b.dtype != dtype
+            or b.strides[-2:] != (n * b.itemsize, b.itemsize)):
+        padded = np.zeros(b.shape[:-1] + (_round_up(n, _COL_ALIGN),), dtype)
+        padded[..., :n] = b
         b = padded
     return _matmul_cols(a, b, n)
 
 
 def _matmul_cols(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """``a @ b[:, :n]`` for a ``b`` already in the kernel's column layout.
+    """``a @ b[..., :n]`` for a ``b`` already in the kernel's column layout.
 
-    ``b`` has the result dtype, unit column stride and at least
-    ``_round_up(n, _COL_ALIGN)`` columns; the columns past ``n`` may hold
-    anything, since they reach only discarded output columns. No copy of
-    ``b`` is made.
+    ``a`` is (..., m, k) and ``b`` (..., k, c); their leading axes
+    broadcast, and every matrix of the result is the 2-D product of its
+    own operands bit for bit. Each matrix of ``b`` has the result dtype,
+    unit column stride and ``c >= _round_up(n, _COL_ALIGN)`` columns; the
+    columns past ``n`` may hold anything, since they reach only discarded
+    output columns. No copy of ``b`` is made, and one ``np.matmul`` call
+    per (row block, K chunk) serves the whole stack.
     """
-    m, k = a.shape
+    m, k = a.shape[-2:]
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     dtype = np.result_type(a, b)
     if m == 0 or n == 0:
-        return np.zeros((m, n), dtype)
+        return np.zeros(lead + (m, n), dtype)
     m_pad = _round_up(m, _ROW_ALIGN)
-    b = b[:, :_round_up(n, _COL_ALIGN)]
+    b = b[..., :_round_up(n, _COL_ALIGN)]
     # BLAS rounds a with strided columns differently from the row-major
     # layout, so it is brought to it here.
-    if m_pad != m or a.dtype != dtype or a.strides[1] != a.itemsize:
-        padded = np.zeros((m_pad, k), dtype)
-        padded[:m] = a
+    if m_pad != m or a.dtype != dtype or a.strides[-1] != a.itemsize:
+        padded = np.zeros(a.shape[:-2] + (m_pad, k), dtype)
+        padded[..., :m, :] = a
         a = padded
-    out = np.empty((m_pad, b.shape[1]), dtype)
+    out = np.empty(lead + (m_pad, b.shape[-1]), dtype)
     for r in range(0, m_pad, MATMUL_ROW_BLOCK):
-        rows = a[r:r + MATMUL_ROW_BLOCK]
-        block = out[r:r + MATMUL_ROW_BLOCK]
-        np.matmul(rows[:, :_K_CHUNK], b[:_K_CHUNK], out=block)
+        rows = a[..., r:r + MATMUL_ROW_BLOCK, :]
+        block = out[..., r:r + MATMUL_ROW_BLOCK, :]
+        np.matmul(rows[..., :_K_CHUNK], b[..., :_K_CHUNK, :], out=block)
         for c in range(_K_CHUNK, k, _K_CHUNK):
-            block += np.matmul(rows[:, c:c + _K_CHUNK], b[c:c + _K_CHUNK])
-    return np.ascontiguousarray(out[:m, :n])
+            block += np.matmul(rows[..., c:c + _K_CHUNK], b[..., c:c + _K_CHUNK, :])
+    return np.ascontiguousarray(out[..., :m, :n])
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -145,7 +163,7 @@ def softmax_causal(
     row_offsets,
     key_positions=None,
 ) -> np.ndarray:
-    """Row-wise softmax with causal masking.
+    """Row-wise softmax with causal masking, into a new array.
 
     ``row_offsets[r]`` is the absolute position of query row r; entries whose
     key position exceeds it are masked to exactly 0. Key positions default to
@@ -156,7 +174,8 @@ def softmax_causal(
     smallest query position; for a row block over its key prefix that is
     the block's diagonal. A row's output does not depend on other rows, and
     dropping trailing masked columns leaves its other entries bit-identical
-    (the row sums run through the row-invariant kernel).
+    (the row sums run through the row-invariant kernel). The stacked form,
+    which attention uses, is ``_softmax_in_place``.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
@@ -172,25 +191,73 @@ def softmax_causal(
         k_pos = np.asarray(key_positions, dtype=np.int64)
         if k_pos.shape != (scores.shape[1],):
             raise ShapeError(f"key_positions length {k_pos.shape} != key count {scores.shape[1]}")
+    return _softmax_in_place(scores.astype(np.result_type(scores, -np.inf), copy=True),
+                             q_pos, k_pos)
 
-    masked = scores.astype(np.result_type(scores, -np.inf), copy=True)
+
+def _softmax_in_place(scores: np.ndarray, q_pos: np.ndarray, k_pos: np.ndarray) -> np.ndarray:
+    """``softmax_causal`` of every matrix of stacked (..., rows, keys) float ``scores``.
+
+    All matrices share the checked int64 query positions ``q_pos`` (rows,)
+    and key positions ``k_pos`` (keys,), so the mask is built once. The
+    softmax overwrites ``scores``, which it returns; each matrix equals
+    the 2-D call on it bit for bit.
+    """
     # no row masks a column at or before the smallest query position
     past = np.flatnonzero(k_pos > q_pos.min()) if q_pos.size else ()
     if len(past):
         lo = past[0]
-        np.copyto(masked[:, lo:], -np.inf, where=k_pos[lo:] > q_pos[:, None])
+        np.copyto(scores[..., lo:], -np.inf, where=k_pos[lo:] > q_pos[:, None])
     # Every row admits at least one key (its own position), so the max is
     # finite; the initial value only serves an empty batch of rows.
-    row_max = np.max(masked, axis=1, keepdims=True, initial=-np.inf)
-    exp = np.exp(masked - row_max)
+    scores -= np.max(scores, axis=-1, keepdims=True, initial=-np.inf)
+    np.exp(scores, out=scores)
     # Row sums as a product with a ones column through the row-invariant
     # kernel: masked columns add exact zeros, so a row's denominator does
     # not change when they are appended or when other rows join the batch.
     # np.sum and einsum group their partial sums by row length and would
     # break bitwise causality.
-    ones = np.ones((exp.shape[1], _COL_ALIGN), dtype=exp.dtype)
-    denom = _blocked_matmul(exp, ones)[:, 0]
-    return exp / denom[:, np.newaxis]
+    scores /= _matmul_cols(scores, _ones_rows(scores.shape[-1], scores.dtype), 1)
+    return scores
+
+
+# Shared read-only tables, replaced (never written) when they grow, so
+# threads may read them while another thread grows one.
+_ONES: dict[np.dtype, np.ndarray] = {}
+_ROPE: dict[tuple[float, int, np.dtype], tuple[np.ndarray, np.ndarray]] = {}
+_ROPE_ROWS = 1024  # positions in a rope table's first size
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _ones_rows(k: int, dtype) -> np.ndarray:
+    """A (k, _COL_ALIGN) block of ones in the kernel's column layout: rows of one table."""
+    table = _ONES.get(dtype)
+    if table is None or len(table) < k:
+        grown = max(k, 2 * len(table) if table is not None else 0)
+        table = _ONES[dtype] = _read_only(np.ones((grown, _COL_ALIGN), dtype))
+    return table[:k]
+
+
+def _rope_table(theta_base: float, d_head: int, dtype, rows: int):
+    """Full-width cos and signed sin tables, (>= rows, d_head) in ``dtype``.
+
+    Row p holds [cos, cos] and [-sin, sin] of the angles
+    p * theta_base**(-2j/d_head), j < d_head/2, taken in float64.
+    """
+    key = (theta_base, d_head, dtype)
+    table = _ROPE.get(key)
+    if table is None or len(table[0]) < rows:
+        grown = max(rows, 2 * len(table[0]) if table is not None else _ROPE_ROWS)
+        inv_freq = theta_base ** (-2.0 * np.arange(d_head // 2, dtype=np.float64) / d_head)
+        angles = np.arange(grown, dtype=np.float64)[:, None] * inv_freq[None, :]
+        cos, sin = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+        table = _ROPE[key] = (_read_only(np.concatenate([cos, cos], axis=1)),
+                              _read_only(np.concatenate([-sin, sin], axis=1)))
+    return table
 
 
 def rope_apply(x: np.ndarray, positions, theta_base: float) -> np.ndarray:
@@ -198,6 +265,10 @@ def rope_apply(x: np.ndarray, positions, theta_base: float) -> np.ndarray:
 
     Pairs dimension j with j + d_head/2 and rotates each pair by
     pos * theta_base**(-2j/d_head). Norm of every head vector is preserved.
+    Positions are non-negative integers (else ShapeError). Their cos and
+    sin are rows of one table per (theta_base, d_head, dtype), equal bit
+    for bit to computing them for the positions alone, which the tests pin
+    on this build.
     """
     x = np.asarray(x)
     if x.ndim != 3:
@@ -206,26 +277,35 @@ def rope_apply(x: np.ndarray, positions, theta_base: float) -> np.ndarray:
     if d_head % 2 != 0:
         raise ConfigError(f"rope_apply requires an even head dim, got {d_head}")
     half = d_head // 2
-    pos = np.asarray(positions, dtype=np.float64)
+    pos = np.asarray(positions)
     if pos.shape != (x.shape[0],):
         raise ShapeError(f"positions length {pos.shape} != sequence length {x.shape[0]}")
+    if pos.size and pos.dtype.kind not in "iu":
+        raise ShapeError(f"rope positions must be integers, got dtype {pos.dtype}")
+    if pos.size and pos.min() < 0:
+        raise ShapeError("rope positions must be >= 0")
+    pos = pos.astype(np.intp, copy=False)
 
-    inv_freq = theta_base ** (-2.0 * np.arange(half, dtype=np.float64) / d_head)
-    angles = pos[:, None] * inv_freq[None, :]  # (T, half)
-    cos = np.cos(angles).astype(x.dtype)[:, None, :]
-    sin = np.sin(angles).astype(x.dtype)[:, None, :]
-
-    x1 = x[..., :half]
-    x2 = x[..., half:]
-    out = np.empty_like(x)
-    out[..., :half] = x1 * cos - x2 * sin
-    out[..., half:] = x1 * sin + x2 * cos
+    cos, sin = _rope_table(theta_base, d_head, x.dtype, int(pos.max(initial=0)) + 1)
+    # [x1 cos - x2 sin, x1 sin + x2 cos] as x [cos, cos] + [x2, x1] [-sin, sin]:
+    # the same rounded products, added in an order that rounds the same
+    swapped = np.empty_like(x)
+    swapped[..., :half] = x[..., half:]
+    swapped[..., half:] = x[..., :half]
+    swapped *= sin[pos][:, None, :]
+    out = x * cos[pos][:, None, :]
+    out += swapped
     return out
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    """x * sigmoid(x), via tanh to stay finite for large |x|."""
-    return x * (0.5 * (1.0 + np.tanh(0.5 * x)))
+    """x * sigmoid(x) as x * (0.5 * (1 + tanh(0.5 * x))), finite for large |x|."""
+    out = np.multiply(x, 0.5)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    out *= x
+    return out
 
 
 def attention_scale(d_head: int) -> float:

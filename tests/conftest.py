@@ -107,15 +107,15 @@ def layer_steps(monkeypatch):
 
 @pytest.fixture
 def softmax_entries(monkeypatch):
-    """``scores.size`` of every ``tensor_core.softmax_causal`` call, in call order."""
+    """``scores.size`` of every stacked ``tensor_core._softmax_in_place`` call, in call order."""
     from orthorank import tensor_core
 
     sizes = []
-    real_softmax = tensor_core.softmax_causal
+    real_softmax = tensor_core._softmax_in_place
 
     def counting_softmax(scores, *args, **kwargs):
-        sizes.append(np.asarray(scores).size)
+        sizes.append(scores.size)
         return real_softmax(scores, *args, **kwargs)
 
-    monkeypatch.setattr(tensor_core, "softmax_causal", counting_softmax)
+    monkeypatch.setattr(tensor_core, "_softmax_in_place", counting_softmax)
     return sizes

@@ -17,7 +17,7 @@ import pytest
 
 import helpers
 import orthorank
-from orthorank import LayerPlan
+from orthorank import LayerPlan, weights_sha256
 from orthorank.cli import build_parser
 from orthorank.cli import load_corpus, main, parse_positions
 from orthorank.errors import UsageError
@@ -239,7 +239,7 @@ class TestCalibrate:
 class TestEvalPpl:
     def test_empty_plan_matches_dense_report(self, cli_ck, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "c.txt", helpers.make_tokens(32, 64, seed=7))
-        empty = LayerPlan(layers=[], model_id="x", l_sink=0)
+        empty = LayerPlan(layers=[], model_id=weights_sha256(cli_ck), l_sink=0)
         plan_path = tmp_path / "empty.json"
         empty.save(plan_path)
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
@@ -255,7 +255,7 @@ class TestEvalPpl:
     def test_plan_report_fields(self, planted_ck, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "c.txt", helpers.planted_tokens(64))
         plan_path = tmp_path / "plan.json"
-        LayerPlan(layers=[2, 3], keep_ratio=0.333, model_id="planted-sink",
+        LayerPlan(layers=[2, 3], keep_ratio=0.333, model_id=weights_sha256(planted_ck),
                   l_sink=1).save(plan_path)
         out = tmp_path / "report.json"
         code, text, _ = run_cli(
@@ -267,6 +267,19 @@ class TestEvalPpl:
         assert report["plan_layers"] == [2, 3]
         assert report["flop_ratio"] < 1.0
         assert "perplexity" in text
+
+    @pytest.mark.parametrize("command", ["eval-ppl", "ablate"])
+    def test_plan_for_another_model(self, planted_ck, tmp_path, capsys, command):
+        corpus = write_corpus(tmp_path / "c.txt", helpers.planted_tokens(64))
+        plan_path = tmp_path / "plan.json"
+        LayerPlan(layers=[2, 3], keep_ratio=0.333, model_id="planted-sink",
+                  l_sink=1).save(plan_path)
+        out = tmp_path / "out"
+        code, _, err = run_cli(command, "--model", planted_ck, "--corpus", corpus,
+                               "--context-len", "32", "--plan", plan_path, "--out", out,
+                               capsys=capsys)
+        assert code == 2 and not out.exists()
+        assert err.startswith("error:") and "planted-sink" in err and err.count("\n") == 1
 
     def test_short_corpus_is_error(self, cli_ck, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "c.txt", [1, 2, 3])
@@ -314,7 +327,7 @@ class TestAblate:
     def test_grid_and_audit(self, planted_ck, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "c.txt", helpers.planted_tokens(128))
         plan_path = tmp_path / "plan.json"
-        LayerPlan(layers=[2, 3, 4], keep_ratio=0.333, model_id="planted-sink",
+        LayerPlan(layers=[2, 3, 4], keep_ratio=0.333, model_id=weights_sha256(planted_ck),
                   l_sink=1).save(plan_path)
         out = tmp_path / "ablation.csv"
         audit = tmp_path / "audit.csv"

@@ -917,6 +917,28 @@ class TestStepFuzz:
     """Prefill and decode with valid and failing steps interleaved, over small shapes."""
 
     @given(config=_FUZZ_CONFIGS, seed=st.integers(0, 3), data=st.data(),
+           owner=st.sampled_from(["unknown", "own", "random-9", "deadbeef"]),
+           op=st.sampled_from(["perplexity", "ablation_grid"]))
+    @settings(max_examples=60, deadline=None)
+    def test_plan_for_another_model(self, config, seed, data, owner, op):
+        # a plan names the model it was made for; "unknown" fits any model
+        from orthorank import ablation_grid, perplexity
+
+        model = make_random_model(config, seed)
+        n = config.n_layers
+        layers = data.draw(st.lists(st.integers(1, n - 1), unique=True, max_size=n - 1)
+                           if n > 1 else st.just([]), "layers")
+        model_id = model.model_id if owner == "own" else owner
+        plan = LayerPlan(layers=sorted(layers), keep_ratio=0.5, model_id=model_id, l_sink=0)
+        corpus = make_tokens(12, config.vocab_size, seed=seed)
+        run = {"perplexity": perplexity, "ablation_grid": ablation_grid}[op]
+        if model_id in ("unknown", model.model_id):
+            run(model, plan, corpus, 4)
+        else:
+            with pytest.raises(ConfigError, match=model_id):
+                run(model, plan, corpus, 4)
+
+    @given(config=_FUZZ_CONFIGS, seed=st.integers(0, 3), data=st.data(),
            kind=st.sampled_from(CRITERION_KINDS), stage=st.sampled_from(STAGES),
            kv_on=st.booleans(), prompt_len=st.integers(1, 6))
     @settings(max_examples=200, deadline=None)

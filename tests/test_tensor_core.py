@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from orthorank import ConfigError, ShapeError
+from orthorank import tensor_core
 from orthorank.tensor_core import (
+    _blocked_matmul,
     _matmul_cols,
+    _softmax_in_place,
     as_f32,
     as_f64,
     attention_scale,
@@ -155,6 +161,47 @@ class TestMatmul:
         assert np.array_equal(got, matmul(a, b[:, :n]))
 
 
+class TestStackedMatmul:
+    """The kernel over stacked operands: each matrix is its own 2-D product."""
+
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), m=st.integers(1, 70),
+           k=st.one_of(st.integers(1, 48), st.integers(257, 600)), n=st.integers(1, 50),
+           dtype=st.sampled_from([np.float32, np.float64]), transposed=st.booleans(),
+           layout=st.sampled_from(["any", "columns"]), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_each_matrix_equals_its_2d_product(self, lead, m, k, n, dtype, transposed,
+                                               layout, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        lead = tuple(lead)
+        if transposed:  # rows of one matrix interleave with the others', as q.transpose(1, 0, 2)
+            a = np.moveaxis(rng.standard_normal((m, *lead, k)).astype(dtype), 0, -2)
+        else:
+            a = rng.standard_normal((*lead, m, k)).astype(dtype)
+        # b broadcasts: each leading axis is its own or 1, or b is one 2-D matrix
+        b_lead = tuple(s if data.draw(st.booleans(), label="own axis") else 1 for s in lead)
+        if data.draw(st.booleans(), label="2-D b"):
+            b_lead = ()
+        b = rng.standard_normal((*b_lead, k, n)).astype(dtype)
+        if layout == "any":
+            got = _blocked_matmul(a, b)
+        else:  # the KV arena's layout: spare columns of junk past n
+            capacity = -(-n // 16) * 16 + data.draw(st.integers(0, 20), label="spare")
+            cols = np.full((*b_lead, k, capacity), np.nan, dtype)
+            cols[..., :n] = b
+            with np.errstate(invalid="ignore"):
+                got = _matmul_cols(a, cols, n)
+        assert got.shape == (*lead, m, n) and got.dtype == dtype and got.flags.c_contiguous
+        for idx in np.ndindex(*lead):
+            b_idx = tuple(i if s > 1 else 0 for i, s in zip(idx[len(idx) - len(b_lead):], b_lead))
+            assert np.array_equal(got[idx], matmul(np.ascontiguousarray(a[idx]), b[b_idx])), idx
+
+    @pytest.mark.parametrize("shape", [(2, 0, 5, 3), (2, 4, 5, 0)])
+    def test_empty_stack_is_zeros(self, shape):
+        lead, m, k, n = shape[:1], *shape[1:]
+        out = _blocked_matmul(rand((*lead, m, k)), rand((k, n), seed=1))
+        assert out.shape == (*lead, m, n) and not out.any()
+
+
 class TestRmsNorm:
     def test_constant_vector(self):
         x = np.full((3, 8), 2.0, dtype=np.float32)
@@ -287,6 +334,25 @@ class TestSoftmaxMaskEquivalence:
         out = softmax_causal(scores, np.zeros(0, np.int64), key_positions=k_pos)
         assert np.array_equal(out, whole_matrix_softmax(scores, np.zeros(0, np.int64), k_pos))
 
+    @given(st.data(), st.sampled_from([np.float32, np.float64]),
+           st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_equals_per_matrix_calls(self, data, dtype, lead):
+        # every matrix of a stack shares the query and key positions
+        k_pos = np.array(sorted(data.draw(st.sets(st.integers(0, 300), min_size=1,
+                                                  max_size=200))), dtype=np.int64)
+        q_pos = np.array(sorted(data.draw(st.sets(st.integers(int(k_pos[0]), int(k_pos[-1]) + 3),
+                                                  max_size=30))), dtype=np.int64)
+        scores = rand((*lead, q_pos.size, k_pos.size), seed=data.draw(st.integers(0, 2**31)),
+                      dtype=dtype) * 8
+        want = [softmax_causal(scores[idx], q_pos, key_positions=k_pos)
+                for idx in np.ndindex(*lead)]
+        stacked = scores.copy()
+        got = _softmax_in_place(stacked, q_pos, k_pos)
+        assert got is stacked
+        for idx, expect in zip(np.ndindex(*lead), want):
+            assert np.array_equal(got[idx], expect)
+
     def test_input_not_modified(self):
         scores = rand((3, 6), seed=7)
         before = scores.copy()
@@ -326,6 +392,118 @@ class TestRopeApply:
     def test_bad_rank(self):
         with pytest.raises(ShapeError):
             rope_apply(rand((2, 4)), [0, 1], 10000.0)
+
+    @pytest.mark.parametrize("positions", [[-1], [0, -3], [1.0], [0.5], np.array([2.0]),
+                                           [True], np.array(["1"])])
+    def test_bad_positions_rejected(self, positions):
+        # a table lookup would index from the end or truncate
+        with pytest.raises(ShapeError, match="positions"):
+            rope_apply(rand((len(positions), 1, 4)), positions, 10000.0)
+
+    def test_empty_positions(self):
+        assert rope_apply(rand((0, 2, 4)), [], 10000.0).shape == (0, 2, 4)
+
+
+def rope_angles(positions, d_head, theta_base):
+    """The float64 rotation angles of ``positions``, computed for them alone."""
+    inv_freq = theta_base ** (-2.0 * np.arange(d_head // 2, dtype=np.float64) / d_head)
+    return np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
+
+
+def per_call_rope(x, positions, theta_base):
+    """``rope_apply`` with cos and sin computed for the given positions alone."""
+    half = x.shape[-1] // 2
+    angles = rope_angles(positions, x.shape[-1], theta_base)
+    cos = np.cos(angles).astype(x.dtype)[:, None, :]
+    sin = np.sin(angles).astype(x.dtype)[:, None, :]
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+
+
+class TestRopeTable:
+    """Table rows equal per-call cos/sin bit for bit: a property of this build's libm/SIMD."""
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]), d_head=st.sampled_from([2, 8, 16, 32]),
+           theta=st.sampled_from([10000.0, 500000.0, 10.0]),
+           positions=st.lists(st.integers(0, 3 * tensor_core._ROPE_ROWS), min_size=1,
+                              max_size=64),
+           fresh=st.booleans(), seed=st.integers(0, 2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_table_equals_per_call(self, dtype, d_head, theta, positions, fresh, seed):
+        x = rand((len(positions), 2, d_head), seed=seed, dtype=dtype)
+        # a fresh table starts at its first size and grows past it for the
+        # larger positions; otherwise whatever earlier calls left is read
+        with mock.patch.dict(tensor_core._ROPE, clear=fresh):
+            got = rope_apply(x, positions, theta)
+            cos, sin = tensor_core._rope_table(theta, d_head, np.dtype(dtype), 1)
+        assert np.array_equal(got, per_call_rope(x, positions, theta))
+        angles = rope_angles(positions, d_head, theta)
+        want_cos, want_sin = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+        assert not cos.flags.writeable and not sin.flags.writeable
+        assert np.array_equal(cos[positions], np.concatenate([want_cos, want_cos], axis=1))
+        assert np.array_equal(sin[positions], np.concatenate([-want_sin, want_sin], axis=1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_position_sets(self, dtype):
+        rng = np.random.default_rng(17)
+        for _ in range(1000):
+            t = int(rng.integers(1, 300))
+            positions = np.sort(rng.choice(4 * tensor_core._ROPE_ROWS, size=t, replace=False))
+            x = rng.standard_normal((t, 2, 32)).astype(dtype)
+            assert np.array_equal(rope_apply(x, positions, 10000.0),
+                                  per_call_rope(x, positions, 10000.0))
+
+    def test_threads_growing_shared_tables(self):
+        # calibrate_greedy runs forwards on a thread pool: readers keep the
+        # table they looked up while other threads grow and replace it
+        results, errors = [], []
+
+        def work(seed):
+            try:
+                rng = np.random.default_rng(seed)
+                for _ in range(25):
+                    t = int(rng.integers(1, 40))
+                    positions = np.sort(rng.choice(6 * tensor_core._ROPE_ROWS, t, replace=False))
+                    x = rng.standard_normal((t, 2, 8)).astype(np.float32)
+                    k_pos = np.arange(int(positions[-1]) % 700 + 1)
+                    scores = rng.standard_normal((3, k_pos.size)).astype(np.float32)
+                    q_pos = np.full(3, k_pos[-1])
+                    results.append((rope_apply(x, positions, 10000.0), per_call_rope(
+                        x, positions, 10000.0)))
+                    results.append((softmax_causal(scores, q_pos, key_positions=k_pos),
+                                    whole_matrix_softmax(scores, q_pos, k_pos)))
+            except Exception as exc:  # reported below, with the thread's seed
+                errors.append((seed, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.dict(tensor_core._ROPE, clear=True), \
+                    mock.patch.dict(tensor_core._ONES, clear=True):
+                threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert len(results) == 8 * 25 * 2
+        for got, want in results:
+            assert np.array_equal(got, want)
+
+    def test_growth_replaces_the_table(self):
+        with mock.patch.dict(tensor_core._ROPE, clear=True):
+            first = tensor_core._rope_table(10000.0, 8, np.dtype(np.float32), 5)
+            assert len(first[0]) == tensor_core._ROPE_ROWS
+            assert tensor_core._rope_table(10000.0, 8, np.dtype(np.float32), 5) is first
+            grown = tensor_core._rope_table(10000.0, 8, np.dtype(np.float32),
+                                            tensor_core._ROPE_ROWS + 1)
+            assert len(grown[0]) == 2 * tensor_core._ROPE_ROWS
+            # readers holding the old table keep it whole
+            for old, new in zip(first, grown):
+                assert np.array_equal(new[:len(old)], old) and not old.flags.writeable
 
 
 class TestSilu:
