@@ -8,13 +8,12 @@ norm homogeneity and gain-scaling agreement that justify ranking by raw
 inner products instead of cosines.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
-from .trace import HiddenTrace
+from .trace import HiddenTrace, _write_csv
 
 
 def _cos(u: np.ndarray, v: np.ndarray) -> float:
@@ -41,13 +40,10 @@ class SimilarityMatrix:
 
     def to_csv(self, path) -> None:
         """Header row = column labels, first column = row labels."""
-        head = "layer"
         cols = [f"p{c}" if self.kind == "sink_vs_tokens" else f"l{c}" for c in self.col_labels]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([head] + cols)
-            for label, row in zip(self.row_labels, self.values):
-                writer.writerow([label] + [repr(float(v)) for v in row])
+        _write_csv(path, ["layer"] + cols,
+                   ([label] + [repr(float(v)) for v in row]
+                    for label, row in zip(self.row_labels, self.values)))
 
 
 def default_sink_positions(seq_len: int) -> list[int]:
@@ -109,14 +105,10 @@ class NormProfile:
     cv: np.ndarray  # coefficient of variation over positions >= 1, per layer
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "position", "norm", "layer_cv"])
-            for j, layer in enumerate(self.layers):
-                for t in range(self.norms.shape[1]):
-                    writer.writerow(
-                        [layer, t, repr(float(self.norms[j, t])), repr(float(self.cv[j]))]
-                    )
+        _write_csv(path, ["layer", "position", "norm", "layer_cv"],
+                   ([layer, t, repr(float(self.norms[j, t])), repr(float(self.cv[j]))]
+                    for j, layer in enumerate(self.layers)
+                    for t in range(self.norms.shape[1])))
 
 
 def norm_profile(trace: HiddenTrace) -> NormProfile:

@@ -11,8 +11,6 @@ import hashlib
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -216,7 +214,6 @@ def calibrate_greedy(
     l_sink: int = 0,
     target_sparsity: float | None = None,
     one_shot: bool = False,
-    threads: int | None = None,
 ) -> LayerPlan:
     """Pick m layers to convert by measuring calibration perplexity.
 
@@ -229,14 +226,12 @@ def calibrate_greedy(
     ``chosen`` below layer ``c``, so it resumes at ``c`` from the base's
     recorded input states there. The dense pass records the first base,
     once per corpus chunk; after each round but the last, the winner's
-    own states from its layer up replace the base's. Only the running best
-    candidate's states are kept, besides the base and the candidates still
-    running; the last round records none. One-shot candidates resume from
-    the dense base, and m=0 returns the empty plan without a pass.
-    Candidates are read-only over the model and the base and may run in
-    parallel; the argmin is reduced in candidate order, so the result is
-    deterministic and bitwise that of evaluating every candidate from the
-    embeddings.
+    own states from its layer up replace the base's. Candidates run one at
+    a time in ascending layer order, and only the running best candidate's
+    states are kept besides the base; the last round records none.
+    One-shot candidates resume from the dense base, and m=0 returns the
+    empty plan without a pass. The result is deterministic and bitwise that
+    of evaluating every candidate from the embeddings.
     """
     from .eval_harness import _corpus_chunks, _eval_chunks, _perplexity_of
 
@@ -268,28 +263,17 @@ def calibrate_greedy(
         return _perplexity_of(nlls, context_len)[1], inputs
 
     _, base = _eval_chunks(model, chunks, LayerPlan(), record=True)  # base[chunk][layer]
+    if one_shot:
+        ranked = sorted((run([c], c, False)[0], c) for c in eligible)
+        return plan_of([c for _, c in ranked[:m]])
     chosen: list[int] = []
-    remaining = list(eligible)
-    parallel = threads is not None and threads > 1
-    with ThreadPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
-        mapper = pool.map if parallel else map  # both yield in candidate order
-        if one_shot:
-            ppls = [ppl for ppl, _ in mapper(lambda c: run([c], c, False), remaining)]
-            order = sorted(range(len(remaining)), key=lambda i: (ppls[i], remaining[i]))
-            chosen = [remaining[i] for i in order[:m]]
-        else:
-            for _ in range(m):
-                last = len(chosen) == m - 1  # no later round reads the winner's states
-                best = None
-                runs = mapper(lambda c: run(chosen + [c], c, not last), remaining)
-                for c, (ppl, inputs) in zip(remaining, runs):
-                    if best is None or ppl < best[1]:  # remaining ascends: ties keep the smaller
-                        best = (c, ppl, inputs)
-                c, _, inputs = best
-                if not last:
-                    base = [states[:c] + tail for states, tail in zip(base, inputs)]
-                chosen.append(c)
-                remaining.remove(c)
+    for _ in range(m):
+        last = len(chosen) == m - 1  # no later round reads the winner's states
+        candidates = ((c, *run(chosen + [c], c, not last)) for c in eligible if c not in chosen)
+        c, _, inputs = min(candidates, key=lambda cand: cand[1])  # ties keep the smaller layer
+        if not last:
+            base = [states[:c] + tail for states, tail in zip(base, inputs)]
+        chosen.append(c)
     return plan_of(chosen)
 
 

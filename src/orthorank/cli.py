@@ -3,14 +3,14 @@
 Commands: synth-model, analyze, calibrate, eval-ppl, layerwise, ablate,
 flops, generate. Corpora are plain-text files of whitespace-separated token
 ids. All randomness sits behind explicit --seed flags on the commands that
-draw random numbers; calibrate's --threads (or the ORTHORANK_THREADS
-variable) caps its workers. Exit code 0 means all outputs were written;
-errors print one line to stderr and exit nonzero.
+draw random numbers. Exit code 0 means all outputs were written. A library
+error or a file that cannot be read or written (a missing file, a
+directory, a missing output directory) prints one ``error:`` line to stderr
+and exits 2.
 """
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -68,21 +68,6 @@ def parse_positions(text: str) -> list[int]:
     if not out:
         raise UsageError(f"no positions in {text!r}")
     return out
-
-
-def _threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("ORTHORANK_THREADS")
-    if not env:
-        return None
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise UsageError(f"ORTHORANK_THREADS must be an integer >= 1, got {env!r}")
-    return threads
 
 
 def _resolve_l_sink(args, model, corpus) -> int:
@@ -180,7 +165,6 @@ def cmd_calibrate(args) -> int:
         model, corpus, m, args.keep_ratio, eligible,
         context_len=args.context_len, l_sink=l_sink,
         target_sparsity=args.sparsity, one_shot=args.one_shot,
-        threads=_threads(args),
     )
     plan.save(args.out)
     achieved = plan_effective_sparsity(plan, model.config.n_layers)
@@ -329,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.3)
     p.add_argument("--one-shot", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: ORTHORANK_THREADS or serial)")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("eval-ppl", help="chunked perplexity under a plan (or dense)")
@@ -396,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OrthoRankError as exc:
+    except (OrthoRankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

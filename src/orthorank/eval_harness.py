@@ -9,7 +9,6 @@ differs from a run already made, from that run's recorded layer inputs;
 their perplexities equal the standalone op's bitwise.
 """
 
-import csv
 import hashlib
 import json
 import numbers
@@ -21,7 +20,7 @@ from .calibration import LayerPlan, _is_number, _plan_ratios, corpus_sha256, flo
 from .errors import ConfigError, UsageError
 from .model_runtime import KVCache, Model
 from .selection import DEFAULT_CRITERION, AuditLog, Criterion, _run_layers, forward_with_plan
-from .trace import HiddenTrace
+from .trace import HiddenTrace, _write_csv
 
 
 @dataclass
@@ -216,13 +215,9 @@ def layerwise_comparison(
 
 def layerwise_to_csv(table: dict, path) -> None:
     labels = list(table["columns"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "dense"] + labels)
-        for i, layer in enumerate(table["layers"]):
-            row = [layer, repr(table["dense"])]
-            row += [repr(table["columns"][lab][i]) for lab in labels]
-            writer.writerow(row)
+    _write_csv(path, ["layer", "dense"] + labels,
+               ([layer, repr(table["dense"])] + [repr(table["columns"][lab][i]) for lab in labels]
+                for i, layer in enumerate(table["layers"])))
 
 
 ABLATION_ROWS: list[tuple[str, str, bool]] = [
@@ -271,15 +266,6 @@ def ablation_grid(
 
 
 def ablation_to_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["criterion", "stage", "kv_for_unselected", "perplexity"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["criterion"],
-                    row["stage"],
-                    "on" if row["kv_for_unselected"] else "off",
-                    repr(row["perplexity"]),
-                ]
-            )
+    _write_csv(path, ["criterion", "stage", "kv_for_unselected", "perplexity"],
+               ([row["criterion"], row["stage"], "on" if row["kv_for_unselected"] else "off",
+                 repr(row["perplexity"])] for row in rows))

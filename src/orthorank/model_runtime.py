@@ -133,7 +133,9 @@ class KVCache:
     or raw) that decode scores new tokens against. ``identity`` is the
     (config, model_id) of the model that ran the cache's first step, None
     before (also in a cache just built from arrays); every later step must
-    come from a model with the same identity.
+    come from a model with the same identity. ``criterion`` is the
+    selection ``Criterion`` of the cache's first step, None before; a
+    decode step onto a cache with selective layers must use it.
     A step commits only after its last layer, so a failed one leaves the
     cache unchanged.
     """
@@ -150,6 +152,7 @@ class KVCache:
         self.sorted_history: dict[int, list[float]] = {
             l: list(ranked) for l, ranked in (sorted_history or {}).items()}
         self.identity: tuple[ModelConfig, str] | None = None
+        self.criterion = None
 
     @classmethod
     def empty(cls, config: ModelConfig) -> "KVCache":
@@ -380,6 +383,7 @@ def decode_step_dense(model: Model, cache: KVCache, token_id: int) -> tuple[np.n
 
     An empty cache makes this a length-1 prefill. Matches the corresponding
     row of a from-scratch dense forward within normal f32 accumulation noise.
+    A cache prefilled with selective layers raises StateError.
     """
     from .selection import DEFAULT_CRITERION, _run_layers
 

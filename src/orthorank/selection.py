@@ -18,7 +18,6 @@ the cached sink state, so both score a token the same way.
 """
 
 import copy
-import csv
 import math
 import numbers
 from bisect import bisect_right, insort
@@ -36,7 +35,7 @@ from .model_runtime import (
     embed_tokens,
     lm_head_logits,
 )
-from .trace import HiddenTrace
+from .trace import HiddenTrace, _write_csv
 
 CRITERION_KINDS = ("orthogonal_asc", "orthogonal_desc", "norm_asc", "norm_desc", "random")
 STAGES = ("normalized", "raw_hidden")
@@ -175,11 +174,9 @@ class AuditLog:
         self.rows.append((layer, step, position, float(score), int(selected)))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "step", "position", "score", "selected"])
-            for row in self.rows:
-                writer.writerow([row[0], row[1], row[2], repr(row[3]), row[4]])
+        _write_csv(path, ["layer", "step", "position", "score", "selected"],
+                   ([layer, step, position, repr(score), selected]
+                    for layer, step, position, score, selected in self.rows))
 
 
 def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
@@ -249,7 +246,10 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     commits a step. The cache's first step records the model's identity, its
     (config, model_id), and needs arenas of the model's KV layout; every
     later step needs that identity, else StateError before any layer runs.
-    Two in-memory models that share a config and an id pass as one. The
+    Two in-memory models that share a config and an id pass as one. A
+    decode step must also run selectively exactly the layers its prefill
+    did, under the criterion the cache's first step recorded (any keep
+    ratio and KV setting), else StateError before any layer runs. The
     layers run on a staged copy of the cache's containers: its
     (arena, count) pairs, which ``block_forward`` replaces after writing
     past the counts, its sink states and score lists. They replace the
@@ -273,6 +273,14 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     elif cache.identity != identity:
         raise StateError(f"the cache holds model {cache.identity[1]!r} with {cache.identity[0]}; "
                          f"it cannot step model {model.model_id!r} with {cfg}")
+    if cache.n_tokens:
+        selective = sorted(cache.sorted_history)
+        if sorted(plan) != selective:
+            raise StateError(f"the cache's prefill ran layers {selective} selectively; "
+                             f"a decode step cannot run layers {sorted(plan)} selectively")
+        if selective and cache.criterion not in (None, criterion):
+            raise StateError(f"the cache was prefilled under {cache.criterion}; "
+                             f"a decode step cannot select under {criterion}")
     if resume is None:
         first, (x, _) = 0, embed_tokens(model, token_ids)
     else:
@@ -281,6 +289,7 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     staged.layers, staged.sink_state = list(cache.layers), dict(cache.sink_state)
     staged.sorted_history = {l: list(ranked) for l, ranked in cache.sorted_history.items()}
     staged.n_tokens, staged.identity = cache.n_tokens + x.shape[0], identity
+    staged.criterion = criterion if cache.criterion is None else cache.criterion
     positions = np.arange(cache.n_tokens, staged.n_tokens, dtype=np.int64)
     for layer in range(first, cfg.n_layers):
         _layer_step(model, layer, x, positions, plan.get(layer), criterion,
@@ -385,9 +394,12 @@ def decode_step_with_plan(
     (keeping their KV contribution unless disabled). The random criterion
     draws a per-token key from (seed, layer, position). The plan resolves
     as in ``forward_with_plan`` (no mapping form; ``LayerPlan()``'s empty
-    plan is the dense step; a bad plan raises ConfigError). A plan layer
-    the prefill did not run selectively raises StateError. A failed step
-    leaves the cache as it was and its ``audit`` rows in the caller's log.
+    plan is the dense step; a bad plan raises ConfigError). The plan's
+    layers must be exactly those the prefill ran selectively, and the
+    criterion the prefill's; otherwise StateError before any layer runs.
+    The keep ratio and the KV setting may change from step to step. A
+    failed step leaves the cache as it was and its ``audit`` rows in the
+    caller's log.
     """
     plan = _plan_ratios(plan_layers, keep_ratio, model.config.n_layers)
     return _run_layers(model, [token_id], cache, plan, criterion,

@@ -32,16 +32,22 @@ class HiddenTrace:
         return 0 if not self.normalized else self.normalized[0].shape[0]
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write one CSV file: the ``header`` row, then every row of the iterable ``rows``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def dump_trace_csv(trace: HiddenTrace, states_path) -> None:
     """Write the captured normalized states as CSV.
 
     Rows: layer, position, then the d state values. Their norms are
     ``analysis.norm_profile(trace)``'s table (``NormProfile.to_csv``).
     """
-    with open(states_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        d = trace.normalized[0].shape[1] if trace.normalized else 0
-        writer.writerow(["layer", "position"] + [f"v{i}" for i in range(d)])
-        for layer, states in zip(trace.layers, trace.normalized):
-            for t in range(states.shape[0]):
-                writer.writerow([layer, t] + [repr(float(v)) for v in states[t]])
+    d = trace.normalized[0].shape[1] if trace.normalized else 0
+    _write_csv(states_path, ["layer", "position"] + [f"v{i}" for i in range(d)],
+               ([layer, t] + [repr(float(v)) for v in states[t]]
+                for layer, states in zip(trace.layers, trace.normalized)
+                for t in range(states.shape[0])))

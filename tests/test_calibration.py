@@ -277,15 +277,6 @@ class TestCalibrateGreedy:
             calibrate_greedy(rotation_model, corpus, 9, 0.333,
                              eligible=range(2, 10), context_len=self.W)
 
-    def test_threaded_matches_serial(self, rotation_model, corpus):
-        serial = calibrate_greedy(rotation_model, corpus, 2, 0.333,
-                                  eligible=range(2, 10), context_len=self.W,
-                                  l_sink=1)
-        threaded = calibrate_greedy(rotation_model, corpus, 2, 0.333,
-                                    eligible=range(2, 10), context_len=self.W,
-                                    l_sink=1, threads=4)
-        assert serial == threaded
-
     def test_one_shot_takes_m_best_singles(self, corpus):
         model = helpers.make_rotation_model(11, {4, 7})
         plan = calibrate_greedy(model, corpus, 2, 0.333,
@@ -335,20 +326,16 @@ class TestResumedCalibration:
     def live_corpus(self):
         return helpers.make_tokens(2 * self.W + 5, 64, seed=21)
 
-    @pytest.mark.parametrize("threads", [None, 2])
     @pytest.mark.parametrize("seed", [21, 22, 23])
-    def test_equals_brute_force_greedy(self, live_model, threads, seed):
+    def test_equals_brute_force_greedy(self, live_model, seed):
         corpus = helpers.make_tokens(2 * self.W + 5, 64, seed=seed)
-        plan = calibrate_greedy(live_model, corpus, 3, 0.333, self.ELIGIBLE, self.W,
-                                threads=threads)
+        plan = calibrate_greedy(live_model, corpus, 3, 0.333, self.ELIGIBLE, self.W)
         assert plan.layers == brute_force_greedy(live_model, corpus, 3, 0.333,
                                                  self.ELIGIBLE, self.W, 0)
 
-    @pytest.mark.parametrize("threads", [None, 2])
-    def test_exact_tie_equals_brute_force(self, corpus, threads):
+    def test_exact_tie_equals_brute_force(self, corpus):
         model = helpers.make_rotation_model(11, {4, 7})
-        plan = calibrate_greedy(model, corpus, 2, 0.333, range(2, 10), 128, l_sink=1,
-                                threads=threads)
+        plan = calibrate_greedy(model, corpus, 2, 0.333, range(2, 10), 128, l_sink=1)
         assert plan.layers == brute_force_greedy(model, corpus, 2, 0.333, range(2, 10), 128, 1)
         assert plan.layers == [4, 7]
 

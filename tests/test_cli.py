@@ -220,21 +220,6 @@ class TestCalibrate:
         assert "detected l_sink=1" in out
         assert LayerPlan.load(plan_path).l_sink == 1
 
-    @pytest.mark.parametrize("value, code", [
-        ("abc", 2), ("0", 2), ("-2", 2), ("1.5", 2), ("2", 0),
-    ])
-    def test_threads_variable(self, cli_ck, tmp_path, capsys, monkeypatch, value, code):
-        monkeypatch.setenv("ORTHORANK_THREADS", value)
-        corpus = write_corpus(tmp_path / "c.txt", helpers.make_tokens(32, 64, seed=5))
-        got, _, err = run_cli(
-            "calibrate", "--model", cli_ck, "--corpus", corpus,
-            "--sparsity", "0.1", "--l-sink", "0", "--context-len", "16",
-            "--out", tmp_path / "plan.json", capsys=capsys)
-        assert got == code
-        if code:
-            assert err.startswith("error:") and err.count("\n") == 1, err
-            assert "ORTHORANK_THREADS" in err
-
 
 class TestEvalPpl:
     def test_empty_plan_matches_dense_report(self, cli_ck, tmp_path, capsys):
@@ -426,7 +411,8 @@ REQUIRED_ARGS = {
 
 @pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
 def test_seed_and_threads_only_where_read(command, capsys):
-    readers = {"--seed": set(REQUIRED_ARGS) - {"calibrate", "flops"}, "--threads": {"calibrate"}}
+    # calibration is serial: no command takes a worker count
+    readers = {"--seed": set(REQUIRED_ARGS) - {"calibrate", "flops"}, "--threads": set()}
     parser = build_parser()
     argv = [command, *REQUIRED_ARGS[command]]
     parser.parse_args(argv)
@@ -466,3 +452,27 @@ def test_empty_plan_prints_dense_lines(cli_ck, tmp_path, capsys, command):
         assert code == 0
         outs.append(out)
     assert outs[0] and outs[1] == outs[0] and outs[2] == outs[0]
+
+
+@pytest.mark.parametrize("command, broken", [
+    ("eval-ppl", "corpus_is_directory"),
+    ("eval-ppl", "out_dir_missing"),
+    ("calibrate", "out_dir_missing"),
+    ("generate", "out_dir_missing"),
+])
+def test_file_error_is_one_line(cli_ck, tmp_path, capsys, command, broken):
+    corpus = write_corpus(tmp_path / "c.txt", helpers.make_tokens(32, 64, seed=7))
+    if broken == "corpus_is_directory":
+        corpus = tmp_path
+    missing = tmp_path / "missing" / "out"
+    args = {
+        "eval-ppl": ["--corpus", corpus, "--context-len", "16"]
+                    + (["--out", missing] if broken == "out_dir_missing" else []),
+        "calibrate": ["--corpus", corpus, "--sparsity", "0.1", "--l-sink", "0",
+                      "--context-len", "16", "--out", missing],
+        "generate": ["--prompt", "3 1 4", "--n-new", "2", "--audit-csv", missing],
+    }[command]
+    code, _, err = run_cli(command, "--model", cli_ck, *args, capsys=capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not missing.parent.exists()

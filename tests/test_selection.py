@@ -18,6 +18,7 @@ from orthorank import (
     UsageError,
     cos_gradient,
     decode_select,
+    decode_step_dense,
     decode_step_with_plan,
     forward_dense,
     forward_orthorank_layer,
@@ -798,7 +799,7 @@ NAN_TOKEN = 5
 
 def cache_bytes(cache):
     """Every field of a cache as bytes, so NaN entries compare equal."""
-    return (cache.n_tokens,
+    return (cache.n_tokens, cache.criterion,
             [a.tobytes() for a in cache.keys + cache.values + cache.positions],
             {l: s.tobytes() for l, s in cache.sink_state.items()},
             {l: np.array(h).tobytes() for l, h in cache.sorted_history.items()})
@@ -893,6 +894,42 @@ class TestFailedStepLeavesCache:
         assert cache_bytes(cache) == before
         cache.check()
 
+    @pytest.mark.parametrize("step", ["subset_plan", "dense_step", "stage_switch"])
+    def test_step_off_the_prefill_plan_or_criterion(self, step):
+        model = make_random_model(ModelConfig(n_layers=6, d_model=32, n_heads=4, n_kv_heads=2,
+                                              d_head=8, d_ffn=64, vocab_size=50))
+        tokens = make_tokens(42, 50, seed=5)
+        _, _, cache = forward_with_plan(model, tokens[:40], [2, 3], 0.5)
+        before = cache_bytes(cache)
+        with pytest.raises(StateError):
+            if step == "dense_step":
+                decode_step_dense(model, cache, int(tokens[40]))
+            elif step == "subset_plan":
+                decode_step_with_plan(model, cache, int(tokens[40]), [2], 0.5)
+            else:
+                decode_step_with_plan(model, cache, int(tokens[40]), [2, 3], 0.5,
+                                      Criterion(stage="raw_hidden"))
+        assert cache_bytes(cache) == before
+        # the keep ratio and the KV setting may change from step to step
+        decode_step_with_plan(model, cache, int(tokens[40]), [2, 3], 0.25,
+                              compute_kv_for_unselected=False)
+        decode_step_with_plan(model, cache, int(tokens[41]), [2, 3], 1.0)
+        cache.check()
+
+    def test_cache_from_arrays_takes_its_first_criterion(self, tiny_model, tiny_tokens):
+        raw = Criterion(stage="raw_hidden")
+        _, _, prefilled = forward_with_plan(tiny_model, tiny_tokens[:12], [1, 2], 0.5, raw)
+        assert prefilled.criterion == raw
+        cache = KVCache(prefilled.keys, prefilled.values, prefilled.positions,
+                        prefilled.sink_state, prefilled.n_tokens, prefilled.sorted_history)
+        assert cache.criterion is None
+        decode_step_with_plan(tiny_model, cache, int(tiny_tokens[12]), [1, 2], 0.5, raw)
+        assert cache.criterion == raw
+        before = cache_bytes(cache)
+        with pytest.raises(StateError):
+            decode_step_with_plan(tiny_model, cache, int(tiny_tokens[13]), [1, 2], 0.5)
+        assert cache_bytes(cache) == before
+
     def test_nonfinite_prefill_score_raises(self, tiny_model):
         weights = {name: w.copy() for name, w in tiny_model.weights.items()}
         weights["layers.2.ffn.w_down.weight"][0, 0] = np.nan
@@ -958,10 +995,10 @@ class TestStepFuzz:
         other = make_random_model(dataclasses.replace(
             config, n_heads=config.n_kv_heads * (3 - group),
             d_model=config.n_kv_heads * (3 - group) * config.d_head), seed)
-        steps = st.integers(0, vocab - 1) | st.sampled_from(["out_of_vocab", "unplanned",
-                                                             "other_model"])
+        steps = st.integers(0, vocab - 1) | st.sampled_from(
+            ["out_of_vocab", "unplanned", "other_model", "subset_plan", "other_criterion"])
         for step in data.draw(st.lists(steps, max_size=5), "steps"):
-            token, step_plan, step_model = step, plan, model
+            token, step_plan, step_model, step_criterion = step, plan, model, criterion
             if step == "out_of_vocab":
                 token = data.draw(st.sampled_from([-1, vocab]), "token")
             elif step == "unplanned":
@@ -971,15 +1008,27 @@ class TestStepFuzz:
             elif step == "other_model":  # under a dense step and under the prefill's plan
                 token, step_model = 0, other
                 step_plan = data.draw(st.sampled_from([[], plan]), "other_plan")
+            elif step == "subset_plan":
+                if not plan:
+                    continue
+                token, drop = 0, data.draw(st.sampled_from(plan), "drop")
+                step_plan = [l for l in plan if l != drop]
+            elif step == "other_criterion":
+                token, step_criterion = 0, data.draw(
+                    st.builds(Criterion, st.sampled_from(CRITERION_KINDS), st.sampled_from(STAGES),
+                              st.integers(0, 4)).filter(lambda c: c != criterion), "criterion")
+            # a step off the prefill's selective layers or criterion fails
+            must_fail = not isinstance(step, int) and (step != "other_criterion" or bool(plan))
             before = cache_bytes(cache)
             try:
-                decode_step_with_plan(step_model, cache, token, step_plan, ratio, criterion,
-                                      kv_on)
+                decode_step_with_plan(step_model, cache, token, step_plan, ratio,
+                                      step_criterion, kv_on)
             except OrthoRankError as exc:
-                assert not isinstance(step, int), step
-                assert isinstance(exc, StateError) or step != "other_model", exc
+                assert must_fail, (step, exc)
+                if step in ("other_model", "subset_plan", "other_criterion"):
+                    assert isinstance(exc, StateError), exc
                 assert cache_bytes(cache) == before
             else:
-                assert isinstance(step, int), step
+                assert not must_fail, step
                 assert cache.n_tokens == before[0] + 1
             cache.check()

@@ -454,8 +454,8 @@ class TestRopeTable:
                                   per_call_rope(x, positions, 10000.0))
 
     def test_threads_growing_shared_tables(self):
-        # calibrate_greedy runs forwards on a thread pool: readers keep the
-        # table they looked up while other threads grow and replace it
+        # a Model is shareable across threads: readers keep the table they
+        # looked up while other threads grow and replace it
         results, errors = [], []
 
         def work(seed):
