@@ -6,7 +6,8 @@ ids. All randomness sits behind explicit --seed flags on the commands that
 draw random numbers. Exit code 0 means all outputs were written. A library
 error or a file that cannot be read or written (a missing file, a
 directory, a missing output directory) prints one ``error:`` line to stderr
-and exits 2.
+and exits 2. Output paths, and plan files against the model, are checked
+before a command's main work starts.
 """
 
 import argparse
@@ -87,8 +88,26 @@ def _criterion(args) -> Criterion:
     return Criterion(args.criterion, args.stage, seed=seed)
 
 
-def _load_plan(args) -> LayerPlan:
-    return LayerPlan.load(args.plan) if args.plan else LayerPlan()
+def _load_plan(args, model) -> LayerPlan:
+    """The ``--plan`` file, checked against ``model``; the dense plan without one."""
+    if not args.plan:
+        return LayerPlan()
+    plan = LayerPlan.load(args.plan)
+    eval_harness._resolve_plan(model, plan)
+    return plan
+
+
+def _check_outputs(args) -> None:
+    """UsageError unless every output file can be written, checked before any work.
+
+    ``analyze`` and ``synth-model`` create their ``--out`` directory.
+    """
+    if args.command in ("analyze", "synth-model"):
+        return
+    for out in (getattr(args, "out", None), getattr(args, "audit_csv", None)):
+        if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            raise UsageError(f"cannot write {out}: it is a directory or its directory "
+                             "does not exist")
 
 
 def cmd_synth_model(args) -> int:
@@ -178,7 +197,7 @@ def cmd_eval_ppl(args) -> int:
     model = Model.from_checkpoint(args.model)
     corpus = load_corpus(args.corpus)
     report = eval_harness.perplexity(
-        model, _load_plan(args), corpus, args.context_len,
+        model, _load_plan(args, model), corpus, args.context_len,
         criterion=_criterion(args),
         compute_kv_for_unselected=not args.no_kv,
     )
@@ -211,7 +230,7 @@ def cmd_layerwise(args) -> int:
 def cmd_ablate(args) -> int:
     model = Model.from_checkpoint(args.model)
     corpus = load_corpus(args.corpus)
-    plan = LayerPlan.load(args.plan)
+    plan = _load_plan(args, model)
     rows = eval_harness.ablation_grid(model, plan, corpus, args.context_len, args.seed)
     eval_harness.ablation_to_csv(rows, args.out)
     if args.audit_csv:
@@ -234,7 +253,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_flops(args) -> int:
     model = Model.from_checkpoint(args.model)
-    plan = _load_plan(args)
+    plan = _load_plan(args, model)
     if args.layers and not args.plan:
         plan = LayerPlan(layers=parse_positions(args.layers), keep_ratio=args.keep_ratio,
                          l_sink=-1)
@@ -251,7 +270,7 @@ def cmd_flops(args) -> int:
 def cmd_generate(args) -> int:
     model = Model.from_checkpoint(args.model)
     prompt = [_int(t, "prompt token") for t in args.prompt.split()]
-    plan = _load_plan(args)
+    plan = _load_plan(args, model)
     audit = AuditLog() if args.audit_csv else None
     tokens = generate_greedy(
         model, prompt, args.n_new, plan.layers, plan.keep_ratio,
@@ -377,6 +396,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (OrthoRankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

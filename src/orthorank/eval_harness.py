@@ -117,7 +117,7 @@ def _eval_chunks(model, chunks, plan, criterion=DEFAULT_CRITERION,
             )
         else:
             trace = HiddenTrace() if record else None
-            logits = _run_layers(model, None, KVCache.empty(model.config), ratio_map, criterion,
+            logits = _run_layers(model, None, KVCache(model.config), ratio_map, criterion,
                                  compute_kv_for_unselected, chunk_audit, trace,
                                  resume=(first, starts[c]))
         if audit is not None:

@@ -117,52 +117,38 @@ def _capacity(rows: int) -> int:
 class KVCache:
     """Per-layer keys/values plus the selection state of one sequence.
 
-    Each layer is one ``KVArena`` and a committed row count, in ``layers``;
-    the arena is the only copy of the layer's KV. ``keys[l]``/``values[l]``
-    are read-only (t_l, n_kv_heads, d_head) views of layer l's committed
-    rows and ``positions[l]`` of their absolute positions. t_l equals the
-    number of processed tokens except at layers run with KV computation for
-    unselected tokens disabled. A step writes its rows past the counts, into
-    a larger arena when they do not fit, and commits by replacing the
-    (arena, count) pairs, so committed rows never change. Building a cache
-    from arrays copies them into its own arenas: two caches never share a
-    buffer. Only layers run selectively have ``sorted_history[o]``, their
+    ``KVCache(config)`` is the one way to make a cache: an empty arena per
+    layer in ``config``'s KV layout. ``copy.deepcopy(cache)`` forks a
+    sequence: the copy shares no buffer and keeps the identity and the
+    criterion. Each layer is one ``KVArena`` and a committed row count, in
+    ``layers``; the arena is the only copy of the layer's KV.
+    ``keys[l]``/``values[l]`` are read-only (t_l, n_kv_heads, d_head) views
+    of layer l's committed rows and ``positions[l]`` of their absolute
+    positions. t_l equals the number of processed tokens except at layers
+    run with KV computation for unselected tokens disabled. A step writes
+    its rows past the counts, into a larger arena when they do not fit, and
+    commits by replacing the (arena, count) pairs, so committed rows never
+    change. Only layers run selectively have ``sorted_history[o]``, their
     one score list: one score per processed token in ascending order, +inf
     for the sink, which decode ranks a new score against; and
     ``sink_state[o]``, the sink's row at the criterion's stage (normalized
     or raw) that decode scores new tokens against. ``identity`` is the
-    (config, model_id) of the model that ran the cache's first step, None
-    before (also in a cache just built from arrays); every later step must
-    come from a model with the same identity. ``criterion`` is the
-    selection ``Criterion`` of the cache's first step, None before; a
-    decode step onto a cache with selective layers must use it.
+    (config, model_id) of the model the cache steps: the config from the
+    start, the id None until the first step records it. ``criterion`` is
+    the selection ``Criterion`` of the cache's first step, None before.
     A step commits only after its last layer, so a failed one leaves the
     cache unchanged.
     """
 
-    def __init__(self, keys, values, positions, sink_state=None, n_tokens: int = 0,
-                 sorted_history=None):
-        if not len(keys) == len(values) == len(positions):
-            raise StateError(f"{len(keys)} key, {len(values)} value and {len(positions)} "
-                             "position layers are not one cache")
+    def __init__(self, config: ModelConfig):
         self.layers: list[tuple[KVArena, int]] = [
-            _arena_of(k, v, p) for k, v, p in zip(keys, values, positions)]
-        self.sink_state: dict[int, np.ndarray] = dict(sink_state or {})
-        self.n_tokens = n_tokens
-        self.sorted_history: dict[int, list[float]] = {
-            l: list(ranked) for l, ranked in (sorted_history or {}).items()}
-        self.identity: tuple[ModelConfig, str] | None = None
+            (KVArena.allocate(config.n_kv_heads, config.d_head, 0, tc.DEFAULT_DTYPE), 0)
+            for _ in range(config.n_layers)]
+        self.sink_state: dict[int, np.ndarray] = {}
+        self.n_tokens = 0
+        self.sorted_history: dict[int, list[float]] = {}
+        self.identity: tuple[ModelConfig, str | None] = (config, None)
         self.criterion = None
-
-    @classmethod
-    def empty(cls, config: ModelConfig) -> "KVCache":
-        shape = (0, config.n_kv_heads, config.d_head)
-        zeros = [np.zeros(shape, dtype=tc.DEFAULT_DTYPE)] * config.n_layers
-        return cls(zeros, zeros, [np.zeros(0, dtype=np.int64)] * config.n_layers)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
 
     @property
     def keys(self) -> list[np.ndarray]:
@@ -179,8 +165,9 @@ class KVCache:
     def check(self) -> None:
         """Raise StateError unless the cache is one consistent sequence.
 
-        Every layer's arena holds keys, values and positions of one
-        capacity, a whole number of kernel column blocks, at least its
+        The cache has one arena per layer of its recorded config, in that
+        config's KV layout. Every arena holds keys, values and positions of
+        one capacity, a whole number of kernel column blocks, at least its
         committed row count; the committed positions ascend strictly below
         ``n_tokens``. A layer without a score list ran dense, so with KV
         for every token: it holds ``n_tokens`` rows. A selective layer
@@ -188,13 +175,18 @@ class KVCache:
         off), its sink state, and an ascending score list with one score
         per token (checked in one pass, no sort).
         """
-        n = self.n_tokens
+        n, config = self.n_tokens, self.identity[0]
+        if len(self.layers) != config.n_layers:
+            raise StateError(f"a cache of {len(self.layers)} layers does not fit {config}")
+        layout = (config.n_kv_heads, config.d_head)
         for layer, ((kt, va, pos), rows) in enumerate(self.layers):
-            if (kt.ndim != 3 or va.shape != (kt.shape[0], kt.shape[2], kt.shape[1])
+            if (kt.ndim != 3 or kt.shape[:2] != layout
+                    or va.shape != (kt.shape[0], kt.shape[2], kt.shape[1])
                     or pos.shape != kt.shape[2:] or pos.size % tc._COL_ALIGN
                     or not 0 <= rows <= pos.size):
                 raise StateError(f"layer {layer} arena of keys {kt.shape}, values {va.shape} "
-                                 f"and positions {pos.shape} cannot hold {rows} rows")
+                                 f"and positions {pos.shape} cannot hold {rows} rows "
+                                 f"of (n_kv_heads, d_head) {layout}")
             pos = pos[:rows]
             if np.any(np.diff(pos) <= 0) or (pos.size and not 0 <= pos[0] <= pos[-1] < n):
                 raise StateError(f"layer {layer} positions are not ascending below {n}")
@@ -208,18 +200,6 @@ class KVCache:
                                  f"{len(ranked)} scores for {n} tokens")
             if layer not in self.sink_state or not all(a <= b for a, b in pairwise(ranked)):
                 raise StateError(f"layer {layer} lacks its sink state or ascending score list")
-
-
-def _arena_of(keys, values, positions) -> tuple[KVArena, int]:
-    """A new arena holding copies of one layer's KV rows, and their count."""
-    keys, values, positions = np.asarray(keys), np.asarray(values), np.asarray(positions)
-    if keys.ndim != 3 or values.shape != keys.shape or positions.shape != keys.shape[:1]:
-        raise StateError(f"a layer of keys {keys.shape}, values {values.shape} and "
-                         f"positions {positions.shape} is not one set of KV rows")
-    t, n_kv, d_head = keys.shape
-    arena = KVArena.allocate(n_kv, d_head, t, np.result_type(keys, values))
-    arena.write(0, keys, values, positions)
-    return arena, t
 
 
 def block_forward(
@@ -372,7 +352,7 @@ def forward_dense(
 
     capture = capture_trace or capture_attn_to_sink
     trace = HiddenTrace(attn_to_sink=[] if capture_attn_to_sink else None) if capture else None
-    cache = KVCache.empty(model.config)
+    cache = KVCache(model.config)
     logits = _run_layers(model, token_ids, cache, {}, DEFAULT_CRITERION, True, None,
                          trace, capture_states=capture_trace)
     return logits, trace, cache

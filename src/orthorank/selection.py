@@ -243,13 +243,13 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
 
     The one layer loop: layers outside ``plan`` run dense, so the empty plan
     is the dense forward pass and the dense decode step. It alone checks and
-    commits a step. The cache's first step records the model's identity, its
-    (config, model_id), and needs arenas of the model's KV layout; every
-    later step needs that identity, else StateError before any layer runs.
-    Two in-memory models that share a config and an id pass as one. A
-    decode step must also run selectively exactly the layers its prefill
-    did, under the criterion the cache's first step recorded (any keep
-    ratio and KV setting), else StateError before any layer runs. The
+    commits a step. The model's config must be the cache's, and its id the
+    one the cache's first step recorded (any id at the first step, which
+    records it), else StateError before any layer runs. Two in-memory
+    models that share a config and an id pass as one. A decode step must
+    also run selectively exactly the layers its prefill did, under the
+    criterion the prefill recorded (any keep ratio and KV setting), else
+    StateError before any layer runs. The
     layers run on a staged copy of the cache's containers: its
     (arena, count) pairs, which ``block_forward`` replaces after writing
     past the counts, its sink states and score lists. They replace the
@@ -265,20 +265,16 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     passes.
     """
     cfg = model.config
-    identity = (cfg, model.model_id)
-    if cache.identity is None:
-        layout = [arena.kt.shape[:2] for arena, _ in cache.layers]
-        if layout != [(cfg.n_kv_heads, cfg.d_head)] * cfg.n_layers:
-            raise StateError(f"a cache of {cache.n_layers} layers does not fit {cfg}")
-    elif cache.identity != identity:
-        raise StateError(f"the cache holds model {cache.identity[1]!r} with {cache.identity[0]}; "
+    config, model_id = cache.identity
+    if config != cfg or model_id not in (None, model.model_id):
+        raise StateError(f"the cache holds model {model_id!r} with {config}; "
                          f"it cannot step model {model.model_id!r} with {cfg}")
     if cache.n_tokens:
         selective = sorted(cache.sorted_history)
         if sorted(plan) != selective:
             raise StateError(f"the cache's prefill ran layers {selective} selectively; "
                              f"a decode step cannot run layers {sorted(plan)} selectively")
-        if selective and cache.criterion not in (None, criterion):
+        if selective and cache.criterion != criterion:
             raise StateError(f"the cache was prefilled under {cache.criterion}; "
                              f"a decode step cannot select under {criterion}")
     if resume is None:
@@ -288,7 +284,7 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     staged = copy.copy(cache)
     staged.layers, staged.sink_state = list(cache.layers), dict(cache.sink_state)
     staged.sorted_history = {l: list(ranked) for l, ranked in cache.sorted_history.items()}
-    staged.n_tokens, staged.identity = cache.n_tokens + x.shape[0], identity
+    staged.n_tokens, staged.identity = cache.n_tokens + x.shape[0], (cfg, model.model_id)
     staged.criterion = criterion if cache.criterion is None else cache.criterion
     positions = np.arange(cache.n_tokens, staged.n_tokens, dtype=np.int64)
     for layer in range(first, cfg.n_layers):
@@ -320,7 +316,7 @@ def forward_orthorank_layer(
     x_out = np.array(x, copy=True)
     positions = np.arange(x_out.shape[0], dtype=np.int64)
     sel, k_new, v_new = _layer_step(model, layer, x_out, positions, ratio, criterion,
-                                    compute_kv_for_unselected, KVCache.empty(model.config), audit)
+                                    compute_kv_for_unselected, KVCache(model.config), audit)
     return x_out, k_new, v_new, SelectionMask(sel, sel.size)
 
 
@@ -345,7 +341,7 @@ def forward_with_plan(
     for each plan layer, ready for decode.
     """
     plan = _plan_ratios(plan_layers, keep_ratio, model.config.n_layers)
-    cache = KVCache.empty(model.config)
+    cache = KVCache(model.config)
     trace = HiddenTrace() if capture_trace else None
     logits = _run_layers(model, token_ids, cache, plan, criterion,
                          compute_kv_for_unselected, audit, trace)

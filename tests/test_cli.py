@@ -17,7 +17,8 @@ import pytest
 
 import helpers
 import orthorank
-from orthorank import LayerPlan, weights_sha256
+import orthorank.cli
+from orthorank import LayerPlan, eval_harness, weights_sha256
 from orthorank.cli import build_parser
 from orthorank.cli import load_corpus, main, parse_positions
 from orthorank.errors import UsageError
@@ -253,15 +254,17 @@ class TestEvalPpl:
         assert report["flop_ratio"] < 1.0
         assert "perplexity" in text
 
-    @pytest.mark.parametrize("command", ["eval-ppl", "ablate"])
+    @pytest.mark.parametrize("command", ["eval-ppl", "ablate", "generate", "flops"])
     def test_plan_for_another_model(self, planted_ck, tmp_path, capsys, command):
         corpus = write_corpus(tmp_path / "c.txt", helpers.planted_tokens(64))
         plan_path = tmp_path / "plan.json"
         LayerPlan(layers=[2, 3], keep_ratio=0.333, model_id="planted-sink",
                   l_sink=1).save(plan_path)
         out = tmp_path / "out"
-        code, _, err = run_cli(command, "--model", planted_ck, "--corpus", corpus,
-                               "--context-len", "32", "--plan", plan_path, "--out", out,
+        args = {"generate": ["--prompt", "1 2 3", "--audit-csv", out],
+                "flops": ["--out", out]}.get(
+            command, ["--corpus", corpus, "--context-len", "32", "--out", out])
+        code, _, err = run_cli(command, "--model", planted_ck, "--plan", plan_path, *args,
                                capsys=capsys)
         assert code == 2 and not out.exists()
         assert err.startswith("error:") and "planted-sink" in err and err.count("\n") == 1
@@ -346,7 +349,8 @@ class TestFlops:
 
     def test_plan_file_input(self, cli_ck, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
-        LayerPlan(layers=[2, 3], keep_ratio=0.5, model_id="x", l_sink=1).save(plan_path)
+        LayerPlan(layers=[2, 3], keep_ratio=0.5, model_id=weights_sha256(cli_ck),
+                  l_sink=1).save(plan_path)
         code, text, _ = run_cli("flops", "--model", cli_ck, "--plan", plan_path,
                                 capsys=capsys)
         assert code == 0
@@ -361,7 +365,8 @@ class TestFlops:
 class TestGenerate:
     def test_full_keep_plan_matches_dense(self, cli_ck, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
-        LayerPlan(layers=[1, 2], keep_ratio=1.0, model_id="x", l_sink=0).save(plan_path)
+        LayerPlan(layers=[1, 2], keep_ratio=1.0, model_id=weights_sha256(cli_ck),
+                  l_sink=0).save(plan_path)
         base_args = ["generate", "--model", cli_ck, "--prompt", "3 1 4 1 5",
                      "--n-new", "8"]
         code, dense_out, _ = run_cli(*base_args, capsys=capsys)
@@ -383,7 +388,7 @@ class TestGenerate:
 
     def test_audit_csv_written(self, planted_ck, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
-        LayerPlan(layers=[2], keep_ratio=0.5, model_id="planted-sink",
+        LayerPlan(layers=[2], keep_ratio=0.5, model_id=weights_sha256(planted_ck),
                   l_sink=1).save(plan_path)
         audit = tmp_path / "audit.csv"
         code, _, _ = run_cli(
@@ -457,22 +462,34 @@ def test_empty_plan_prints_dense_lines(cli_ck, tmp_path, capsys, command):
 @pytest.mark.parametrize("command, broken", [
     ("eval-ppl", "corpus_is_directory"),
     ("eval-ppl", "out_dir_missing"),
+    ("eval-ppl", "out_is_directory"),
     ("calibrate", "out_dir_missing"),
     ("generate", "out_dir_missing"),
+    ("ablate", "out_dir_missing"),
 ])
-def test_file_error_is_one_line(cli_ck, tmp_path, capsys, command, broken):
+def test_file_error_is_one_line(cli_ck, tmp_path, capsys, monkeypatch, command, broken):
+    # outputs are checked before any work: none of it runs, and nothing is written
+    for module, name in [(orthorank.cli, "calibrate_greedy"), (orthorank.cli, "generate_greedy"),
+                         (eval_harness, "ablation_grid"), (eval_harness, "perplexity")]:
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
     corpus = write_corpus(tmp_path / "c.txt", helpers.make_tokens(32, 64, seed=7))
+    plan = tmp_path / "plan.json"
+    LayerPlan(layers=[1], keep_ratio=0.5).save(plan)
     if broken == "corpus_is_directory":
         corpus = tmp_path
     missing = tmp_path / "missing" / "out"
+    out = {"out_dir_missing": missing, "out_is_directory": tmp_path}.get(broken)
     args = {
         "eval-ppl": ["--corpus", corpus, "--context-len", "16"]
-                    + (["--out", missing] if broken == "out_dir_missing" else []),
+                    + (["--out", out] if out else []),
         "calibrate": ["--corpus", corpus, "--sparsity", "0.1", "--l-sink", "0",
                       "--context-len", "16", "--out", missing],
         "generate": ["--prompt", "3 1 4", "--n-new", "2", "--audit-csv", missing],
+        "ablate": ["--corpus", corpus, "--plan", plan, "--context-len", "16",
+                   "--audit-csv", missing, "--out", tmp_path / "grid.csv"],
     }[command]
+    before = sorted(tmp_path.rglob("*"))
     code, _, err = run_cli(command, "--model", cli_ck, *args, capsys=capsys)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1, err
-    assert not missing.parent.exists()
+    assert sorted(tmp_path.rglob("*")) == before

@@ -1,3 +1,4 @@
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +131,7 @@ class TestDecodeDense:
 
     def test_empty_cache_is_length_one_prefill(self, tiny_model):
         full, _, _ = forward_dense(tiny_model, [7])
-        logits, cache = decode_step_dense(tiny_model, KVCache.empty(tiny_model.config), 7)
+        logits, cache = decode_step_dense(tiny_model, KVCache(tiny_model.config), 7)
         assert np.array_equal(logits, full)
         assert cache.n_tokens == 1
 
@@ -146,7 +147,7 @@ class TestDecodeDense:
     def test_all_decode_64_tokens(self, tiny_model, tiny_config):
         toks = make_tokens(64, tiny_config.vocab_size, seed=11)
         full, _, _ = forward_dense(tiny_model, toks)
-        cache = KVCache.empty(tiny_model.config)
+        cache = KVCache(tiny_model.config)
         worst = 0.0
         for i, t in enumerate(toks):
             logits, cache = decode_step_dense(tiny_model, cache, int(t))
@@ -289,12 +290,12 @@ class TestBlockTruncatedAttention:
         }
         # queries after a prefilled cache, as in decode
         prefilled = (forward_dense(model, make_tokens(history, cfg.vocab_size))[2] if history
-                     else KVCache.empty(cfg))
+                     else KVCache(cfg))
         for pick, sel in picks.items():
             for kv_rows in (rows, sel):  # KV for every row, or only for sel (gaps)
                 got_x, want_x = x.copy(), x.copy()
-                # a cache built from another's arrays owns copies: prefilled stays as it is
-                got_cache = KVCache(prefilled.keys, prefilled.values, prefilled.positions)
+                # a fork owns copies of the arenas: prefilled stays as it is
+                got_cache = copy.deepcopy(prefilled)
                 got = block_forward(model, layer, got_x, positions, sel, kv_rows, xn,
                                     got_cache, capture_attn0=True)
                 want = helpers.full_width_block_forward(model, layer, want_x, positions, sel,
@@ -374,11 +375,12 @@ class TestKVArena:
     def test_caches_built_from_one_prefill_decode_independently(self, tiny_model, plan):
         tokens = make_tokens(12, tiny_model.config.vocab_size, seed=4)
         _, _, prefilled = forward_with_plan(tiny_model, tokens, plan, 0.5)
-        state = (prefilled.keys, prefilled.values, prefilled.positions, prefilled.sink_state,
-                 prefilled.n_tokens, prefilled.sorted_history)
-        forks = [KVCache(*state), KVCache(*state)]
+        forks = [copy.deepcopy(prefilled), copy.deepcopy(prefilled)]
         for a, b in zip(arenas(forks[0]), arenas(forks[1]) + arenas(prefilled)):
             assert not any(np.shares_memory(x, y) for x in a for y in b)
+        for fork in forks:
+            assert fork.identity == (tiny_model.config, tiny_model.model_id)
+            assert fork.criterion == prefilled.criterion == DEFAULT_CRITERION
         for fork, token in zip(forks, (5, 9)):
             got, _ = decode_step_with_plan(tiny_model, fork, token, plan, 0.5)
             want, want_cache = decode_step_with_plan(
@@ -453,7 +455,7 @@ class TestTokenIdTypes:
 
     @pytest.mark.parametrize("token", [3.5, 3.0, np.float32(3), True])
     def test_non_integer_decode_token_rejected(self, tiny_model, tiny_config, token):
-        cache = KVCache.empty(tiny_config)
+        cache = KVCache(tiny_config)
         with pytest.raises(UsageError):
             decode_step_dense(tiny_model, cache, token)
         assert cache.n_tokens == 0
@@ -464,9 +466,9 @@ class TestTokenIdTypes:
         for dtype in (np.int64, np.int32, np.uint16):
             got, _, _ = forward_dense(tiny_model, np.asarray(ids, dtype=dtype))
             assert np.array_equal(got, want)
-        step, _ = decode_step_dense(tiny_model, KVCache.empty(tiny_model.config), np.int32(3))
+        step, _ = decode_step_dense(tiny_model, KVCache(tiny_model.config), np.int32(3))
         assert np.array_equal(step, decode_step_dense(
-            tiny_model, KVCache.empty(tiny_model.config), 3)[0])
+            tiny_model, KVCache(tiny_model.config), 3)[0])
 
     @pytest.mark.parametrize("tau", ["x", None, [0.3]])
     def test_tau_must_be_a_number(self, sink_probe_model, tau):

@@ -318,7 +318,7 @@ class TestForwardOrthorankLayer:
 
 class TestDecodeSelect:
     def cache_with_history(self, model, layer, history):
-        cache = KVCache.empty(model.config)
+        cache = KVCache(model.config)
         cache.sorted_history[layer] = sorted(history)
         return cache
 
@@ -346,7 +346,7 @@ class TestDecodeSelect:
         assert cache.sorted_history[1] == [0.1, 0.9, np.inf]
 
     def test_missing_history(self, tiny_model):
-        cache = KVCache.empty(tiny_model.config)
+        cache = KVCache(tiny_model.config)
         with pytest.raises(StateError):
             decode_select(cache, 1, 0.5, 0.5)
 
@@ -672,7 +672,7 @@ class TestKVCacheCheck:
     @pytest.mark.parametrize("breakage", [
         "extra_token", "short_values", "positions_unsorted", "dense_layer_short",
         "count_past_capacity", "keys_misshaped", "history_short", "sorted_stale",
-        "sink_missing",
+        "sink_missing", "layout_swapped", "layer_missing",
     ])
     def test_broken_invariant_raises(self, tiny_model, tiny_tokens, breakage):
         _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1, 2], 0.5)
@@ -693,6 +693,13 @@ class TestKVCacheCheck:
             cache.sorted_history[1].pop()
         elif breakage == "sorted_stale":
             cache.sorted_history[2][-1] = -1.0
+        elif breakage == "layout_swapped":  # a consistent arena of twice the KV heads
+            n_kv, d_head, capacity = arena.kt.shape
+            cache.layers[1] = (arena._replace(
+                kt=np.zeros((2 * n_kv, d_head, capacity), arena.kt.dtype),
+                va=np.zeros((2 * n_kv, capacity, d_head), arena.va.dtype)), rows)
+        elif breakage == "layer_missing":
+            cache.layers.pop()
         else:
             del cache.sink_state[1]
         with pytest.raises(StateError):
@@ -799,7 +806,7 @@ NAN_TOKEN = 5
 
 def cache_bytes(cache):
     """Every field of a cache as bytes, so NaN entries compare equal."""
-    return (cache.n_tokens, cache.criterion,
+    return (cache.n_tokens, cache.identity, cache.criterion,
             [a.tobytes() for a in cache.keys + cache.values + cache.positions],
             {l: s.tobytes() for l, s in cache.sink_state.items()},
             {l: np.array(h).tobytes() for l, h in cache.sorted_history.items()})
@@ -894,6 +901,41 @@ class TestFailedStepLeavesCache:
         assert cache_bytes(cache) == before
         cache.check()
 
+    # the same KV layout with other query heads; other layers; another KV layout
+    @pytest.mark.parametrize("other", [{"n_heads": 8, "d_model": 64}, {"n_layers": 2},
+                                       {"n_kv_heads": 4}])
+    @pytest.mark.parametrize("plan", [[], [1]])
+    def test_cache_made_for_another_config(self, tiny_model, other, plan, monkeypatch):
+        cache = KVCache(dataclasses.replace(tiny_model.config, **other))
+        before = cache_bytes(cache)
+        ran = []
+        monkeypatch.setattr(selection, "_layer_step", lambda *args, **kw: ran.append(args))
+        with pytest.raises(StateError):
+            decode_step_with_plan(tiny_model, cache, 4, plan, 0.5)
+        assert ran == [] and cache_bytes(cache) == before
+        cache.check()
+
+    @pytest.mark.parametrize("failure", ["out_of_vocab", "last_layer"])
+    def test_failed_first_step_records_no_model(self, tiny_model, failure, monkeypatch):
+        config = tiny_model.config
+        cache, token = KVCache(config), 3
+        if failure == "out_of_vocab":
+            token = config.vocab_size
+        else:  # every layer but the last writes its rows before the step fails
+            real = selection.block_forward
+
+            def failing(model, layer, *args):
+                if layer == config.n_layers - 1:
+                    raise UsageError("the last layer fails")
+                return real(model, layer, *args)
+
+            monkeypatch.setattr(selection, "block_forward", failing)
+        with pytest.raises(UsageError):
+            decode_step_with_plan(tiny_model, cache, token, [1], 0.5)
+        assert cache.identity == (config, None) and cache.criterion is None
+        assert cache_bytes(cache) == cache_bytes(KVCache(config))
+        cache.check()
+
     @pytest.mark.parametrize("step", ["subset_plan", "dense_step", "stage_switch"])
     def test_step_off_the_prefill_plan_or_criterion(self, step):
         model = make_random_model(ModelConfig(n_layers=6, d_model=32, n_heads=4, n_kv_heads=2,
@@ -915,20 +957,6 @@ class TestFailedStepLeavesCache:
                               compute_kv_for_unselected=False)
         decode_step_with_plan(model, cache, int(tokens[41]), [2, 3], 1.0)
         cache.check()
-
-    def test_cache_from_arrays_takes_its_first_criterion(self, tiny_model, tiny_tokens):
-        raw = Criterion(stage="raw_hidden")
-        _, _, prefilled = forward_with_plan(tiny_model, tiny_tokens[:12], [1, 2], 0.5, raw)
-        assert prefilled.criterion == raw
-        cache = KVCache(prefilled.keys, prefilled.values, prefilled.positions,
-                        prefilled.sink_state, prefilled.n_tokens, prefilled.sorted_history)
-        assert cache.criterion is None
-        decode_step_with_plan(tiny_model, cache, int(tiny_tokens[12]), [1, 2], 0.5, raw)
-        assert cache.criterion == raw
-        before = cache_bytes(cache)
-        with pytest.raises(StateError):
-            decode_step_with_plan(tiny_model, cache, int(tiny_tokens[13]), [1, 2], 0.5)
-        assert cache_bytes(cache) == before
 
     def test_nonfinite_prefill_score_raises(self, tiny_model):
         weights = {name: w.copy() for name, w in tiny_model.weights.items()}
