@@ -252,9 +252,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_flops(args) -> int:
+    if args.plan and args.layers:
+        raise UsageError("flops takes a plan from --plan or --layers, not both")
     model = Model.from_checkpoint(args.model)
     plan = _load_plan(args, model)
-    if args.layers and not args.plan:
+    if args.layers:
         plan = LayerPlan(layers=parse_positions(args.layers), keep_ratio=args.keep_ratio,
                          l_sink=-1)
     counts = flop_count(model.config, plan, args.seq_len)

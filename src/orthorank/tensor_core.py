@@ -19,16 +19,19 @@ probability columns that are exactly zero (trailing zero K), so its rows
 equal those of the full-width product bit for bit.
 BLAS libraries pick different code paths by operand shape and layout, so
 the kernel hands BLAS only canonical shapes: rows of ``a`` padded to a
-multiple of ``_ROW_ALIGN`` and cut into blocks of at most
-``MATMUL_ROW_BLOCK`` rows, ``b`` row-major with its columns padded to a
+multiple of ``_ROW_ALIGN``, ``b`` row-major with its columns padded to a
 multiple of ``_COL_ALIGN``, and the inner dimension cut into
 ``_K_CHUNK``-wide chunks whose products are added in order. Each rule was
-found necessary on OpenBLAS 0.3.31; the invariance tests in
-``tests/test_tensor_core.py`` are the gate on any other build.
+found necessary on OpenBLAS 0.3.31. Rows are not capped: one call takes
+all of them, and however BLAS splits them among its threads, no row's
+value changes (a fuzz that dropped an earlier 64-row cap failed no
+invariance test, and products of up to 3,000 rows hash the same at 1 and
+2 threads). The invariance tests in ``tests/test_tensor_core.py`` are the
+gate on any other build or thread count.
 
 The kernel is ``_matmul_cols(a, b, n)``: it takes stacked operands,
 (..., m, k) by (..., k, c), broadcasts their leading axes, and makes one
-``np.matmul`` call per (row block, K chunk) for the whole stack, which
+``np.matmul`` call per K chunk for all rows and the whole stack, which
 hands BLAS every matrix in the same canonical shapes as a 2-D product, so
 each equals its 2-D product bit for bit. ``matmul`` is its checked 2-D
 case, and ``_blocked_matmul`` brings any ``b`` to its layout first. A caller that keeps ``b`` in that layout
@@ -56,7 +59,6 @@ from .errors import ConfigError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 
-MATMUL_ROW_BLOCK = 64  # rows of ``a`` per BLAS call
 _ROW_ALIGN = 8  # rows of ``a`` are zero-padded to a multiple of this
 _COL_ALIGN = 16  # columns of ``b`` are zero-padded to a multiple of this
 _K_CHUNK = 256  # inner-dimension width of one BLAS call
@@ -116,8 +118,10 @@ def _matmul_cols(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     own operands bit for bit. Each matrix of ``b`` has the result dtype,
     unit column stride and ``c >= _round_up(n, _COL_ALIGN)`` columns; the
     columns past ``n`` may hold anything, since they reach only discarded
-    output columns. No copy of ``b`` is made, and one ``np.matmul`` call
-    per (row block, K chunk) serves the whole stack.
+    output columns. No copy of ``b`` is made. The result is the first
+    ``_K_CHUNK``-wide chunk's product over all padded rows and the whole
+    stack, one ``np.matmul`` call, with each later chunk's product added
+    into it in order.
     """
     m, k = a.shape[-2:]
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
@@ -132,13 +136,9 @@ def _matmul_cols(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         padded = np.zeros(a.shape[:-2] + (m_pad, k), dtype)
         padded[..., :m, :] = a
         a = padded
-    out = np.empty(lead + (m_pad, b.shape[-1]), dtype)
-    for r in range(0, m_pad, MATMUL_ROW_BLOCK):
-        rows = a[..., r:r + MATMUL_ROW_BLOCK, :]
-        block = out[..., r:r + MATMUL_ROW_BLOCK, :]
-        np.matmul(rows[..., :_K_CHUNK], b[..., :_K_CHUNK, :], out=block)
-        for c in range(_K_CHUNK, k, _K_CHUNK):
-            block += np.matmul(rows[..., c:c + _K_CHUNK], b[..., c:c + _K_CHUNK, :])
+    out = np.matmul(a[..., :_K_CHUNK], b[..., :_K_CHUNK, :])
+    for c in range(_K_CHUNK, k, _K_CHUNK):
+        out += np.matmul(a[..., c:c + _K_CHUNK], b[..., c:c + _K_CHUNK, :])
     return np.ascontiguousarray(out[..., :m, :n])
 
 

@@ -356,6 +356,17 @@ class TestFlops:
         assert code == 0
         assert json.loads(text[text.index("{"):])["ratio"] < 1.0
 
+    def test_plan_and_layers_refused(self, cli_ck, tmp_path, capsys):
+        # one of the two plans would be dropped; the pair is refused before
+        # the model loads, so a missing checkpoint is not what is reported
+        plan_path = tmp_path / "plan.json"
+        LayerPlan(layers=[2], keep_ratio=0.5, l_sink=1).save(plan_path)
+        for model in (cli_ck, tmp_path / "missing"):
+            code, out, err = run_cli("flops", "--model", model, "--plan", plan_path,
+                                     "--layers", "1..3", capsys=capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1 and "--layers" in err
+
     def test_non_integer_layers(self, cli_ck, capsys):
         code, _, err = run_cli("flops", "--model", cli_ck, "--layers", "1..x", capsys=capsys)
         assert code == 2

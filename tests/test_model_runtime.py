@@ -69,8 +69,9 @@ class TestForwardDense:
         for cut in (1, 2, 7, 12, len(tiny_tokens) - 1):
             part, _, _ = forward_dense(tiny_model, tiny_tokens[:cut])
             assert np.array_equal(part, full[:cut]), f"cut={cut}"
-        # every prefix of a sequence long enough to cross the matmul row
-        # block, the K chunk of the attention products and the GQA stacking
+        # every prefix of a sequence long enough to cross the K chunk of the
+        # attention products and the GQA stacking; the prefixes pad their
+        # rows to 8 in every way
         tokens = make_tokens(130, tiny_config.vocab_size, seed=3)
         full, _, _ = forward_dense(tiny_model, tokens)
         for cut in range(1, len(tokens)):
@@ -81,6 +82,22 @@ class TestForwardDense:
         full, _, _ = forward_dense(tiny_model, tokens)
         for cut in (ATTN_ROW_BLOCK - 1, ATTN_ROW_BLOCK, ATTN_ROW_BLOCK + 1, 300):
             part, _, _ = forward_dense(tiny_model, tokens[:cut])
+            assert np.array_equal(part, full[:cut]), f"cut={cut}"
+        # prompt-sized prefixes: each matmul hands BLAS all rows of a K chunk
+        # in one call, and BLAS splits them among its threads by the row count
+        tokens = make_tokens(1100, tiny_config.vocab_size, seed=5)
+        full, _, _ = forward_dense(tiny_model, tokens)
+        for cut in (1024, 1025, 1100):
+            part, _, _ = forward_dense(tiny_model, tokens[:cut])
+            assert np.array_equal(part, full[:cut]), f"cut={cut}"
+
+    def test_causality_bitwise_under_plan(self, tiny_model, tiny_config):
+        # the same prompt-sized prefixes through the selective path; a plan
+        # that keeps every row, since top-k with p < 1 ranks the whole window
+        tokens = make_tokens(1100, tiny_config.vocab_size, seed=5)
+        full, _, _ = forward_with_plan(tiny_model, tokens, [1, 2], 1.0)
+        for cut in (1024, 1025, 1100):
+            part, _, _ = forward_with_plan(tiny_model, tokens[:cut], [1, 2], 1.0)
             assert np.array_equal(part, full[:cut]), f"cut={cut}"
 
     def test_cache_lengths(self, tiny_model, tiny_tokens, tiny_config):

@@ -160,11 +160,33 @@ class TestMatmul:
         assert got.flags.c_contiguous and got.dtype == dtype
         assert np.array_equal(got, matmul(a, b[:, :n]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [48, 64, 1024])
+    @pytest.mark.parametrize("k", [256, 700, 1024])
+    @pytest.mark.parametrize("m", [700, 1024, 1100, 2000])
+    def test_row_invariance_at_prompt_sizes(self, m, k, n, dtype):
+        # one BLAS call takes all rows of a K chunk, so BLAS partitions them
+        # among its threads itself; its split must not reach any row's value
+        rng = np.random.default_rng(m * 7 + k * 3 + n)
+        a = rng.standard_normal((m, k)).astype(dtype)
+        b = rng.standard_normal((k, n)).astype(dtype)
+        full = matmul(a, b)
+        for r in (0, 1, m // 2, m - 1):
+            assert np.array_equal(matmul(a[r:r + 1], b), full[r:r + 1]), r
+        for rows in (9, m // 2 + 3, m - 1):
+            assert np.array_equal(matmul(a[:rows], b), full[:rows]), rows
+        subset = np.sort(rng.choice(m, size=m // 3, replace=False))
+        assert np.array_equal(matmul(a[subset], b), full[subset])
+        a_pad = np.concatenate([a, np.zeros((m, 300), dtype)], axis=1)
+        b_pad = np.concatenate([b, np.zeros((300, n), dtype)], axis=0)
+        assert np.array_equal(matmul(a_pad, b_pad), full)
+
 
 class TestStackedMatmul:
     """The kernel over stacked operands: each matrix is its own 2-D product."""
 
-    @given(lead=st.lists(st.integers(1, 3), max_size=2), m=st.integers(1, 70),
+    @given(lead=st.lists(st.integers(1, 3), max_size=2),
+           m=st.one_of(st.integers(1, 70), st.integers(250, 320)),
            k=st.one_of(st.integers(1, 48), st.integers(257, 600)), n=st.integers(1, 50),
            dtype=st.sampled_from([np.float32, np.float64]), transposed=st.booleans(),
            layout=st.sampled_from(["any", "columns"]), data=st.data())
