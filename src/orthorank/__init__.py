@@ -61,7 +61,6 @@ from .model_runtime import (
     lm_head_logits,
 )
 from .selection import (
-    AuditLog,
     Criterion,
     SelectionMask,
     cos_gradient,
@@ -79,7 +78,6 @@ from .trace import HiddenTrace, dump_trace_csv
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditLog",
     "CheckpointError",
     "ConfigError",
     "Criterion",

@@ -101,9 +101,6 @@ class LayerPlan:
     def ratios(self) -> list[float]:
         return list(_plan_ratios(self.layers, self.keep_ratio).values())
 
-    def entries(self) -> list[tuple[int, float]]:
-        return list(zip(self.layers, self.ratios()))
-
     def to_json(self) -> str:
         return json.dumps(
             {

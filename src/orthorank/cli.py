@@ -33,8 +33,8 @@ from .checkpoint_io import (
 )
 from .errors import OrthoRankError, UsageError
 from .model_runtime import Model, detect_sink_layer, forward_dense
-from .selection import AuditLog, Criterion, generate_greedy
-from .trace import dump_trace_csv
+from .selection import Criterion, generate_greedy
+from .trace import HiddenTrace, dump_trace_csv
 
 
 def _int(text: str, what: str) -> int:
@@ -146,7 +146,7 @@ def cmd_analyze(args) -> int:
         model = Model.from_checkpoint(args.model)
         corpus = load_corpus(args.corpus)
         seq = corpus[: args.seq_len] if args.seq_len else corpus
-        _, trace, _ = forward_dense(model, seq, capture_trace=True)
+        _, trace, _ = forward_dense(model, seq, HiddenTrace())
     else:
         raise UsageError("analyze needs either --synthetic or both --model and --corpus")
 
@@ -234,12 +234,12 @@ def cmd_ablate(args) -> int:
     rows = eval_harness.ablation_grid(model, plan, corpus, args.context_len, args.seed)
     eval_harness.ablation_to_csv(rows, args.out)
     if args.audit_csv:
-        audit = AuditLog()
+        trace = HiddenTrace(hidden=None, selection=[])
         eval_harness.perplexity(
             model, plan, corpus, args.context_len,
-            compute_kv_for_unselected=False, audit=audit,
+            compute_kv_for_unselected=False, trace=trace,
         )
-        audit.write_csv(args.audit_csv)
+        trace.write_selection_csv(args.audit_csv)
         print(f"wrote KV-off selection audit to {args.audit_csv}")
     for row in rows:
         kv = "on" if row["kv_for_unselected"] else "off"
@@ -273,15 +273,15 @@ def cmd_generate(args) -> int:
     model = Model.from_checkpoint(args.model)
     prompt = [_int(t, "prompt token") for t in args.prompt.split()]
     plan = _load_plan(args, model)
-    audit = AuditLog() if args.audit_csv else None
+    trace = HiddenTrace(hidden=None, selection=[]) if args.audit_csv else None
     tokens = generate_greedy(
         model, prompt, args.n_new, plan.layers, plan.keep_ratio,
         criterion=_criterion(args),
         compute_kv_for_unselected=not args.no_kv,
-        audit=audit,
+        trace=trace,
     )
-    if audit is not None:
-        audit.write_csv(args.audit_csv)
+    if trace is not None:
+        trace.write_selection_csv(args.audit_csv)
         print(f"wrote selection audit to {args.audit_csv}")
     print(" ".join(str(t) for t in tokens))
     return 0

@@ -19,7 +19,7 @@ import numpy as np
 from .calibration import LayerPlan, _is_number, _plan_ratios, corpus_sha256, flop_count
 from .errors import ConfigError, UsageError
 from .model_runtime import KVCache, Model
-from .selection import DEFAULT_CRITERION, AuditLog, Criterion, _run_layers, forward_with_plan
+from .selection import DEFAULT_CRITERION, Criterion, _run_layers, forward_with_plan
 from .trace import HiddenTrace, _write_csv
 
 
@@ -80,18 +80,22 @@ def _corpus_chunks(corpus_tokens, context_len: int) -> tuple[np.ndarray, np.ndar
 def _resolve_plan(model: Model, plan: LayerPlan) -> dict[int, float]:
     """``plan`` as ``{layer: keep ratio}`` on ``model``: the one check of a plan against a model.
 
-    Its layers must exist in the model, and a plan made for another model,
-    one whose ``model_id`` is neither ``"unknown"`` nor the model's, raises
+    Its layers and its sink layer must exist in the model (``l_sink=-1``
+    makes every layer eligible), and a plan made for another model, one
+    whose ``model_id`` is neither ``"unknown"`` nor the model's, raises
     ConfigError.
     """
     if plan.model_id not in ("unknown", model.model_id):
         raise ConfigError(f"the plan was made for model {plan.model_id!r}, "
                           f"not for model {model.model_id!r}")
+    if plan.l_sink >= model.config.n_layers:
+        raise ConfigError(f"the plan's l_sink {plan.l_sink} is not a layer of a "
+                          f"{model.config.n_layers}-layer model")
     return _plan_ratios(plan.layers, plan.keep_ratio, model.config.n_layers)
 
 
 def _eval_chunks(model, chunks, plan, criterion=DEFAULT_CRITERION,
-                 compute_kv_for_unselected=True, audit=None, resume=None, record=False):
+                 compute_kv_for_unselected=True, trace=None, resume=None, record=False):
     """NLL total of every chunk under ``plan``, and the states it passed.
 
     Each chunk runs from its embeddings through the public
@@ -99,32 +103,32 @@ def _eval_chunks(model, chunks, plan, criterion=DEFAULT_CRITERION,
     with ``resume=(s, states)``, from layer ``s`` on ``states[c]``: chunk
     c's input to layer ``s`` under a plan that agrees with ``plan`` below
     ``s``, which makes the result bitwise that of a run from the embeddings.
-    With ``record`` the second return value holds, per chunk, the input
-    state of every layer the chunk ran (from 0, or from ``s``); else None.
-    An audit log records the chunk index as the step. The plan is checked
-    against the model first (``_resolve_plan``).
+    Every chunk records into ``trace``, with the chunk index as the step of
+    its selection rows. With ``record`` each chunk records into a
+    ``HiddenTrace()`` of its own instead (so a chunk's normalized states go
+    with its trace), and the second return value holds, per chunk, the
+    input state of every layer the chunk ran (from 0, or from ``s``); else
+    None. The plan is checked against the model first (``_resolve_plan``).
     """
     ratio_map = _resolve_plan(model, plan)
-    if resume is not None:
-        first, starts = resume
     nlls, inputs = [], [] if record else None
     for c, chunk in enumerate(chunks):
-        chunk_audit = AuditLog() if audit is not None else None
+        chunk_trace = HiddenTrace() if record else trace
+        rows = None if chunk_trace is None else chunk_trace.selection
+        n_rows = 0 if rows is None else len(rows)
         if resume is None:
-            logits, trace, _ = forward_with_plan(
-                model, chunk, plan.layers, plan.keep_ratio, criterion,
-                compute_kv_for_unselected, capture_trace=record, audit=chunk_audit,
-            )
+            logits, _, _ = forward_with_plan(model, chunk, plan.layers, plan.keep_ratio,
+                                             criterion, compute_kv_for_unselected, chunk_trace)
         else:
-            trace = HiddenTrace() if record else None
+            first, starts = resume
             logits = _run_layers(model, None, KVCache(model.config), ratio_map, criterion,
-                                 compute_kv_for_unselected, chunk_audit, trace,
+                                 compute_kv_for_unselected, chunk_trace,
                                  resume=(first, starts[c]))
-        if audit is not None:
-            audit.rows.extend((l, c, p, s, sel) for l, _, p, s, sel in chunk_audit.rows)
+        if rows:  # the chunk's prefill recorded step 0
+            rows[n_rows:] = [(l, c, p, s, k) for l, _, p, s, k in rows[n_rows:]]
         nlls.append(float(np.sum(_chunk_nll(logits[:-1], chunk[1:]))))
         if record:
-            inputs.append(trace.hidden)
+            inputs.append(chunk_trace.hidden)
     return nlls, inputs
 
 
@@ -143,19 +147,20 @@ def perplexity(
     context_len: int,
     criterion: Criterion = DEFAULT_CRITERION,
     compute_kv_for_unselected: bool = True,
-    audit: AuditLog | None = None,
+    trace: HiddenTrace | None = None,
 ) -> EvalReport:
     """Chunked teacher-forced perplexity under a plan; ``None`` means ``LayerPlan()``.
 
     The plan resolves through ``_plan_ratios`` (no ``{layer: ratio}``
     mapping form). Every chunk of ``context_len`` tokens contributes the
     NLL of its positions 1..W-1; perplexity is exp(total NLL / total
-    predictions). When an audit log is given it records chunk index as the step.
+    predictions). A ``trace`` records every chunk's forward pass, with the
+    chunk index as the step of its selection rows.
     """
     plan = LayerPlan() if plan is None else plan
     tokens, chunks = _corpus_chunks(corpus_tokens, context_len)
     chunk_nlls, _ = _eval_chunks(model, chunks, plan, criterion,
-                                 compute_kv_for_unselected, audit)
+                                 compute_kv_for_unselected, trace)
     total, ppl = _perplexity_of(chunk_nlls, context_len)
     n_chunks, context_len = chunks.shape  # Python ints, whatever integer type came in
     flops = flop_count(model.config, plan, context_len)

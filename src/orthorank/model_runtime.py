@@ -338,23 +338,19 @@ def embed_tokens(model: Model, token_ids) -> tuple[np.ndarray, np.ndarray]:
 def forward_dense(
     model: Model,
     token_ids,
-    capture_trace: bool = False,
-    capture_attn_to_sink: bool = False,
+    trace: HiddenTrace | None = None,
 ) -> tuple[np.ndarray, HiddenTrace | None, KVCache]:
     """Teacher-forced dense forward pass over a full sequence: the empty plan.
 
-    Returns (T, vocab) logits, a trace when either capture flag is set
-    (per-layer block inputs and their pre-attention RMSNorm outputs under
-    ``capture_trace``, attention-to-sink masses under
-    ``capture_attn_to_sink``), and the populated KV cache.
+    Returns (T, vocab) logits, the ``trace`` passed in (None without one),
+    which gets one entry per layer in each list it records (``HiddenTrace()``
+    records block inputs and their pre-attention RMSNorm outputs), and the
+    populated KV cache.
     """
     from .selection import DEFAULT_CRITERION, _run_layers
 
-    capture = capture_trace or capture_attn_to_sink
-    trace = HiddenTrace(attn_to_sink=[] if capture_attn_to_sink else None) if capture else None
     cache = KVCache(model.config)
-    logits = _run_layers(model, token_ids, cache, {}, DEFAULT_CRITERION, True, None,
-                         trace, capture_states=capture_trace)
+    logits = _run_layers(model, token_ids, cache, {}, DEFAULT_CRITERION, True, trace)
     return logits, trace, cache
 
 
@@ -367,7 +363,7 @@ def decode_step_dense(model: Model, cache: KVCache, token_id: int) -> tuple[np.n
     """
     from .selection import DEFAULT_CRITERION, _run_layers
 
-    return _run_layers(model, [token_id], cache, {}, DEFAULT_CRITERION, True, None), cache
+    return _run_layers(model, [token_id], cache, {}, DEFAULT_CRITERION, True), cache
 
 
 def detect_sink_layer(model: Model, calib_tokens, tau: float = 0.3) -> int:
@@ -381,7 +377,7 @@ def detect_sink_layer(model: Model, calib_tokens, tau: float = 0.3) -> int:
     tokens = np.asarray(calib_tokens)
     if tokens.size < 8:
         raise UsageError(f"sink detection needs >= 8 calibration tokens, got {tokens.size}")
-    _, trace, _ = forward_dense(model, tokens, capture_attn_to_sink=True)
+    _, trace, _ = forward_dense(model, tokens, HiddenTrace(hidden=None, attn_to_sink=[]))
     for layer, attn0 in zip(trace.layers, trace.attn_to_sink):
         if float(np.mean(attn0[1:])) >= tau:
             return layer

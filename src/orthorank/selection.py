@@ -21,7 +21,7 @@ import copy
 import math
 import numbers
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .model_runtime import (
     embed_tokens,
     lm_head_logits,
 )
-from .trace import HiddenTrace, _write_csv
+from .trace import HiddenTrace
 
 CRITERION_KINDS = ("orthogonal_asc", "orthogonal_desc", "norm_asc", "norm_desc", "random")
 STAGES = ("normalized", "raw_hidden")
@@ -164,25 +164,9 @@ def _score_keys(states: np.ndarray, sink_state, criterion: Criterion, rng_key) -
     return -keys if criterion.kind.endswith("_desc") else keys
 
 
-@dataclass
-class AuditLog:
-    """Selection decisions, one row per (layer, token) scoring event."""
-
-    rows: list[tuple[int, int, int, float, int]] = field(default_factory=list)
-
-    def record(self, layer: int, step: int, position: int, score: float, selected: bool):
-        self.rows.append((layer, step, position, float(score), int(selected)))
-
-    def write_csv(self, path) -> None:
-        _write_csv(path, ["layer", "step", "position", "score", "selected"],
-                   ([layer, step, position, repr(score), selected]
-                    for layer, step, position, score, selected in self.rows))
-
-
 def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
                 ratio: float | None, criterion: Criterion, compute_kv_for_unselected: bool,
-                cache: KVCache, audit: AuditLog | None,
-                trace: HiddenTrace | None = None, capture_states: bool = True):
+                cache: KVCache, trace: HiddenTrace | None):
     """Run block ``layer`` in place on ``x``; selectively unless ``ratio`` is None.
 
     The attention RMSNorm is computed once and shared by the trace, the
@@ -191,16 +175,16 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
     non-finite key raises UsageError) and caches the keys in ascending order
     as the layer's score list and row 0 at the criterion's stage as its sink
     state; decode scores its one row against that sink state (StateError if
-    none) and asks ``decode_select``. A ``trace`` records the layer, its
-    block input and normalized rows when ``capture_states``, and the
-    attention mass on key 0 when its ``attn_to_sink`` is a list. Returns the
-    selected rows and the block's new key and value rows (None when a
-    decode row stores nothing).
+    none) and asks ``decode_select``. A ``trace`` records the layer and each
+    kind of entry it holds a list for: the block input and normalized rows,
+    the scored rows of a plan layer, and the selected rows' attention mass
+    on key 0. Returns the selected rows and the block's new key and value
+    rows (None when a decode row stores nothing).
     """
     xn = tc.rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), model.config.norm_eps)
     if trace is not None:
         trace.layers.append(layer)
-        if capture_states:
+        if trace.hidden is not None:
             trace.hidden.append(x.copy())
             trace.normalized.append(xn)
     step = int(positions[0])  # 0 in a prefill, the new token's position in decode
@@ -222,14 +206,16 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
             sel = select_topk(keys, ratio).selected
             cache.sorted_history[layer] = sorted(keys.tolist())
             cache.sink_state[layer] = stage[0].copy()
-        if audit is not None:
-            chosen = np.isin(rows, sel)
-            for i in rows:
-                audit.record(layer, step, int(positions[i]), keys[i], bool(chosen[i]))
+        if trace is not None and trace.selection is not None:
+            chosen = np.isin(rows, sel).astype(np.int64)
+            trace.selection.extend((layer, step, p, s, c) for p, s, c in zip(
+                positions.tolist(), keys.tolist(), chosen.tolist()))
+    capture_attn0 = trace is not None and trace.attn_to_sink is not None
     kv_rows = rows if compute_kv_for_unselected else sel
     if step and kv_rows.size == 0:  # unselected with KV off: the token skips the layer
+        if capture_attn0:
+            trace.attn_to_sink.append(np.zeros(0))
         return sel, None, None
-    capture_attn0 = trace is not None and trace.attn_to_sink is not None
     k_new, v_new, attn0 = block_forward(model, layer, x, positions, sel, kv_rows, xn,
                                         cache, capture_attn0)
     if capture_attn0:
@@ -238,7 +224,7 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
 
 
 def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselected,
-                audit, trace=None, capture_states=True, resume=None) -> np.ndarray:
+                trace=None, resume=None) -> np.ndarray:
     """Prefill ``token_ids`` into an empty ``cache``, or decode one token onto it; logits.
 
     The one layer loop: layers outside ``plan`` run dense, so the empty plan
@@ -254,15 +240,15 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     (arena, count) pairs, which ``block_forward`` replaces after writing
     past the counts, its sink states and score lists. They replace the
     cache's only after the last layer, so a failed step leaves the cache's
-    committed rows, arenas and selection state as they were (its ``audit``
-    rows stay). ``resume=(s, x)`` starts a prefill at layer ``s`` from
-    ``x``, the (T, d) input states of that layer recorded by an earlier run
-    (``x`` is not modified and ``token_ids`` is not read). Layers below
+    committed rows, arenas and selection state as they were (its ``trace``
+    keeps what the step recorded). ``resume=(s, x)`` starts a prefill at
+    layer ``s`` from ``x``, the (T, d) input states of that layer recorded
+    by an earlier run (``x`` is not modified and ``token_ids`` is not read). Layers below
     ``s`` neither run nor fill the cache; from ``s`` on, the same ops run on
     the same rows as in a run from the embeddings under any plan that agrees
-    with ``plan`` below ``s``, so the result is bitwise that run's. A trace
-    with ``capture_states`` records the input state of every layer it
-    passes.
+    with ``plan`` below ``s``, so the result is bitwise that run's. A
+    ``trace`` (``HiddenTrace``) gets the entries of every layer step the
+    loop runs, from ``s`` on when it resumes.
     """
     cfg = model.config
     config, model_id = cache.identity
@@ -289,7 +275,7 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     positions = np.arange(cache.n_tokens, staged.n_tokens, dtype=np.int64)
     for layer in range(first, cfg.n_layers):
         _layer_step(model, layer, x, positions, plan.get(layer), criterion,
-                    compute_kv_for_unselected, staged, audit, trace, capture_states)
+                    compute_kv_for_unselected, staged, trace)
     vars(cache).update(vars(staged))  # commit: the staged containers replace the cache's
     return lm_head_logits(model, x)
 
@@ -301,7 +287,7 @@ def forward_orthorank_layer(
     keep_ratio: float,
     criterion: Criterion = DEFAULT_CRITERION,
     compute_kv_for_unselected: bool = True,
-    audit: AuditLog | None = None,
+    trace: HiddenTrace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SelectionMask]:
     """One selective block: full compute for the top-k tokens only.
 
@@ -310,13 +296,14 @@ def forward_orthorank_layer(
     attention, output projection, and FFN run for the selected rows, which
     attend at their original rotary positions. Unselected rows of the
     result are bitwise equal to the input. Returns the updated states, the
-    new key and value rows, and the selection mask.
+    new key and value rows, and the selection mask. A ``trace`` records
+    the layer step as ``forward_with_plan``'s would.
     """
     (layer, ratio), = _plan_ratios([layer_index], keep_ratio, model.config.n_layers).items()
     x_out = np.array(x, copy=True)
     positions = np.arange(x_out.shape[0], dtype=np.int64)
     sel, k_new, v_new = _layer_step(model, layer, x_out, positions, ratio, criterion,
-                                    compute_kv_for_unselected, KVCache(model.config), audit)
+                                    compute_kv_for_unselected, KVCache(model.config), trace)
     return x_out, k_new, v_new, SelectionMask(sel, sel.size)
 
 
@@ -327,8 +314,7 @@ def forward_with_plan(
     keep_ratio,
     criterion: Criterion = DEFAULT_CRITERION,
     compute_kv_for_unselected: bool = True,
-    capture_trace: bool = False,
-    audit: AuditLog | None = None,
+    trace: HiddenTrace | None = None,
 ) -> tuple[np.ndarray, HiddenTrace | None, KVCache]:
     """Full-sequence forward pass with the plan's layers run selectively.
 
@@ -338,13 +324,14 @@ def forward_with_plan(
     bad plan raises ConfigError. The empty plan, ``LayerPlan()``'s, is
     exactly the dense forward pass (same kernel, same arithmetic). The
     returned cache holds the ascending score list and the cached sink state
-    for each plan layer, ready for decode.
+    for each plan layer, ready for decode. Returns (T, vocab) logits, the
+    ``trace`` passed in (None without one), which gets one entry per layer
+    in each list it records, and the cache.
     """
     plan = _plan_ratios(plan_layers, keep_ratio, model.config.n_layers)
     cache = KVCache(model.config)
-    trace = HiddenTrace() if capture_trace else None
     logits = _run_layers(model, token_ids, cache, plan, criterion,
-                         compute_kv_for_unselected, audit, trace)
+                         compute_kv_for_unselected, trace)
     return logits, trace, cache
 
 
@@ -381,7 +368,7 @@ def decode_step_with_plan(
     keep_ratio,
     criterion: Criterion = DEFAULT_CRITERION,
     compute_kv_for_unselected: bool = True,
-    audit: AuditLog | None = None,
+    trace: HiddenTrace | None = None,
 ) -> tuple[np.ndarray, KVCache]:
     """Decode one token under a layer plan.
 
@@ -394,12 +381,13 @@ def decode_step_with_plan(
     layers must be exactly those the prefill ran selectively, and the
     criterion the prefill's; otherwise StateError before any layer runs.
     The keep ratio and the KV setting may change from step to step. A
-    failed step leaves the cache as it was and its ``audit`` rows in the
-    caller's log.
+    ``trace`` gets one entry per layer in each list it records, with the
+    token's position as the step of its selection rows. A failed step
+    leaves the cache as it was and what it recorded in the trace.
     """
     plan = _plan_ratios(plan_layers, keep_ratio, model.config.n_layers)
     return _run_layers(model, [token_id], cache, plan, criterion,
-                       compute_kv_for_unselected, audit), cache
+                       compute_kv_for_unselected, trace), cache
 
 
 def generate_greedy(
@@ -410,18 +398,19 @@ def generate_greedy(
     keep_ratio=1.0,
     criterion: Criterion = DEFAULT_CRITERION,
     compute_kv_for_unselected: bool = True,
-    audit: AuditLog | None = None,
+    trace: HiddenTrace | None = None,
 ) -> list[int]:
     """Greedy decode: prefill the prompt, then argmax one token at a time.
 
     Returns the prompt plus ``n_new`` generated ids. Argmax ties resolve to
-    the smallest token id.
+    the smallest token id. A ``trace`` records the prefill and every
+    decode step, in order.
     """
     if not (_is_number(n_new, numbers.Integral) and n_new >= 0):
         raise UsageError(f"n_new must be an integer >= 0, got {n_new!r}")
     logits, _, cache = forward_with_plan(
         model, prompt_tokens, plan_layers, keep_ratio, criterion,
-        compute_kv_for_unselected, audit=audit,
+        compute_kv_for_unselected, trace,
     )
     out = [int(t) for t in np.asarray(prompt_tokens)]
     for i in range(n_new):
@@ -430,6 +419,6 @@ def generate_greedy(
         if i + 1 < n_new:
             logits, _ = decode_step_with_plan(
                 model, cache, next_id, plan_layers, keep_ratio, criterion,
-                compute_kv_for_unselected, audit=audit,
+                compute_kv_for_unselected, trace,
             )
     return out

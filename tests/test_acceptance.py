@@ -33,7 +33,7 @@ from orthorank import (
     select_topk,
     sink_token_similarity,
 )
-from orthorank import AuditLog, ModelConfig
+from orthorank import HiddenTrace, ModelConfig
 
 
 def test_criterion_1_gradient_identity():
@@ -103,7 +103,7 @@ def test_criterion_2_selection_oracle():
 def test_criterion_3_bypass_exactness(tiny_model):
     start = time.perf_counter()
     tokens = helpers.make_tokens(24, tiny_model.config.vocab_size, seed=33)
-    _, trace, _ = forward_dense(tiny_model, tokens, capture_trace=True)
+    _, trace, _ = forward_dense(tiny_model, tokens, HiddenTrace())
 
     worst_sel = 0.0
     for layer in (1, 2):
@@ -241,13 +241,13 @@ def test_criterion_8_ablation_plumbing(planted_model):
     standalone = perplexity(planted_model, plan, corpus, 64).perplexity
     assert rows[-1]["perplexity"] == standalone
 
-    audit = AuditLog()
+    audit = HiddenTrace(hidden=None, selection=[])
     _, _, cache = forward_with_plan(
         planted_model, np.asarray(corpus[:64]), plan.layers, plan.keep_ratio,
         Criterion("orthogonal_asc", "normalized"),
-        compute_kv_for_unselected=False, audit=audit)
+        compute_kv_for_unselected=False, trace=audit)
     for layer in plan.layers:
-        selected = sum(1 for r in audit.rows if r[0] == layer and r[4])
+        selected = sum(1 for r in audit.selection if r[0] == layer and r[4])
         assert len(cache.positions[layer]) == selected < 64
 
     elapsed = time.perf_counter() - start

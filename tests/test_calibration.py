@@ -118,11 +118,11 @@ class TestLayerPlan:
 
     def test_entries_and_ratio_for(self):
         plan = self.plan()
-        assert plan.entries() == [(2, 0.333), (4, 0.333), (5, 0.333)]
+        assert list(zip(plan.layers, plan.ratios())) == [(2, 0.333), (4, 0.333), (5, 0.333)]
 
     def test_per_layer_ratios(self):
         plan = self.plan(keep_ratio=[0.25, 0.5, 0.75])
-        assert plan.entries() == [(2, 0.25), (4, 0.5), (5, 0.75)]
+        assert list(zip(plan.layers, plan.ratios())) == [(2, 0.25), (4, 0.5), (5, 0.75)]
 
     def test_layers_must_ascend_unique(self):
         with pytest.raises(ConfigError):

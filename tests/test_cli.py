@@ -269,6 +269,17 @@ class TestEvalPpl:
         assert code == 2 and not out.exists()
         assert err.startswith("error:") and "planted-sink" in err and err.count("\n") == 1
 
+    def test_plan_sink_layer_past_the_model(self, cli_ck, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "c.txt", helpers.make_tokens(32, 64, seed=7))
+        plan_path = tmp_path / "plan.json"
+        LayerPlan(model_id=weights_sha256(cli_ck), l_sink=100).save(plan_path)
+        out = tmp_path / "report.json"
+        code, _, err = run_cli("eval-ppl", "--model", cli_ck, "--corpus", corpus,
+                               "--context-len", "16", "--plan", plan_path, "--out", out,
+                               capsys=capsys)
+        assert code == 2 and not out.exists()
+        assert err.startswith("error:") and "l_sink" in err and err.count("\n") == 1
+
     def test_short_corpus_is_error(self, cli_ck, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "c.txt", [1, 2, 3])
         code, _, err = run_cli("eval-ppl", "--model", cli_ck, "--corpus", corpus,

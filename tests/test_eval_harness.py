@@ -16,8 +16,9 @@ import pytest
 import helpers
 import reference as ref
 from orthorank import (
-    AuditLog,
+    ConfigError,
     Criterion,
+    HiddenTrace,
     LayerPlan,
     UsageError,
     ablation_grid,
@@ -45,6 +46,17 @@ class TestPerplexity:
         assert report.perplexity == 32.0
         assert report.n_chunks == 2
         assert report.n_predicted == 64
+
+    def test_plan_sink_layer_must_be_in_the_model(self):
+        model = helpers.make_rotation_model(4, set())
+        corpus = helpers.rotation_corpus(32)
+        with pytest.raises(ConfigError, match="l_sink"):
+            perplexity(model, LayerPlan(l_sink=4), corpus, 16)
+        with pytest.raises(ConfigError, match="l_sink"):
+            perplexity(model, LayerPlan(l_sink=100), corpus, 16)
+        # l_sink=-1 (every layer eligible) and the last layer stay valid
+        assert perplexity(model, LayerPlan(l_sink=-1), corpus, 16).perplexity > 0
+        assert perplexity(model, LayerPlan(l_sink=3), corpus, 16).perplexity > 0
 
     def test_certain_model_gives_exact_one(self, prob1_model):
         corpus = [helpers.PROB1_TOKEN] * 48
@@ -130,12 +142,12 @@ class TestPerplexity:
 
     def test_audit_log_steps_are_chunk_indices(self, tiny_model):
         corpus = helpers.make_tokens(24, tiny_model.config.vocab_size, seed=12)
-        audit = AuditLog()
+        audit = HiddenTrace(hidden=None, selection=[])
         plan = make_plan(tiny_model, [2], keep_ratio=0.5, l_sink=1)
-        perplexity(tiny_model, plan, corpus, 12, audit=audit)
-        steps = {row[1] for row in audit.rows}
+        perplexity(tiny_model, plan, corpus, 12, trace=audit)
+        steps = {row[1] for row in audit.selection}
         assert steps == {0, 1}
-        layers = {row[0] for row in audit.rows}
+        layers = {row[0] for row in audit.selection}
         assert layers == {2}
 
     def test_report_json_round_trip(self, tiny_model):
@@ -244,14 +256,14 @@ class TestAblationGrid:
         # audited directly: with the flag off, the layer cache holds entries
         # only for selected tokens, so fewer positions than the chunk length
         from orthorank import forward_with_plan
-        audit = AuditLog()
+        audit = HiddenTrace(hidden=None, selection=[])
         chunk = np.asarray(corpus[:64], dtype=np.int64)
         _, _, cache = forward_with_plan(
             model, chunk, plan.layers, plan.keep_ratio,
             Criterion("orthogonal_asc", "normalized"),
-            compute_kv_for_unselected=False, audit=audit)
+            compute_kv_for_unselected=False, trace=audit)
         for layer in plan.layers:
-            selected = sum(1 for r in audit.rows if r[0] == layer and r[4])
+            selected = sum(1 for r in audit.selection if r[0] == layer and r[4])
             assert len(cache.positions[layer]) == selected < 64
 
     def test_csv_layout(self, grid, tmp_path):

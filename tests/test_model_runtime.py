@@ -22,7 +22,7 @@ from orthorank import tensor_core
 from orthorank.model_runtime import ATTN_ROW_BLOCK, block_forward
 from orthorank.selection import DEFAULT_CRITERION, select_topk, selection_keys
 from orthorank.tensor_core import rms_norm
-from orthorank.trace import dump_trace_csv
+from orthorank.trace import HiddenTrace, dump_trace_csv
 
 import helpers
 import reference as ref
@@ -112,21 +112,22 @@ class TestForwardDense:
 
 class TestHiddenTrace:
     def test_trace_invariant_bitwise(self, tiny_model, tiny_tokens):
-        _, trace, _ = forward_dense(tiny_model, tiny_tokens, capture_trace=True)
+        _, trace, _ = forward_dense(tiny_model, tiny_tokens, HiddenTrace())
         for j, layer in enumerate(trace.layers):
             gain = tiny_model.w(f"layers.{layer}.attn_norm.gain")
             expect = rms_norm(trace.hidden[j], gain, tiny_model.config.norm_eps)
             assert np.array_equal(trace.normalized[j], expect)
 
     def test_attn_to_sink_in_unit_interval(self, tiny_model, tiny_tokens):
-        _, trace, _ = forward_dense(tiny_model, tiny_tokens, capture_attn_to_sink=True)
+        _, trace, _ = forward_dense(tiny_model, tiny_tokens,
+                                    HiddenTrace(hidden=None, attn_to_sink=[]))
         for attn0 in trace.attn_to_sink:
             assert np.all(attn0 >= 0.0) and np.all(attn0 <= 1.0 + 1e-6)
             # position 0 attends only to itself
             assert attn0[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_trace_csv_dump(self, tiny_model, tiny_tokens, tmp_path):
-        _, trace, _ = forward_dense(tiny_model, tiny_tokens, capture_trace=True)
+        _, trace, _ = forward_dense(tiny_model, tiny_tokens, HiddenTrace())
         states = tmp_path / "states.csv"
         dump_trace_csv(trace, states)
         lines = states.read_text().splitlines()
@@ -185,7 +186,8 @@ class TestDetectSinkLayer:
 
     def test_attention_maps_confirm_construction(self, sink_probe_model):
         tokens = helpers.sink_probe_tokens()
-        _, trace, _ = forward_dense(sink_probe_model, tokens, capture_attn_to_sink=True)
+        _, trace, _ = forward_dense(sink_probe_model, tokens,
+                                    HiddenTrace(hidden=None, attn_to_sink=[]))
         means = [float(np.mean(a[1:])) for a in trace.attn_to_sink]
         assert means[2] >= 0.5
         assert all(m < 0.3 for l, m in enumerate(means) if l != 2)
@@ -223,9 +225,9 @@ class TestDetectSinkLayer:
         detect_sink_layer(model, make_tokens(32, config.vocab_size), 0.3)
         assert len(calls) == 2 * config.n_layers + 1
         _, trace, _ = forward_dense(model, make_tokens(16, config.vocab_size),
-                                    capture_attn_to_sink=True)
+                                    HiddenTrace(hidden=None, attn_to_sink=[]))
         assert trace.layers == list(range(8)) and len(trace.attn_to_sink) == 8
-        assert trace.hidden == [] and trace.normalized == []
+        assert trace.hidden is None and trace.normalized == []
 
     def test_short_sequence_rejected(self, sink_probe_model):
         with pytest.raises(UsageError):
@@ -250,7 +252,8 @@ class TestDenseIsTheEmptyPlan:
     @pytest.mark.parametrize("trace, attn", [(False, False), (True, False),
                                              (False, True), (True, True)])
     def test_forward_steps_each_layer(self, tiny_model, tiny_tokens, stepped, trace, attn):
-        forward_dense(tiny_model, tiny_tokens, capture_trace=trace, capture_attn_to_sink=attn)
+        record = HiddenTrace(hidden=[] if trace else None, attn_to_sink=[] if attn else None)
+        forward_dense(tiny_model, tiny_tokens, record if trace or attn else None)
         assert stepped == list(range(tiny_model.config.n_layers))
 
     def test_decode_and_detection_step_each_layer(self, tiny_model, tiny_tokens, stepped):

@@ -29,7 +29,8 @@ from orthorank import (
 )
 from orthorank import selection, tensor_core
 from orthorank import LayerPlan
-from orthorank.selection import CRITERION_KINDS, STAGES, AuditLog, selection_keys
+from orthorank.selection import CRITERION_KINDS, STAGES, selection_keys
+from orthorank.trace import HiddenTrace
 
 import reference as ref
 from helpers import make_random_model, make_tokens
@@ -248,7 +249,7 @@ class TestForwardOrthorankLayer:
         return model.w("embed.weight")[np.asarray(tokens)].copy()
 
     def dense_block_output(self, model, tokens):
-        _, trace, _ = forward_dense(model, tokens, capture_trace=True)
+        _, trace, _ = forward_dense(model, tokens, HiddenTrace())
         return trace.hidden[1]  # block 1's input is block 0's output
 
     def test_full_ratio_is_bitwise_dense(self, tiny_model, tiny_tokens):
@@ -294,12 +295,12 @@ class TestForwardOrthorankLayer:
 
     def test_audit_rows(self, tiny_model, tiny_tokens):
         x = self.embed(tiny_model, tiny_tokens)
-        audit = AuditLog()
-        _, _, _, mask = forward_orthorank_layer(tiny_model, 2, x, 0.25, audit=audit)
-        assert len(audit.rows) == len(tiny_tokens)
-        selected = {r[2] for r in audit.rows if r[4]}
+        audit = HiddenTrace(hidden=None, selection=[])
+        _, _, _, mask = forward_orthorank_layer(tiny_model, 2, x, 0.25, trace=audit)
+        assert len(audit.selection) == len(tiny_tokens)
+        selected = {r[2] for r in audit.selection if r[4]}
         assert selected == set(mask.selected.tolist())
-        assert all(r[0] == 2 for r in audit.rows)
+        assert all(r[0] == 2 for r in audit.selection)
 
     def test_bad_layer_index(self, tiny_model, tiny_tokens):
         x = self.embed(tiny_model, tiny_tokens)
@@ -398,12 +399,12 @@ class TestDecodeSelect:
             assert cache.sorted_history[2] == sorted(pooled)
 
     def test_prefill_keeps_sorted_history(self, tiny_model, tiny_tokens):
-        audit = AuditLog()
-        _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1, 2], 0.5, audit=audit)
+        audit = HiddenTrace(hidden=None, selection=[])
+        _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1, 2], 0.5, trace=audit)
         for token in tiny_tokens[10:14]:
-            decode_step_with_plan(tiny_model, cache, int(token), [1, 2], 0.5, audit=audit)
+            decode_step_with_plan(tiny_model, cache, int(token), [1, 2], 0.5, trace=audit)
         for layer in (1, 2):
-            scored = sorted(row[3] for row in audit.rows if row[0] == layer)
+            scored = sorted(row[3] for row in audit.selection if row[0] == layer)
             assert cache.sorted_history[layer] == scored
         cache.check()
 
@@ -426,7 +427,7 @@ class TestForwardWithPlan:
 
     def test_cache_state_for_plan_layers(self, tiny_model, tiny_tokens):
         _, trace, cache = forward_with_plan(
-            tiny_model, tiny_tokens, [1, 3], 0.5, capture_trace=True)
+            tiny_model, tiny_tokens, [1, 3], 0.5, trace=HiddenTrace())
         assert set(cache.sorted_history) == {1, 3}
         for layer in (1, 3):
             hist = cache.sorted_history[layer]
@@ -479,16 +480,43 @@ class TestForwardWithPlan:
             assert not np.array_equal(other, base), crit
 
     def test_audit_log_csv(self, tiny_model, tiny_tokens, tmp_path):
-        audit = AuditLog()
-        forward_with_plan(tiny_model, tiny_tokens, [1], 0.5, audit=audit)
+        audit = HiddenTrace(hidden=None, selection=[])
+        forward_with_plan(tiny_model, tiny_tokens, [1], 0.5, trace=audit)
         path = tmp_path / "audit.csv"
-        audit.write_csv(path)
+        audit.write_selection_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "layer,step,position,score,selected"
         assert len(lines) == 1 + len(tiny_tokens)
+        assert lines[1] == "1,0,0,inf,0"  # the sink: +inf key, never selected at p < 1
+        layer, step, position, score, selected = audit.selection[-1]
+        assert lines[-1] == f"{layer},{step},{position},{score!r},{selected}"
 
 
 class TestDecodeWithPlan:
+    def test_one_trace_through_prefill_and_kv_off_decode(self, tiny_model, tiny_tokens):
+        plan, n_layers = [1, 3], tiny_model.config.n_layers
+        trace = HiddenTrace(attn_to_sink=[], selection=[])
+        _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], plan, 0.2,
+                                        compute_kv_for_unselected=False, trace=trace)
+        for token in tiny_tokens[10:16]:
+            decode_step_with_plan(tiny_model, cache, int(token), plan, 0.2,
+                                  compute_kv_for_unselected=False, trace=trace)
+        # one entry per layer step in every list: the prefill, then six decode steps
+        assert trace.layers == list(range(n_layers)) * 7
+        assert {len(trace.hidden), len(trace.normalized), len(trace.attn_to_sink)} == {7 * n_layers}
+        assert [h.shape[0] for h in trace.hidden] == [10] * n_layers + [1] * (6 * n_layers)
+        # sink mass covers the selected rows: all rows at a dense layer, and at a
+        # plan layer the rows its selection rows mark, none when a token skips the block
+        expect = []
+        for j, layer in enumerate(trace.layers):
+            step = 0 if j < n_layers else 9 + j // n_layers
+            marks = [row[4] for row in trace.selection if row[:2] == (layer, step)]
+            expect.append(sum(marks) if layer in plan else trace.hidden[j].shape[0])
+        assert [a.size for a in trace.attn_to_sink] == expect
+        assert 0 in expect[n_layers:]  # some decode token skipped a plan layer's block
+        assert len(trace.selection) == len(plan) * (10 + 6)
+        cache.check()
+
     def test_history_grows_per_decode(self, tiny_model, tiny_tokens):
         _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1], 0.5)
         decode_step_with_plan(tiny_model, cache, int(tiny_tokens[10]), [1], 0.5)
@@ -506,11 +534,11 @@ class TestDecodeWithPlan:
         _, _, cache = forward_with_plan(
             tiny_model, tiny_tokens[:10], [1], 0.2, compute_kv_for_unselected=False)
         before = cache.positions[1].size
-        audit = AuditLog()
+        audit = HiddenTrace(hidden=None, selection=[])
         decode_step_with_plan(
             tiny_model, cache, int(tiny_tokens[10]), [1], 0.2,
-            compute_kv_for_unselected=False, audit=audit)
-        row = audit.rows[-1]
+            compute_kv_for_unselected=False, trace=audit)
+        row = audit.selection[-1]
         grew = cache.positions[1].size - before
         assert grew == (1 if row[4] else 0)
         cache.check()
@@ -543,12 +571,13 @@ class TestDecodeWithPlan:
         # at the plan layer is the one a prefill of the longer sequence sees
         crit = Criterion(stage=stage)
         t = 20
-        decoding, prefilling = AuditLog(), AuditLog()
+        decoding = HiddenTrace(hidden=None, selection=[])
+        prefilling = HiddenTrace(hidden=None, selection=[])
         _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:t], [layer], 0.5, crit)
         decode_step_with_plan(tiny_model, cache, int(tiny_tokens[t]), [layer], 0.5, crit,
-                              audit=decoding)
-        forward_with_plan(tiny_model, tiny_tokens[:t + 1], [layer], 0.5, crit, audit=prefilling)
-        decoded, prefilled = decoding.rows[-1][3], prefilling.rows[-1][3]
+                              trace=decoding)
+        forward_with_plan(tiny_model, tiny_tokens[:t + 1], [layer], 0.5, crit, trace=prefilling)
+        decoded, prefilled = decoding.selection[-1][3], prefilling.selection[-1][3]
         assert abs(decoded - prefilled) <= 1e-5
 
     def test_plan_layer_without_history_leaves_cache_unchanged(self, tiny_model, tiny_tokens):
@@ -593,13 +622,12 @@ class TestRmsNormOncePerLayer:
         ([], {}),
         ([1, 2], {}),
         ([1, 2], {"criterion": Criterion(stage="raw_hidden")}),
-        ([1, 2], {"capture_trace": True}),
+        ([1, 2], {"trace": HiddenTrace(attn_to_sink=[], selection=[])}),
         ([1, 3], {"compute_kv_for_unselected": False}),
     ])
     def test_prefill_and_decode(self, tiny_model, tiny_tokens, norm_calls, layers, kwargs):
         _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:12], layers, 0.333, **kwargs)
         self.assert_once(tiny_model, norm_calls)
-        kwargs.pop("capture_trace", None)
         for token in tiny_tokens[12:16]:
             decode_step_with_plan(tiny_model, cache, int(token), layers, 0.333, **kwargs)
             self.assert_once(tiny_model, norm_calls)
@@ -934,6 +962,30 @@ class TestFailedStepLeavesCache:
             decode_step_with_plan(tiny_model, cache, token, [1], 0.5)
         assert cache.identity == (config, None) and cache.criterion is None
         assert cache_bytes(cache) == cache_bytes(KVCache(config))
+        cache.check()
+
+    def test_failed_step_keeps_what_it_recorded(self, tiny_model, monkeypatch):
+        # plan layer 1 scores the token and runs; plan layer 3 scores it, then its block fails
+        tokens = make_tokens(29, tiny_model.config.vocab_size, seed=3)
+        _, _, cache = forward_with_plan(tiny_model, tokens[:28], [1, 3], 0.5)
+        before = cache_bytes(cache)
+        real = selection.block_forward
+
+        def failing(model, layer, *args):
+            if layer == 3:
+                raise UsageError("layer 3 fails")
+            return real(model, layer, *args)
+
+        monkeypatch.setattr(selection, "block_forward", failing)
+        trace = HiddenTrace(attn_to_sink=[], selection=[])
+        with pytest.raises(UsageError):
+            decode_step_with_plan(tiny_model, cache, int(tokens[28]), [1, 3], 0.5, trace=trace)
+        # layers 0-2 ran; layer 3 recorded its input states and scored rows, not its block's
+        assert trace.layers == [0, 1, 2, 3]
+        assert len(trace.hidden) == len(trace.normalized) == 4
+        assert len(trace.attn_to_sink) == 3
+        assert [row[:3] for row in trace.selection] == [(1, 28, 28), (3, 28, 28)]
+        assert cache_bytes(cache) == before
         cache.check()
 
     @pytest.mark.parametrize("step", ["subset_plan", "dense_step", "stage_switch"])
