@@ -228,9 +228,10 @@ def calibrate_greedy(
     states are kept besides the base; the last round records none.
     One-shot candidates resume from the dense base, and m=0 returns the
     empty plan without a pass. The result is deterministic and bitwise that
-    of evaluating every candidate from the embeddings.
+    of evaluating every candidate from the embeddings. ``l_sink`` must be a
+    layer of the model or -1, else ConfigError before any pass.
     """
-    from .eval_harness import _corpus_chunks, _eval_chunks, _perplexity_of
+    from .eval_harness import _corpus_chunks, _eval_chunks, _perplexity_of, _resolve_plan
 
     eligible = sorted(set(_integers(eligible, "eligible layers")))
     if not (_is_number(m, numbers.Integral) and 0 <= m <= len(eligible)):
@@ -250,8 +251,10 @@ def calibrate_greedy(
             calib=calib,
         )
 
+    empty = plan_of([])
+    _resolve_plan(model, empty)  # l_sink against the model, before any pass
     if m == 0:
-        return plan_of([])
+        return empty
 
     def run(layers: list[int], first: int, record: bool):
         starts = [states[first] for states in base]

@@ -196,11 +196,13 @@ def layerwise_comparison(
     its degradation is visible. Returns {"layers", "dense", "columns":
     {label: [ppl per layer]}}. The dense pass runs once per chunk and
     records its layer inputs; every cell resumes at its layer from the
-    dense input state there, which the single-layer plan shares.
+    dense input state there, which the single-layer plan shares. ``l_sink``
+    must be a layer of the model or -1, else ConfigError before any pass.
     """
     if not criteria:
         raise UsageError("need at least one criterion")
     _, chunks = _corpus_chunks(corpus_tokens, context_len)
+    _resolve_plan(model, LayerPlan(model_id=model.model_id, l_sink=l_sink))
     layers = list(range(l_sink + 1, model.config.n_layers))
     dense_nlls, dense_inputs = _eval_chunks(model, chunks, LayerPlan(), record=True)
     dense = _perplexity_of(dense_nlls, context_len)[1]

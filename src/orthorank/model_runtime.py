@@ -222,7 +222,10 @@ def block_forward(
     count then covers them. The query, attention, output projection, and
     FFN run only for ``sel`` rows. Rows outside ``sel`` are left untouched,
     so they pass through bitwise, and an empty ``sel`` returns right after
-    the keys and values.
+    the keys and values. ``sel`` and ``kv_rows`` hold sorted distinct row
+    indices; one that holds every row is read in place, with no gather of
+    ``x``, ``xn`` or ``positions``, and ``x`` is then updated in place with
+    no scatter.
 
     Attention runs on blocks of selected rows (their positions ascend), all
     heads at once: one stacked score product, one softmax and one context
@@ -249,8 +252,8 @@ def block_forward(
     w = model.w
     prefix = f"layers.{layer}"
 
-    xk = xn[kv_rows]
-    kv_pos = positions[kv_rows]
+    xk = _rows(xn, kv_rows)
+    kv_pos = _rows(positions, kv_rows)
     k_new = tc.matmul(xk, w(f"{prefix}.attn.wk.weight")).reshape(len(kv_rows), n_kv, d_head)
     k_new = tc.rope_apply(k_new, kv_pos, cfg.rope_theta)
     v_new = tc.matmul(xk, w(f"{prefix}.attn.wv.weight")).reshape(len(kv_rows), n_kv, d_head)
@@ -267,8 +270,8 @@ def block_forward(
     if len(sel) == 0:
         return k_new, v_new, attn0
 
-    q_pos = positions[sel]
-    q = tc.matmul(xn[sel], w(f"{prefix}.attn.wq.weight")).reshape(len(sel), n_heads, d_head)
+    q_pos = _rows(positions, sel)
+    q = tc.matmul(_rows(xn, sel), w(f"{prefix}.attn.wq.weight")).reshape(len(sel), n_heads, d_head)
     q = tc.rope_apply(q, q_pos, cfg.rope_theta)
 
     scale = tc.attention_scale(d_head)
@@ -304,14 +307,20 @@ def block_forward(
     if attn0 is not None:
         attn0 /= n_heads
 
-    x_sel = x[sel]
+    x_sel = _rows(x, sel)
     x_sel += tc.matmul(ctx.reshape(len(sel), n_heads * d_head), w(f"{prefix}.attn.wo.weight"))
     xn2 = tc.rms_norm(x_sel, w(f"{prefix}.ffn_norm.gain"), cfg.norm_eps)
     hidden = tc.silu(tc.matmul(xn2, w(f"{prefix}.ffn.w_gate.weight")))
     hidden *= tc.matmul(xn2, w(f"{prefix}.ffn.w_up.weight"))
     x_sel += tc.matmul(hidden, w(f"{prefix}.ffn.w_down.weight"))
-    x[sel] = x_sel
+    if x_sel is not x:
+        x[sel] = x_sel
     return k_new, v_new, attn0
+
+
+def _rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (sorted, distinct) of ``a``: ``a`` itself when they are all of its rows."""
+    return a if len(rows) == len(a) else a[rows]
 
 
 def lm_head_logits(model: Model, x: np.ndarray) -> np.ndarray:

@@ -49,6 +49,14 @@ shared ones table. ``softmax_causal`` is its 2-D public call, into a new
 array. ``rope_apply`` reads cos and sin from a table per (theta, d_head,
 dtype). Shared tables are read-only and grow by replacement, so threads
 may call these functions concurrently.
+
+The kernel, ``rms_norm`` and the softmax run many times per decoded token,
+so their per-call path calls ufuncs and their ``.reduce`` directly
+(``np.add.reduce``, ``np.maximum.reduce``) and takes the result dtype from
+the operands when they share one. numpy's Python-level helpers
+(``np.mean``, ``np.max``, ``np.broadcast_shapes``, ``np.result_type``)
+cost microseconds per call in Python; they are used only off that path:
+in argument checks, for empty products, mixed dtypes and non-float input.
 """
 
 import math
@@ -99,7 +107,7 @@ def _round_up(n: int, multiple: int) -> int:
 def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` through the kernel for any ``b``; checked, possibly stacked operands."""
     n = b.shape[-1]
-    dtype = np.result_type(a, b)
+    dtype = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
     # BLAS rounds a transposed b differently from the row-major layout, so
     # each matrix of b is brought to it here.
     if (n % _COL_ALIGN or b.dtype != dtype
@@ -121,13 +129,12 @@ def _matmul_cols(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     output columns. No copy of ``b`` is made. The result is the first
     ``_K_CHUNK``-wide chunk's product over all padded rows and the whole
     stack, one ``np.matmul`` call, with each later chunk's product added
-    into it in order.
+    into it in order; those products share one buffer.
     """
     m, k = a.shape[-2:]
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    dtype = np.result_type(a, b)
+    dtype = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
     if m == 0 or n == 0:
-        return np.zeros(lead + (m, n), dtype)
+        return np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n), dtype)
     m_pad = _round_up(m, _ROW_ALIGN)
     b = b[..., :_round_up(n, _COL_ALIGN)]
     # BLAS rounds a with strided columns differently from the row-major
@@ -137,8 +144,11 @@ def _matmul_cols(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         padded[..., :m, :] = a
         a = padded
     out = np.matmul(a[..., :_K_CHUNK], b[..., :_K_CHUNK, :])
-    for c in range(_K_CHUNK, k, _K_CHUNK):
-        out += np.matmul(a[..., c:c + _K_CHUNK], b[..., c:c + _K_CHUNK, :])
+    if k > _K_CHUNK:
+        part = np.empty_like(out)
+        for c in range(_K_CHUNK, k, _K_CHUNK):
+            np.matmul(a[..., c:c + _K_CHUNK], b[..., c:c + _K_CHUNK, :], out=part)
+            out += part
     return np.ascontiguousarray(out[..., :m, :n])
 
 
@@ -154,7 +164,13 @@ def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     gain = np.asarray(gain)
     if x.shape[-1] != gain.shape[-1]:
         raise ShapeError(f"gain length {gain.shape[-1]} != feature dim {x.shape[-1]}")
-    ms = np.mean(np.square(x), axis=-1, keepdims=True)
+    sq = np.square(x)
+    if sq.dtype.char in "fd":
+        # np.mean's own steps for float32 and float64, without its Python wrapper
+        ms = np.add.reduce(sq, axis=-1, keepdims=True)
+        np.true_divide(ms, np.intp(x.shape[-1]), out=ms, casting="unsafe")
+    else:
+        ms = np.mean(sq, axis=-1, keepdims=True)
     return gain * (x / np.sqrt(ms + eps))
 
 
@@ -210,7 +226,7 @@ def _softmax_in_place(scores: np.ndarray, q_pos: np.ndarray, k_pos: np.ndarray) 
         np.copyto(scores[..., lo:], -np.inf, where=k_pos[lo:] > q_pos[:, None])
     # Every row admits at least one key (its own position), so the max is
     # finite; the initial value only serves an empty batch of rows.
-    scores -= np.max(scores, axis=-1, keepdims=True, initial=-np.inf)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True, initial=-np.inf)
     np.exp(scores, out=scores)
     # Row sums as a product with a ones column through the row-invariant
     # kernel: masked columns add exact zeros, so a row's denominator does

@@ -277,6 +277,18 @@ class TestCalibrateGreedy:
             calibrate_greedy(rotation_model, corpus, 9, 0.333,
                              eligible=range(2, 10), context_len=self.W)
 
+    @pytest.mark.parametrize("l_sink", [4, 100])
+    def test_sink_layer_must_exist(self, corpus, l_sink):
+        model = helpers.make_rotation_model(4, set())
+        with pytest.raises(ConfigError, match="l_sink"):
+            calibrate_greedy(model, corpus, 0, 0.5, eligible=[], context_len=16, l_sink=l_sink)
+
+    def test_no_sink_layer_is_valid(self, corpus):
+        model = helpers.make_rotation_model(4, set())
+        plan = calibrate_greedy(model, corpus, 1, 0.5, eligible=[0, 1, 2], context_len=16,
+                                l_sink=-1)
+        assert plan.l_sink == -1 and len(plan.layers) == 1
+
     def test_one_shot_takes_m_best_singles(self, corpus):
         model = helpers.make_rotation_model(11, {4, 7})
         plan = calibrate_greedy(model, corpus, 2, 0.333,

@@ -202,6 +202,21 @@ class TestLayerwiseComparison:
         ]
         assert runs[0]["columns"] == runs[1]["columns"]
 
+    @pytest.mark.parametrize("l_sink", [4, 100])
+    def test_sink_layer_must_exist(self, tiny_model, l_sink):
+        corpus = helpers.make_tokens(24, tiny_model.config.vocab_size, seed=18)
+        with pytest.raises(ConfigError, match="l_sink"):
+            layerwise_comparison(tiny_model, corpus, 0.5,
+                                 [Criterion("orthogonal_asc", "normalized")],
+                                 l_sink=l_sink, context_len=12)
+
+    def test_no_sink_layer_sweeps_every_layer(self, tiny_model):
+        corpus = helpers.make_tokens(24, tiny_model.config.vocab_size, seed=18)
+        table = layerwise_comparison(tiny_model, corpus, 0.5,
+                                     [Criterion("orthogonal_asc", "normalized")],
+                                     l_sink=-1, context_len=12)
+        assert table["layers"] == [0, 1, 2, 3]
+
     def test_empty_criteria_rejected(self, tiny_model):
         with pytest.raises(UsageError):
             layerwise_comparison(tiny_model, [1] * 24, 0.5, [], l_sink=0,

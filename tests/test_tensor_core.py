@@ -66,6 +66,30 @@ class TestMatmul:
         assert matmul(rand((2, 2), dtype=np.float64),
                       rand((2, 2), seed=1, dtype=np.float64)).dtype == np.float64
 
+    def test_mixed_dtypes_promote(self):
+        # float32 x float64 runs in float64, as the float64 copy of the
+        # float32 operand would
+        a, cols = rand((9, 300)), rand((300, 32), seed=1, dtype=np.float64)
+        b = cols[:, :20]
+        for got, expect in ((matmul(a, b), matmul(as_f64(a), b)),
+                            (matmul(b.T, a.T), matmul(b.T, as_f64(a.T))),
+                            (_matmul_cols(a, cols, 20), matmul(as_f64(a), b))):
+            assert got.dtype == np.float64 and np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_k_chunks_added_in_order(self, lead):
+        # k > 2 chunks: the first chunk's product, then each later chunk's
+        # product added in order, over rows padded to the row alignment
+        m, k, n = 5, 2 * tensor_core._K_CHUNK + 40, 32
+        a, b = rand((*lead, m, k)), rand((*lead, k, n), seed=1)
+        padded = np.zeros((*lead, 8, k), np.float32)
+        padded[..., :m, :] = a
+        chunk = tensor_core._K_CHUNK
+        expect = np.matmul(padded[..., :chunk], b[..., :chunk, :])
+        for c in range(chunk, k, chunk):
+            expect = expect + np.matmul(padded[..., c:c + chunk], b[..., c:c + chunk, :])
+        assert np.array_equal(_matmul_cols(a, b, n), expect[..., :m, :])
+
     def test_row_truncation_stability(self):
         # the causality guarantee rests on this: dropping trailing rows of a
         # must leave the remaining output rows bit-identical
@@ -220,8 +244,10 @@ class TestStackedMatmul:
     @pytest.mark.parametrize("shape", [(2, 0, 5, 3), (2, 4, 5, 0)])
     def test_empty_stack_is_zeros(self, shape):
         lead, m, k, n = shape[:1], *shape[1:]
-        out = _blocked_matmul(rand((*lead, m, k)), rand((k, n), seed=1))
-        assert out.shape == (*lead, m, n) and not out.any()
+        # the stack sits on a, then on b: the result has the broadcast stack
+        for a_lead, b_lead in ((lead, ()), ((), lead)):
+            out = _blocked_matmul(rand((*a_lead, m, k)), rand((*b_lead, k, n), seed=1))
+            assert out.shape == (*lead, m, n) and not out.any()
 
 
 class TestRmsNorm:
@@ -259,6 +285,32 @@ class TestRmsNorm:
     def test_gain_length_mismatch(self):
         with pytest.raises(ShapeError):
             rms_norm(rand((2, 4)), np.ones(5, dtype=np.float32))
+
+    @pytest.mark.parametrize("x_dtype, gain_dtype", [(np.float32, np.float32),
+                                                     (np.float64, np.float64),
+                                                     (np.float32, np.float64)])
+    @pytest.mark.parametrize("shape", [(256,), (7, 256), (3, 33)])
+    def test_equals_mean_formula(self, shape, x_dtype, gain_dtype):
+        # bit for bit the np.mean form, whose reduction rms_norm runs itself
+        x = rand(shape, seed=2, dtype=x_dtype) * 3.0
+        gain = rand(shape[-1], seed=3, dtype=gain_dtype) + 1.0
+        got = rms_norm(x, gain, 1e-5)
+        expect = gain * (x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + 1e-5))
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+    def test_integer_input_equals_mean_formula(self):
+        x = np.arange(-6, 6).reshape(3, 4)
+        expect = x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + 1e-5)
+        assert np.array_equal(rms_norm(x, np.ones(4, dtype=np.int64)), expect)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_independent(self, dtype):
+        x, gain = rand((9, 256), seed=4, dtype=dtype), rand(256, seed=5, dtype=dtype)
+        full = rms_norm(x, gain)
+        for r in range(len(x)):
+            assert np.array_equal(rms_norm(x[r], gain), full[r])
+            assert np.array_equal(rms_norm(x[r:r + 1], gain), full[r:r + 1])
+        assert np.array_equal(rms_norm(x[[1, 4, 8]], gain), full[[1, 4, 8]])
 
 
 class TestSoftmaxCausal:
