@@ -219,19 +219,19 @@ def calibrate_greedy(
     the argmin; ties go to the smaller layer index. One-shot mode scores
     every single-layer conversion once and takes the m best.
 
-    A candidate ``chosen + [c]`` agrees with the round's base plan
-    ``chosen`` below layer ``c``, so it resumes at ``c`` from the base's
-    recorded input states there. The dense pass records the first base,
-    once per corpus chunk; after each round but the last, the winner's
-    own states from its layer up replace the base's. Candidates run one at
-    a time in ascending layer order, and only the running best candidate's
-    states are kept besides the base; the last round records none.
-    One-shot candidates resume from the dense base, and m=0 returns the
-    empty plan without a pass. The result is deterministic and bitwise that
-    of evaluating every candidate from the embeddings. ``l_sink`` must be a
-    layer of the model or -1, else ConfigError before any pass.
+    Every candidate is evaluated against the round's base run, the
+    recorded run of ``chosen``, and so resumes at its own layer ``c``, the
+    one layer where the two plans differ. The dense pass, recorded once per
+    corpus chunk, is the first base; each round's winner, recorded in every
+    round but the last, is the next. Candidates run one at a time in
+    ascending layer order, and only the running best candidate's record is
+    kept besides the base. One-shot candidates resume from the dense base,
+    and m=0 returns the empty plan without a pass. The result is
+    deterministic and bitwise that of evaluating every candidate from the
+    embeddings. ``l_sink`` must be a layer of the model or -1, else
+    ConfigError before any pass.
     """
-    from .eval_harness import _corpus_chunks, _eval_chunks, _perplexity_of, _resolve_plan
+    from .eval_harness import _corpus_chunks, _eval_chunks, _resolve_plan
 
     eligible = sorted(set(_integers(eligible, "eligible layers")))
     if not (_is_number(m, numbers.Integral) and 0 <= m <= len(eligible)):
@@ -256,23 +256,18 @@ def calibrate_greedy(
     if m == 0:
         return empty
 
-    def run(layers: list[int], first: int, record: bool):
-        starts = [states[first] for states in base]
-        nlls, inputs = _eval_chunks(model, chunks, plan_of(layers), resume=(first, starts),
-                                    record=record)
-        return _perplexity_of(nlls, context_len)[1], inputs
-
-    _, base = _eval_chunks(model, chunks, LayerPlan(), record=True)  # base[chunk][layer]
+    base = _eval_chunks(model, chunks, LayerPlan(), record=True)
     if one_shot:
-        ranked = sorted((run([c], c, False)[0], c) for c in eligible)
+        ranked = sorted((_eval_chunks(model, chunks, plan_of([c]), base=base).perplexity, c)
+                        for c in eligible)
         return plan_of([c for _, c in ranked[:m]])
     chosen: list[int] = []
     for _ in range(m):
         last = len(chosen) == m - 1  # no later round reads the winner's states
-        candidates = ((c, *run(chosen + [c], c, not last)) for c in eligible if c not in chosen)
-        c, _, inputs = min(candidates, key=lambda cand: cand[1])  # ties keep the smaller layer
-        if not last:
-            base = [states[:c] + tail for states, tail in zip(base, inputs)]
+        candidates = ((c, _eval_chunks(model, chunks, plan_of(chosen + [c]), base=base,
+                                       record=not last))
+                      for c in eligible if c not in chosen)
+        c, base = min(candidates, key=lambda cand: cand[1].perplexity)  # ties: smaller layer
         chosen.append(c)
     return plan_of(chosen)
 

@@ -4,15 +4,17 @@ Perplexity uses non-overlapping context_len chunks (final partial chunk
 dropped) and teacher-forced NLL of every position after the first, summed in
 float64. Dense evaluation is the empty plan: both run the same kernel, so
 their reports agree bitwise. The layerwise sweep, the ablation grid and
-greedy calibration resume each evaluation at the first layer where its plan
-differs from a run already made, from that run's recorded layer inputs;
-their perplexities equal the standalone op's bitwise.
+greedy calibration pass an earlier recorded run as the base of each
+evaluation, which then resumes at the first layer where the two runs differ,
+from the base's recorded layer inputs; their perplexities equal the
+standalone op's bitwise.
 """
 
 import hashlib
 import json
 import numbers
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,50 +96,73 @@ def _resolve_plan(model: Model, plan: LayerPlan) -> dict[int, float]:
     return _plan_ratios(plan.layers, plan.keep_ratio, model.config.n_layers)
 
 
+class _EvalRun(NamedTuple):
+    """One evaluation of a corpus's chunks under a plan and a selection rule.
+
+    ``chunk_nll`` holds each chunk's NLL total, ``total_nll`` their sum in
+    chunk order and ``perplexity`` exp(total / predictions). ``ratios`` is
+    the resolved ``{layer: keep ratio}`` plan and ``rule`` the ``(criterion,
+    compute_kv_for_unselected)`` pair. ``states[c][l]`` is chunk c's input
+    to layer l, for every layer, when the run was recorded; else None.
+    """
+
+    chunk_nll: list[float]
+    total_nll: float
+    perplexity: float
+    ratios: dict[int, float]
+    rule: tuple[Criterion, bool]
+    states: list[list[np.ndarray]] | None
+
+
 def _eval_chunks(model, chunks, plan, criterion=DEFAULT_CRITERION,
-                 compute_kv_for_unselected=True, trace=None, resume=None, record=False):
-    """NLL total of every chunk under ``plan``, and the states it passed.
+                 compute_kv_for_unselected=True, trace=None, base=None,
+                 record=False) -> _EvalRun:
+    """Evaluate every chunk of the (n_chunks, W) ``chunks`` under ``plan``; one run record.
 
     Each chunk runs from its embeddings through the public
-    ``forward_with_plan`` (so a trace of the public API sees it) or,
-    with ``resume=(s, states)``, from layer ``s`` on ``states[c]``: chunk
-    c's input to layer ``s`` under a plan that agrees with ``plan`` below
-    ``s``, which makes the result bitwise that of a run from the embeddings.
+    ``forward_with_plan`` (so a trace of the public API sees it) or, given
+    ``base``, a recorded run over the same chunks, from the first layer
+    where the two runs differ, on the base's input state there: the
+    smallest layer whose keep ratio differs or, when the criterion or KV
+    setting differs, the smallest plan layer of either run (the last layer
+    when nothing differs). Layers outside a plan run dense whatever the
+    rule, so the result is bitwise that of a run from the embeddings.
     Every chunk records into ``trace``, with the chunk index as the step of
     its selection rows. With ``record`` each chunk records into a
     ``HiddenTrace()`` of its own instead (so a chunk's normalized states go
-    with its trace), and the second return value holds, per chunk, the
-    input state of every layer the chunk ran (from 0, or from ``s``); else
-    None. The plan is checked against the model first (``_resolve_plan``).
+    with its trace), and the run keeps every chunk's input to every layer:
+    the base's below the resume layer, its own from there. The plan is
+    checked against the model first (``_resolve_plan``).
     """
-    ratio_map = _resolve_plan(model, plan)
-    nlls, inputs = [], [] if record else None
+    ratios = _resolve_plan(model, plan)
+    rule = (criterion, compute_kv_for_unselected)
+    first = 0 if base is None else min(
+        (l for l in ratios.keys() | base.ratios.keys()
+         if rule != base.rule or ratios.get(l) != base.ratios.get(l)),
+        default=model.config.n_layers - 1)  # no record holds the last layer's output
+    nlls, states = [], [] if record else None
     for c, chunk in enumerate(chunks):
         chunk_trace = HiddenTrace() if record else trace
         rows = None if chunk_trace is None else chunk_trace.selection
         n_rows = 0 if rows is None else len(rows)
-        if resume is None:
+        if base is None:
             logits, _, _ = forward_with_plan(model, chunk, plan.layers, plan.keep_ratio,
                                              criterion, compute_kv_for_unselected, chunk_trace)
         else:
-            first, starts = resume
-            logits = _run_layers(model, None, KVCache(model.config), ratio_map, criterion,
+            logits = _run_layers(model, None, KVCache(model.config), ratios, criterion,
                                  compute_kv_for_unselected, chunk_trace,
-                                 resume=(first, starts[c]))
+                                 resume=(first, base.states[c][first]))
         if rows:  # the chunk's prefill recorded step 0
             rows[n_rows:] = [(l, c, p, s, k) for l, _, p, s, k in rows[n_rows:]]
         nlls.append(float(np.sum(_chunk_nll(logits[:-1], chunk[1:]))))
         if record:
-            inputs.append(chunk_trace.hidden)
-    return nlls, inputs
-
-
-def _perplexity_of(chunk_nlls: list[float], context_len: int) -> tuple[float, float]:
-    """Total NLL, chunk totals added in order, and exp(total / predictions)."""
+            below = [] if base is None else base.states[c][:first]
+            states.append(below + chunk_trace.hidden)
     total = 0.0
-    for nll in chunk_nlls:
+    for nll in nlls:
         total += nll
-    return total, float(np.exp(total / (len(chunk_nlls) * (context_len - 1))))
+    ppl = float(np.exp(total / (len(nlls) * (chunks.shape[1] - 1))))
+    return _EvalRun(nlls, total, ppl, ratios, rule, states)
 
 
 def perplexity(
@@ -159,9 +184,7 @@ def perplexity(
     """
     plan = LayerPlan() if plan is None else plan
     tokens, chunks = _corpus_chunks(corpus_tokens, context_len)
-    chunk_nlls, _ = _eval_chunks(model, chunks, plan, criterion,
-                                 compute_kv_for_unselected, trace)
-    total, ppl = _perplexity_of(chunk_nlls, context_len)
+    run = _eval_chunks(model, chunks, plan, criterion, compute_kv_for_unselected, trace)
     n_chunks, context_len = chunks.shape  # Python ints, whatever integer type came in
     flops = flop_count(model.config, plan, context_len)
     return EvalReport(
@@ -173,9 +196,9 @@ def perplexity(
         n_chunks=n_chunks,
         n_tokens=n_chunks * context_len,
         n_predicted=n_chunks * (context_len - 1),
-        chunk_nll=chunk_nlls,
-        total_nll=total,
-        perplexity=ppl,
+        chunk_nll=run.chunk_nll,
+        total_nll=run.total_nll,
+        perplexity=run.perplexity,
         flop_ratio=flops["ratio"],
         criterion=f"{criterion.kind}/{criterion.stage}",
         kv_for_unselected=compute_kv_for_unselected,
@@ -195,17 +218,16 @@ def layerwise_comparison(
     Sweeps every layer index in (l_sink, n_layers), final layer included so
     its degradation is visible. Returns {"layers", "dense", "columns":
     {label: [ppl per layer]}}. The dense pass runs once per chunk and
-    records its layer inputs; every cell resumes at its layer from the
-    dense input state there, which the single-layer plan shares. ``l_sink``
-    must be a layer of the model or -1, else ConfigError before any pass.
+    records its layer inputs; it is the base of every cell, so each cell
+    resumes at its own layer. ``l_sink`` must be a layer of the model or
+    -1, else ConfigError before any pass.
     """
     if not criteria:
         raise UsageError("need at least one criterion")
     _, chunks = _corpus_chunks(corpus_tokens, context_len)
     _resolve_plan(model, LayerPlan(model_id=model.model_id, l_sink=l_sink))
     layers = list(range(l_sink + 1, model.config.n_layers))
-    dense_nlls, dense_inputs = _eval_chunks(model, chunks, LayerPlan(), record=True)
-    dense = _perplexity_of(dense_nlls, context_len)[1]
+    dense = _eval_chunks(model, chunks, LayerPlan(), record=True)
     columns: dict[str, list[float]] = {}
     for crit in criteria:
         label = criterion_label(crit, kv=True)
@@ -213,11 +235,9 @@ def layerwise_comparison(
         for layer in layers:
             plan = LayerPlan(layers=[layer], keep_ratio=keep_ratio,
                              model_id=model.model_id, l_sink=l_sink)
-            starts = [states[layer] for states in dense_inputs]
-            nlls, _ = _eval_chunks(model, chunks, plan, crit, resume=(layer, starts))
-            cells.append(_perplexity_of(nlls, context_len)[1])
+            cells.append(_eval_chunks(model, chunks, plan, crit, base=dense).perplexity)
         columns[label] = cells
-    return {"layers": layers, "dense": dense, "columns": columns}
+    return {"layers": layers, "dense": dense.perplexity, "columns": columns}
 
 
 def layerwise_to_csv(table: dict, path) -> None:
@@ -247,26 +267,24 @@ def ablation_grid(
 ) -> list[dict]:
     """The seven-row criterion/stage/KV ablation over one plan.
 
-    The rows differ only at the plan's layers, so the first row runs from
-    the embeddings and records its input state of the plan's first layer
-    (the dense prefix); the other six resume there. The last row is the
-    default configuration and equals the standalone perplexity op bitwise.
+    The first row runs from the embeddings and records its layer inputs; it
+    is the base of the other six, which differ from it only in the rule and
+    so resume at the plan's first layer. The last row is the default
+    configuration and equals the standalone perplexity op bitwise.
     """
     _, chunks = _corpus_chunks(corpus_tokens, context_len)
-    first = min(plan.layers, default=0)
-    rows, prefix = [], None
+    rows, base = [], None
     for kind, stage, kv in ABLATION_ROWS:
         crit = Criterion(kind, stage, seed=random_seed if kind == "random" else None)
-        nlls, inputs = _eval_chunks(model, chunks, plan, crit, kv,
-                                    resume=prefix, record=prefix is None)
-        if prefix is None:
-            prefix = (first, [states[first] for states in inputs])
+        run = _eval_chunks(model, chunks, plan, crit, kv, base=base, record=base is None)
+        if base is None:
+            base = run
         rows.append(
             {
                 "criterion": kind,
                 "stage": stage,
                 "kv_for_unselected": kv,
-                "perplexity": _perplexity_of(nlls, context_len)[1],
+                "perplexity": run.perplexity,
             }
         )
     return rows

@@ -10,7 +10,8 @@ pass by construction.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import pairwise
 from typing import NamedTuple
 
@@ -33,7 +34,6 @@ class Model:
     config: ModelConfig
     weights: dict[str, np.ndarray]
     model_id: str
-    _unembed: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_checkpoint(cls, dir_path) -> "Model":
@@ -51,16 +51,12 @@ class Model:
         except KeyError:
             raise StateError(f"model has no tensor named {name!r}") from None
 
-    @property
+    @cached_property
     def unembed(self) -> np.ndarray:
         """(d_model, vocab) output projection; embedding transpose when tied."""
-        if self._unembed is None:
-            if self.config.tied_embeddings:
-                mat = np.ascontiguousarray(self.weights["embed.weight"].T)
-            else:
-                mat = self.weights["lm_head.weight"]
-            object.__setattr__(self, "_unembed", mat)
-        return self._unembed
+        if self.config.tied_embeddings:
+            return np.ascontiguousarray(self.weights["embed.weight"].T)
+        return self.weights["lm_head.weight"]
 
 
 class KVArena(NamedTuple):
@@ -366,8 +362,8 @@ def forward_dense(
 def decode_step_dense(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray, KVCache]:
     """Append one token to the cached sequence and return its (1, vocab) logits.
 
-    An empty cache makes this a length-1 prefill. Matches the corresponding
-    row of a from-scratch dense forward within normal f32 accumulation noise.
+    An empty cache makes this a length-1 prefill. Its logits equal the
+    corresponding row of a from-scratch dense forward bitwise.
     A cache prefilled with selective layers raises StateError.
     """
     from .selection import DEFAULT_CRITERION, _run_layers

@@ -14,7 +14,7 @@ layer's attention RMSNorm once, one scoring rule against a sink state, row
 selection, the block; a layer outside the plan keeps every row.
 Prefill ranks all T rows against row 0 and caches that sink row at the
 criterion's stage (normalized or raw); decode scores its new row against
-the cached sink state, so both score a token the same way.
+the cached sink state, so both give a token the same score, bitwise.
 """
 
 import copy
@@ -152,13 +152,17 @@ def _score_keys(states: np.ndarray, sink_state, criterion: Criterion, rng_key) -
 
     Orthogonal kinds score |<sink_state, h_i>|, norm kinds ||h_i||, and
     ``random`` draws one key per row from a generator keyed by ``rng_key``;
-    descending kinds negate their ascending counterparts.
+    descending kinds negate their ascending counterparts. A row's key does
+    not depend on how many rows are scored with it, so a decode row's key
+    equals the prefill key of the same row bitwise. That is why the dot
+    product is an ``einsum``: a BLAS matrix-vector product rounds
+    differently at different row counts.
     """
     if criterion.kind == "random":
         return np.random.default_rng(rng_key).random(states.shape[0])
     s64 = states.astype(np.float64, copy=False)
     if criterion.kind.startswith("orthogonal"):
-        keys = np.abs(s64 @ np.asarray(sink_state).astype(np.float64, copy=False))
+        keys = np.abs(np.einsum("ij,j->i", s64, sink_state.astype(np.float64, copy=False)))
     else:
         keys = np.linalg.norm(s64, axis=1)
     return -keys if criterion.kind.endswith("_desc") else keys

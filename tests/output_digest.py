@@ -4,7 +4,8 @@ Run it as ``python tests/output_digest.py``; it prints one hex digest. It
 covers prefill logits and K/V (dense, two plans, KV for unselected tokens
 on and off), 20 plan decode steps' logits and attention mass on the sink,
 ``generate_greedy`` with KV on and off, ``detect_sink_layer``, a greedy
-calibration plan and the seven ablation-grid rows. Models are drawn in
+and a one-shot calibration plan, the seven ablation-grid rows and a
+layerwise criterion table. Models are drawn in
 memory from fixed seeds, so nothing is downloaded or written.
 
 Two uses: a change that must keep every result bit for bit prints the same
@@ -88,6 +89,12 @@ def digest() -> str:
     out.add(plan.layers)
     for row in orr.ablation_grid(small, plan, corpus, 128):
         out.add(sorted(row.items()))
+    out.add(orr.calibrate_greedy(small, corpus, 3, 0.5, orr.eligible_layers(SMALL.n_layers, 0),
+                                 context_len=128, one_shot=True).layers)
+    table = orr.layerwise_comparison(small, corpus, 0.5,
+                                     [orr.Criterion(), orr.Criterion("norm_desc", "raw_hidden")],
+                                     l_sink=0, context_len=128)
+    out.add(table["layers"], table["dense"], sorted(table["columns"].items()))
     return out.sha.hexdigest()
 
 

@@ -358,9 +358,9 @@ class TestResumedCalibration:
         real = eval_harness._eval_chunks
 
         def spy(model, chunks, plan, *args, **kwargs):
-            nlls, inputs = real(model, chunks, plan, *args, **kwargs)
-            seen.append((plan, kwargs.get("resume") is not None, nlls))
-            return nlls, inputs
+            run = real(model, chunks, plan, *args, **kwargs)
+            seen.append((plan, kwargs.get("base") is not None, run.chunk_nll))
+            return run
 
         monkeypatch.setattr(eval_harness, "_eval_chunks", spy)
         calibrate_greedy(live_model, live_corpus, 3, 0.333, self.ELIGIBLE, self.W,

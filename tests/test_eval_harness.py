@@ -12,6 +12,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import reference as ref
@@ -20,6 +22,7 @@ from orthorank import (
     Criterion,
     HiddenTrace,
     LayerPlan,
+    ModelConfig,
     UsageError,
     ablation_grid,
     ablation_to_csv,
@@ -28,7 +31,7 @@ from orthorank import (
     layerwise_to_csv,
     perplexity,
 )
-from orthorank.eval_harness import ABLATION_ROWS, criterion_label
+from orthorank.eval_harness import ABLATION_ROWS, _corpus_chunks, _eval_chunks, criterion_label
 from orthorank import calibrate_greedy
 
 
@@ -294,8 +297,43 @@ class TestAblationGrid:
         assert float(got[7][3]) == rows[-1]["perplexity"]
 
 
+_RUN_PLANS = st.dictionaries(st.integers(1, 5), st.sampled_from([0.25, 0.5, 1.0]), max_size=3)
+_RUN_RULES = st.tuples(st.sampled_from([Criterion(), Criterion("norm_desc"),
+                                        Criterion("random", seed=3),
+                                        Criterion(stage="raw_hidden")]),
+                       st.booleans())
+
+
+@pytest.fixture(scope="module")
+def gqa6_model():
+    config = ModelConfig(n_layers=6, d_model=32, n_heads=4, n_kv_heads=2, d_head=8,
+                         d_ffn=64, vocab_size=64)
+    return helpers.make_random_model(config, seed=12)
+
+
 class TestResumedPrefix:
-    """Grid rows and sweep cells resume from a dense prefix computed once per chunk."""
+    """Evaluations resume from a base run's recorded layer inputs at the layer they derive."""
+
+    @given(runs=st.lists(st.tuples(_RUN_PLANS, _RUN_RULES), min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_resumed_runs_equal_standalone_perplexity(self, gqa6_model, runs):
+        # each run resumes on the record of the one before, itself resumed
+        # from the second run on, at the start layer the two records imply
+        corpus = helpers.make_tokens(50, gqa6_model.config.vocab_size, seed=6)
+        _, chunks = _corpus_chunks(corpus, 24)
+        base = None
+        for ratios, (crit, kv) in runs:
+            layers = sorted(ratios)
+            plan = LayerPlan(layers=layers, keep_ratio=[ratios[l] for l in layers])
+            run = _eval_chunks(gqa6_model, chunks, plan, crit, kv, base=base, record=True)
+            fresh = _eval_chunks(gqa6_model, chunks, plan, crit, kv, record=True)
+            standalone = perplexity(gqa6_model, plan, corpus, 24, crit, kv)
+            assert run.chunk_nll == fresh.chunk_nll == standalone.chunk_nll
+            assert run.perplexity == standalone.perplexity
+            for resumed, own in zip(run.states, fresh.states):
+                assert len(resumed) == len(own) == gqa6_model.config.n_layers
+                assert all(np.array_equal(a, b) for a, b in zip(resumed, own))
+            base = run
 
     def test_every_grid_row_equals_standalone_perplexity(self, grid):
         model, corpus, plan, rows = grid

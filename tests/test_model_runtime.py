@@ -144,7 +144,7 @@ class TestDecodeDense:
         _, _, cache = forward_dense(tiny_model, toks[:4])
         logits, cache = decode_step_dense(tiny_model, cache, int(toks[4]))
         assert logits.shape == (1, tiny_model.config.vocab_size)
-        assert np.max(np.abs(logits[0] - full[4])) < 1e-5
+        assert np.array_equal(logits[0], full[4])
         cache.check()
 
     def test_empty_cache_is_length_one_prefill(self, tiny_model):
@@ -159,18 +159,19 @@ class TestDecodeDense:
         _, _, cache = forward_dense(tiny_model, toks[:6])
         l6, cache = decode_step_dense(tiny_model, cache, int(toks[6]))
         l7, cache = decode_step_dense(tiny_model, cache, int(toks[7]))
-        assert np.max(np.abs(l6[0] - full[6])) < 1e-5
-        assert np.max(np.abs(l7[0] - full[7])) < 1e-5
+        assert np.array_equal(l6[0], full[6])
+        assert np.array_equal(l7[0], full[7])
 
     def test_all_decode_64_tokens(self, tiny_model, tiny_config):
         toks = make_tokens(64, tiny_config.vocab_size, seed=11)
         full, _, _ = forward_dense(tiny_model, toks)
         cache = KVCache(tiny_model.config)
-        worst = 0.0
+        differing = []
         for i, t in enumerate(toks):
             logits, cache = decode_step_dense(tiny_model, cache, int(t))
-            worst = max(worst, float(np.max(np.abs(logits[0] - full[i]))))
-        assert worst < 1e-5
+            if not np.array_equal(logits[0], full[i]):
+                differing.append(i)
+        assert differing == []
         cache.check()
 
     def test_cache_layer_mismatch(self, tiny_model, micro_model):

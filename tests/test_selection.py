@@ -580,6 +580,27 @@ class TestDecodeWithPlan:
         decoded, prefilled = decoding.selection[-1][3], prefilling.selection[-1][3]
         assert abs(decoded - prefilled) <= 1e-5
 
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_every_decode_score_is_the_prefill_score(self, stage):
+        # at keep 1.0 every row is selected, so each layer's input in decode is
+        # the prefill's row bitwise, and so must be its score at every layer
+        config = ModelConfig(n_layers=4, d_model=64, n_heads=4, n_kv_heads=2, d_head=16,
+                             d_ffn=128, vocab_size=64)
+        model = make_random_model(config, seed=3)
+        tokens = make_tokens(60, config.vocab_size, seed=8)
+        crit, layers = Criterion(stage=stage), [1, 2, 3]
+        decoding = HiddenTrace(hidden=None, selection=[])
+        prefilling = HiddenTrace(hidden=None, selection=[])
+        _, _, cache = forward_with_plan(model, tokens[:20], layers, 1.0, crit)
+        for token in tokens[20:]:
+            decode_step_with_plan(model, cache, int(token), layers, 1.0, crit, trace=decoding)
+        forward_with_plan(model, tokens, layers, 1.0, crit, trace=prefilling)
+        prefilled = {(layer, pos): score for layer, _, pos, score, _ in prefilling.selection}
+        assert len(decoding.selection) == 3 * 40
+        differing = [(layer, pos) for layer, _, pos, score, _ in decoding.selection
+                     if score != prefilled[layer, pos]]
+        assert differing == []
+
     def test_plan_layer_without_history_leaves_cache_unchanged(self, tiny_model, tiny_tokens):
         _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [2], 0.5)
         rows = [(k.shape[0], p.size) for k, p in zip(cache.keys, cache.positions)]
