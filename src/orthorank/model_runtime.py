@@ -23,7 +23,7 @@ from .checkpoint_io import ModelConfig, _read_checkpoint
 from .errors import StateError, UsageError
 from .trace import HiddenTrace
 
-ATTN_ROW_BLOCK = 256  # most query rows per attention block; each reads only its key prefix
+ROW_BLOCK = 256  # most rows per attention block (each reads only its key prefix) and per FFN block
 SCORE_BUDGET = 1 << 18  # most score entries of one attention block, all heads together
 
 
@@ -227,17 +227,24 @@ def block_forward(
     heads at once: one stacked score product, one softmax and one context
     product per block, with no loop over heads. A block reads only the key
     prefix up to its last row's position: every later key is masked in all
-    of its rows. Its rows are at most ``ATTN_ROW_BLOCK``, in whole kernel
-    row groups, and so few that every head's scores together hold at most
+    of its rows. Its rows are at most ``ROW_BLOCK``, in whole kernel row
+    groups, and so few that every head's scores together hold at most
     ``SCORE_BUDGET`` entries (a block of one row may hold more), which
     bounds the working set; a block's scores are freed before the next
     block's are made. The heads of one GQA group broadcast against their
     group's keys: scores read the arena's transposed keys in place and
     contexts its value rows, so no key or value is copied when d_head is a
-    multiple of the kernel's column block. All cuts are bitwise exact
-    because the matmul kernel is invariant to the batch rows and the stack
-    around a matrix, to truncated columns of ``b`` and to trailing zero K,
-    and the causal softmax to dropped masked columns.
+    multiple of the kernel's column block. Fewer selected rows than a
+    kernel row group (every decode step) fold the group's query heads into
+    the rows of the products: one matrix of rows x group rows per KV head,
+    not group matrices of a few rows that the kernel pads to its row group.
+    More rows keep one matrix per query head. The FFN (its RMSNorm, gate,
+    up and down products) runs on blocks of at most ``ROW_BLOCK`` selected
+    rows, so a long prompt's gate and up outputs stay cache-sized. All cuts
+    and folds are bitwise exact because the matmul kernel is invariant to
+    the batch rows and the stack around a matrix, to truncated columns of
+    ``b`` and to trailing zero K, the causal softmax to dropped masked
+    columns, and every row-wise op to the rows beside a row.
 
     Returns the new key and value rows plus the per-``sel``-row
     mean-over-heads attention probability on key position 0 when
@@ -272,32 +279,40 @@ def block_forward(
 
     scale = tc.attention_scale(d_head)
     group = n_heads // n_kv
-    # head-major views, (n_kv, group, rows, d_head): query head g * group + j
-    # reads KV group g, and the context rows land in ctx
-    heads = q.transpose(1, 0, 2).reshape(n_kv, group, len(sel), d_head)
+    # fold factor: fewer rows than a kernel row group put a GQA group's
+    # heads into the rows of one matrix, which the kernel would pad anyway
+    f = group if len(sel) < tc._ROW_ALIGN else 1
+    # head-major views, (n_kv, group // f, rows * f, d_head): query head
+    # g * group + i * f + j of row r is row r * f + j of matrix (g, i) and
+    # reads KV group g; the context rows land in ctx through heads_ctx,
+    # (n_kv, group // f, rows, f, d_head)
+    heads = q.reshape(len(sel), n_kv, group // f, f, d_head).transpose(1, 2, 0, 3, 4).reshape(
+        n_kv, group // f, len(sel) * f, d_head)
     ctx = np.empty((len(sel), n_heads, d_head), dtype=x.dtype)
-    heads_ctx = ctx.transpose(1, 0, 2).reshape(n_kv, group, len(sel), d_head)
+    heads_ctx = ctx.reshape(len(sel), n_kv, group // f, f, d_head).transpose(1, 2, 0, 3, 4)
     r = 0
     while r < len(sel):
         # as many rows as keep every head's scores over the key prefix of
-        # the next ATTN_ROW_BLOCK rows within SCORE_BUDGET, in whole kernel
-        # row groups; a lone row may exceed it
-        ahead = int(np.searchsorted(key_pos, q_pos[min(r + ATTN_ROW_BLOCK, len(sel)) - 1],
+        # the next ROW_BLOCK rows within SCORE_BUDGET, in whole kernel row
+        # groups; a lone row may exceed it
+        ahead = int(np.searchsorted(key_pos, q_pos[min(r + ROW_BLOCK, len(sel)) - 1],
                                     side="right"))
         n = SCORE_BUDGET // (n_heads * ahead)
-        n = min(ATTN_ROW_BLOCK, n - n % tc._ROW_ALIGN if n >= tc._ROW_ALIGN else max(n, 1))
+        n = min(ROW_BLOCK, n - n % tc._ROW_ALIGN if n >= tc._ROW_ALIGN else max(n, 1))
         rows = slice(r, r + n)
         block_pos = q_pos[rows]
+        m = len(block_pos)
         # the block's key prefix: keys past its last query are masked in every row
         cut = int(np.searchsorted(key_pos, block_pos[-1], side="right"))
-        scores = tc._matmul_cols(heads[:, :, rows], arena.kt[:, None], cut)
+        scores = tc._matmul_cols(heads[:, :, r * f:(r + m) * f], arena.kt[:, None], cut)
         scores *= scale
-        probs = tc._softmax_in_place(scores, block_pos, key_pos[:cut])
-        heads_ctx[:, :, rows] = tc._blocked_matmul(probs, arena.va[:, None, :cut])
+        probs = tc._softmax_in_place(scores, np.repeat(block_pos, f), key_pos[:cut])
+        heads_ctx[:, :, rows] = tc._blocked_matmul(probs, arena.va[:, None, :cut]).reshape(
+            n_kv, group // f, m, f, d_head)
         if attn0 is not None and key_pos[0] == 0:  # positions ascend: key 0 is column 0
             # heads added in order, as one at a time would
-            attn0[rows] = np.cumsum(probs[..., 0].reshape(n_heads, -1), axis=0,
-                                    dtype=np.float64)[-1]
+            sink = probs[..., 0].reshape(n_kv, group // f, m, f).transpose(0, 1, 3, 2)
+            attn0[rows] = np.cumsum(sink.reshape(n_heads, m), axis=0, dtype=np.float64)[-1]
         del scores, probs  # this block's scores go before the next block's
         r += n
     if attn0 is not None:
@@ -305,10 +320,16 @@ def block_forward(
 
     x_sel = _rows(x, sel)
     x_sel += tc.matmul(ctx.reshape(len(sel), n_heads * d_head), w(f"{prefix}.attn.wo.weight"))
-    xn2 = tc.rms_norm(x_sel, w(f"{prefix}.ffn_norm.gain"), cfg.norm_eps)
-    hidden = tc.silu(tc.matmul(xn2, w(f"{prefix}.ffn.w_gate.weight")))
-    hidden *= tc.matmul(xn2, w(f"{prefix}.ffn.w_up.weight"))
-    x_sel += tc.matmul(hidden, w(f"{prefix}.ffn.w_down.weight"))
+    # the FFN in blocks of ROW_BLOCK rows: a block's gate and up outputs
+    # stay within a core's cache where a long prompt's would not
+    gain, w_gate, w_up, w_down = (w(f"{prefix}.{name}") for name in (
+        "ffn_norm.gain", "ffn.w_gate.weight", "ffn.w_up.weight", "ffn.w_down.weight"))
+    for r in range(0, len(sel), ROW_BLOCK):
+        block = x_sel[r:r + ROW_BLOCK]
+        xn2 = tc.rms_norm(block, gain, cfg.norm_eps)
+        hidden = tc.silu(tc.matmul(xn2, w_gate))
+        hidden *= tc.matmul(xn2, w_up)
+        block += tc.matmul(hidden, w_down)
     if x_sel is not x:
         x[sel] = x_sel
     return k_new, v_new, attn0

@@ -170,7 +170,8 @@ def _score_keys(states: np.ndarray, sink_state, criterion: Criterion, rng_key) -
 
 def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
                 ratio: float | None, criterion: Criterion, compute_kv_for_unselected: bool,
-                cache: KVCache, trace: HiddenTrace | None):
+                cache: KVCache, trace: HiddenTrace | None,
+                staged_scores: list[tuple[int, float]] | None = None):
     """Run block ``layer`` in place on ``x``; selectively unless ``ratio`` is None.
 
     The attention RMSNorm is computed once and shared by the trace, the
@@ -179,11 +180,13 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
     non-finite key raises UsageError) and caches the keys in ascending order
     as the layer's score list and row 0 at the criterion's stage as its sink
     state; decode scores its one row against that sink state (StateError if
-    none) and asks ``decode_select``. A ``trace`` records the layer and each
-    kind of entry it holds a list for: the block input and normalized rows,
-    the scored rows of a plan layer, and the selected rows' attention mass
-    on key 0. Returns the selected rows and the block's new key and value
-    rows (None when a decode row stores nothing).
+    none) and ranks it as ``decode_select`` would against the committed
+    score list, which it leaves as it is: it appends (layer, score) to
+    ``staged_scores`` for the commit to insert. A ``trace`` records the
+    layer and each kind of entry it holds a list for: the block input and
+    normalized rows, the scored rows of a plan layer, and the selected
+    rows' attention mass on key 0. Returns the selected rows and the
+    block's new key and value rows (None when a decode row stores nothing).
     """
     xn = tc.rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), model.config.norm_eps)
     if trace is not None:
@@ -201,8 +204,10 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
             if sink is None:
                 raise StateError(f"layer {layer} has no sink state; prefill with the plan first")
             keys = _score_keys(stage, sink, criterion, (criterion.seed, layer, step))
-            if not decode_select(cache, layer, float(keys[0]), ratio):
+            score = float(keys[0])
+            if not _decode_rank(cache, layer, score, ratio):
                 sel = rows[:0]
+            staged_scores.append((layer, score))
         else:
             keys = selection_keys(stage, criterion, layer)
             if not np.isfinite(keys[1:]).all():
@@ -239,16 +244,19 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     models that share a config and an id pass as one. A decode step must
     also run selectively exactly the layers its prefill did, under the
     criterion the prefill recorded (any keep ratio and KV setting), else
-    StateError before any layer runs. The
-    layers run on a staged copy of the cache's containers: its
-    (arena, count) pairs, which ``block_forward`` replaces after writing
-    past the counts, its sink states and score lists. They replace the
-    cache's only after the last layer, so a failed step leaves the cache's
-    committed rows, arenas and selection state as they were (its ``trace``
-    keeps what the step recorded). ``resume=(s, x)`` starts a prefill at
-    layer ``s`` from ``x``, the (T, d) input states of that layer recorded
-    by an earlier run (``x`` is not modified and ``token_ids`` is not read). Layers below
-    ``s`` neither run nor fill the cache; from ``s`` on, the same ops run on
+    StateError before any layer runs. The layers run on a staged copy of
+    the cache's containers: its (arena, count) pairs, which
+    ``block_forward`` replaces after writing past the counts, and its sink
+    states and score lists, which a prefill replaces. A decode step ranks
+    each plan layer's score against the committed list and stages only the
+    score. The staged containers replace the cache's only after the last
+    layer, and then ``decode_select`` inserts each staged score, so a
+    failed step leaves the cache's committed rows, arenas and selection
+    state as they were (its ``trace`` keeps what the step recorded).
+    ``resume=(s, x)`` starts a prefill at layer ``s`` from ``x``, the
+    (T, d) input states of that layer recorded by an earlier run (``x`` is
+    not modified and ``token_ids`` is not read). Layers below ``s`` neither
+    run nor fill the cache; from ``s`` on, the same ops run on
     the same rows as in a run from the embeddings under any plan that agrees
     with ``plan`` below ``s``, so the result is bitwise that run's. A
     ``trace`` (``HiddenTrace``) gets the entries of every layer step the
@@ -273,14 +281,17 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
         first, x = resume[0], resume[1].copy()
     staged = copy.copy(cache)
     staged.layers, staged.sink_state = list(cache.layers), dict(cache.sink_state)
-    staged.sorted_history = {l: list(ranked) for l, ranked in cache.sorted_history.items()}
+    staged.sorted_history = dict(cache.sorted_history)
     staged.n_tokens, staged.identity = cache.n_tokens + x.shape[0], (cfg, model.model_id)
     staged.criterion = criterion if cache.criterion is None else cache.criterion
     positions = np.arange(cache.n_tokens, staged.n_tokens, dtype=np.int64)
+    scores = []  # a decode step's (layer, score) at each plan layer
     for layer in range(first, cfg.n_layers):
         _layer_step(model, layer, x, positions, plan.get(layer), criterion,
-                    compute_kv_for_unselected, staged, trace)
+                    compute_kv_for_unselected, staged, trace, scores)
     vars(cache).update(vars(staged))  # commit: the staged containers replace the cache's
+    for layer, score in scores:  # and each score joins its list, ranked as the step ranked it
+        decode_select(cache, layer, score, plan[layer])
     return lm_head_logits(model, x)
 
 
@@ -351,6 +362,13 @@ def decode_select(cache: KVCache, layer: int, new_score: float, keep_ratio: floa
     score that is not a finite number UsageError, and a ratio outside
     [0, 1] ConfigError.
     """
+    selected = _decode_rank(cache, layer, new_score, keep_ratio)
+    insort(cache.sorted_history[layer], float(new_score))
+    return selected
+
+
+def _decode_rank(cache: KVCache, layer: int, new_score: float, keep_ratio: float) -> bool:
+    """``decode_select``'s answer and checks, with the score list left as it is."""
     ranked = cache.sorted_history.get(layer)
     if ranked is None:
         raise StateError(f"layer {layer} has no score list; prefill with the plan first")
@@ -359,9 +377,7 @@ def decode_select(cache: KVCache, layer: int, new_score: float, keep_ratio: floa
     if not (_is_number(keep_ratio) and 0.0 <= keep_ratio <= 1.0):
         raise ConfigError(f"keep_ratio must be in [0, 1], got {keep_ratio!r}")
     k = int(math.floor(keep_ratio * (len(ranked) + 1)))
-    rank = bisect_right(ranked, new_score) + 1
-    insort(ranked, float(new_score))
-    return rank <= k
+    return bisect_right(ranked, new_score) + 1 <= k
 
 
 def decode_step_with_plan(

@@ -17,9 +17,9 @@ from orthorank import (
     forward_with_plan,
     generate_synthetic_model,
 )
-from orthorank import selection
+from orthorank import model_runtime, selection
 from orthorank import tensor_core
-from orthorank.model_runtime import ATTN_ROW_BLOCK, block_forward
+from orthorank.model_runtime import ROW_BLOCK, block_forward
 from orthorank.selection import DEFAULT_CRITERION, select_topk, selection_keys
 from orthorank.tensor_core import rms_norm
 from orthorank.trace import HiddenTrace, dump_trace_csv
@@ -80,7 +80,7 @@ class TestForwardDense:
         # prefixes on both sides of an attention row block
         tokens = make_tokens(300, tiny_config.vocab_size, seed=4)
         full, _, _ = forward_dense(tiny_model, tokens)
-        for cut in (ATTN_ROW_BLOCK - 1, ATTN_ROW_BLOCK, ATTN_ROW_BLOCK + 1, 300):
+        for cut in (ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 300):
             part, _, _ = forward_dense(tiny_model, tokens[:cut])
             assert np.array_equal(part, full[:cut]), f"cut={cut}"
         # prompt-sized prefixes: each matmul hands BLAS all rows of a K chunk
@@ -289,12 +289,41 @@ def mha_model(tmp_path_factory):
     return Model.from_checkpoint(path)
 
 
+# query heads / KV heads 8/2 at d_head 32 (the benchmark's shape), 12/3 and
+# 8/1: groups of 4, 4 and 8 heads that fold into the rows of a few-row block
+_GQA_SHAPES = {"gqa_8_2_model": (8, 2, 32), "gqa_12_3_model": (12, 3, 8),
+               "gqa_8_1_model": (8, 1, 16)}
+
+
+def _gqa_model(name):
+    n_heads, n_kv, d_head = _GQA_SHAPES[name]
+    return helpers.make_random_model(ModelConfig(
+        n_layers=2, d_model=n_heads * d_head, n_heads=n_heads, n_kv_heads=n_kv,
+        d_head=d_head, d_ffn=96, vocab_size=40), seed=n_heads + n_kv)
+
+
+@pytest.fixture(scope="module")
+def gqa_8_2_model():
+    return _gqa_model("gqa_8_2_model")
+
+
+@pytest.fixture(scope="module")
+def gqa_12_3_model():
+    return _gqa_model("gqa_12_3_model")
+
+
+@pytest.fixture(scope="module")
+def gqa_8_1_model():
+    return _gqa_model("gqa_8_1_model")
+
+
 class TestBlockTruncatedAttention:
     """Row blocks over key prefixes equal full-width attention bitwise."""
 
     @pytest.mark.parametrize("history", [0, 300])
-    @pytest.mark.parametrize("t", [1, 255, 256, 257, 513, 700])
-    @pytest.mark.parametrize("model_name", ["tiny_model", "micro_model", "mha_model"])
+    @pytest.mark.parametrize("t", [1, 255, 256, 257, 513, 700, 512])
+    @pytest.mark.parametrize("model_name", ["tiny_model", "micro_model", "mha_model",
+                                            *_GQA_SHAPES])
     def test_equals_full_width(self, request, model_name, t, history):
         model = request.getfixturevalue(model_name)
         cfg, layer = model.config, 1
@@ -308,6 +337,10 @@ class TestBlockTruncatedAttention:
             "topk": select_topk(selection_keys(xn, DEFAULT_CRITERION, layer), 0.333).selected,
             "random": np.sort(rng.choice(t, size=max(1, t // 3), replace=False)),
             "single": rows[t // 2:t // 2 + 1],
+            # fewer rows than a kernel row group fold a GQA group's heads
+            # into the rows; 8 and 9 rows do not
+            **{f"few{n}": np.sort(rng.choice(t, size=n, replace=False))
+               for n in range(1, min(t, 9) + 1)},
         }
         # queries after a prefilled cache, as in decode
         prefilled = (forward_dense(model, make_tokens(history, cfg.vocab_size))[2] if history
@@ -330,6 +363,32 @@ class TestBlockTruncatedAttention:
                 for name, new in zip(("keys", "values", "positions"), appended):
                     assert np.array_equal(getattr(got_cache, name)[layer], np.concatenate(
                         [getattr(prefilled, name)[layer], new])), where
+
+    @pytest.mark.parametrize("n_sel", [2, 7])
+    def test_folded_rows_in_budget_blocks(self, gqa_12_3_model, monkeypatch, softmax_entries,
+                                          n_sel):
+        # a budget of about 3 rows' scores over 340 keys cuts the selected
+        # rows, whose heads are folded, into blocks of fewer than 8 rows
+        model, layer = gqa_12_3_model, 1
+        cfg = model.config
+        monkeypatch.setattr(model_runtime, "SCORE_BUDGET", cfg.n_heads * 340 * 3)
+        rng = np.random.default_rng(n_sel)
+        x = rng.standard_normal((40, cfg.d_model)).astype(np.float32)
+        xn = rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), cfg.norm_eps)
+        positions = np.arange(300, 340, dtype=np.int64)
+        prefilled = forward_dense(model, make_tokens(300, cfg.vocab_size))[2]
+        sel = np.sort(rng.choice(40, size=n_sel, replace=False))
+        for kv_rows in (np.arange(40), sel):
+            got_x, want_x = x.copy(), x.copy()
+            softmax_entries.clear()
+            got = block_forward(model, layer, got_x, positions, sel, kv_rows, xn,
+                                copy.deepcopy(prefilled), capture_attn0=True)
+            assert len(softmax_entries) == -(-n_sel // 3)
+            want = helpers.full_width_block_forward(model, layer, want_x, positions, sel,
+                                                    kv_rows, xn, prefilled, capture_attn0=True)
+            assert np.array_equal(got_x, want_x)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
     def test_dense_softmax_entries_pinned(self, tiny_model, tiny_config, softmax_entries):
         # 4 layers of blocks whose 4 heads' scores hold at most 2**18 entries:
@@ -418,11 +477,12 @@ class TestKVArena:
             n_layers=2, d_model=64, n_heads=4, n_kv_heads=2, d_head=16, d_ffn=64,
             vocab_size=48))
         _, _, cache = forward_dense(model, make_tokens(40, 48, seed=1))
-        seen = []
+        seen, operands = [], []
         real = tensor_core._matmul_cols
 
         def recording(a, b, n):
             seen.append(b)
+            operands.append(a)
             return real(a, b, n)
 
         monkeypatch.setattr(tensor_core, "_matmul_cols", recording)
@@ -433,6 +493,11 @@ class TestKVArena:
         # each for all heads at once, neither of them copied
         assert [np.shares_memory(b, arenas(cache)[i // 2][i % 2]) for i, b in
                 enumerate(in_place)] == [True] * 4
+        # a group's two query heads are the rows of one matrix per KV head,
+        # not two matrices of one row each
+        scored = [a for a, b in zip(operands, seen)
+                  if any(np.shares_memory(b, arena.kt) for arena in arenas(cache))]
+        assert [a.shape for a in scored] == [(2, 1, 2, 16)] * 2
         # every other product reads a weight as it is, or sums softmax rows
         weights = [b for b in seen if any(b is w for w in [*model.weights.values(), model.unembed])]
         assert len(weights) + len(in_place) + 2 == len(seen)
