@@ -62,7 +62,6 @@ from .model_runtime import (
 )
 from .selection import (
     Criterion,
-    SelectionMask,
     cos_gradient,
     decode_select,
     decode_step_with_plan,
@@ -90,7 +89,6 @@ __all__ = [
     "ModelConfig",
     "NormProfile",
     "OrthoRankError",
-    "SelectionMask",
     "ShapeError",
     "SimilarityMatrix",
     "StateError",

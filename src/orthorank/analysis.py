@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, _is_number
 from .trace import HiddenTrace, _write_csv
 
 
@@ -141,8 +141,8 @@ def scaling_agreement(hidden: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -
     exact, which makes any constant positive gain reduce to all-ones and the
     agreement come out exactly 1 rather than within an ulp of it.
     """
-    if eps <= 0:
-        raise UsageError(f"eps must be > 0, got {eps}")
+    if not (_is_number(eps) and eps > 0):
+        raise UsageError(f"eps must be a number > 0, got {eps!r}")
     x = np.asarray(hidden, dtype=np.float64)
     g = np.asarray(gain, dtype=np.float64)
     lead = float(np.abs(g.flat[0])) if g.size else 0.0

@@ -17,14 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint_io import ModelConfig
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, UsageError, _is_number
 
 DEFAULT_KEEP_RATIO = 0.333
-
-
-def _is_number(value, kinds=numbers.Real) -> bool:
-    """A real scalar (numpy scalars included) that is not a bool."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _integers(values, what: str) -> list[int]:
@@ -119,7 +114,7 @@ class LayerPlan:
         """Parse a plan from JSON text or bytes; a malformed plan raises ConfigError."""
         try:
             data = json.loads(text)
-        except ValueError as exc:  # invalid JSON or invalid UTF-8
+        except (TypeError, ValueError) as exc:  # not text or bytes, invalid JSON or UTF-8
             raise ConfigError(f"plan is not valid JSON: {exc}") from None
         if not isinstance(data, dict) or not {"layers", "keep_ratio"} <= data.keys():
             raise ConfigError("plan must be a JSON object with 'layers' and 'keep_ratio'")
@@ -153,6 +148,8 @@ def effective_sparsity(layer_fraction: float, keep_ratio: float) -> float:
 
 def plan_effective_sparsity(plan: LayerPlan, n_layers: int) -> float:
     """Effective sparsity a plan achieves on an n_layers model."""
+    if not (_is_number(n_layers, numbers.Integral) and n_layers >= 1):
+        raise ConfigError(f"n_layers must be an integer >= 1, got {n_layers!r}")
     return sum(1.0 - r for r in plan.ratios()) / n_layers
 
 
@@ -302,8 +299,8 @@ def flop_count(config: ModelConfig, plan: LayerPlan, seq_len: int) -> dict:
     the FLOPs executed; a traced benchmark run reports those as
     ``tensor_core.matmul.gflop``.
     """
-    if seq_len < 1:
-        raise ConfigError(f"seq_len must be >= 1, got {seq_len}")
+    if not (_is_number(seq_len, numbers.Integral) and seq_len >= 1):
+        raise ConfigError(f"seq_len must be an integer >= 1, got {seq_len!r}")
     ratios = _plan_ratios(plan.layers, plan.keep_ratio, config.n_layers)
     dense_layers = [_layer_flops(config, seq_len, seq_len)] * config.n_layers
     plan_layers = [

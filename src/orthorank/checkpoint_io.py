@@ -13,12 +13,13 @@ Projection weights are stored as (in, out) matrices applied as ``y = x @ W``.
 import hashlib
 import json
 import mmap
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, _is_number
 from .tensor_core import rms_norm
 from .trace import HiddenTrace
 
@@ -41,9 +42,10 @@ class ModelConfig:
     tied_embeddings: bool = True
 
     def __post_init__(self):
-        if min(self.n_layers, self.d_model, self.n_heads, self.n_kv_heads,
-               self.d_head, self.d_ffn, self.vocab_size) < 1:
-            raise ConfigError("all ModelConfig dimensions must be >= 1")
+        dims = (self.n_layers, self.d_model, self.n_heads, self.n_kv_heads,
+                self.d_head, self.d_ffn, self.vocab_size)
+        if not all(_is_number(v, numbers.Integral) and v >= 1 for v in dims):
+            raise ConfigError(f"all ModelConfig dimensions must be integers >= 1, got {dims}")
         if self.n_heads % self.n_kv_heads != 0:
             raise ConfigError(
                 f"n_heads ({self.n_heads}) must be divisible by n_kv_heads ({self.n_kv_heads})"
@@ -55,8 +57,8 @@ class ModelConfig:
             )
         if self.d_head % 2 != 0:
             raise ConfigError(f"d_head must be even for rotary embeddings, got {self.d_head}")
-        if self.norm_eps <= 0:
-            raise ConfigError(f"norm_eps must be > 0, got {self.norm_eps}")
+        if not (_is_number(self.norm_eps) and self.norm_eps > 0):
+            raise ConfigError(f"norm_eps must be a number > 0, got {self.norm_eps!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -279,10 +281,13 @@ def generate_synthetic_sink_trace(
     ``hidden``; since every row is unit-norm this rescales rows uniformly
     and leaves all cosines intact.
     """
+    counts = (n_layers, seq_len, d, l_sink, seed)
+    if not all(_is_number(v, numbers.Integral) for v in counts):
+        raise ConfigError(f"n_layers, seq_len, d, l_sink and seed must be integers, got {counts}")
     if not 0 <= l_sink < n_layers:
         raise ConfigError(f"l_sink {l_sink} out of range for {n_layers} layers")
-    if not 0.0 <= alignment_rate < 1.0:
-        raise ConfigError(f"alignment_rate must be in [0, 1), got {alignment_rate}")
+    if not (_is_number(alignment_rate) and 0.0 <= alignment_rate < 1.0):
+        raise ConfigError(f"alignment_rate must be in [0, 1), got {alignment_rate!r}")
     if seq_len < 2 or d < 2:
         raise ConfigError("need seq_len >= 2 and d >= 2")
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import analysis, eval_harness
 from .calibration import (
+    DEFAULT_KEEP_RATIO,
     LayerPlan,
     calibrate_greedy,
     flop_count,
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--sparsity", type=float, required=True)
-    p.add_argument("--keep-ratio", type=float, default=0.333)
+    p.add_argument("--keep-ratio", type=float, default=DEFAULT_KEEP_RATIO)
     p.add_argument("--context-len", type=int, default=128)
     p.add_argument("--l-sink", type=int, default=None)
     p.add_argument("--tau", type=float, default=0.3)
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("layerwise", help="single-layer conversion sweep per criterion")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--keep-ratio", type=float, default=0.333)
+    p.add_argument("--keep-ratio", type=float, default=DEFAULT_KEEP_RATIO)
     p.add_argument("--context-len", type=int, default=128)
     p.add_argument("--l-sink", type=int, default=None)
     p.add_argument("--tau", type=float, default=0.3)
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--plan", default=None)
     p.add_argument("--layers", default=None, help='plan layers inline, e.g. "4..15"')
-    p.add_argument("--keep-ratio", type=float, default=0.333)
+    p.add_argument("--keep-ratio", type=float, default=DEFAULT_KEEP_RATIO)
     p.add_argument("--seq-len", type=int, default=128)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_flops)

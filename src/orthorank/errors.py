@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its numeric-argument check."""
+
+import numbers
 
 
 class OrthoRankError(Exception):
@@ -27,3 +29,8 @@ class UsageError(OrthoRankError):
 
 class DomainError(OrthoRankError):
     """A numeric input lies outside the mathematical domain of the operation."""
+
+
+def _is_number(value, kinds=numbers.Real) -> bool:
+    """A real scalar (numpy scalars included) that is not a bool."""
+    return isinstance(value, kinds) and not isinstance(value, bool)

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibration import LayerPlan, _is_number, _plan_ratios, corpus_sha256, flop_count
-from .errors import ConfigError, UsageError
+from .calibration import LayerPlan, _plan_ratios, corpus_sha256, flop_count
+from .errors import ConfigError, UsageError, _is_number
 from .model_runtime import KVCache, Model
 from .selection import DEFAULT_CRITERION, Criterion, _run_layers, forward_with_plan
 from .trace import HiddenTrace, _write_csv

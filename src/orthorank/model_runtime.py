@@ -18,9 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor_core as tc
-from .calibration import _is_number
 from .checkpoint_io import ModelConfig, _read_checkpoint
-from .errors import StateError, UsageError
+from .errors import StateError, UsageError, _is_number
 from .trace import HiddenTrace
 
 ROW_BLOCK = 256  # most rows per attention block (each reads only its key prefix) and per FFN block
@@ -29,7 +28,12 @@ SCORE_BUDGET = 1 << 18  # most score entries of one attention block, all heads t
 
 @dataclass
 class Model:
-    """Immutable weights plus config; shareable across threads."""
+    """Immutable weights plus config; shareable across threads.
+
+    ``model_id`` names the weights: a ``KVCache`` refuses a step by a model
+    of another id. ``from_checkpoint`` derives it from the checkpoint's
+    bytes; a model built from in-memory weights is given its own.
+    """
 
     config: ModelConfig
     weights: dict[str, np.ndarray]
@@ -40,10 +44,6 @@ class Model:
         """Load a checkpoint; its id is ``weights_sha256`` of the bytes it read, hashed once."""
         config, weights, blob = _read_checkpoint(dir_path)
         return cls(config, weights, hashlib.sha256(blob).hexdigest())
-
-    @classmethod
-    def from_weights(cls, config, weights, model_id="in-memory") -> "Model":
-        return cls(config, weights, model_id)
 
     def w(self, name: str) -> np.ndarray:
         try:
@@ -307,7 +307,7 @@ def block_forward(
         scores = tc._matmul_cols(heads[:, :, r * f:(r + m) * f], arena.kt[:, None], cut)
         scores *= scale
         probs = tc._softmax_in_place(scores, np.repeat(block_pos, f), key_pos[:cut])
-        heads_ctx[:, :, rows] = tc._blocked_matmul(probs, arena.va[:, None, :cut]).reshape(
+        heads_ctx[:, :, rows] = tc._matmul_cols(probs, arena.va[:, None, :cut], d_head).reshape(
             n_kv, group // f, m, f, d_head)
         if attn0 is not None and key_pos[0] == 0:  # positions ascend: key 0 is column 0
             # heads added in order, as one at a time would

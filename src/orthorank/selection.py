@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core as tc
-from .calibration import _is_number, _plan_ratios
-from .errors import ConfigError, DomainError, StateError, UsageError
+from .calibration import _plan_ratios
+from .errors import ConfigError, DomainError, StateError, UsageError, _is_number
 from .model_runtime import (
     KVCache,
     Model,
@@ -70,31 +70,18 @@ class Criterion:
 DEFAULT_CRITERION = Criterion()
 
 
-@dataclass
-class SelectionMask:
-    """The k selected token indices, sorted ascending."""
-
-    selected: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        self.selected = np.asarray(self.selected, dtype=np.int64)
-        if self.selected.size != self.k:
-            raise StateError(f"mask holds {self.selected.size} indices, k={self.k}")
-
-
-def select_topk(keys, keep_ratio: float) -> SelectionMask:
-    """Indices of the k = floor(p * T) smallest of the T keys, sorted ascending.
+def select_topk(keys, keep_ratio: float) -> np.ndarray:
+    """Indices of the k = floor(p * T) smallest of the T keys: sorted ascending, int64.
 
     ``keys`` is any 1-D array of sort keys, such as ``selection_keys``
-    returns; ties resolve to the smaller index.
+    returns; ties resolve to the smaller index. The result's size is k.
     """
     if not (_is_number(keep_ratio) and 0.0 <= keep_ratio <= 1.0):
         raise ConfigError(f"keep_ratio must be in [0, 1], got {keep_ratio!r}")
     keys = np.asarray(keys)
     k = int(math.floor(keep_ratio * keys.shape[0]))
     order = np.argsort(keys, kind="stable")
-    return SelectionMask(np.sort(order[:k]), k)
+    return np.sort(order[:k]).astype(np.int64, copy=False)
 
 
 def cos_gradient(h0: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -212,7 +199,7 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
             keys = selection_keys(stage, criterion, layer)
             if not np.isfinite(keys[1:]).all():
                 raise UsageError(f"layer {layer} scores must be finite; its states are not")
-            sel = select_topk(keys, ratio).selected
+            sel = select_topk(keys, ratio)
             cache.sorted_history[layer] = sorted(keys.tolist())
             cache.sink_state[layer] = stage[0].copy()
         if trace is not None and trace.selection is not None:
@@ -303,7 +290,7 @@ def forward_orthorank_layer(
     criterion: Criterion = DEFAULT_CRITERION,
     compute_kv_for_unselected: bool = True,
     trace: HiddenTrace | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, SelectionMask]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One selective block: full compute for the top-k tokens only.
 
     RMSNorm runs for all tokens; K/V are computed for all tokens unless
@@ -311,15 +298,16 @@ def forward_orthorank_layer(
     attention, output projection, and FFN run for the selected rows, which
     attend at their original rotary positions. Unselected rows of the
     result are bitwise equal to the input. Returns the updated states, the
-    new key and value rows, and the selection mask. A ``trace`` records
-    the layer step as ``forward_with_plan``'s would.
+    new key and value rows, and ``sel``, the selected rows' indices as
+    ``select_topk`` returns them. A ``trace`` records the layer step as
+    ``forward_with_plan``'s would.
     """
     (layer, ratio), = _plan_ratios([layer_index], keep_ratio, model.config.n_layers).items()
     x_out = np.array(x, copy=True)
     positions = np.arange(x_out.shape[0], dtype=np.int64)
     sel, k_new, v_new = _layer_step(model, layer, x_out, positions, ratio, criterion,
                                     compute_kv_for_unselected, KVCache(model.config), trace)
-    return x_out, k_new, v_new, SelectionMask(sel, sel.size)
+    return x_out, k_new, v_new, sel
 
 
 def forward_with_plan(

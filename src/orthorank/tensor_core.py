@@ -29,18 +29,19 @@ invariance test, and products of up to 3,000 rows hash the same at 1 and
 2 threads). The invariance tests in ``tests/test_tensor_core.py`` are the
 gate on any other build or thread count.
 
-The kernel is ``_matmul_cols(a, b, n)``: it takes stacked operands,
-(..., m, k) by (..., k, c), broadcasts their leading axes, and makes one
-``np.matmul`` call per K chunk for all rows and the whole stack, which
-hands BLAS every matrix in the same canonical shapes as a 2-D product, so
-each equals its 2-D product bit for bit. ``matmul`` is its checked 2-D
-case, and ``_blocked_matmul`` brings any ``b`` to its layout first. A caller that keeps ``b`` in that layout
-itself skips the copy: each matrix of ``b`` has unit column stride and at
-least ``n`` columns rounded up to ``_COL_ALIGN``, and the result is
-``a @ b[..., :n]``, whatever the columns past ``n`` hold (column
-truncation again). The KV cache stores each layer's keys this way, so
-attention scores all heads of a row block against a key prefix in one
-call, with no per-head loop and no copy of a key.
+The kernel is ``_matmul_cols(a, b, n)``, its one entry: it takes stacked
+operands, (..., m, k) by (..., k, c), broadcasts their leading axes, and
+makes one ``np.matmul`` call per K chunk for all rows and the whole stack,
+which hands BLAS every matrix in the same canonical shapes as a 2-D
+product, so each equals its 2-D product bit for bit. The result is
+``a @ b[..., :n]``. Each matrix of ``b`` is read in place when it is in
+the kernel's column layout: the result dtype, unit column stride and at
+least ``n`` columns rounded up to ``_COL_ALIGN``, whatever the columns
+past ``n`` hold (column truncation again). Any other ``b``, a transposed
+view for one, is copied into that layout first. ``matmul`` is its checked
+2-D case with ``n = b.shape[1]``. The KV cache stores each layer's keys in
+the layout, so attention scores all heads of a row block against a key
+prefix in one call, with no per-head loop and no copy of a key.
 
 The causal softmax likewise has one implementation, ``_softmax_in_place``:
 stacked (..., rows, keys) scores that share their query and key positions,
@@ -97,46 +98,39 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return _blocked_matmul(a, b)
+    return _matmul_cols(a, b, b.shape[1])
 
 
 def _round_up(n: int, multiple: int) -> int:
     return -(-n // multiple) * multiple
 
 
-def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` through the kernel for any ``b``; checked, possibly stacked operands."""
-    n = b.shape[-1]
-    dtype = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
-    # BLAS rounds a transposed b differently from the row-major layout, so
-    # each matrix of b is brought to it here.
-    if (n % _COL_ALIGN or b.dtype != dtype
-            or b.strides[-2:] != (n * b.itemsize, b.itemsize)):
-        padded = np.zeros(b.shape[:-1] + (_round_up(n, _COL_ALIGN),), dtype)
-        padded[..., :n] = b
-        b = padded
-    return _matmul_cols(a, b, n)
-
-
 def _matmul_cols(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """``a @ b[..., :n]`` for a ``b`` already in the kernel's column layout.
+    """``a @ b[..., :n]`` through the padded-block kernel; the one matmul entry.
 
-    ``a`` is (..., m, k) and ``b`` (..., k, c); their leading axes
-    broadcast, and every matrix of the result is the 2-D product of its
-    own operands bit for bit. Each matrix of ``b`` has the result dtype,
-    unit column stride and ``c >= _round_up(n, _COL_ALIGN)`` columns; the
-    columns past ``n`` may hold anything, since they reach only discarded
-    output columns. No copy of ``b`` is made. The result is the first
-    ``_K_CHUNK``-wide chunk's product over all padded rows and the whole
-    stack, one ``np.matmul`` call, with each later chunk's product added
-    into it in order; those products share one buffer.
+    ``a`` is (..., m, k) and ``b`` (..., k, c) with ``c >= n``; their
+    leading axes broadcast, and every matrix of the result is the 2-D
+    product of its own operands bit for bit. ``b`` is read in place when it
+    has the result dtype, unit column stride and ``c >= _round_up(n,
+    _COL_ALIGN)`` columns; the columns past ``n`` may then hold anything,
+    since they reach only discarded output columns. Any other ``b`` is
+    copied into that layout, zero-padded past ``n``. The result is the
+    first ``_K_CHUNK``-wide chunk's product over all padded rows and the
+    whole stack, one ``np.matmul`` call, with each later chunk's product
+    added into it in order; those products share one buffer.
     """
     m, k = a.shape[-2:]
     dtype = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
     if m == 0 or n == 0:
         return np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n), dtype)
-    m_pad = _round_up(m, _ROW_ALIGN)
-    b = b[..., :_round_up(n, _COL_ALIGN)]
+    m_pad, n_pad = _round_up(m, _ROW_ALIGN), _round_up(n, _COL_ALIGN)
+    # BLAS rounds a transposed b differently from the row-major layout, so
+    # a b out of the layout is brought to it here.
+    if b.dtype != dtype or b.strides[-1] != b.itemsize or b.shape[-1] < n_pad:
+        padded = np.zeros(b.shape[:-1] + (n_pad,), dtype)
+        padded[..., :n] = b[..., :n]
+        b = padded
+    b = b[..., :n_pad]
     # BLAS rounds a with strided columns differently from the row-major
     # layout, so it is brought to it here.
     if m_pad != m or a.dtype != dtype or a.strides[-1] != a.itemsize:

@@ -31,7 +31,7 @@ def make_random_model(config, seed=0):
     weights = {name: np.ones(shape, dtype=np.float32) if name.endswith("gain")
                else rng.standard_normal(shape, dtype=np.float32) * scale
                for name, shape in required_tensors(config)}
-    return Model.from_weights(config, weights, model_id=f"random-{seed}")
+    return Model(config, weights, f"random-{seed}")
 
 
 def make_uniform_model():
@@ -46,7 +46,7 @@ def make_uniform_model():
     weights = blank_weights(config)
     rng = np.random.default_rng(7)
     weights["embed.weight"] = rng.standard_normal((32, 16)).astype(np.float32) * 0.25
-    return Model.from_weights(config, weights, model_id="uniform-logit")
+    return Model(config, weights, "uniform-logit")
 
 
 PROB1_TOKEN = 5
@@ -63,7 +63,7 @@ def make_prob1_model():
     weights = blank_weights(config)
     weights["embed.weight"][PROB1_TOKEN, 0] = 4.0
     weights["lm_head.weight"][0, PROB1_TOKEN] = 20.0
-    return Model.from_weights(config, weights, model_id="prob1")
+    return Model(config, weights, "prob1")
 
 
 ROTATION_TOKEN = 5
@@ -95,7 +95,7 @@ def make_rotation_model(n_layers, identity_layers, gamma=8.0, theta=0.25):
         weights[f"layers.{layer}.ffn.w_up.weight"][ROTATION_TOKEN, 0] = 1.0
         weights[f"layers.{layer}.ffn.w_down.weight"][0, ROTATION_TOKEN] = theta
     ident = "-".join(str(l) for l in sorted(identity_layers))
-    return Model.from_weights(config, weights, model_id=f"rotation-{n_layers}-{ident}")
+    return Model(config, weights, f"rotation-{n_layers}-{ident}")
 
 
 def rotation_corpus(n_tokens):
@@ -126,7 +126,7 @@ def make_sink_probe_model():
     # head 0 spans projected dims 0..7; its slowest rotary pair is (3, 7)
     weights["layers.2.attn.wk.weight"][0, 3] = 4.0
     weights["layers.2.attn.wq.weight"][1, 3] = 4.0
-    return Model.from_weights(config, weights, model_id="sink-probe")
+    return Model(config, weights, "sink-probe")
 
 
 def sink_probe_tokens(n=64, seed=4):
@@ -154,7 +154,7 @@ def make_planted_sink_model(tmp_dir):
     weights["layers.1.attn.wq.weight"] *= 0.1
     weights["layers.1.attn.wk.weight"][0, 3] = 6.0
     weights["layers.1.attn.wq.weight"][1, 3] = 6.0
-    return Model.from_weights(config, weights, model_id="planted-sink")
+    return Model(config, weights, "planted-sink")
 
 
 def save_planted_sink_checkpoint(dir_path):

@@ -18,8 +18,10 @@ from orthorank import (
     eligible_layers,
     flop_count,
     generate_synthetic_model,
+    generate_synthetic_sink_trace,
     perplexity,
     plan_from_sparsity,
+    scaling_agreement,
 )
 from orthorank import eval_harness
 from orthorank.calibration import plan_effective_sparsity
@@ -544,3 +546,41 @@ class TestIntegerArguments:
     def test_sparsity_arguments_must_be_numbers(self, args):
         with pytest.raises(ConfigError):
             plan_from_sparsity(*args)
+
+
+_DIMS = dict(n_layers=4, d_model=32, n_heads=4, n_kv_heads=2, d_head=8, d_ffn=64, vocab_size=50)
+# numeric arguments across the package: each call with its bad value and the error it raises
+_NUMERIC_CALLS = {
+    "flop_count": (lambda v: flop_count(ModelConfig(**_DIMS), LayerPlan([1, 2], 0.5), v),
+                   ConfigError),
+    "plan_effective_sparsity": (lambda v: plan_effective_sparsity(LayerPlan([1, 2], 0.5), v),
+                                ConfigError),
+    "scaling_agreement": (lambda v: scaling_agreement(np.ones((2, 4)), np.ones(4), eps=v),
+                          UsageError),
+    "sink_trace_n_layers": (lambda v: generate_synthetic_sink_trace(v, 6, 8, 1, 0.25, 0),
+                            ConfigError),
+    "sink_trace_alignment_rate": (lambda v: generate_synthetic_sink_trace(4, 6, 8, 1, v, 0),
+                                  ConfigError),
+    "sink_trace_seed": (lambda v: generate_synthetic_sink_trace(4, 6, 8, 1, 0.25, v), ConfigError),
+    "model_config_n_layers": (lambda v: ModelConfig(**{**_DIMS, "n_layers": v}), ConfigError),
+    "model_config_norm_eps": (lambda v: ModelConfig(**_DIMS, norm_eps=v), ConfigError),
+    "plan_from_json": (LayerPlan.from_json, ConfigError),
+}
+
+
+@pytest.mark.parametrize("call, bad", [
+    ("flop_count", 128.5), ("flop_count", True), ("flop_count", "12"), ("flop_count", None),
+    ("flop_count", [1]),
+    ("plan_effective_sparsity", "3"), ("plan_effective_sparsity", None),
+    ("plan_effective_sparsity", [1]), ("plan_effective_sparsity", 0),
+    ("scaling_agreement", None),
+    ("sink_trace_n_layers", None), ("sink_trace_n_layers", "3"), ("sink_trace_n_layers", 2.5),
+    ("sink_trace_alignment_rate", None), ("sink_trace_seed", "0"),
+    ("model_config_n_layers", None), ("model_config_n_layers", "3"),
+    ("model_config_norm_eps", None),
+    ("plan_from_json", None), ("plan_from_json", 5),
+])
+def test_numeric_arguments_raise_package_errors(call, bad):
+    fn, error = _NUMERIC_CALLS[call]
+    with pytest.raises(error):
+        fn(bad)

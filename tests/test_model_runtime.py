@@ -334,7 +334,7 @@ class TestBlockTruncatedAttention:
         rows = np.arange(t, dtype=np.int64)
         picks = {
             "all": rows,
-            "topk": select_topk(selection_keys(xn, DEFAULT_CRITERION, layer), 0.333).selected,
+            "topk": select_topk(selection_keys(xn, DEFAULT_CRITERION, layer), 0.333),
             "random": np.sort(rng.choice(t, size=max(1, t // 3), replace=False)),
             "single": rows[t // 2:t // 2 + 1],
             # fewer rows than a kernel row group fold a GQA group's heads

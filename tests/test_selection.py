@@ -66,30 +66,30 @@ class TestComputeScores:
 
 class TestSelectTopk:
     def test_floor_semantics(self):
-        assert select_topk(sink_scores(rand((10, 4))), 0.333).k == 3
+        assert select_topk(sink_scores(rand((10, 4))), 0.333).size == 3
 
     def test_hand_example(self):
         s = np.array([np.inf, 0.5, 0.1, 0.9, 0.2])
-        mask = select_topk(s, 0.4)
-        assert mask.selected.tolist() == [2, 4]
+        sel = select_topk(s, 0.4)
+        assert sel.tolist() == [2, 4]
 
     def test_full_selection_includes_sink(self):
-        mask = select_topk(sink_scores(rand((7, 4))), 1.0)
-        assert mask.selected.tolist() == list(range(7))
+        sel = select_topk(sink_scores(rand((7, 4))), 1.0)
+        assert sel.tolist() == list(range(7))
 
     def test_zero_ratio(self):
-        mask = select_topk(sink_scores(rand((7, 4))), 0.0)
-        assert mask.k == 0 and mask.selected.size == 0
+        sel = select_topk(sink_scores(rand((7, 4))), 0.0)
+        assert sel.size == 0 and sel.dtype == np.int64
 
     def test_accepts_raw_array(self):
-        mask = select_topk(np.array([np.inf, 3.0, 1.0, 2.0]), 0.5)
-        assert mask.selected.tolist() == [1, 2] or mask.selected.tolist() == [2, 3]
+        sel = select_topk(np.array([np.inf, 3.0, 1.0, 2.0]), 0.5)
+        assert sel.tolist() == [1, 2] or sel.tolist() == [2, 3]
         # k = floor(0.5 * 4) = 2, two smallest are 1.0 and 2.0
-        assert mask.selected.tolist() == [2, 3]
+        assert sel.tolist() == [2, 3]
 
     def test_ties_break_to_smaller_index(self):
         s = np.array([np.inf, 0.5, 0.5, 0.5, 0.5])
-        assert select_topk(s, 0.4).selected.tolist() == [1, 2]
+        assert select_topk(s, 0.4).tolist() == [1, 2]
 
     def test_ratio_domain(self):
         with pytest.raises(ConfigError):
@@ -107,11 +107,11 @@ class TestSelectTopk:
     def test_matches_brute_force(self, t, p, seed):
         scores = np.random.default_rng(seed).random(t)
         scores[0] = np.inf
-        mask = select_topk(scores, p)
-        assert mask.selected.tolist() == ref.ref_topk_ascending(scores.tolist(), p)
-        if mask.k < t:
-            assert 0 not in mask.selected.tolist()
-        assert np.all(np.diff(mask.selected) > 0)
+        sel = select_topk(scores, p)
+        assert sel.tolist() == ref.ref_topk_ascending(scores.tolist(), p)
+        if sel.size < t:
+            assert 0 not in sel.tolist()
+        assert np.all(np.diff(sel) > 0)
 
     def test_mask_invariant_to_sink_rescale(self):
         states = rand((12, 8), seed=3)
@@ -119,7 +119,7 @@ class TestSelectTopk:
         scaled[0] *= 7.5
         a = select_topk(sink_scores(states), 0.5)
         b = select_topk(sink_scores(scaled), 0.5)
-        assert a.selected.tolist() == b.selected.tolist()
+        assert a.tolist() == b.tolist()
 
 
 def test_ranking_matches_cosine_under_equal_norms():
@@ -254,15 +254,15 @@ class TestForwardOrthorankLayer:
 
     def test_full_ratio_is_bitwise_dense(self, tiny_model, tiny_tokens):
         x = self.embed(tiny_model, tiny_tokens)
-        x_out, _, _, mask = forward_orthorank_layer(tiny_model, 0, x, 1.0)
+        x_out, _, _, sel = forward_orthorank_layer(tiny_model, 0, x, 1.0)
         assert np.array_equal(x_out, self.dense_block_output(tiny_model, tiny_tokens))
-        assert mask.k == len(tiny_tokens)
+        assert sel.size == len(tiny_tokens)
 
     @pytest.mark.parametrize("p", [0.25, 0.333, 0.5])
     def test_unselected_rows_pass_through(self, tiny_model, tiny_tokens, p):
         x = self.embed(tiny_model, tiny_tokens)
-        x_out, _, _, mask = forward_orthorank_layer(tiny_model, 0, x, p)
-        unselected = np.setdiff1d(np.arange(len(tiny_tokens)), mask.selected)
+        x_out, _, _, sel = forward_orthorank_layer(tiny_model, 0, x, p)
+        unselected = np.setdiff1d(np.arange(len(tiny_tokens)), sel)
         assert unselected.size > 0
         assert np.array_equal(x_out[unselected], x[unselected])
 
@@ -270,8 +270,7 @@ class TestForwardOrthorankLayer:
     def test_selected_rows_match_dense(self, tiny_model, tiny_tokens, p):
         x = self.embed(tiny_model, tiny_tokens)
         dense = self.dense_block_output(tiny_model, tiny_tokens)
-        x_out, _, _, mask = forward_orthorank_layer(tiny_model, 0, x, p)
-        sel = mask.selected
+        x_out, _, _, sel = forward_orthorank_layer(tiny_model, 0, x, p)
         assert np.max(np.abs(x_out[sel] - dense[sel])) < 1e-6
 
     def test_kv_rows_for_all_tokens_by_default(self, tiny_model, tiny_tokens):
@@ -282,9 +281,9 @@ class TestForwardOrthorankLayer:
 
     def test_kv_rows_only_selected_when_disabled(self, tiny_model, tiny_tokens):
         x = self.embed(tiny_model, tiny_tokens)
-        _, keys, _, mask = forward_orthorank_layer(
+        _, keys, _, sel = forward_orthorank_layer(
             tiny_model, 0, x, 0.333, compute_kv_for_unselected=False)
-        assert keys.shape[0] == mask.k
+        assert keys.shape[0] == sel.size
 
     def test_keys_match_dense_cache(self, tiny_model, tiny_tokens):
         x = self.embed(tiny_model, tiny_tokens)
@@ -296,10 +295,10 @@ class TestForwardOrthorankLayer:
     def test_audit_rows(self, tiny_model, tiny_tokens):
         x = self.embed(tiny_model, tiny_tokens)
         audit = HiddenTrace(hidden=None, selection=[])
-        _, _, _, mask = forward_orthorank_layer(tiny_model, 2, x, 0.25, trace=audit)
+        _, _, _, sel = forward_orthorank_layer(tiny_model, 2, x, 0.25, trace=audit)
         assert len(audit.selection) == len(tiny_tokens)
         selected = {r[2] for r in audit.selection if r[4]}
-        assert selected == set(mask.selected.tolist())
+        assert selected == set(sel.tolist())
         assert all(r[0] == 2 for r in audit.selection)
 
     def test_bad_layer_index(self, tiny_model, tiny_tokens):
@@ -309,9 +308,9 @@ class TestForwardOrthorankLayer:
 
     def test_no_row_with_kv_off_skips_block(self, tiny_model, tiny_tokens):
         x = self.embed(tiny_model, tiny_tokens[:2])  # k = floor(0.333 * 2) = 0
-        x_out, keys, values, mask = forward_orthorank_layer(
+        x_out, keys, values, sel = forward_orthorank_layer(
             tiny_model, 1, x, 0.333, compute_kv_for_unselected=False)
-        assert mask.k == 0
+        assert sel.size == 0
         assert np.array_equal(x_out, x)
         cfg = tiny_model.config
         assert keys.shape == values.shape == (0, cfg.n_kv_heads, cfg.d_head)
@@ -871,7 +870,7 @@ def nan_token_model(tiny_model):
     weights["lm_head.weight"] = tiny_model.unembed.copy()
     weights["embed.weight"][NAN_TOKEN] = np.nan
     config = dataclasses.replace(tiny_model.config, tied_embeddings=False)
-    return Model.from_weights(config, weights, model_id="nan-token")
+    return Model(config, weights, "nan-token")
 
 
 def finite_tokens(n, vocab, seed=3):
@@ -1034,7 +1033,7 @@ class TestFailedStepLeavesCache:
     def test_nonfinite_prefill_score_raises(self, tiny_model):
         weights = {name: w.copy() for name, w in tiny_model.weights.items()}
         weights["layers.2.ffn.w_down.weight"][0, 0] = np.nan
-        model = Model.from_weights(tiny_model.config, weights)
+        model = Model(tiny_model.config, weights, "nan-down-projection")
         with pytest.raises(UsageError):
             forward_with_plan(model, np.arange(20), [3], 0.5)
         forward_with_plan(model, np.arange(20), [1], 0.5)[2].check()  # before the NaN: fine

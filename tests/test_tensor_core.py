@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 from orthorank import ConfigError, ShapeError
 from orthorank import tensor_core
 from orthorank.tensor_core import (
-    _blocked_matmul,
     _matmul_cols,
     _softmax_in_place,
     as_f32,
@@ -229,7 +228,7 @@ class TestStackedMatmul:
             b_lead = ()
         b = rng.standard_normal((*b_lead, k, n)).astype(dtype)
         if layout == "any":
-            got = _blocked_matmul(a, b)
+            got = _matmul_cols(a, b, n)
         else:  # the KV arena's layout: spare columns of junk past n
             capacity = -(-n // 16) * 16 + data.draw(st.integers(0, 20), label="spare")
             cols = np.full((*b_lead, k, capacity), np.nan, dtype)
@@ -246,8 +245,58 @@ class TestStackedMatmul:
         lead, m, k, n = shape[:1], *shape[1:]
         # the stack sits on a, then on b: the result has the broadcast stack
         for a_lead, b_lead in ((lead, ()), ((), lead)):
-            out = _blocked_matmul(rand((*a_lead, m, k)), rand((*b_lead, k, n), seed=1))
+            out = _matmul_cols(rand((*a_lead, m, k)), rand((*b_lead, k, n), seed=1), n)
             assert out.shape == (*lead, m, n) and not out.any()
+
+
+def _kernel_shapes():
+    """50 seeded (m, k, n) shapes plus fixed cases: 1 x 1 x 1, whole row, column
+    and K blocks, one past each, and a transposed b that BLAS rounds differently."""
+    rng = np.random.default_rng(0)
+    shapes = [(int(rng.integers(1, 130)), int(rng.integers(1, 600)), int(rng.integers(1, 80)))
+              for _ in range(50)]
+    return shapes + [(1, 1, 1), (8, 256, 32), (9, 257, 33), (66, 345, 16)]
+
+
+class TestKernelLayout:
+    """``_matmul_cols`` reads a ``b`` in its column layout in place and copies any other."""
+
+    @staticmethod
+    def operand(kind, k, n, rng):
+        if kind == "transposed":
+            return rng.standard_normal((n, k)).astype(np.float32).T
+        if kind == "contiguous":
+            return rng.standard_normal((k, n)).astype(np.float32)
+        if kind == "float64":
+            return rng.standard_normal((k, n))
+        cols = np.full((k, -(-n // 16) * 16 + 16), np.nan, np.float32)  # the KV arena's keys
+        cols[:, :n] = rng.standard_normal((k, n))
+        return cols
+
+    @pytest.mark.parametrize("kind", ["transposed", "contiguous", "float64", "arena"])
+    def test_equals_the_product_with_a_contiguous_b(self, kind, monkeypatch):
+        real, seen = np.matmul, []
+
+        def recording(x, y, **kwargs):
+            seen.append(y)
+            return real(x, y, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        for m, k, n in _kernel_shapes():
+            if kind == "contiguous":
+                n |= 1  # n % 16 != 0: fewer columns than the layout needs
+            rng = np.random.default_rng([m, k, n])
+            a = rng.standard_normal((m, k)).astype(np.float32)
+            b = self.operand(kind, k, n, rng)
+            want = matmul(a, np.ascontiguousarray(b[..., :n]))
+            seen.clear()
+            with np.errstate(invalid="ignore"):  # the NaN columns' own products
+                got = _matmul_cols(a, b, n)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (m, k, n)
+            # the layout: the result dtype, unit column stride, n rounded up to 16 columns
+            in_layout = (b.dtype == got.dtype and b.strides[-1] == b.itemsize
+                         and b.shape[-1] >= -(-n // 16) * 16)
+            assert seen and all(np.shares_memory(y, b) == in_layout for y in seen), (m, k, n)
 
 
 class TestRmsNorm:
