@@ -10,12 +10,14 @@ Checkpoint directory layout:
 Projection weights are stored as (in, out) matrices applied as ``y = x @ W``.
 """
 
+import functools
 import hashlib
 import json
 import mmap
 import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +67,10 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
+        """Parse ``config.json``: an object of exactly the fields, else CheckpointError."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise CheckpointError(f"config.json must hold an object, got {type(data).__name__}")
         fields = set(cls.__dataclass_fields__)
         unknown = set(data) - fields
         if unknown:
@@ -76,22 +81,37 @@ class ModelConfig:
         return cls(**data)
 
 
+class _LayerNames(NamedTuple):
+    """One layer's tensor names, in checkpoint order."""
+
+    attn_norm: str
+    wq: str
+    wk: str
+    wv: str
+    wo: str
+    ffn_norm: str
+    w_gate: str
+    w_up: str
+    w_down: str
+
+
+@functools.cache
+def _layer_names(layer: int) -> _LayerNames:
+    """Layer ``layer``'s tensor names, built once per index."""
+    return _LayerNames(*(f"layers.{layer}.{name}" for name in (
+        "attn_norm.gain", "attn.wq.weight", "attn.wk.weight", "attn.wv.weight", "attn.wo.weight",
+        "ffn_norm.gain", "ffn.w_gate.weight", "ffn.w_up.weight", "ffn.w_down.weight")))
+
+
 def required_tensors(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list for a checkpoint of this architecture."""
-    d, h, kv, dh = config.d_model, config.n_heads, config.n_kv_heads, config.d_head
+    d, h, kv, dh, ffn = (config.d_model, config.n_heads, config.n_kv_heads, config.d_head,
+                         config.d_ffn)
+    shapes = [(d,), (d, h * dh), (d, kv * dh), (d, kv * dh), (h * dh, d),
+              (d,), (d, ffn), (d, ffn), (ffn, d)]
     out = [("embed.weight", (config.vocab_size, d))]
     for i in range(config.n_layers):
-        out += [
-            (f"layers.{i}.attn_norm.gain", (d,)),
-            (f"layers.{i}.attn.wq.weight", (d, h * dh)),
-            (f"layers.{i}.attn.wk.weight", (d, kv * dh)),
-            (f"layers.{i}.attn.wv.weight", (d, kv * dh)),
-            (f"layers.{i}.attn.wo.weight", (h * dh, d)),
-            (f"layers.{i}.ffn_norm.gain", (d,)),
-            (f"layers.{i}.ffn.w_gate.weight", (d, config.d_ffn)),
-            (f"layers.{i}.ffn.w_up.weight", (d, config.d_ffn)),
-            (f"layers.{i}.ffn.w_down.weight", (config.d_ffn, d)),
-        ]
+        out += zip(_layer_names(i), shapes)
     out.append(("final_norm.gain", (d,)))
     if not config.tied_embeddings:
         out.append(("lm_head.weight", (d, config.vocab_size)))

@@ -31,6 +31,17 @@ class DomainError(OrthoRankError):
     """A numeric input lies outside the mathematical domain of the operation."""
 
 
+_NUMBER_TYPES: dict[tuple[type, type], bool] = {}
+
+
 def _is_number(value, kinds=numbers.Real) -> bool:
-    """A real scalar (numpy scalars included) that is not a bool."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    """A real scalar (numpy scalars included) that is not a bool.
+
+    The answer depends only on the value's type, so it is cached per
+    (type, kinds): the ABC ``isinstance`` check runs once per pair.
+    """
+    key = (type(value), kinds)
+    answer = _NUMBER_TYPES.get(key)
+    if answer is None:
+        answer = _NUMBER_TYPES[key] = isinstance(value, kinds) and not isinstance(value, bool)
+    return answer

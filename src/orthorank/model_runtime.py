@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor_core as tc
-from .checkpoint_io import ModelConfig, _read_checkpoint
-from .errors import StateError, UsageError, _is_number
+from .checkpoint_io import ModelConfig, _layer_names, _read_checkpoint
+from .errors import ShapeError, StateError, UsageError, _is_number
 from .trace import HiddenTrace
 
 ROW_BLOCK = 256  # most rows per attention block (each reads only its key prefix) and per FFN block
@@ -219,7 +219,9 @@ def block_forward(
     FFN run only for ``sel`` rows. Rows outside ``sel`` are left untouched,
     so they pass through bitwise, and an empty ``sel`` returns right after
     the keys and values. ``sel`` and ``kv_rows`` hold sorted distinct row
-    indices; one that holds every row is read in place, with no gather of
+    indices, every row of ``sel`` is in ``kv_rows``, and the arguments are
+    the checked ones of a layer step: the kernels it calls check nothing.
+    An index array that holds every row is read in place, with no gather of
     ``x``, ``xn`` or ``positions``, and ``x`` is then updated in place with
     no scatter.
 
@@ -252,14 +254,14 @@ def block_forward(
     """
     cfg = model.config
     n_heads, n_kv, d_head = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
-    w = model.w
-    prefix = f"layers.{layer}"
+    w, names = model.w, _layer_names(layer)
 
     xk = _rows(xn, kv_rows)
     kv_pos = _rows(positions, kv_rows)
-    k_new = tc.matmul(xk, w(f"{prefix}.attn.wk.weight")).reshape(len(kv_rows), n_kv, d_head)
-    k_new = tc.rope_apply(k_new, kv_pos, cfg.rope_theta)
-    v_new = tc.matmul(xk, w(f"{prefix}.attn.wv.weight")).reshape(len(kv_rows), n_kv, d_head)
+    k_new = tc.matmul(xk, w(names.wk)).reshape(len(kv_rows), n_kv, d_head)
+    rot = tc._rope_rows(kv_pos, cfg.rope_theta, d_head, k_new.dtype)
+    k_new = tc._rope_apply(k_new, *rot)
+    v_new = tc.matmul(xk, w(names.wv)).reshape(len(kv_rows), n_kv, d_head)
 
     arena, count = cache.layers[layer]
     end = count + len(kv_rows)
@@ -274,8 +276,12 @@ def block_forward(
         return k_new, v_new, attn0
 
     q_pos = _rows(positions, sel)
-    q = tc.matmul(_rows(xn, sel), w(f"{prefix}.attn.wq.weight")).reshape(len(sel), n_heads, d_head)
-    q = tc.rope_apply(q, q_pos, cfg.rope_theta)
+    q = tc.matmul(_rows(xn, sel), w(names.wq)).reshape(len(sel), n_heads, d_head)
+    # sel is within kv_rows, so as many rows are the same rows (every row
+    # of a dense layer, a selected decode row), and Q takes K's cos and sin
+    if len(sel) != len(kv_rows) or q.dtype != k_new.dtype:
+        rot = tc._rope_rows(q_pos, cfg.rope_theta, d_head, q.dtype)
+    q = tc._rope_apply(q, *rot)
 
     scale = tc.attention_scale(d_head)
     group = n_heads // n_kv
@@ -295,18 +301,21 @@ def block_forward(
         # as many rows as keep every head's scores over the key prefix of
         # the next ROW_BLOCK rows within SCORE_BUDGET, in whole kernel row
         # groups; a lone row may exceed it
-        ahead = int(np.searchsorted(key_pos, q_pos[min(r + ROW_BLOCK, len(sel)) - 1],
-                                    side="right"))
+        last = q_pos[min(r + ROW_BLOCK, len(sel)) - 1]
+        ahead = int(key_pos.searchsorted(last, side="right"))
         n = SCORE_BUDGET // (n_heads * ahead)
         n = min(ROW_BLOCK, n - n % tc._ROW_ALIGN if n >= tc._ROW_ALIGN else max(n, 1))
         rows = slice(r, r + n)
         block_pos = q_pos[rows]
         m = len(block_pos)
-        # the block's key prefix: keys past its last query are masked in every row
-        cut = int(np.searchsorted(key_pos, block_pos[-1], side="right"))
+        # the block's key prefix: keys past its last query are masked in
+        # every row (that prefix is the one just found when the block ends
+        # at that row, as every decode step's does)
+        cut = (ahead if block_pos[-1] == last
+               else int(key_pos.searchsorted(block_pos[-1], side="right")))
         scores = tc._matmul_cols(heads[:, :, r * f:(r + m) * f], arena.kt[:, None], cut)
         scores *= scale
-        probs = tc._softmax_in_place(scores, np.repeat(block_pos, f), key_pos[:cut])
+        probs = tc._softmax_in_place(scores, block_pos.repeat(f), key_pos[:cut])
         heads_ctx[:, :, rows] = tc._matmul_cols(probs, arena.va[:, None, :cut], d_head).reshape(
             n_kv, group // f, m, f, d_head)
         if attn0 is not None and key_pos[0] == 0:  # positions ascend: key 0 is column 0
@@ -319,14 +328,14 @@ def block_forward(
         attn0 /= n_heads
 
     x_sel = _rows(x, sel)
-    x_sel += tc.matmul(ctx.reshape(len(sel), n_heads * d_head), w(f"{prefix}.attn.wo.weight"))
+    x_sel += tc.matmul(ctx.reshape(len(sel), n_heads * d_head), w(names.wo))
     # the FFN in blocks of ROW_BLOCK rows: a block's gate and up outputs
     # stay within a core's cache where a long prompt's would not
-    gain, w_gate, w_up, w_down = (w(f"{prefix}.{name}") for name in (
-        "ffn_norm.gain", "ffn.w_gate.weight", "ffn.w_up.weight", "ffn.w_down.weight"))
+    gain, w_gate, w_up, w_down = (w(names.ffn_norm), w(names.w_gate), w(names.w_up),
+                                  w(names.w_down))
     for r in range(0, len(sel), ROW_BLOCK):
         block = x_sel[r:r + ROW_BLOCK]
-        xn2 = tc.rms_norm(block, gain, cfg.norm_eps)
+        xn2 = tc._rms_norm(block, gain, cfg.norm_eps)
         hidden = tc.silu(tc.matmul(xn2, w_gate))
         hidden *= tc.matmul(xn2, w_up)
         block += tc.matmul(hidden, w_down)
@@ -341,8 +350,12 @@ def _rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def lm_head_logits(model: Model, x: np.ndarray) -> np.ndarray:
-    """Final RMSNorm followed by the output projection."""
-    xn = tc.rms_norm(x, model.w("final_norm.gain"), model.config.norm_eps)
+    """Final RMSNorm followed by the output projection; ``x`` is (T, d_model), else ShapeError."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] != model.config.d_model:
+        raise ShapeError(f"lm_head_logits expects (T, {model.config.d_model}) states, "
+                         f"got {x.shape}")
+    xn = tc._rms_norm(x, model.w("final_norm.gain"), model.config.norm_eps)
     return tc.matmul(xn, model.unembed)
 
 
@@ -353,12 +366,12 @@ def embed_tokens(model: Model, token_ids) -> tuple[np.ndarray, np.ndarray]:
         raise UsageError(f"token sequence must be a non-empty 1-D list of integer ids, "
                          f"got {tokens.dtype} of shape {tokens.shape}")
     tokens = tokens.astype(np.int64, copy=False)
-    if tokens.min() < 0 or tokens.max() >= model.config.vocab_size:
-        raise UsageError(
-            f"token ids must lie in [0, {model.config.vocab_size}), "
-            f"got range [{tokens.min()}, {tokens.max()}]"
-        )
-    return model.w("embed.weight")[tokens].copy(), tokens
+    lo, hi = np.minimum.reduce(tokens), np.maximum.reduce(tokens)
+    if lo < 0 or hi >= model.config.vocab_size:
+        raise UsageError(f"token ids must lie in [0, {model.config.vocab_size}), "
+                         f"got range [{lo}, {hi}]")
+    # an integer-array index gathers into a new array: the embeddings' copy
+    return model.w("embed.weight")[tokens], tokens
 
 
 def forward_dense(

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from .calibration import _plan_ratios
+from .checkpoint_io import _layer_names
 from .errors import ConfigError, DomainError, StateError, UsageError, _is_number
 from .model_runtime import (
     KVCache,
@@ -175,7 +176,7 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
     rows' attention mass on key 0. Returns the selected rows and the
     block's new key and value rows (None when a decode row stores nothing).
     """
-    xn = tc.rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), model.config.norm_eps)
+    xn = tc._rms_norm(x, model.w(_layer_names(layer).attn_norm), model.config.norm_eps)
     if trace is not None:
         trace.layers.append(layer)
         if trace.hidden is not None:

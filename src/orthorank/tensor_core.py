@@ -43,21 +43,28 @@ view for one, is copied into that layout first. ``matmul`` is its checked
 the layout, so attention scores all heads of a row block against a key
 prefix in one call, with no per-head loop and no copy of a key.
 
-The causal softmax likewise has one implementation, ``_softmax_in_place``:
-stacked (..., rows, keys) scores that share their query and key positions,
-one mask per block, overwritten in place with row sums taken as rows of one
-shared ones table. ``softmax_causal`` is its 2-D public call, into a new
-array. ``rope_apply`` reads cos and sin from a table per (theta, d_head,
-dtype). Shared tables are read-only and grow by replacement, so threads
-may call these functions concurrently.
+The causal softmax of attention is ``_softmax_in_place``: stacked (...,
+rows, keys) scores that share their ascending query and key positions,
+masked in place, with the row sums of every matrix taken as the rows of one
+matrix against a shared ones table. Ascending positions make its mask test
+O(1): only a last key past the first query masks anything, as no decode
+row's keys do. ``softmax_causal`` is the 2-D public call, into a new array,
+and takes positions in any order. ``rope_apply`` reads cos and sin from a
+table per (theta, d_head, dtype). Shared tables are read-only and grow by
+replacement, so threads may call these functions concurrently.
 
-The kernel, ``rms_norm`` and the softmax run many times per decoded token,
-so their per-call path calls ufuncs and their ``.reduce`` directly
-(``np.add.reduce``, ``np.maximum.reduce``) and takes the result dtype from
-the operands when they share one. numpy's Python-level helpers
-(``np.mean``, ``np.max``, ``np.broadcast_shapes``, ``np.result_type``)
-cost microseconds per call in Python; they are used only off that path:
-in argument checks, for empty products, mixed dtypes and non-float input.
+Public functions check their arguments; the private kernels they call
+(``_matmul_cols``, ``_rms_norm``, ``_rope_rows`` with ``_rope_apply``,
+``_softmax_in_place``) trust theirs. A decode step checks its arguments
+once at its entry point, so its layer loop calls the kernels directly, and
+a layer whose query rows are its key rows rotates both with one gather of
+cos and sin rows. The kernels run many times per decoded token, so they
+call ufuncs and their ``.reduce`` directly (``np.add.reduce``,
+``np.maximum.reduce``) and take the result dtype from the operands when
+they share one. numpy's Python-level helpers (``np.mean``, ``np.max``,
+``np.broadcast_shapes``, ``np.result_type``) cost microseconds per call in
+Python; they are used only off that path: in argument checks, for empty
+products, mixed dtypes and non-float input.
 """
 
 import math
@@ -130,20 +137,23 @@ def _matmul_cols(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         padded = np.zeros(b.shape[:-1] + (n_pad,), dtype)
         padded[..., :n] = b[..., :n]
         b = padded
-    b = b[..., :n_pad]
+    elif b.shape[-1] > n_pad:
+        b = b[..., :n_pad]
     # BLAS rounds a with strided columns differently from the row-major
     # layout, so it is brought to it here.
     if m_pad != m or a.dtype != dtype or a.strides[-1] != a.itemsize:
         padded = np.zeros(a.shape[:-2] + (m_pad, k), dtype)
         padded[..., :m, :] = a
         a = padded
-    out = np.matmul(a[..., :_K_CHUNK], b[..., :_K_CHUNK, :])
-    if k > _K_CHUNK:
+    if k <= _K_CHUNK:
+        out = np.matmul(a, b)
+    else:
+        out = np.matmul(a[..., :_K_CHUNK], b[..., :_K_CHUNK, :])
         part = np.empty_like(out)
         for c in range(_K_CHUNK, k, _K_CHUNK):
             np.matmul(a[..., c:c + _K_CHUNK], b[..., c:c + _K_CHUNK, :], out=part)
             out += part
-    return np.ascontiguousarray(out[..., :m, :n])
+    return out if m == m_pad and n == n_pad else np.ascontiguousarray(out[..., :m, :n])
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -158,11 +168,18 @@ def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     gain = np.asarray(gain)
     if x.shape[-1] != gain.shape[-1]:
         raise ShapeError(f"gain length {gain.shape[-1]} != feature dim {x.shape[-1]}")
+    return _rms_norm(x, gain, eps)
+
+
+def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
+    """``rms_norm`` of arrays it has checked: a gain as long as the rows and ``eps > 0``."""
     sq = np.square(x)
     if sq.dtype.char in "fd":
-        # np.mean's own steps for float32 and float64, without its Python wrapper
+        # np.mean's sum, without its Python wrapper; its division by the
+        # count runs in float64 and rounds to the result dtype, which rounds
+        # as this division in that dtype does
         ms = np.add.reduce(sq, axis=-1, keepdims=True)
-        np.true_divide(ms, np.intp(x.shape[-1]), out=ms, casting="unsafe")
+        ms /= x.shape[-1]
     else:
         ms = np.mean(sq, axis=-1, keepdims=True)
     return gain * (x / np.sqrt(ms + eps))
@@ -184,8 +201,9 @@ def softmax_causal(
     smallest query position; for a row block over its key prefix that is
     the block's diagonal. A row's output does not depend on other rows, and
     dropping trailing masked columns leaves its other entries bit-identical
-    (the row sums run through the row-invariant kernel). The stacked form,
-    which attention uses, is ``_softmax_in_place``.
+    (the row sums run through the row-invariant kernel). Query and key
+    positions may come in any order. The stacked form, which attention
+    uses, is ``_softmax_in_place``, for ascending positions.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
@@ -201,23 +219,34 @@ def softmax_causal(
         k_pos = np.asarray(key_positions, dtype=np.int64)
         if k_pos.shape != (scores.shape[1],):
             raise ShapeError(f"key_positions length {k_pos.shape} != key count {scores.shape[1]}")
-    return _softmax_in_place(scores.astype(np.result_type(scores, -np.inf), copy=True),
-                             q_pos, k_pos)
+    out = scores.astype(np.result_type(scores, -np.inf), copy=True)
+    # keys in any order: no row masks a column at or before the smallest
+    # query position, so the mask starts at the first key past it
+    past = np.flatnonzero(k_pos > q_pos.min()) if q_pos.size else ()
+    if len(past):
+        np.copyto(out[:, past[0]:], -np.inf, where=k_pos[past[0]:] > q_pos[:, None])
+    return _normalize_in_place(out)
 
 
 def _softmax_in_place(scores: np.ndarray, q_pos: np.ndarray, k_pos: np.ndarray) -> np.ndarray:
     """``softmax_causal`` of every matrix of stacked (..., rows, keys) float ``scores``.
 
-    All matrices share the checked int64 query positions ``q_pos`` (rows,)
-    and key positions ``k_pos`` (keys,), so the mask is built once. The
-    softmax overwrites ``scores``, which it returns; each matrix equals
-    the 2-D call on it bit for bit.
+    All matrices share the int64 query positions ``q_pos`` (rows,) and key
+    positions ``k_pos`` (keys,), both ascending, as in an attention block,
+    so the mask is built once. The softmax overwrites ``scores``, which it
+    returns; each matrix equals the 2-D call on it bit for bit.
     """
-    # no row masks a column at or before the smallest query position
-    past = np.flatnonzero(k_pos > q_pos.min()) if q_pos.size else ()
-    if len(past):
-        lo = past[0]
+    # Positions ascend: a column is masked in some row only past the first
+    # query, so only a last key past it needs the search. A decode row's
+    # keys never do.
+    if q_pos.size and k_pos.size and k_pos[-1] > q_pos[0]:
+        lo = k_pos.searchsorted(q_pos[0], side="right")
         np.copyto(scores[..., lo:], -np.inf, where=k_pos[lo:] > q_pos[:, None])
+    return _normalize_in_place(scores)
+
+
+def _normalize_in_place(scores: np.ndarray) -> np.ndarray:
+    """Exponentiate masked stacked scores in place, less each row's max, and divide by row sums."""
     # Every row admits at least one key (its own position), so the max is
     # finite; the initial value only serves an empty batch of rows.
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True, initial=-np.inf)
@@ -226,8 +255,14 @@ def _softmax_in_place(scores: np.ndarray, q_pos: np.ndarray, k_pos: np.ndarray) 
     # kernel: masked columns add exact zeros, so a row's denominator does
     # not change when they are appended or when other rows join the batch.
     # np.sum and einsum group their partial sums by row length and would
-    # break bitwise causality.
-    scores /= _matmul_cols(scores, _ones_rows(scores.shape[-1], scores.dtype), 1)
+    # break bitwise causality. Every matrix of a stack shares the ones
+    # table, so matrices of fewer rows than a kernel row group are rows of
+    # one matrix: a decode fold's two matrices of 4 rows are one of 8, with
+    # no padding copy. Taller ones stay a stack: as one tall matrix they
+    # made a 1,024-token prefill 11% slower (OpenBLAS 0.3.31, 2 vCPU).
+    lead, keys = scores.shape[:-1], scores.shape[-1]
+    rows = scores.reshape(math.prod(lead), keys) if lead[-1] < _ROW_ALIGN else scores
+    scores /= _matmul_cols(rows, _ones_rows(keys, scores.dtype), 1).reshape(lead + (1,))
     return scores
 
 
@@ -286,7 +321,6 @@ def rope_apply(x: np.ndarray, positions, theta_base: float) -> np.ndarray:
     d_head = x.shape[-1]
     if d_head % 2 != 0:
         raise ConfigError(f"rope_apply requires an even head dim, got {d_head}")
-    half = d_head // 2
     pos = np.asarray(positions)
     if pos.shape != (x.shape[0],):
         raise ShapeError(f"positions length {pos.shape} != sequence length {x.shape[0]}")
@@ -294,16 +328,25 @@ def rope_apply(x: np.ndarray, positions, theta_base: float) -> np.ndarray:
         raise ShapeError(f"rope positions must be integers, got dtype {pos.dtype}")
     if pos.size and pos.min() < 0:
         raise ShapeError("rope positions must be >= 0")
-    pos = pos.astype(np.intp, copy=False)
+    return _rope_apply(x, *_rope_rows(pos.astype(np.intp, copy=False), theta_base, d_head,
+                                      x.dtype))
 
-    cos, sin = _rope_table(theta_base, d_head, x.dtype, int(pos.max(initial=0)) + 1)
+
+def _rope_rows(pos: np.ndarray, theta_base: float, d_head: int, dtype):
+    """Cos and signed sin table rows of int ``pos`` (T,), as (T, 1, d_head) arrays in ``dtype``."""
+    cos, sin = _rope_table(theta_base, d_head, dtype,
+                           int(np.maximum.reduce(pos, initial=0)) + 1)
+    return cos.take(pos, axis=0)[:, None], sin.take(pos, axis=0)[:, None]
+
+
+def _rope_apply(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """``rope_apply`` of (T, heads, d_head) ``x`` with its positions' ``_rope_rows``."""
     # [x1 cos - x2 sin, x1 sin + x2 cos] as x [cos, cos] + [x2, x1] [-sin, sin]:
     # the same rounded products, added in an order that rounds the same
-    swapped = np.empty_like(x)
-    swapped[..., :half] = x[..., half:]
-    swapped[..., half:] = x[..., :half]
-    swapped *= sin[pos][:, None, :]
-    out = x * cos[pos][:, None, :]
+    half = x.shape[-1] // 2
+    swapped = np.concatenate((x[..., half:], x[..., :half]), axis=-1)
+    swapped *= sin
+    out = x * cos
     out += swapped
     return out
 

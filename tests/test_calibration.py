@@ -1,5 +1,8 @@
+import decimal
+import fractions
 import json
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -23,8 +26,9 @@ from orthorank import (
     plan_from_sparsity,
     scaling_agreement,
 )
-from orthorank import eval_harness
+from orthorank import errors, eval_harness
 from orthorank.calibration import plan_effective_sparsity
+from orthorank.errors import _is_number
 
 import helpers
 
@@ -584,3 +588,16 @@ def test_numeric_arguments_raise_package_errors(call, bad):
     fn, error = _NUMERIC_CALLS[call]
     with pytest.raises(error):
         fn(bad)
+
+
+@pytest.mark.parametrize("value", [3, 2.5, np.float32(1.5), np.int64(4), np.uint8(2), True,
+                                   np.bool_(False), "3", None, [1], 1 + 2j,
+                                   fractions.Fraction(1, 3), decimal.Decimal("1.5")])
+def test_number_check_is_cached_per_type(value):
+    # the answer of the ABC checks, remembered per (type, kinds): asked
+    # twice, the second answer comes from the cache and agrees
+    for kinds in (numbers.Real, numbers.Integral):
+        want = isinstance(value, kinds) and not isinstance(value, bool)
+        assert _is_number(value, kinds) is want
+        assert _is_number(value, kinds) is want
+        assert errors._NUMBER_TYPES[(type(value), kinds)] is want

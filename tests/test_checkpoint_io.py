@@ -55,6 +55,11 @@ class TestModelConfig:
         with pytest.raises(CheckpointError):
             ModelConfig.from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("text", ["5", "null", "true", '"x"', "[1]"])
+    def test_json_not_an_object(self, text):
+        with pytest.raises(CheckpointError, match="must hold an object"):
+            ModelConfig.from_json(text)
+
     def test_missing_json_key(self, tiny_config):
         data = json.loads(tiny_config.to_json())
         del data["d_ffn"]

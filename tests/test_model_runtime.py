@@ -8,6 +8,7 @@ from orthorank import (
     KVCache,
     Model,
     ModelConfig,
+    ShapeError,
     StateError,
     UsageError,
     decode_step_dense,
@@ -16,6 +17,7 @@ from orthorank import (
     forward_dense,
     forward_with_plan,
     generate_synthetic_model,
+    lm_head_logits,
 )
 from orthorank import model_runtime, selection
 from orthorank import tensor_core
@@ -53,6 +55,13 @@ class TestForwardDense:
         logits, _, _ = forward_dense(uniform_model, tokens)
         expect = ref.ref_forward(uniform_model.config, uniform_model.weights, tokens)
         assert np.max(np.abs(logits - np.array(expect))) < 1e-4
+
+    @pytest.mark.parametrize("shape", [lambda d: (2, d + 1), lambda d: (d,),
+                                       lambda d: (1, 2, d)])
+    def test_lm_head_logits_checks_its_states(self, tiny_model, tiny_config, shape):
+        x = np.ones(shape(tiny_config.d_model), np.float32)
+        with pytest.raises(ShapeError):
+            lm_head_logits(tiny_model, x)
 
     def test_empty_input_rejected(self, tiny_model):
         with pytest.raises(UsageError):
@@ -216,13 +225,13 @@ class TestDetectSinkLayer:
         generate_synthetic_model(config, 4, tmp_path / "m8")
         model = Model.from_checkpoint(tmp_path / "m8")
         calls = []
-        real = tensor_core.rms_norm
+        real = tensor_core._rms_norm  # the kernel that rms_norm and the layer loop call
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(tensor_core, "rms_norm", counting)
+        monkeypatch.setattr(tensor_core, "_rms_norm", counting)
         detect_sink_layer(model, make_tokens(32, config.vocab_size), 0.3)
         assert len(calls) == 2 * config.n_layers + 1
         _, trace, _ = forward_dense(model, make_tokens(16, config.vocab_size),

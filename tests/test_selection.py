@@ -622,13 +622,13 @@ class TestRmsNormOncePerLayer:
     @pytest.fixture
     def norm_calls(self, monkeypatch):
         calls = Counter()
-        real = tensor_core.rms_norm
+        real = tensor_core._rms_norm  # the kernel that rms_norm and the layer loop call
 
-        def counting(x, gain, eps=1e-5):
+        def counting(x, gain, eps):
             calls[id(gain)] += 1
             return real(x, gain, eps)
 
-        monkeypatch.setattr(tensor_core, "rms_norm", counting)
+        monkeypatch.setattr(tensor_core, "_rms_norm", counting)
         return calls
 
     def assert_once(self, model, calls):
@@ -691,6 +691,41 @@ class TestSkippedRowsDoNoBlockWork:
                 else:
                     assert n_calls == dense_cost, (layer, n_calls)
         assert skipped > 0
+
+
+class TestDecodeStepKernelCalls:
+    """The BLAS work of one plan decode step on the benchmark's shapes, pinned."""
+
+    def test_matmul_calls_and_matrices(self, monkeypatch):
+        # The benchmark's decode model and plan after a 1,024-token prompt. A
+        # layer that runs its block makes 19 np.matmul calls past its K and V
+        # products (Q, score, 5 row-sum and 5 context K chunks, output, gate,
+        # up and 4 down chunks), and hands BLAS 25 matrices past them: the 2
+        # KV heads' score and context products, one row-sum matrix for both
+        # heads' folded rows, and one per weight product. The 3 dense layers,
+        # the K and V of the 5 plan layers and the output head make the rest.
+        config = ModelConfig(n_layers=8, d_model=256, n_heads=8, n_kv_heads=2, d_head=32,
+                             d_ffn=1024, vocab_size=512)
+        model, plan = make_random_model(config, seed=7), [2, 3, 4, 5, 6]
+        _, _, cache = forward_with_plan(model, make_tokens(1024, 512, seed=1), plan, 0.333)
+        matrices = []
+        real = np.matmul
+
+        def counting(a, b, *args, **kwargs):
+            matrices.append(int(np.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))))
+            return real(a, b, *args, **kwargs)
+
+        seen = set()
+        for token in make_tokens(6, 512, seed=2):
+            trace = HiddenTrace(hidden=None, selection=[])
+            matrices.clear()
+            monkeypatch.setattr(np, "matmul", counting)
+            decode_step_with_plan(model, cache, int(token), plan, 0.333, trace=trace)
+            monkeypatch.setattr(np, "matmul", real)
+            selected = sum(chosen for *_, chosen in trace.selection)
+            seen.add(selected)
+            assert (len(matrices), sum(matrices)) == (74 + 19 * selected, 92 + 25 * selected)
+        assert 0 in seen and len(seen) > 1
 
 
 class TestKVCacheCheck:

@@ -362,6 +362,40 @@ class TestRmsNorm:
         assert np.array_equal(rms_norm(x[[1, 4, 8]], gain), full[[1, 4, 8]])
 
 
+class TestCheckedKernels:
+    """The layer loop's unchecked kernels equal the checked public functions bit for bit."""
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]), rows=st.integers(0, 300),
+           d=st.sampled_from([1, 8, 33, 256]), seed=st.integers(0, 2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_rms_norm_kernel(self, dtype, rows, d, seed):
+        x = rand((rows, d), seed=seed, dtype=dtype) * 3.0
+        gain = rand(d, seed=seed + 1, dtype=dtype) + 1.0
+        got = tensor_core._rms_norm(x, gain, 1e-5)
+        want = rms_norm(x, gain, 1e-5)
+        mean_form = gain * (x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + 1e-5))
+        assert got.dtype == want.dtype == mean_form.dtype
+        assert np.array_equal(got, want) and np.array_equal(got, mean_form)
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           pos_dtype=st.sampled_from([np.int32, np.int64, np.uint32, np.intp]),
+           positions=st.lists(st.integers(0, 3 * tensor_core._ROPE_ROWS), max_size=300),
+           heads=st.sampled_from([(1, 1), (2, 8), (3, 12)]), d_head=st.sampled_from([2, 8, 32]),
+           seed=st.integers(0, 2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_rope_kernel(self, dtype, pos_dtype, positions, heads, d_head, seed):
+        # rows gathered once serve tensors of any head count at those positions,
+        # as K's rows serve Q in a layer whose query rows are its key rows
+        pos = np.array(positions, dtype=pos_dtype)
+        rows = tensor_core._rope_rows(pos.astype(np.intp), 10000.0, d_head, np.dtype(dtype))
+        for n_heads in heads:
+            x = rand((len(pos), n_heads, d_head), seed=seed + n_heads, dtype=dtype)
+            got = tensor_core._rope_apply(x, *rows)
+            assert got.dtype == x.dtype
+            assert np.array_equal(got, rope_apply(x, pos, 10000.0))
+            assert np.array_equal(got, per_call_rope(x, pos, 10000.0))
+
+
 class TestSoftmaxCausal:
     def test_symmetric_pair(self):
         out = softmax_causal(np.zeros((1, 2), np.float32), [1])
@@ -481,6 +515,66 @@ class TestSoftmaxMaskEquivalence:
         before = scores.copy()
         softmax_causal(scores, [0, 2, 4])
         assert np.array_equal(scores, before)
+
+
+def ascending_positions(data, past: bool):
+    """Ascending query positions and ascending key positions that every query admits.
+
+    With ``past`` some key lies past the first query (the block diagonal of
+    a prefill); without, every key lies at or before it (a decode row).
+    """
+    q_pos = np.array(sorted(data.draw(st.sets(st.integers(0, 300), max_size=40))), np.int64)
+    first = int(q_pos[0]) if q_pos.size else 300
+    hi = int(q_pos[-1]) + 5 if past and q_pos.size else first
+    keys = data.draw(st.sets(st.integers(0, hi), min_size=1, max_size=300))
+    keys.add(data.draw(st.integers(0, first)))  # a key every query admits
+    if past:
+        keys.add(first + 1)
+    return q_pos, np.array(sorted(keys), dtype=np.int64)
+
+
+class TestSoftmaxKernel:
+    """``_softmax_in_place`` (ascending positions) against ``softmax_causal``."""
+
+    @pytest.mark.parametrize("past", [False, True])
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+           lead=st.lists(st.integers(1, 3), max_size=2))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_softmax_causal(self, past, data, dtype, lead):
+        q_pos, k_pos = ascending_positions(data, past)
+        assert not q_pos.size or (k_pos[-1] > q_pos[0]) == past
+        scores = rand((*lead, q_pos.size, k_pos.size), seed=data.draw(st.integers(0, 2**31)),
+                      dtype=dtype) * 8
+        got = _softmax_in_place(scores.copy(), q_pos, k_pos)
+        for idx in np.ndindex(*lead):
+            want = softmax_causal(scores[idx], q_pos, key_positions=k_pos)
+            assert np.array_equal(got[idx], want)
+            assert np.array_equal(got[idx], whole_matrix_softmax(scores[idx], q_pos, k_pos))
+
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=100, deadline=None)
+    def test_unordered_positions_equal_whole_matrix_mask(self, data, dtype):
+        # softmax_causal takes query and key positions in any order
+        keys = data.draw(st.lists(st.integers(0, 300), min_size=1, max_size=200, unique=True))
+        k_pos = np.array(data.draw(st.permutations(keys)), dtype=np.int64)
+        q_pos = np.array(data.draw(st.lists(st.integers(min(keys), 305), max_size=30)),
+                         dtype=np.int64)
+        scores = rand((q_pos.size, k_pos.size), seed=data.draw(st.integers(0, 2**31)),
+                      dtype=dtype) * 8
+        out = softmax_causal(scores, q_pos, key_positions=k_pos)
+        assert np.array_equal(out, whole_matrix_softmax(scores, q_pos, k_pos))
+
+    @given(rows=st.integers(1, 12), lead=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           keys=st.integers(1, 700), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**31))
+    @settings(max_examples=80, deadline=None)
+    def test_folded_row_sums_equal_per_matrix(self, rows, lead, keys, dtype, seed):
+        # the softmax takes every matrix's row sums as rows of one matrix
+        stack = np.exp(rand((*lead, rows, keys), seed=seed, dtype=dtype))
+        ones = tensor_core._ones_rows(keys, np.dtype(dtype))
+        folded = _matmul_cols(stack.reshape(-1, keys), ones, 1).reshape(*lead, rows, 1)
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(folded[idx], _matmul_cols(stack[idx], ones, 1))
 
 
 class TestRopeApply:
