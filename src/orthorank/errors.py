@@ -1,5 +1,6 @@
 """Exception types shared across the package, and its numeric-argument check."""
 
+import abc
 import numbers
 
 
@@ -31,16 +32,18 @@ class DomainError(OrthoRankError):
     """A numeric input lies outside the mathematical domain of the operation."""
 
 
-_NUMBER_TYPES: dict[tuple[type, type], bool] = {}
+_NUMBER_TYPES: dict[tuple[type, type, object], bool] = {}
 
 
 def _is_number(value, kinds=numbers.Real) -> bool:
     """A real scalar (numpy scalars included) that is not a bool.
 
     The answer depends only on the value's type, so it is cached per
-    (type, kinds): the ABC ``isinstance`` check runs once per pair.
+    (type, kinds): the ABC ``isinstance`` check runs once per pair. The key
+    also holds ``abc.get_cache_token()``, which every ABC registration
+    changes, so a type registered later is not answered from the cache.
     """
-    key = (type(value), kinds)
+    key = (type(value), kinds, abc.get_cache_token())
     answer = _NUMBER_TYPES.get(key)
     if answer is None:
         answer = _NUMBER_TYPES[key] = isinstance(value, kinds) and not isinstance(value, bool)

@@ -221,6 +221,9 @@ def block_forward(
     the keys and values. ``sel`` and ``kv_rows`` hold sorted distinct row
     indices, every row of ``sel`` is in ``kv_rows``, and the arguments are
     the checked ones of a layer step: the kernels it calls check nothing.
+    ``positions`` hold one integer >= 0 per row of ``x``, in ascending
+    order, else ShapeError; the checks read their shape, dtype and first
+    entry.
     An index array that holds every row is read in place, with no gather of
     ``x``, ``xn`` or ``positions``, and ``x`` is then updated in place with
     no scatter.
@@ -252,6 +255,12 @@ def block_forward(
     mean-over-heads attention probability on key position 0 when
     ``capture_attn0`` (else None).
     """
+    if positions.shape != (len(x),):
+        raise ShapeError(f"block_forward expects {len(x)} positions, got shape {positions.shape}")
+    if positions.dtype.kind not in "iu":
+        raise ShapeError(f"block_forward positions must be integers, got dtype {positions.dtype}")
+    if len(positions) and positions[0] < 0:
+        raise ShapeError("block_forward positions must be >= 0")
     cfg = model.config
     n_heads, n_kv, d_head = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
     w, names = model.w, _layer_names(layer)

@@ -1,3 +1,4 @@
+import abc
 import decimal
 import fractions
 import json
@@ -600,4 +601,15 @@ def test_number_check_is_cached_per_type(value):
         want = isinstance(value, kinds) and not isinstance(value, bool)
         assert _is_number(value, kinds) is want
         assert _is_number(value, kinds) is want
-        assert errors._NUMBER_TYPES[(type(value), kinds)] is want
+        assert errors._NUMBER_TYPES[(type(value), kinds, abc.get_cache_token())] is want
+
+
+@pytest.mark.parametrize("kinds", [numbers.Real, numbers.Integral])
+def test_number_check_sees_later_registration(kinds):
+    # a type registered with the ABC after its first check is then a number
+    class Late:
+        pass
+
+    assert not _is_number(Late(), kinds)
+    kinds.register(Late)
+    assert _is_number(Late(), kinds)

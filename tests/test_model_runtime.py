@@ -408,6 +408,17 @@ class TestBlockTruncatedAttention:
         assert max(softmax_entries) <= 1 << 18
         assert sum(softmax_entries) == 9_418_752
 
+    @pytest.mark.parametrize("positions", [np.arange(-1, 3), np.arange(4, dtype=np.float64),
+                                           np.arange(3), np.arange(4)[:, None]],
+                             ids=["negative", "float", "short", "2d"])
+    def test_positions_checked(self, tiny_model, positions):
+        cfg, layer = tiny_model.config, 1
+        x = np.random.default_rng(0).standard_normal((4, cfg.d_model)).astype(np.float32)
+        xn = rms_norm(x, tiny_model.w(f"layers.{layer}.attn_norm.gain"), cfg.norm_eps)
+        rows = np.arange(4)
+        with pytest.raises(ShapeError, match="positions"):
+            block_forward(tiny_model, layer, x, positions, rows, rows, xn, KVCache(cfg))
+
 
 def arenas(cache):
     return [arena for arena, _ in cache.layers]

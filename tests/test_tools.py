@@ -6,13 +6,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_ab_decode_pairs_a_tree_with_itself(capsys):
+def test_ab_decode_pairs_a_tree_with_itself(capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location("ab_decode", ROOT / "tools" / "ab_decode.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    for name, value in dict(SEEDS=1, PROMPTS=2, PROMPT_TOKENS=16, STEPS=3).items():
+        monkeypatch.setattr(tool, name, value)
     src = str(ROOT / "src")
-    tool.main([src, src, "--seeds", "1", "--prompts", "2", "--prompt-tokens", "16",
-               "--steps", "3"])
+    tool.main([src, src])
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["seed 1", "all"]
     assert all("change faster in" in line and "of 6 steps" in line for line in lines)

@@ -1,13 +1,13 @@
 """Step-interleaved A/B timing of one plan decode step from two source trees.
 
-    python tools/ab_decode.py PARENT_SRC CHANGE_SRC [--seeds 2] [--prompts 6]
-                              [--prompt-tokens 1024] [--steps 64]
+    python tools/ab_decode.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory that holds an ``orthorank`` package (a checkout's
 ``src``). Both trees are imported into one process under two package
 names, and both sides run the benchmark's decode shape on the same weight
 arrays: the 8-layer mid GQA model, the plan [2..6] at keep 0.333, a
-1,024-token prompt prefilled under the plan, then greedy decode steps.
+1,024-token prompt prefilled under the plan, then greedy decode steps:
+``SEEDS`` models, ``PROMPTS`` prompts each, ``STEPS`` steps per prompt.
 Steps alternate between the sides and the side that goes first flips every
 step. The logits of each prefill and step must be bitwise equal on both
 sides, else the script stops with an error.
@@ -31,6 +31,7 @@ import numpy as np
 MID = dict(n_layers=8, d_model=256, n_heads=8, n_kv_heads=2, d_head=32, d_ffn=1024,
            vocab_size=512)
 PLAN_LAYERS, KEEP_RATIO = [2, 3, 4, 5, 6], 0.333
+SEEDS, PROMPTS, PROMPT_TOKENS, STEPS = 2, 6, 1024, 64
 
 
 def load_tree(src: str, name: str):
@@ -55,15 +56,15 @@ def random_weights(package, config, seed: int) -> dict[str, np.ndarray]:
             for name, shape in package.checkpoint_io.required_tensors(config)}
 
 
-def run_seed(sides, seed: int, args) -> tuple[list[float], list[float]]:
+def run_seed(sides, seed: int) -> tuple[list[float], list[float]]:
     """Step times of (parent, change) for one seed's model and prompts, in step order."""
     parent = sides[0]
     weights = random_weights(parent, parent.ModelConfig(**MID), seed)
     models = [pkg.Model(pkg.ModelConfig(**MID), weights, f"ab-{seed}") for pkg in sides]
     times = ([], [])
     rng = np.random.default_rng(seed)
-    for _ in range(args.prompts):
-        prompt = rng.integers(0, MID["vocab_size"], size=args.prompt_tokens)
+    for _ in range(PROMPTS):
+        prompt = rng.integers(0, MID["vocab_size"], size=PROMPT_TOKENS)
         caches, logits = [], []
         for pkg, model in zip(sides, models):
             out, _, cache = pkg.forward_with_plan(model, prompt, PLAN_LAYERS, KEEP_RATIO)
@@ -72,7 +73,7 @@ def run_seed(sides, seed: int, args) -> tuple[list[float], list[float]]:
         if not np.array_equal(*logits):
             sys.exit(f"seed {seed}: prefill logits differ between the trees")
         token = int(np.argmax(logits[0][-1]))
-        for step in range(args.steps):
+        for step in range(STEPS):
             for side in ((0, 1) if step % 2 == 0 else (1, 0)):
                 start = time.perf_counter()
                 logits[side], caches[side] = sides[side].decode_step_with_plan(
@@ -96,18 +97,14 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
-    parser.add_argument("--seeds", type=int, default=2)
-    parser.add_argument("--prompts", type=int, default=6)
-    parser.add_argument("--prompt-tokens", type=int, default=1024)
-    parser.add_argument("--steps", type=int, default=64)
     args = parser.parse_args(argv)
     sides = (load_tree(args.parent_src, "orthorank_parent"),
              load_tree(args.change_src, "orthorank_change"))
     if asdict(sides[0].ModelConfig(**MID)) != asdict(sides[1].ModelConfig(**MID)):
         sys.exit("the trees disagree on the model config")
     parent_all, change_all = [], []
-    for seed in range(1, args.seeds + 1):
-        parent, change = run_seed(sides, seed, args)
+    for seed in range(1, SEEDS + 1):
+        parent, change = run_seed(sides, seed)
         report(f"seed {seed}", parent, change)
         parent_all += parent
         change_all += change
