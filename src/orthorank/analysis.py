@@ -8,6 +8,7 @@ norm homogeneity and gain-scaling agreement that justify ranking by raw
 inner products instead of cosines.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ def _check_positions(trace: HiddenTrace, positions, allow_sink: bool) -> list[in
     seq = trace.seq_len
     out = []
     for p in positions:
+        if not _is_number(p, numbers.Integral):
+            raise UsageError(f"positions must be integers, got {p!r}")
         p = int(p)
         if not 0 <= p < seq:
             raise UsageError(f"position {p} out of range for sequence length {seq}")

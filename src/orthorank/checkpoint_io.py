@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, _is_number
+from .errors import CheckpointError, ConfigError, OrthoRankError, _is_number
 from .tensor_core import rms_norm
 from .trace import HiddenTrace
 
@@ -118,42 +118,53 @@ def required_tensors(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return out
 
 
+def _check_weights(config: ModelConfig, weights, error: type[OrthoRankError]) -> None:
+    """Raise ``error`` unless ``weights`` is a complete, well-shaped tensor map for ``config``.
+
+    The map's names must be exactly ``required_tensors(config)``'s, and each
+    tensor a floating-point numpy array of the listed shape. The message
+    names the missing, unexpected or mis-shaped tensors.
+    """
+    if not isinstance(weights, dict):
+        raise error(f"weights must be a dict of name -> array, got {type(weights).__name__}")
+    layout = dict(required_tensors(config))
+    if weights.keys() != layout.keys():
+        raise error(f"missing tensors: {sorted(layout.keys() - weights.keys())}; unexpected "
+                    f"tensors: {sorted(weights.keys() - layout.keys(), key=str)}")
+    for name, shape in layout.items():
+        w = weights[name]
+        if not (isinstance(w, np.ndarray) and w.dtype.kind == "f" and w.shape == shape):
+            got = f"{w.dtype} {w.shape}" if isinstance(w, np.ndarray) else type(w).__name__
+            raise error(f"tensor {name} must be a floating-point array of shape {shape}, "
+                        f"got {got}")
+
+
 def save_checkpoint(dir_path, config: ModelConfig, weights: dict[str, np.ndarray]) -> Path:
     """Write a checkpoint directory; tensors are laid out in canonical order.
 
-    Every tensor is checked before any file is written, then each one is
-    written to ``weights.bin`` as it is, without a copy of the whole file.
+    The config's tensors are cast to float32 and checked by ``_check_weights``
+    (CheckpointError) before any file is written, then each one is written to
+    ``weights.bin`` as it is, without a copy of the whole file.
     """
-    dir_path = Path(dir_path)
-    dir_path.mkdir(parents=True, exist_ok=True)
-
-    layout = required_tensors(config)
-    names = {name for name, _ in layout}
-    extra = set(weights) - names
-    if extra:
-        raise CheckpointError(f"unexpected tensors for this config: {sorted(extra)}")
-    missing = names - set(weights)
-    if missing:
-        raise CheckpointError(f"missing tensors: {sorted(missing)}")
-
+    layout = dict(required_tensors(config))
+    arrays = {name: np.ascontiguousarray(w, dtype=F32) if name in layout else w
+              for name, w in weights.items()}
+    _check_weights(config, arrays, CheckpointError)
     entries = []
     offset = 0
-    arrays = []
-    for name, shape in layout:
-        arr = np.ascontiguousarray(weights[name], dtype=F32)
-        if arr.shape != shape:
-            raise CheckpointError(f"tensor {name} has shape {arr.shape}, expected {shape}")
+    for name, shape in layout.items():
         entries.append(
             {"name": name, "dtype": "f32", "shape": list(shape), "byte_offset": offset}
         )
-        arrays.append(arr)
-        offset += arr.nbytes
+        offset += arrays[name].nbytes
 
+    dir_path = Path(dir_path)
+    dir_path.mkdir(parents=True, exist_ok=True)
     (dir_path / "config.json").write_text(config.to_json())
     (dir_path / "manifest.json").write_text(json.dumps({"entries": entries}, indent=2))
     with open(dir_path / "weights.bin", "wb") as fh:
-        for arr in arrays:
-            fh.write(arr.data)
+        for name in layout:
+            fh.write(arrays[name].data)
     return dir_path
 
 
@@ -196,14 +207,13 @@ def _read_checkpoint(dir_path) -> tuple[ModelConfig, dict[str, np.ndarray], memo
     with open(dir_path / "weights.bin", "rb") as fh:
         blob = memoryview(buf)[:fh.readinto(buf)]  # a file that shrank since stat reads as truncated
 
-    seen = {}
     prev_name, prev_end = None, 0
     weights = {}
     for entry in entries:
         name = entry.get("name")
         if name not in expected:
             raise CheckpointError(f"manifest names unknown tensor {name!r}")
-        if name in seen:
+        if name in weights:
             raise CheckpointError(f"manifest lists tensor {name!r} twice")
         if entry.get("dtype") != "f32":
             raise CheckpointError(f"tensor {name}: unknown dtype {entry.get('dtype')!r}")
@@ -229,12 +239,9 @@ def _read_checkpoint(dir_path) -> tuple[ModelConfig, dict[str, np.ndarray], memo
             )
         arr = np.frombuffer(blob, dtype=F32, count=int(np.prod(shape)), offset=offset)
         weights[name] = arr.reshape(shape)
-        seen[name] = True
         prev_name, prev_end = name, end
 
-    missing = set(expected) - set(seen)
-    if missing:
-        raise CheckpointError(f"checkpoint is missing required tensors: {sorted(missing)}")
+    _check_weights(config, weights, CheckpointError)
     return config, weights, blob
 
 
@@ -257,15 +264,16 @@ def generate_synthetic_model(config: ModelConfig, seed: int, out_dir) -> Path:
     Projection and embedding weights are N(0, 1) scaled by 1/sqrt(d_model);
     norm gains are ones.
     """
+    return save_checkpoint(out_dir, config, _synthetic_weights(config, seed))
+
+
+def _synthetic_weights(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
+    """``generate_synthetic_model``'s float32 tensors, drawn in canonical order."""
     rng = np.random.default_rng(seed)
     scale = np.float32(config.d_model ** -0.5)
-    weights = {}
-    for name, shape in required_tensors(config):
-        if name.endswith(".gain"):
-            weights[name] = np.ones(shape, dtype=np.float32)
-        else:
-            weights[name] = rng.standard_normal(shape, dtype=np.float32) * scale
-    return save_checkpoint(out_dir, config, weights)
+    return {name: np.ones(shape, dtype=np.float32) if name.endswith(".gain")
+            else rng.standard_normal(shape, dtype=np.float32) * scale
+            for name, shape in required_tensors(config)}
 
 
 def _slerp(a: np.ndarray, b: np.ndarray, frac: float) -> np.ndarray:

@@ -98,6 +98,14 @@ def _load_plan(args, model) -> LayerPlan:
     return plan
 
 
+def _note_context_len(plan: LayerPlan, context_len: int) -> None:
+    """Print a note when ``plan`` was calibrated at another context length than this run's."""
+    calibrated = plan.calib.get("context_len") if isinstance(plan.calib, dict) else None
+    if calibrated is not None and calibrated != context_len:
+        print(f"note: plan was calibrated at context length {calibrated}; "
+              f"evaluating at {context_len}")
+
+
 def _check_outputs(args) -> None:
     """UsageError unless every output file can be written, checked before any work.
 
@@ -197,8 +205,10 @@ def cmd_calibrate(args) -> int:
 def cmd_eval_ppl(args) -> int:
     model = Model.from_checkpoint(args.model)
     corpus = load_corpus(args.corpus)
+    plan = _load_plan(args, model)
+    _note_context_len(plan, args.context_len)
     report = eval_harness.perplexity(
-        model, _load_plan(args, model), corpus, args.context_len,
+        model, plan, corpus, args.context_len,
         criterion=_criterion(args),
         compute_kv_for_unselected=not args.no_kv,
     )
@@ -232,6 +242,7 @@ def cmd_ablate(args) -> int:
     model = Model.from_checkpoint(args.model)
     corpus = load_corpus(args.corpus)
     plan = _load_plan(args, model)
+    _note_context_len(plan, args.context_len)
     rows = eval_harness.ablation_grid(model, plan, corpus, args.context_len, args.seed)
     eval_harness.ablation_to_csv(rows, args.out)
     if args.audit_csv:

@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor_core as tc
-from .checkpoint_io import ModelConfig, _layer_names, _read_checkpoint
-from .errors import ShapeError, StateError, UsageError, _is_number
+from .checkpoint_io import ModelConfig, _check_weights, _layer_names, _read_checkpoint
+from .errors import ConfigError, ShapeError, StateError, UsageError, _is_number
 from .trace import HiddenTrace
 
 ROW_BLOCK = 256  # most rows per attention block (each reads only its key prefix) and per FFN block
@@ -32,24 +32,26 @@ class Model:
 
     ``model_id`` names the weights: a ``KVCache`` refuses a step by a model
     of another id. ``from_checkpoint`` derives it from the checkpoint's
-    bytes; a model built from in-memory weights is given its own.
+    bytes; a model built from in-memory weights is given its own. The
+    weights are checked when the model is made: exactly
+    ``required_tensors(config)``'s names, each a floating-point numpy array
+    of the listed shape, else ConfigError.
     """
 
     config: ModelConfig
     weights: dict[str, np.ndarray]
     model_id: str
 
+    def __post_init__(self):
+        if not isinstance(self.config, ModelConfig):
+            raise ConfigError(f"a model needs a ModelConfig, got {type(self.config).__name__}")
+        _check_weights(self.config, self.weights, ConfigError)
+
     @classmethod
     def from_checkpoint(cls, dir_path) -> "Model":
         """Load a checkpoint; its id is ``weights_sha256`` of the bytes it read, hashed once."""
         config, weights, blob = _read_checkpoint(dir_path)
         return cls(config, weights, hashlib.sha256(blob).hexdigest())
-
-    def w(self, name: str) -> np.ndarray:
-        try:
-            return self.weights[name]
-        except KeyError:
-            raise StateError(f"model has no tensor named {name!r}") from None
 
     @cached_property
     def unembed(self) -> np.ndarray:
@@ -263,14 +265,14 @@ def block_forward(
         raise ShapeError("block_forward positions must be >= 0")
     cfg = model.config
     n_heads, n_kv, d_head = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
-    w, names = model.w, _layer_names(layer)
+    w, names = model.weights, _layer_names(layer)
 
     xk = _rows(xn, kv_rows)
     kv_pos = _rows(positions, kv_rows)
-    k_new = tc.matmul(xk, w(names.wk)).reshape(len(kv_rows), n_kv, d_head)
+    k_new = tc.matmul(xk, w[names.wk]).reshape(len(kv_rows), n_kv, d_head)
     rot = tc._rope_rows(kv_pos, cfg.rope_theta, d_head, k_new.dtype)
     k_new = tc._rope_apply(k_new, *rot)
-    v_new = tc.matmul(xk, w(names.wv)).reshape(len(kv_rows), n_kv, d_head)
+    v_new = tc.matmul(xk, w[names.wv]).reshape(len(kv_rows), n_kv, d_head)
 
     arena, count = cache.layers[layer]
     end = count + len(kv_rows)
@@ -285,7 +287,7 @@ def block_forward(
         return k_new, v_new, attn0
 
     q_pos = _rows(positions, sel)
-    q = tc.matmul(_rows(xn, sel), w(names.wq)).reshape(len(sel), n_heads, d_head)
+    q = tc.matmul(_rows(xn, sel), w[names.wq]).reshape(len(sel), n_heads, d_head)
     # sel is within kv_rows, so as many rows are the same rows (every row
     # of a dense layer, a selected decode row), and Q takes K's cos and sin
     if len(sel) != len(kv_rows) or q.dtype != k_new.dtype:
@@ -337,11 +339,11 @@ def block_forward(
         attn0 /= n_heads
 
     x_sel = _rows(x, sel)
-    x_sel += tc.matmul(ctx.reshape(len(sel), n_heads * d_head), w(names.wo))
+    x_sel += tc.matmul(ctx.reshape(len(sel), n_heads * d_head), w[names.wo])
     # the FFN in blocks of ROW_BLOCK rows: a block's gate and up outputs
     # stay within a core's cache where a long prompt's would not
-    gain, w_gate, w_up, w_down = (w(names.ffn_norm), w(names.w_gate), w(names.w_up),
-                                  w(names.w_down))
+    gain, w_gate, w_up, w_down = (w[names.ffn_norm], w[names.w_gate], w[names.w_up],
+                                  w[names.w_down])
     for r in range(0, len(sel), ROW_BLOCK):
         block = x_sel[r:r + ROW_BLOCK]
         xn2 = tc._rms_norm(block, gain, cfg.norm_eps)
@@ -364,7 +366,7 @@ def lm_head_logits(model: Model, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != model.config.d_model:
         raise ShapeError(f"lm_head_logits expects (T, {model.config.d_model}) states, "
                          f"got {x.shape}")
-    xn = tc._rms_norm(x, model.w("final_norm.gain"), model.config.norm_eps)
+    xn = tc._rms_norm(x, model.weights["final_norm.gain"], model.config.norm_eps)
     return tc.matmul(xn, model.unembed)
 
 
@@ -380,7 +382,7 @@ def embed_tokens(model: Model, token_ids) -> tuple[np.ndarray, np.ndarray]:
         raise UsageError(f"token ids must lie in [0, {model.config.vocab_size}), "
                          f"got range [{lo}, {hi}]")
     # an integer-array index gathers into a new array: the embeddings' copy
-    return model.w("embed.weight")[tokens], tokens
+    return model.weights["embed.weight"][tokens], tokens
 
 
 def forward_dense(

@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor_core as tc
 from .calibration import _plan_ratios
 from .checkpoint_io import _layer_names
-from .errors import ConfigError, DomainError, StateError, UsageError, _is_number
+from .errors import ConfigError, DomainError, ShapeError, StateError, UsageError, _is_number
 from .model_runtime import (
     KVCache,
     Model,
@@ -90,10 +90,14 @@ def cos_gradient(h0: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
     Equals (1/||hi||) (h0/||h0|| - cos(h0, hi) hi/||hi||): the residual of
     the unit sink direction orthogonal to hi, shrunk by 1/||hi||. Computed
-    in float64, returned in the input dtype.
+    in float64, returned in the input dtype. Two vectors of one length,
+    else ShapeError.
     """
     h0 = np.asarray(h0)
     hi = np.asarray(hi)
+    if h0.ndim != 1 or h0.shape != hi.shape:
+        raise ShapeError(f"cos_gradient needs two vectors of one length, got shapes "
+                         f"{h0.shape} and {hi.shape}")
     a = h0.astype(np.float64, copy=False)
     b = hi.astype(np.float64, copy=False)
     na = np.linalg.norm(a)
@@ -176,7 +180,7 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
     rows' attention mass on key 0. Returns the selected rows and the
     block's new key and value rows (None when a decode row stores nothing).
     """
-    xn = tc._rms_norm(x, model.w(_layer_names(layer).attn_norm), model.config.norm_eps)
+    xn = tc._rms_norm(x, model.weights[_layer_names(layer).attn_norm], model.config.norm_eps)
     if trace is not None:
         trace.layers.append(layer)
         if trace.hidden is not None:
@@ -301,10 +305,14 @@ def forward_orthorank_layer(
     result are bitwise equal to the input. Returns the updated states, the
     new key and value rows, and ``sel``, the selected rows' indices as
     ``select_topk`` returns them. A ``trace`` records the layer step as
-    ``forward_with_plan``'s would.
+    ``forward_with_plan``'s would. ``x`` is (T, d_model) with T >= 1, else
+    ShapeError.
     """
     (layer, ratio), = _plan_ratios([layer_index], keep_ratio, model.config.n_layers).items()
     x_out = np.array(x, copy=True)
+    if x_out.ndim != 2 or not x_out.shape[0] or x_out.shape[1] != model.config.d_model:
+        raise ShapeError(f"forward_orthorank_layer expects (T, {model.config.d_model}) states "
+                         f"with T >= 1, got {x_out.shape}")
     positions = np.arange(x_out.shape[0], dtype=np.int64)
     sel, k_new, v_new = _layer_step(model, layer, x_out, positions, ratio, criterion,
                                     compute_kv_for_unselected, KVCache(model.config), trace)

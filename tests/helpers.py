@@ -6,7 +6,7 @@ import numpy as np
 
 from orthorank import Model, ModelConfig, generate_synthetic_model, load_checkpoint
 from orthorank import tensor_core as tc
-from orthorank.checkpoint_io import required_tensors, save_checkpoint
+from orthorank.checkpoint_io import _synthetic_weights, required_tensors, save_checkpoint
 
 
 def make_tokens(n, vocab, seed=0):
@@ -25,13 +25,8 @@ def blank_weights(config):
 
 
 def make_random_model(config, seed=0):
-    """In-memory model drawn like ``generate_synthetic_model``'s, without a file."""
-    rng = np.random.default_rng(seed)
-    scale = np.float32(config.d_model ** -0.5)
-    weights = {name: np.ones(shape, dtype=np.float32) if name.endswith("gain")
-               else rng.standard_normal(shape, dtype=np.float32) * scale
-               for name, shape in required_tensors(config)}
-    return Model(config, weights, f"random-{seed}")
+    """In-memory model drawn as ``generate_synthetic_model``'s, without a file."""
+    return Model(config, _synthetic_weights(config, seed), f"random-{seed}")
 
 
 def make_uniform_model():
@@ -181,13 +176,13 @@ def full_width_block_forward(model, layer, x, positions, sel, kv_rows, xn, cache
     """
     cfg = model.config
     n_heads, n_kv, d_head = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
-    w = model.w
+    w = model.weights
     prefix = f"layers.{layer}"
 
     xk, kv_pos = xn[kv_rows], positions[kv_rows]
-    k_new = tc.matmul(xk, w(f"{prefix}.attn.wk.weight")).reshape(len(kv_rows), n_kv, d_head)
+    k_new = tc.matmul(xk, w[f"{prefix}.attn.wk.weight"]).reshape(len(kv_rows), n_kv, d_head)
     k_new = tc.rope_apply(k_new, kv_pos, cfg.rope_theta)
-    v_new = tc.matmul(xk, w(f"{prefix}.attn.wv.weight")).reshape(len(kv_rows), n_kv, d_head)
+    v_new = tc.matmul(xk, w[f"{prefix}.attn.wv.weight"]).reshape(len(kv_rows), n_kv, d_head)
     if cache is None:
         keys, values, key_pos = k_new, v_new, kv_pos
     else:
@@ -200,7 +195,7 @@ def full_width_block_forward(model, layer, x, positions, sel, kv_rows, xn, cache
         return k_new, v_new, attn0
 
     q_pos = positions[sel]
-    q = tc.matmul(xn[sel], w(f"{prefix}.attn.wq.weight")).reshape(len(sel), n_heads, d_head)
+    q = tc.matmul(xn[sel], w[f"{prefix}.attn.wq.weight"]).reshape(len(sel), n_heads, d_head)
     q = tc.rope_apply(q, q_pos, cfg.rope_theta)
     ctx = np.empty((len(sel), n_heads, d_head), dtype=x.dtype)
     sink_col = np.flatnonzero(key_pos == 0)
@@ -216,9 +211,9 @@ def full_width_block_forward(model, layer, x, positions, sel, kv_rows, xn, cache
         attn0 /= n_heads
 
     x[sel] = x[sel] + tc.matmul(ctx.reshape(len(sel), n_heads * d_head),
-                                w(f"{prefix}.attn.wo.weight"))
-    xn2 = tc.rms_norm(x[sel], w(f"{prefix}.ffn_norm.gain"), cfg.norm_eps)
-    hidden = (tc.silu(tc.matmul(xn2, w(f"{prefix}.ffn.w_gate.weight")))
-              * tc.matmul(xn2, w(f"{prefix}.ffn.w_up.weight")))
-    x[sel] = x[sel] + tc.matmul(hidden, w(f"{prefix}.ffn.w_down.weight"))
+                                w[f"{prefix}.attn.wo.weight"])
+    xn2 = tc.rms_norm(x[sel], w[f"{prefix}.ffn_norm.gain"], cfg.norm_eps)
+    hidden = (tc.silu(tc.matmul(xn2, w[f"{prefix}.ffn.w_gate.weight"]))
+              * tc.matmul(xn2, w[f"{prefix}.ffn.w_up.weight"]))
+    x[sel] = x[sel] + tc.matmul(hidden, w[f"{prefix}.ffn.w_down.weight"])
     return k_new, v_new, attn0

@@ -481,6 +481,24 @@ def test_empty_plan_prints_dense_lines(cli_ck, tmp_path, capsys, command):
     assert outs[0] and outs[1] == outs[0] and outs[2] == outs[0]
 
 
+@pytest.mark.parametrize("command", ["eval-ppl", "ablate"])
+@pytest.mark.parametrize("context_len", [16, 32])
+def test_calibration_context_note(planted_ck, tmp_path, capsys, command, context_len):
+    corpus = write_corpus(tmp_path / "c.txt", helpers.planted_tokens(64))
+    plan_path = tmp_path / "plan.json"
+    LayerPlan(layers=[2, 3], keep_ratio=0.5, model_id=weights_sha256(planted_ck), l_sink=1,
+              calib={"context_len": 32}).save(plan_path)
+    code, text, _ = run_cli(command, "--model", planted_ck, "--corpus", corpus,
+                            "--plan", plan_path, "--context-len", context_len,
+                            "--out", tmp_path / "out", capsys=capsys)
+    assert code == 0
+    notes = [line for line in text.splitlines() if line.startswith("note:")]
+    if context_len == 32:
+        assert notes == []
+    else:
+        assert notes == ["note: plan was calibrated at context length 32; evaluating at 16"]
+
+
 @pytest.mark.parametrize("command, broken", [
     ("eval-ppl", "corpus_is_directory"),
     ("eval-ppl", "out_dir_missing"),

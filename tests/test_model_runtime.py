@@ -1,10 +1,12 @@
 import copy
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from orthorank import (
+    ConfigError,
     KVCache,
     Model,
     ModelConfig,
@@ -21,6 +23,7 @@ from orthorank import (
 )
 from orthorank import model_runtime, selection
 from orthorank import tensor_core
+from orthorank.checkpoint_io import _synthetic_weights
 from orthorank.model_runtime import ROW_BLOCK, block_forward
 from orthorank.selection import DEFAULT_CRITERION, select_topk, selection_keys
 from orthorank.tensor_core import rms_norm
@@ -123,7 +126,7 @@ class TestHiddenTrace:
     def test_trace_invariant_bitwise(self, tiny_model, tiny_tokens):
         _, trace, _ = forward_dense(tiny_model, tiny_tokens, HiddenTrace())
         for j, layer in enumerate(trace.layers):
-            gain = tiny_model.w(f"layers.{layer}.attn_norm.gain")
+            gain = tiny_model.weights[f"layers.{layer}.attn_norm.gain"]
             expect = rms_norm(trace.hidden[j], gain, tiny_model.config.norm_eps)
             assert np.array_equal(trace.normalized[j], expect)
 
@@ -338,7 +341,7 @@ class TestBlockTruncatedAttention:
         cfg, layer = model.config, 1
         rng = np.random.default_rng(t + history)
         x = rng.standard_normal((t, cfg.d_model)).astype(np.float32)
-        xn = rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), cfg.norm_eps)
+        xn = rms_norm(x, model.weights[f"layers.{layer}.attn_norm.gain"], cfg.norm_eps)
         positions = np.arange(history, history + t, dtype=np.int64)
         rows = np.arange(t, dtype=np.int64)
         picks = {
@@ -383,7 +386,7 @@ class TestBlockTruncatedAttention:
         monkeypatch.setattr(model_runtime, "SCORE_BUDGET", cfg.n_heads * 340 * 3)
         rng = np.random.default_rng(n_sel)
         x = rng.standard_normal((40, cfg.d_model)).astype(np.float32)
-        xn = rms_norm(x, model.w(f"layers.{layer}.attn_norm.gain"), cfg.norm_eps)
+        xn = rms_norm(x, model.weights[f"layers.{layer}.attn_norm.gain"], cfg.norm_eps)
         positions = np.arange(300, 340, dtype=np.int64)
         prefilled = forward_dense(model, make_tokens(300, cfg.vocab_size))[2]
         sel = np.sort(rng.choice(40, size=n_sel, replace=False))
@@ -414,7 +417,7 @@ class TestBlockTruncatedAttention:
     def test_positions_checked(self, tiny_model, positions):
         cfg, layer = tiny_model.config, 1
         x = np.random.default_rng(0).standard_normal((4, cfg.d_model)).astype(np.float32)
-        xn = rms_norm(x, tiny_model.w(f"layers.{layer}.attn_norm.gain"), cfg.norm_eps)
+        xn = rms_norm(x, tiny_model.weights[f"layers.{layer}.attn_norm.gain"], cfg.norm_eps)
         rows = np.arange(4)
         with pytest.raises(ShapeError, match="positions"):
             block_forward(tiny_model, layer, x, positions, rows, rows, xn, KVCache(cfg))
@@ -547,9 +550,41 @@ class TestModelIdentity:
         monkeypatch.undo()
         assert model.model_id == weights_sha256(tmp_path)
 
-    def test_missing_weight_lookup(self, tiny_model):
-        with pytest.raises(StateError):
-            tiny_model.w("layers.99.attn.wq.weight")
+
+WEIGHTS_CONFIG = ModelConfig(n_layers=2, d_model=16, n_heads=2, n_kv_heads=2, d_head=8,
+                             d_ffn=32, vocab_size=32)
+
+
+class TestModelWeights:
+    """A model checks its tensors when it is made, against its config."""
+
+    @pytest.mark.parametrize("name, value", [  # value None: the tensor is left out
+        ("layers.1.ffn_norm.gain", None),
+        ("rogue.weight", np.zeros((2, 2), np.float32)),
+        ("layers.0.attn.wq.weight", np.zeros((16, 8), np.float32)),
+        ("layers.1.ffn.w_up.weight", np.zeros((16, 16), np.float32)),
+        ("layers.0.attn_norm.gain", np.ones(8, np.float32)),
+        ("embed.weight", np.zeros((16, 16), np.float32)),  # tied: too few rows for the vocab
+        ("layers.0.attn.wk.weight", np.zeros((16, 16)).tolist()),
+        ("final_norm.gain", np.ones(16, np.int64)),
+    ], ids=["missing", "unexpected", "wq_shape", "w_up_shape", "attn_gain_length",
+            "tied_embed_rows", "list", "int64"])
+    def test_bad_weights_raise_when_made(self, name, value):
+        weights = _synthetic_weights(WEIGHTS_CONFIG, 0)
+        if value is None:
+            del weights[name]
+        else:
+            weights[name] = value
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            Model(WEIGHTS_CONFIG, weights, "bad")
+
+    def test_weights_and_config_types(self):
+        weights = _synthetic_weights(WEIGHTS_CONFIG, 0)
+        Model(WEIGHTS_CONFIG, weights, "good")
+        with pytest.raises(ConfigError, match="dict"):
+            Model(WEIGHTS_CONFIG, list(weights.items()), "pairs")
+        with pytest.raises(ConfigError, match="ModelConfig"):
+            Model(vars(WEIGHTS_CONFIG), weights, "config-dict")
 
 
 class TestTokenIdTypes:

@@ -14,9 +14,11 @@ from orthorank import (
     Model,
     ModelConfig,
     OrthoRankError,
+    ShapeError,
     StateError,
     UsageError,
     cos_gradient,
+    cross_layer_self_similarity,
     decode_select,
     decode_step_dense,
     decode_step_with_plan,
@@ -24,8 +26,10 @@ from orthorank import (
     forward_orthorank_layer,
     forward_with_plan,
     generate_greedy,
+    generate_synthetic_sink_trace,
     importance_norm_sq,
     select_topk,
+    sink_token_similarity,
 )
 from orthorank import selection, tensor_core
 from orthorank import LayerPlan
@@ -43,6 +47,31 @@ def rand(shape, seed=0):
 def sink_scores(states):
     """The default criterion's keys: |<h_bar_0, h_bar_i>| with the sink at +inf."""
     return selection_keys(states, Criterion(), layer=0)
+
+
+_SIM_TRACE = generate_synthetic_sink_trace(4, 12, 8, 1, 0.25, seed=0)
+_LEAKS = {  # id: (call on a d_model 16 model, the package error it must raise)
+    "layer_states_width": (lambda m: forward_orthorank_layer(m, 1, np.ones((4, 8)), 0.5),
+                           ShapeError),
+    "layer_states_vector": (lambda m: forward_orthorank_layer(m, 1, np.ones(16), 0.5),
+                            ShapeError),
+    "layer_no_states": (lambda m: forward_orthorank_layer(m, 1, np.ones((0, 16)), 0.5),
+                        ShapeError),
+    "cos_gradient_lengths": (lambda m: cos_gradient(np.ones(3), np.ones(4)), ShapeError),
+    "position_text": (lambda m: sink_token_similarity(_SIM_TRACE, ["a"]), UsageError),
+    "position_fraction": (lambda m: sink_token_similarity(_SIM_TRACE, [1.5]), UsageError),
+    "position_float": (lambda m: cross_layer_self_similarity(_SIM_TRACE, 2.7), UsageError),
+    "position_bool": (lambda m: cross_layer_self_similarity(_SIM_TRACE, True), UsageError),
+}
+
+
+@pytest.mark.parametrize("case", _LEAKS)
+def test_public_entries_raise_package_errors(case):
+    call, error = _LEAKS[case]
+    model = make_random_model(ModelConfig(n_layers=2, d_model=16, n_heads=2, n_kv_heads=2,
+                                          d_head=8, d_ffn=32, vocab_size=32))
+    with pytest.raises(error):
+        call(model)
 
 
 class TestComputeScores:
@@ -246,7 +275,7 @@ class TestSelectionKeys:
 
 class TestForwardOrthorankLayer:
     def embed(self, model, tokens):
-        return model.w("embed.weight")[np.asarray(tokens)].copy()
+        return model.weights["embed.weight"][np.asarray(tokens)].copy()
 
     def dense_block_output(self, model, tokens):
         _, trace, _ = forward_dense(model, tokens, HiddenTrace())
@@ -632,7 +661,7 @@ class TestRmsNormOncePerLayer:
         return calls
 
     def assert_once(self, model, calls):
-        per_layer = [calls[id(model.w(f"layers.{l}.attn_norm.gain"))]
+        per_layer = [calls[id(model.weights[f"layers.{l}.attn_norm.gain"])]
                      for l in range(model.config.n_layers)]
         assert sum(calls.values()) > 0
         assert max(per_layer) <= 1, per_layer

@@ -17,3 +17,21 @@ def test_ab_decode_pairs_a_tree_with_itself(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["seed 1", "all"]
     assert all("change faster in" in line and "of 6 steps" in line for line in lines)
+
+
+def test_code_lines_counts_statements_only(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    (tmp_path / "mod.py").write_text(
+        '"""Module docstring,\n\non three lines."""\n'
+        "import os\n"
+        "\n"
+        "# a comment\n"
+        "def f(a):\n"
+        '    """One-line docstring."""\n'
+        "    return os.path.join(a,  # the first part\n"
+        '                        "b")\n'
+        'TEXT = """not a\ndocstring"""\n')
+    assert tool.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["6", "mod.py", "6", "total"]
