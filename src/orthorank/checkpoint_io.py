@@ -13,6 +13,7 @@ Projection weights are stored as (in, out) matrices applied as ``y = x @ W``.
 import functools
 import hashlib
 import json
+import math
 import mmap
 import numbers
 from dataclasses import asdict, dataclass
@@ -61,6 +62,10 @@ class ModelConfig:
             raise ConfigError(f"d_head must be even for rotary embeddings, got {self.d_head}")
         if not (_is_number(self.norm_eps) and self.norm_eps > 0):
             raise ConfigError(f"norm_eps must be a number > 0, got {self.norm_eps!r}")
+        if not (_is_number(self.rope_theta) and 0 < self.rope_theta < math.inf):
+            raise ConfigError(f"rope_theta must be a finite number > 0, got {self.rope_theta!r}")
+        if not isinstance(self.tied_embeddings, (bool, np.bool_)):
+            raise ConfigError(f"tied_embeddings must be a bool, got {self.tied_embeddings!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -143,12 +148,13 @@ def save_checkpoint(dir_path, config: ModelConfig, weights: dict[str, np.ndarray
     """Write a checkpoint directory; tensors are laid out in canonical order.
 
     The config's tensors are cast to float32 and checked by ``_check_weights``
-    (CheckpointError) before any file is written, then each one is written to
-    ``weights.bin`` as it is, without a copy of the whole file.
+    (CheckpointError, which also names a tensor numpy cannot cast) before any
+    file is written, then each one is written to ``weights.bin`` as it is,
+    without a copy of the whole file.
     """
     layout = dict(required_tensors(config))
-    arrays = {name: np.ascontiguousarray(w, dtype=F32) if name in layout else w
-              for name, w in weights.items()}
+    arrays = ({name: _float32(name, w) if name in layout else w for name, w in weights.items()}
+              if isinstance(weights, dict) else weights)  # _check_weights refuses a non-dict
     _check_weights(config, arrays, CheckpointError)
     entries = []
     offset = 0
@@ -166,6 +172,14 @@ def save_checkpoint(dir_path, config: ModelConfig, weights: dict[str, np.ndarray
         for name in layout:
             fh.write(arrays[name].data)
     return dir_path
+
+
+def _float32(name: str, w) -> np.ndarray:
+    """``w`` as a contiguous float32 array; CheckpointError naming ``name`` if it cannot be."""
+    try:
+        return np.ascontiguousarray(w, dtype=F32)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"tensor {name} cannot be cast to float32: {exc}") from None
 
 
 def load_checkpoint(dir_path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
@@ -194,9 +208,9 @@ def _read_checkpoint(dir_path) -> tuple[ModelConfig, dict[str, np.ndarray], memo
         manifest = json.loads((dir_path / "manifest.json").read_text())
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"manifest.json is not valid JSON: {exc}") from exc
-    entries = manifest.get("entries")
+    entries = manifest.get("entries") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
-        raise CheckpointError('manifest.json must contain an "entries" list')
+        raise CheckpointError('manifest.json must hold an object with an "entries" list')
 
     expected = dict(required_tensors(config))
     # An anonymous map, not a heap buffer: its pages go back to the system
@@ -210,14 +224,19 @@ def _read_checkpoint(dir_path) -> tuple[ModelConfig, dict[str, np.ndarray], memo
     prev_name, prev_end = None, 0
     weights = {}
     for entry in entries:
-        name = entry.get("name")
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise CheckpointError(f"manifest entry {entry!r} is not an object with a string name")
         if name not in expected:
             raise CheckpointError(f"manifest names unknown tensor {name!r}")
         if name in weights:
             raise CheckpointError(f"manifest lists tensor {name!r} twice")
         if entry.get("dtype") != "f32":
             raise CheckpointError(f"tensor {name}: unknown dtype {entry.get('dtype')!r}")
-        shape = tuple(entry.get("shape", ()))
+        shape = entry.get("shape")
+        if not (isinstance(shape, list) and all(type(n) is int for n in shape)):
+            raise CheckpointError(f"tensor {name}: shape {shape!r} is not a list of integers")
+        shape = tuple(shape)
         if shape != expected[name]:
             raise CheckpointError(
                 f"tensor {name}: manifest shape {shape} != expected {expected[name]}"

@@ -84,9 +84,9 @@ def _resolve_l_sink(args, model, corpus) -> int:
     return l_sink
 
 
-def _criterion(args) -> Criterion:
-    seed = args.seed if args.criterion == "random" else None
-    return Criterion(args.criterion, args.stage, seed=seed)
+def _model_and_corpus(args) -> tuple[Model, np.ndarray]:
+    """The ``--model`` checkpoint and the ``--corpus`` tokens, loaded in that order."""
+    return Model.from_checkpoint(args.model), load_corpus(args.corpus)
 
 
 def _load_plan(args, model) -> LayerPlan:
@@ -98,12 +98,19 @@ def _load_plan(args, model) -> LayerPlan:
     return plan
 
 
-def _note_context_len(plan: LayerPlan, context_len: int) -> None:
-    """Print a note when ``plan`` was calibrated at another context length than this run's."""
+def _eval_inputs(args) -> tuple[Model, np.ndarray, LayerPlan]:
+    """Model, corpus and checked plan of a perplexity run, loaded in that order.
+
+    Prints a note when the plan was calibrated at another context length
+    than ``--context-len``.
+    """
+    model, corpus = _model_and_corpus(args)
+    plan = _load_plan(args, model)
     calibrated = plan.calib.get("context_len") if isinstance(plan.calib, dict) else None
-    if calibrated is not None and calibrated != context_len:
+    if calibrated is not None and calibrated != args.context_len:
         print(f"note: plan was calibrated at context length {calibrated}; "
-              f"evaluating at {context_len}")
+              f"evaluating at {args.context_len}")
+    return model, corpus, plan
 
 
 def _check_outputs(args) -> None:
@@ -152,8 +159,7 @@ def cmd_analyze(args) -> int:
             args.seed,
         )
     elif args.model and args.corpus:
-        model = Model.from_checkpoint(args.model)
-        corpus = load_corpus(args.corpus)
+        model, corpus = _model_and_corpus(args)
         seq = corpus[: args.seq_len] if args.seq_len else corpus
         _, trace, _ = forward_dense(model, seq, HiddenTrace())
     else:
@@ -183,8 +189,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    model = Model.from_checkpoint(args.model)
-    corpus = load_corpus(args.corpus)
+    model, corpus = _model_and_corpus(args)
     l_sink = _resolve_l_sink(args, model, corpus)
     m, eligible = plan_from_sparsity(
         model.config.n_layers, l_sink, args.sparsity, args.keep_ratio
@@ -203,13 +208,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_eval_ppl(args) -> int:
-    model = Model.from_checkpoint(args.model)
-    corpus = load_corpus(args.corpus)
-    plan = _load_plan(args, model)
-    _note_context_len(plan, args.context_len)
+    model, corpus, plan = _eval_inputs(args)
     report = eval_harness.perplexity(
         model, plan, corpus, args.context_len,
-        criterion=_criterion(args),
+        criterion=Criterion(args.criterion, args.stage, args.seed),
         compute_kv_for_unselected=not args.no_kv,
     )
     if args.out:
@@ -223,13 +225,10 @@ def cmd_eval_ppl(args) -> int:
 
 
 def cmd_layerwise(args) -> int:
-    model = Model.from_checkpoint(args.model)
-    corpus = load_corpus(args.corpus)
+    model, corpus = _model_and_corpus(args)
     l_sink = _resolve_l_sink(args, model, corpus)
-    criteria = []
-    for kind in args.criteria.split(","):
-        kind = kind.strip()
-        criteria.append(Criterion(kind, "normalized", seed=args.seed if kind == "random" else None))
+    criteria = [Criterion(kind.strip(), "normalized", args.seed)
+                for kind in args.criteria.split(",")]
     table = eval_harness.layerwise_comparison(
         model, corpus, args.keep_ratio, criteria, l_sink, args.context_len
     )
@@ -239,10 +238,7 @@ def cmd_layerwise(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    model = Model.from_checkpoint(args.model)
-    corpus = load_corpus(args.corpus)
-    plan = _load_plan(args, model)
-    _note_context_len(plan, args.context_len)
+    model, corpus, plan = _eval_inputs(args)
     rows = eval_harness.ablation_grid(model, plan, corpus, args.context_len, args.seed)
     eval_harness.ablation_to_csv(rows, args.out)
     if args.audit_csv:
@@ -288,7 +284,7 @@ def cmd_generate(args) -> int:
     trace = HiddenTrace(hidden=None, selection=[]) if args.audit_csv else None
     tokens = generate_greedy(
         model, prompt, args.n_new, plan.layers, plan.keep_ratio,
-        criterion=_criterion(args),
+        criterion=Criterion(args.criterion, args.stage, args.seed),
         compute_kv_for_unselected=not args.no_kv,
         trace=trace,
     )
@@ -306,7 +302,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth-model", help="write a deterministic random checkpoint")
+    # flags that several commands share, each declared once
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True)
+    inputs = argparse.ArgumentParser(add_help=False, parents=[model])
+    inputs.add_argument("--corpus", required=True)
+    sink = argparse.ArgumentParser(add_help=False)
+    sink.add_argument("--l-sink", type=int, default=None)
+    sink.add_argument("--tau", type=float, default=0.3)
+    keep = argparse.ArgumentParser(add_help=False)
+    keep.add_argument("--keep-ratio", type=float, default=DEFAULT_KEEP_RATIO)
+    rule = argparse.ArgumentParser(add_help=False)
+    rule.add_argument("--criterion", default="orthogonal_asc")
+    rule.add_argument("--stage", default="normalized")
+    rule.add_argument("--no-kv", action="store_true")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("synth-model", parents=[seed],
+                       help="write a deterministic random checkpoint")
     p.add_argument("--out", required=True)
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--d-model", type=int, required=True)
@@ -317,10 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rope-theta", type=float, default=10000.0)
     p.add_argument("--norm-eps", type=float, default=1e-5)
     p.add_argument("--untied", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth_model)
 
-    p = sub.add_parser("analyze", help="similarity and norm CSVs from a trace")
+    p = sub.add_parser("analyze", parents=[seed], help="similarity and norm CSVs from a trace")
     p.add_argument("--model")
     p.add_argument("--corpus")
     p.add_argument("--synthetic", action="store_true")
@@ -333,74 +346,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-positions", default=None, help='e.g. "0,50,100"')
     p.add_argument("--dump-trace", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("calibrate", help="greedy layer selection to a target sparsity")
-    p.add_argument("--model", required=True)
-    p.add_argument("--corpus", required=True)
+    p = sub.add_parser("calibrate", parents=[inputs, keep, sink],
+                       help="greedy layer selection to a target sparsity")
     p.add_argument("--sparsity", type=float, required=True)
-    p.add_argument("--keep-ratio", type=float, default=DEFAULT_KEEP_RATIO)
     p.add_argument("--context-len", type=int, default=128)
-    p.add_argument("--l-sink", type=int, default=None)
-    p.add_argument("--tau", type=float, default=0.3)
     p.add_argument("--one-shot", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("eval-ppl", help="chunked perplexity under a plan (or dense)")
-    p.add_argument("--model", required=True)
-    p.add_argument("--corpus", required=True)
+    p = sub.add_parser("eval-ppl", parents=[inputs, rule, seed],
+                       help="chunked perplexity under a plan (or dense)")
     p.add_argument("--plan", default=None)
     p.add_argument("--context-len", type=int, default=256)
-    p.add_argument("--criterion", default="orthogonal_asc")
-    p.add_argument("--stage", default="normalized")
-    p.add_argument("--no-kv", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval_ppl)
 
-    p = sub.add_parser("layerwise", help="single-layer conversion sweep per criterion")
-    p.add_argument("--model", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--keep-ratio", type=float, default=DEFAULT_KEEP_RATIO)
+    p = sub.add_parser("layerwise", parents=[inputs, keep, sink, seed],
+                       help="single-layer conversion sweep per criterion")
     p.add_argument("--context-len", type=int, default=128)
-    p.add_argument("--l-sink", type=int, default=None)
-    p.add_argument("--tau", type=float, default=0.3)
     p.add_argument("--criteria", default="orthogonal_asc,orthogonal_desc,random")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_layerwise)
 
-    p = sub.add_parser("ablate", help="criterion/stage/KV ablation grid for a plan")
-    p.add_argument("--model", required=True)
-    p.add_argument("--corpus", required=True)
+    p = sub.add_parser("ablate", parents=[inputs, seed],
+                       help="criterion/stage/KV ablation grid for a plan")
     p.add_argument("--plan", required=True)
     p.add_argument("--context-len", type=int, default=128)
     p.add_argument("--audit-csv", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("flops", help="dense vs plan FLOP totals and ratio")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("flops", parents=[model, keep], help="dense vs plan FLOP totals and ratio")
     p.add_argument("--plan", default=None)
     p.add_argument("--layers", default=None, help='plan layers inline, e.g. "4..15"')
-    p.add_argument("--keep-ratio", type=float, default=DEFAULT_KEEP_RATIO)
     p.add_argument("--seq-len", type=int, default=128)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_flops)
 
-    p = sub.add_parser("generate", help="greedy decode with optional selective plan")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("generate", parents=[model, rule, seed],
+                       help="greedy decode with optional selective plan")
     p.add_argument("--prompt", required=True, help="space-separated token ids")
     p.add_argument("--n-new", type=int, default=16)
     p.add_argument("--plan", default=None)
-    p.add_argument("--criterion", default="orthogonal_asc")
-    p.add_argument("--stage", default="normalized")
-    p.add_argument("--no-kv", action="store_true")
     p.add_argument("--audit-csv", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
 
     return parser

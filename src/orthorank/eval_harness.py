@@ -275,7 +275,7 @@ def ablation_grid(
     _, chunks = _corpus_chunks(corpus_tokens, context_len)
     rows, base = [], None
     for kind, stage, kv in ABLATION_ROWS:
-        crit = Criterion(kind, stage, seed=random_seed if kind == "random" else None)
+        crit = Criterion(kind, stage, seed=random_seed)
         run = _eval_chunks(model, chunks, plan, crit, kv, base=base, record=base is None)
         if base is None:
             base = run

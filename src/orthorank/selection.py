@@ -49,7 +49,8 @@ class Criterion:
     ``orthogonal_asc`` over ``normalized`` states is the default selection
     rule; the remaining kinds and the ``raw_hidden`` stage exist for
     ablations. ``random`` requires an explicit seed, and a seed is a
-    non-negative integer.
+    non-negative integer. Only ``random`` reads its seed, so every other
+    kind drops it once checked: criteria that rank alike compare equal.
     """
 
     kind: str = "orthogonal_asc"
@@ -66,6 +67,8 @@ class Criterion:
         seed = self.seed
         if seed is not None and not (_is_number(seed, numbers.Integral) and seed >= 0):
             raise ConfigError(f"criterion seed must be an integer >= 0, got {seed!r}")
+        if self.kind != "random":
+            object.__setattr__(self, "seed", None)
 
 
 DEFAULT_CRITERION = Criterion()

@@ -290,6 +290,12 @@ class TestCalibrateGreedy:
         with pytest.raises(ConfigError, match="l_sink"):
             calibrate_greedy(model, corpus, 0, 0.5, eligible=[], context_len=16, l_sink=l_sink)
 
+    @pytest.mark.parametrize("eligible", [[-1], [2, 4]])
+    def test_eligible_layers_must_exist(self, corpus, eligible):
+        model = helpers.make_rotation_model(4, set())
+        with pytest.raises(ConfigError, match="eligible layers out of range"):
+            calibrate_greedy(model, corpus, 1, 0.5, eligible, context_len=16)
+
     def test_no_sink_layer_is_valid(self, corpus):
         model = helpers.make_rotation_model(4, set())
         plan = calibrate_greedy(model, corpus, 1, 0.5, eligible=[0, 1, 2], context_len=16,

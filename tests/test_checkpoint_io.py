@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -48,6 +49,26 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(n_layers=1, d_model=8, n_heads=2, n_kv_heads=2,
                         d_head=4, d_ffn=8, vocab_size=10, norm_eps=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rope_theta", "abc"), ("rope_theta", 0), ("rope_theta", -1.0), ("rope_theta", np.inf),
+        ("rope_theta", np.nan), ("rope_theta", True), ("tied_embeddings", "no"),
+        ("tied_embeddings", 0), ("tied_embeddings", None),
+    ])
+    def test_bad_rope_theta_or_tied_flag(self, tiny_config, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(tiny_config, **{field: value})
+        # a config.json holding the value fails at load, before any forward pass
+        ck = generate_synthetic_model(tiny_config, 0, tmp_path / "ck")
+        data = json.loads((ck / "config.json").read_text())
+        (ck / "config.json").write_text(json.dumps({**data, field: value}))
+        with pytest.raises(ConfigError, match=field):
+            load_checkpoint(ck)
+
+    def test_numpy_rope_theta_and_tied_flag_accepted(self, tiny_config):
+        config = dataclasses.replace(tiny_config, rope_theta=np.float32(500.0),
+                                     tied_embeddings=np.False_)
+        assert config.rope_theta == 500.0 and not config.tied_embeddings
 
     def test_unknown_json_key(self, tiny_config):
         data = json.loads(tiny_config.to_json())
@@ -123,6 +144,20 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError):
             save_checkpoint(tmp_path / "ck", tiny_config, weights)
         assert not (tmp_path / "ck" / "weights.bin").exists()
+
+    @pytest.mark.parametrize("weights, match", [
+        ("not a dict", "must be a dict"),
+        ([("final_norm.gain", np.ones(32))], "must be a dict"),
+        ({"final_norm.gain": "abc"}, "final_norm.gain cannot be cast"),
+        ({"embed.weight": [[1.0, 2.0], [3.0]]}, "embed.weight cannot be cast"),
+        ({"final_norm.gain": 10 ** 400}, "final_norm.gain cannot be cast"),
+    ], ids=["string", "pair_list", "string_tensor", "ragged_tensor", "huge_int_tensor"])
+    def test_save_rejects_uncastable_weights(self, tiny_config, tmp_path, weights, match):
+        if isinstance(weights, dict):
+            weights = {**helpers.blank_weights(tiny_config), **weights}
+        with pytest.raises(CheckpointError, match=match):
+            save_checkpoint(tmp_path / "ck", tiny_config, weights)
+        assert not (tmp_path / "ck").exists()
 
     def test_loaded_tensors_are_writable_float32(self, tiny_checkpoint):
         _, first = load_checkpoint(tiny_checkpoint)
@@ -221,6 +256,37 @@ class TestCheckpointValidation:
             return manifest, blob
         _write_corrupt(ck, mutate)
         with pytest.raises(CheckpointError, match="shape"):
+            load_checkpoint(ck)
+
+    @pytest.mark.parametrize("case, match", [
+        ("manifest_list", '"entries" list'),
+        ("entries_object", '"entries" list'),
+        ("no_entries", '"entries" list'),
+        ("entry_list", "string name"),
+        ("name_list", "string name"),
+        ("no_name", "string name"),
+        ("shape_int", "list of integers"),
+        ("shape_float", "list of integers"),
+        ("offset_negative", "bad byte_offset"),
+        ("offset_string", "bad byte_offset"),
+    ])
+    def test_manifest_types(self, ck, case, match):
+        def mutate(manifest, blob):
+            entry = manifest["entries"][0]
+            return {
+                "manifest_list": manifest["entries"],
+                "entries_object": {"entries": entry},
+                "no_entries": {},
+                "entry_list": {"entries": [list(entry.values())]},
+                "name_list": {"entries": [{**entry, "name": [entry["name"]]}]},
+                "no_name": {"entries": [{k: v for k, v in entry.items() if k != "name"}]},
+                "shape_int": {"entries": [{**entry, "shape": 64}]},
+                "shape_float": {"entries": [{**entry, "shape": [50.0, 32]}]},
+                "offset_negative": {"entries": [{**entry, "byte_offset": -4}]},
+                "offset_string": {"entries": [{**entry, "byte_offset": "0"}]},
+            }[case], blob
+        _write_corrupt(ck, mutate)
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(ck)
 
     def test_missing_required_tensor(self, ck):

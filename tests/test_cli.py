@@ -5,6 +5,7 @@ codes are part of the contract (0 iff outputs were written, 2 with an
 "error:" line on stderr for domain failures).
 """
 
+import argparse
 import csv
 import json
 import os
@@ -220,6 +221,18 @@ class TestCalibrate:
         assert code == 0
         assert "detected l_sink=1" in out
         assert LayerPlan.load(plan_path).l_sink == 1
+
+    def test_no_sink_layer_note(self, cli_ck, tmp_path, capsys):
+        # a random model has no sink layer: calibration proceeds from layer 0
+        corpus = write_corpus(tmp_path / "c.txt", helpers.make_tokens(64, 64, seed=4))
+        plan_path = tmp_path / "plan.json"
+        code, out, _ = run_cli(
+            "calibrate", "--model", cli_ck, "--corpus", corpus,
+            "--sparsity", "0.1", "--context-len", "32", "--one-shot",
+            "--out", plan_path, capsys=capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "note: no sink layer at tau=0.3; proceeding with l_sink=0"
+        assert LayerPlan.load(plan_path).l_sink == 0
 
 
 class TestEvalPpl:
@@ -533,3 +546,110 @@ def test_file_error_is_one_line(cli_ck, tmp_path, capsys, monkeypatch, command, 
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# Each command's options as (option strings, default, type, required, action):
+# the parser's contract, whichever way build_parser declares them.
+STORE, TRUE = "_StoreAction", "_StoreTrueAction"
+FLAGS = {
+    "synth-model": {
+        "out": (("--out",), None, None, True, STORE),
+        "layers": (("--layers",), None, int, True, STORE),
+        "d_model": (("--d-model",), None, int, True, STORE),
+        "heads": (("--heads",), 4, int, False, STORE),
+        "kv_heads": (("--kv-heads",), None, int, False, STORE),
+        "d_ffn": (("--d-ffn",), None, int, False, STORE),
+        "vocab": (("--vocab",), 256, int, False, STORE),
+        "rope_theta": (("--rope-theta",), 10000.0, float, False, STORE),
+        "norm_eps": (("--norm-eps",), 1e-05, float, False, STORE),
+        "untied": (("--untied",), False, None, False, TRUE),
+        "seed": (("--seed",), 0, int, False, STORE),
+    },
+    "analyze": {
+        "model": (("--model",), None, None, False, STORE),
+        "corpus": (("--corpus",), None, None, False, STORE),
+        "synthetic": (("--synthetic",), False, None, False, TRUE),
+        "layers": (("--layers",), 32, int, False, STORE),
+        "seq_len": (("--seq-len",), None, int, False, STORE),
+        "d": (("--d",), 64, int, False, STORE),
+        "l_sink": (("--l-sink",), None, int, False, STORE),
+        "rate": (("--rate",), 0.25, float, False, STORE),
+        "positions": (("--positions",), None, None, False, STORE),
+        "cross_positions": (("--cross-positions",), None, None, False, STORE),
+        "dump_trace": (("--dump-trace",), False, None, False, TRUE),
+        "out": (("--out",), None, None, True, STORE),
+        "seed": (("--seed",), 0, int, False, STORE),
+    },
+    "calibrate": {
+        "model": (("--model",), None, None, True, STORE),
+        "corpus": (("--corpus",), None, None, True, STORE),
+        "sparsity": (("--sparsity",), None, float, True, STORE),
+        "keep_ratio": (("--keep-ratio",), 0.333, float, False, STORE),
+        "context_len": (("--context-len",), 128, int, False, STORE),
+        "l_sink": (("--l-sink",), None, int, False, STORE),
+        "tau": (("--tau",), 0.3, float, False, STORE),
+        "one_shot": (("--one-shot",), False, None, False, TRUE),
+        "out": (("--out",), None, None, True, STORE),
+    },
+    "eval-ppl": {
+        "model": (("--model",), None, None, True, STORE),
+        "corpus": (("--corpus",), None, None, True, STORE),
+        "plan": (("--plan",), None, None, False, STORE),
+        "context_len": (("--context-len",), 256, int, False, STORE),
+        "criterion": (("--criterion",), "orthogonal_asc", None, False, STORE),
+        "stage": (("--stage",), "normalized", None, False, STORE),
+        "no_kv": (("--no-kv",), False, None, False, TRUE),
+        "out": (("--out",), None, None, False, STORE),
+        "seed": (("--seed",), 0, int, False, STORE),
+    },
+    "layerwise": {
+        "model": (("--model",), None, None, True, STORE),
+        "corpus": (("--corpus",), None, None, True, STORE),
+        "keep_ratio": (("--keep-ratio",), 0.333, float, False, STORE),
+        "context_len": (("--context-len",), 128, int, False, STORE),
+        "l_sink": (("--l-sink",), None, int, False, STORE),
+        "tau": (("--tau",), 0.3, float, False, STORE),
+        "criteria": (("--criteria",), "orthogonal_asc,orthogonal_desc,random", None, False,
+                     STORE),
+        "out": (("--out",), None, None, True, STORE),
+        "seed": (("--seed",), 0, int, False, STORE),
+    },
+    "ablate": {
+        "model": (("--model",), None, None, True, STORE),
+        "corpus": (("--corpus",), None, None, True, STORE),
+        "plan": (("--plan",), None, None, True, STORE),
+        "context_len": (("--context-len",), 128, int, False, STORE),
+        "audit_csv": (("--audit-csv",), None, None, False, STORE),
+        "out": (("--out",), None, None, True, STORE),
+        "seed": (("--seed",), 0, int, False, STORE),
+    },
+    "flops": {
+        "model": (("--model",), None, None, True, STORE),
+        "plan": (("--plan",), None, None, False, STORE),
+        "layers": (("--layers",), None, None, False, STORE),
+        "keep_ratio": (("--keep-ratio",), 0.333, float, False, STORE),
+        "seq_len": (("--seq-len",), 128, int, False, STORE),
+        "out": (("--out",), None, None, False, STORE),
+    },
+    "generate": {
+        "model": (("--model",), None, None, True, STORE),
+        "prompt": (("--prompt",), None, None, True, STORE),
+        "n_new": (("--n-new",), 16, int, False, STORE),
+        "plan": (("--plan",), None, None, False, STORE),
+        "criterion": (("--criterion",), "orthogonal_asc", None, False, STORE),
+        "stage": (("--stage",), "normalized", None, False, STORE),
+        "no_kv": (("--no-kv",), False, None, False, TRUE),
+        "audit_csv": (("--audit-csv",), None, None, False, STORE),
+        "seed": (("--seed",), 0, int, False, STORE),
+    },
+}
+
+
+def test_each_command_keeps_its_flags():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(FLAGS)
+    for command, parser in sub.choices.items():
+        got = {a.dest: (tuple(a.option_strings), a.default, a.type, a.required,
+                        type(a).__name__)
+               for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        assert got == FLAGS[command], command

@@ -261,6 +261,16 @@ class TestSelectionKeys:
         with pytest.raises(ConfigError):
             Criterion(kind="random", seed=seed)
 
+    @pytest.mark.parametrize("kind", [k for k in CRITERION_KINDS if k != "random"])
+    def test_only_random_keeps_its_seed(self, kind):
+        # a seed no ranking reads is checked, then dropped: criteria that rank alike are equal
+        with pytest.raises(ConfigError):
+            Criterion(kind, seed=-1)
+        assert Criterion(kind, "raw_hidden", seed=3) == Criterion(kind, "raw_hidden")
+        assert Criterion(kind, seed=np.int64(3)).seed is None
+        assert Criterion("random", seed=3).seed == 3
+        assert Criterion("random", seed=3) != Criterion("random", seed=4)
+
     def test_numpy_integer_seed_accepted(self):
         states = rand((6, 4), seed=9)
         a = selection_keys(states, Criterion(kind="random", seed=np.int64(5)), layer=1)
@@ -1088,11 +1098,23 @@ class TestFailedStepLeavesCache:
                 decode_step_with_plan(model, cache, int(tokens[40]), [2, 3], 0.5,
                                       Criterion(stage="raw_hidden"))
         assert cache_bytes(cache) == before
-        # the keep ratio and the KV setting may change from step to step
+        # the keep ratio, the KV setting and an unread seed may change from step to step
         decode_step_with_plan(model, cache, int(tokens[40]), [2, 3], 0.25,
                               compute_kv_for_unselected=False)
-        decode_step_with_plan(model, cache, int(tokens[41]), [2, 3], 1.0)
+        decode_step_with_plan(model, cache, int(tokens[41]), [2, 3], 1.0, Criterion(seed=3))
         cache.check()
+
+    def test_step_without_sink_state(self):
+        # only a hand-edited cache lacks a planned layer's sink state
+        model = make_random_model(ModelConfig(n_layers=6, d_model=32, n_heads=4, n_kv_heads=2,
+                                              d_head=8, d_ffn=64, vocab_size=50))
+        tokens = make_tokens(41, 50, seed=5)
+        _, _, cache = forward_with_plan(model, tokens[:40], [2, 3], 0.5)
+        del cache.sink_state[3]
+        before = cache_bytes(cache)
+        with pytest.raises(StateError, match="layer 3 has no sink state"):
+            decode_step_with_plan(model, cache, int(tokens[40]), [2, 3], 0.5)
+        assert cache_bytes(cache) == before
 
     def test_nonfinite_prefill_score_raises(self, tiny_model):
         weights = {name: w.copy() for name, w in tiny_model.weights.items()}
@@ -1149,7 +1171,7 @@ class TestStepFuzz:
         n, vocab = config.n_layers, config.vocab_size
         plan = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n), "plan")
         ratio = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(0, 1), "ratio")
-        criterion = Criterion(kind, stage, seed=seed if kind == "random" else None)
+        criterion = Criterion(kind, stage, seed=seed)
         tokens = make_tokens(prompt_len, vocab, seed=seed)
         _, _, cache = forward_with_plan(model, tokens, plan, ratio, criterion, kv_on)
         cache.check()

@@ -446,6 +446,17 @@ class TestSoftmaxCausal:
         with pytest.raises(ShapeError):
             softmax_causal(np.zeros((1, 1), np.float32), [-1])
 
+    @pytest.mark.parametrize("shape, rows, keys, match", [
+        ((4,), [0], None, "2-D"),
+        ((2, 3, 3), [0, 1], None, "2-D"),
+        ((2, 3), [0], None, "row_offsets length"),
+        ((2, 3), [0, 1, 2], None, "row_offsets length"),
+        ((2, 3), [0, 1], [0, 1], "key_positions length"),
+    ])
+    def test_shapes_checked(self, shape, rows, keys, match):
+        with pytest.raises(ShapeError, match=match):
+            softmax_causal(np.zeros(shape, np.float32), rows, key_positions=keys)
+
     @pytest.mark.parametrize("n_keys", [0, 3])
     def test_empty_query_batch(self, n_keys):
         out = softmax_causal(np.zeros((0, n_keys), np.float32), [],
@@ -619,6 +630,11 @@ class TestRopeApply:
 
     def test_empty_positions(self):
         assert rope_apply(rand((0, 2, 4)), [], 10000.0).shape == (0, 2, 4)
+
+    @pytest.mark.parametrize("positions", [[0], [0, 1, 2], [[0, 1]], 0])
+    def test_positions_one_per_row(self, positions):
+        with pytest.raises(ShapeError, match="positions length"):
+            rope_apply(rand((2, 1, 4)), positions, 10000.0)
 
 
 def rope_angles(positions, d_head, theta_base):
