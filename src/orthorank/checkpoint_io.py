@@ -16,7 +16,7 @@ import json
 import math
 import mmap
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -66,6 +66,10 @@ class ModelConfig:
             raise ConfigError(f"rope_theta must be a finite number > 0, got {self.rope_theta!r}")
         if not isinstance(self.tied_embeddings, (bool, np.bool_)):
             raise ConfigError(f"tied_embeddings must be a bool, got {self.tied_embeddings!r}")
+        # numpy scalars pass the checks; each field keeps the Python value it
+        # equals, which to_json writes and from_json reads back as this config
+        for field in fields(self):
+            object.__setattr__(self, field.name, field.type(getattr(self, field.name)))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -76,11 +80,11 @@ class ModelConfig:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise CheckpointError(f"config.json must hold an object, got {type(data).__name__}")
-        fields = set(cls.__dataclass_fields__)
-        unknown = set(data) - fields
+        known = set(cls.__dataclass_fields__)
+        unknown = set(data) - known
         if unknown:
             raise CheckpointError(f"config.json has unknown keys: {sorted(unknown)}")
-        missing = fields - set(data)
+        missing = known - set(data)
         if missing:
             raise CheckpointError(f"config.json is missing keys: {sorted(missing)}")
         return cls(**data)
@@ -147,11 +151,13 @@ def _check_weights(config: ModelConfig, weights, error: type[OrthoRankError]) ->
 def save_checkpoint(dir_path, config: ModelConfig, weights: dict[str, np.ndarray]) -> Path:
     """Write a checkpoint directory; tensors are laid out in canonical order.
 
-    The config's tensors are cast to float32 and checked by ``_check_weights``
-    (CheckpointError, which also names a tensor numpy cannot cast) before any
-    file is written, then each one is written to ``weights.bin`` as it is,
-    without a copy of the whole file.
+    The config is serialized, and its tensors are cast to float32 and
+    checked by ``_check_weights`` (CheckpointError, which also names a tensor
+    numpy cannot cast), before the directory or any file is made; then each
+    tensor is written to ``weights.bin`` as it is, without a copy of the
+    whole file.
     """
+    config_text = config.to_json()
     layout = dict(required_tensors(config))
     arrays = ({name: _float32(name, w) if name in layout else w for name, w in weights.items()}
               if isinstance(weights, dict) else weights)  # _check_weights refuses a non-dict
@@ -166,7 +172,7 @@ def save_checkpoint(dir_path, config: ModelConfig, weights: dict[str, np.ndarray
 
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
-    (dir_path / "config.json").write_text(config.to_json())
+    (dir_path / "config.json").write_text(config_text)
     (dir_path / "manifest.json").write_text(json.dumps({"entries": entries}, indent=2))
     with open(dir_path / "weights.bin", "wb") as fh:
         for name in layout:

@@ -244,7 +244,8 @@ def block_forward(
     multiple of the kernel's column block. Fewer selected rows than a
     kernel row group (every decode step) fold the group's query heads into
     the rows of the products: one matrix of rows x group rows per KV head,
-    not group matrices of a few rows that the kernel pads to its row group.
+    not group matrices of a decode step's one row, each of which the
+    kernel would pad to two rows.
     More rows keep one matrix per query head. The FFN (its RMSNorm, gate,
     up and down products) runs on blocks of at most ``ROW_BLOCK`` selected
     rows, so a long prompt's gate and up outputs stay cache-sized. All cuts
@@ -297,7 +298,7 @@ def block_forward(
     scale = tc.attention_scale(d_head)
     group = n_heads // n_kv
     # fold factor: fewer rows than a kernel row group put a GQA group's
-    # heads into the rows of one matrix, which the kernel would pad anyway
+    # heads into the rows of one matrix, fewer and taller BLAS matrices
     f = group if len(sel) < tc._ROW_ALIGN else 1
     # head-major views, (n_kv, group // f, rows * f, d_head): query head
     # g * group + i * f + j of row r is row r * f + j of matrix (g, i) and

@@ -7,7 +7,7 @@ same op twice on the same data yields bit-identical results, which the
 test suite relies on. Verification code passes float64 arrays through the same functions to
 get the extra precision (see ``as_f64``).
 
-Matrix products run on BLAS through one padded-block kernel whose output
+Matrix products run on BLAS through one canonical-shape kernel whose output
 rows do not depend on the batch shape: a row of ``matmul(a, b)`` is
 bit-identical whether ``a`` holds 1 row or 500, whichever other rows sit
 beside it, however many columns ``b`` has, and whether trailing zero
@@ -18,16 +18,20 @@ reads only its key prefix drops score columns (column truncation) and
 probability columns that are exactly zero (trailing zero K), so its rows
 equal those of the full-width product bit for bit.
 BLAS libraries pick different code paths by operand shape and layout, so
-the kernel hands BLAS only canonical shapes: rows of ``a`` padded to a
-multiple of ``_ROW_ALIGN``, ``b`` row-major with its columns padded to a
-multiple of ``_COL_ALIGN``, and the inner dimension cut into
-``_K_CHUNK``-wide chunks whose products are added in order. Each rule was
-found necessary on OpenBLAS 0.3.31. Rows are not capped: one call takes
-all of them, and however BLAS splits them among its threads, no row's
-value changes (a fuzz that dropped an earlier 64-row cap failed no
-invariance test, and products of up to 3,000 rows hash the same at 1 and
-2 threads). The invariance tests in ``tests/test_tensor_core.py`` are the
-gate on any other build or thread count.
+the kernel hands BLAS only canonical shapes: ``a`` of at least two rows,
+``b`` row-major with its columns padded to a multiple of ``_COL_ALIGN``,
+and the inner dimension cut into ``_K_CHUNK``-wide chunks whose products
+are added in order. Each rule was found necessary on OpenBLAS 0.3.31. A
+one-row product takes numpy's matrix-vector path, which rounds otherwise,
+so a one-row ``a`` gets one zero row; any other row count goes to BLAS as
+it is, and each row has the bits it has inside a product of any other
+count (checked over 1,258 products of 2 to 1,024 rows at 1 and 2 threads,
+and pinned at the benchmark's shapes by the tests). Rows are not
+capped: one call takes all of them, and however BLAS splits them among its
+threads, no row's value changes (a fuzz that dropped an earlier 64-row cap
+failed no invariance test, and products of up to 3,000 rows hash the same
+at 1 and 2 threads). The invariance tests in ``tests/test_tensor_core.py``
+are the gate on any other build or thread count.
 
 The kernel is ``_matmul_cols(a, b, n)``, its one entry: it takes stacked
 operands, (..., m, k) by (..., k, c), broadcasts their leading axes, and
@@ -75,7 +79,11 @@ from .errors import ConfigError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 
-_ROW_ALIGN = 8  # rows of ``a`` are zero-padded to a multiple of this
+# Rows of a kernel row group. The kernel pads no row count to it (it pads
+# only a one-row ``a``, to two rows); attention blocks come in whole groups,
+# and fewer selected rows than a group fold GQA heads into one matrix's rows,
+# as the softmax folds the row sums of matrices shorter than a group.
+_ROW_ALIGN = 8
 _COL_ALIGN = 16  # columns of ``b`` are zero-padded to a multiple of this
 _K_CHUNK = 256  # inner-dimension width of one BLAS call
 
@@ -97,7 +105,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the inner dimension up to trailing zeros: truncating or gathering rows
     of ``a``, truncating columns of ``b``, or appending zero columns to
     ``a`` with zero rows to ``b`` leaves the remaining entries
-    bit-identical (see the module docstring for the padded-block rules).
+    bit-identical (see the module docstring for the kernel's shape rules).
     Raises ShapeError if either operand is not 2-D or the inner dimensions
     disagree.
     """
@@ -113,7 +121,7 @@ def _round_up(n: int, multiple: int) -> int:
 
 
 def _matmul_cols(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """``a @ b[..., :n]`` through the padded-block kernel; the one matmul entry.
+    """``a @ b[..., :n]`` through the canonical-shape kernel; the one matmul entry.
 
     ``a`` is (..., m, k) and ``b`` (..., k, c) with ``c >= n``; their
     leading axes broadcast, and every matrix of the result is the 2-D
@@ -121,16 +129,18 @@ def _matmul_cols(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     has the result dtype, unit column stride and ``c >= _round_up(n,
     _COL_ALIGN)`` columns; the columns past ``n`` may then hold anything,
     since they reach only discarded output columns. Any other ``b`` is
-    copied into that layout, zero-padded past ``n``. The result is the
-    first ``_K_CHUNK``-wide chunk's product over all padded rows and the
-    whole stack, one ``np.matmul`` call, with each later chunk's product
-    added into it in order; those products share one buffer.
+    copied into that layout, zero-padded past ``n``. ``a`` goes to BLAS
+    with its own rows, a one-row ``a`` with one zero row added (numpy's
+    matrix-vector path rounds otherwise; see the module docstring). The
+    result is the first ``_K_CHUNK``-wide chunk's product over all rows
+    and the whole stack, one ``np.matmul`` call, with each later chunk's
+    product added into it in order; those products share one buffer.
     """
     m, k = a.shape[-2:]
     dtype = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
     if m == 0 or n == 0:
         return np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n), dtype)
-    m_pad, n_pad = _round_up(m, _ROW_ALIGN), _round_up(n, _COL_ALIGN)
+    m_pad, n_pad = max(m, 2), _round_up(n, _COL_ALIGN)
     # BLAS rounds a transposed b differently from the row-major layout, so
     # a b out of the layout is brought to it here.
     if b.dtype != dtype or b.strides[-1] != b.itemsize or b.shape[-1] < n_pad:
@@ -257,9 +267,10 @@ def _normalize_in_place(scores: np.ndarray) -> np.ndarray:
     # np.sum and einsum group their partial sums by row length and would
     # break bitwise causality. Every matrix of a stack shares the ones
     # table, so matrices of fewer rows than a kernel row group are rows of
-    # one matrix: a decode fold's two matrices of 4 rows are one of 8, with
-    # no padding copy. Taller ones stay a stack: as one tall matrix they
-    # made a 1,024-token prefill 11% slower (OpenBLAS 0.3.31, 2 vCPU).
+    # one matrix: a decode fold's two matrices of 4 rows are one of 8, one
+    # BLAS matrix instead of two. Taller ones stay a stack: as one tall
+    # matrix they made a 1,024-token prefill 11% slower (OpenBLAS 0.3.31,
+    # 2 vCPU).
     lead, keys = scores.shape[:-1], scores.shape[-1]
     rows = scores.reshape(math.prod(lead), keys) if lead[-1] < _ROW_ALIGN else scores
     scores /= _matmul_cols(rows, _ones_rows(keys, scores.dtype), 1).reshape(lead + (1,))

@@ -70,6 +70,27 @@ class TestModelConfig:
                                      tied_embeddings=np.False_)
         assert config.rope_theta == 500.0 and not config.tied_embeddings
 
+    def test_numpy_typed_config_round_trips(self, tmp_path):
+        config = ModelConfig(n_layers=np.int64(1), d_model=np.int32(8), n_heads=np.int16(2),
+                             n_kv_heads=np.uint8(1), d_head=np.int64(4), d_ffn=np.int64(16),
+                             vocab_size=np.int64(10), rope_theta=np.float32(500.0),
+                             norm_eps=np.float64(1e-6), tied_embeddings=np.False_)
+        # every field holds the Python value it equals
+        for field in dataclasses.fields(config):
+            assert type(getattr(config, field.name)) is field.type, field.name
+        ck = generate_synthetic_model(config, 0, tmp_path / "ck")
+        loaded, weights = load_checkpoint(ck)
+        assert loaded == config and "lm_head.weight" in weights
+
+    def test_failed_save_makes_no_directory(self, tiny_config, tmp_path, monkeypatch):
+        def unserializable(self):
+            raise TypeError("Object of type int64 is not JSON serializable")
+
+        monkeypatch.setattr(ModelConfig, "to_json", unserializable)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            generate_synthetic_model(tiny_config, 0, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_json_key(self, tiny_config):
         data = json.loads(tiny_config.to_json())
         data["bogus"] = 1

@@ -82,8 +82,8 @@ class TestForwardDense:
             part, _, _ = forward_dense(tiny_model, tiny_tokens[:cut])
             assert np.array_equal(part, full[:cut]), f"cut={cut}"
         # every prefix of a sequence long enough to cross the K chunk of the
-        # attention products and the GQA stacking; the prefixes pad their
-        # rows to 8 in every way
+        # attention products and the GQA stacking; the prefixes take every
+        # row count from 1 to 129
         tokens = make_tokens(130, tiny_config.vocab_size, seed=3)
         full, _, _ = forward_dense(tiny_model, tokens)
         for cut in range(1, len(tokens)):

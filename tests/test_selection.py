@@ -741,29 +741,35 @@ class TestDecodeStepKernelCalls:
         # products (Q, score, 5 row-sum and 5 context K chunks, output, gate,
         # up and 4 down chunks), and hands BLAS 25 matrices past them: the 2
         # KV heads' score and context products, one row-sum matrix for both
-        # heads' folded rows, and one per weight product. The 3 dense layers,
-        # the K and V of the 5 plan layers and the output head make the rest.
+        # heads' folded rows, and one per weight product. Those hold 104 rows:
+        # 4 per folded score and context matrix (1 row x group 4), 8 per
+        # row-sum matrix and 2 per weight product, whose one row the kernel
+        # pads to two. The 3 dense layers, the K and V of the 5 plan layers
+        # and the output head make the rest.
         config = ModelConfig(n_layers=8, d_model=256, n_heads=8, n_kv_heads=2, d_head=32,
                              d_ffn=1024, vocab_size=512)
         model, plan = make_random_model(config, seed=7), [2, 3, 4, 5, 6]
         _, _, cache = forward_with_plan(model, make_tokens(1024, 512, seed=1), plan, 0.333)
-        matrices = []
+        matrices, rows = [], []
         real = np.matmul
 
         def counting(a, b, *args, **kwargs):
             matrices.append(int(np.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))))
+            rows.append(matrices[-1] * a.shape[-2])
             return real(a, b, *args, **kwargs)
 
         seen = set()
         for token in make_tokens(6, 512, seed=2):
             trace = HiddenTrace(hidden=None, selection=[])
             matrices.clear()
+            rows.clear()
             monkeypatch.setattr(np, "matmul", counting)
             decode_step_with_plan(model, cache, int(token), plan, 0.333, trace=trace)
             monkeypatch.setattr(np, "matmul", real)
             selected = sum(chosen for *_, chosen in trace.selection)
             seen.add(selected)
-            assert (len(matrices), sum(matrices)) == (74 + 19 * selected, 92 + 25 * selected)
+            assert (len(matrices), sum(matrices), sum(rows)) == (
+                74 + 19 * selected, 92 + 25 * selected, 346 + 104 * selected)
         assert 0 in seen and len(seen) > 1
 
 

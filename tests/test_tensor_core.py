@@ -78,16 +78,14 @@ class TestMatmul:
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_k_chunks_added_in_order(self, lead):
         # k > 2 chunks: the first chunk's product, then each later chunk's
-        # product added in order, over rows padded to the row alignment
+        # product added in order, over a's own rows
         m, k, n = 5, 2 * tensor_core._K_CHUNK + 40, 32
         a, b = rand((*lead, m, k)), rand((*lead, k, n), seed=1)
-        padded = np.zeros((*lead, 8, k), np.float32)
-        padded[..., :m, :] = a
         chunk = tensor_core._K_CHUNK
-        expect = np.matmul(padded[..., :chunk], b[..., :chunk, :])
+        expect = np.matmul(a[..., :chunk], b[..., :chunk, :])
         for c in range(chunk, k, chunk):
-            expect = expect + np.matmul(padded[..., c:c + chunk], b[..., c:c + chunk, :])
-        assert np.array_equal(_matmul_cols(a, b, n), expect[..., :m, :])
+            expect = expect + np.matmul(a[..., c:c + chunk], b[..., c:c + chunk, :])
+        assert np.array_equal(_matmul_cols(a, b, n), expect)
 
     def test_row_truncation_stability(self):
         # the causality guarantee rests on this: dropping trailing rows of a
@@ -247,6 +245,54 @@ class TestStackedMatmul:
         for a_lead, b_lead in ((lead, ()), ((), lead)):
             out = _matmul_cols(rand((*a_lead, m, k)), rand((*b_lead, k, n), seed=1), n)
             assert out.shape == (*lead, m, n) and not out.any()
+
+
+# The benchmark model's products: a's leading axes, the inner dimension, b's
+# shape (or the row-sum ones table) and n. The weights are 2-D; the decode
+# fold's score and context products stack its 2 KV heads over 1,030 keys (the
+# score reads a key arena of 1,040 columns), and its row sums take both
+# heads' folded rows as one matrix.
+BENCHMARK_PRODUCTS = {
+    "k_v": ((), 256, (256, 64), 64),
+    "q_o": ((), 256, (256, 256), 256),
+    "gate_up": ((), 256, (256, 1024), 1024),
+    "down": ((), 1024, (1024, 256), 256),
+    "head": ((), 256, (256, 512), 512),
+    "score": ((2, 1), 32, (2, 1, 32, 1040), 1030),
+    "context": ((2, 1), 1030, (2, 1, 1030, 32), 32),
+    "row_sum": ((), 1030, None, 1),
+}
+ROW_COUNTS = [*range(1, 18), 85, 341]
+
+
+class TestRowCounts:
+    """Each row of any row count equals that row inside a 64-row product."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("product", sorted(BENCHMARK_PRODUCTS))
+    def test_rows_equal_their_64_row_product(self, product, dtype, monkeypatch):
+        lead, k, b_shape, n = BENCHMARK_PRODUCTS[product]
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((*lead, 384, k)).astype(dtype)
+        if b_shape is None:
+            b = tensor_core._ones_rows(k, np.dtype(dtype))
+        else:
+            b = rng.standard_normal(b_shape).astype(dtype)
+        want = np.concatenate([_matmul_cols(a[..., r:r + 64, :], b, n)
+                               for r in range(0, 384, 64)], axis=-2)
+        real, rows = np.matmul, []
+
+        def spy(x, y, **kwargs):
+            rows.append(x.shape[-2])
+            return real(x, y, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        for m in ROW_COUNTS:
+            rows.clear()
+            got = _matmul_cols(np.ascontiguousarray(a[..., :m, :]), b, n)
+            assert np.array_equal(got, want[..., :m, :]), m
+            # BLAS gets a one-row a as two rows and any other a as it is
+            assert rows and set(rows) == {max(m, 2)}, (m, rows)
 
 
 def _kernel_shapes():

@@ -15,8 +15,9 @@ def test_ab_decode_pairs_a_tree_with_itself(capsys, monkeypatch):
     src = str(ROOT / "src")
     tool.main([src, src])
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["seed 1", "all"]
-    assert all("change faster in" in line and "of 6 steps" in line for line in lines)
+    assert [line.split(":")[0] for line in lines] == ["seed 1", "all", "prefill"]
+    assert all("change faster in" in line and "of 6 steps" in line for line in lines[:2])
+    assert "change faster in" in lines[2] and lines[2].endswith("of 2 prefills")
 
 
 def test_code_lines_counts_statements_only(tmp_path, capsys):

@@ -9,14 +9,17 @@ arrays: the 8-layer mid GQA model, the plan [2..6] at keep 0.333, a
 1,024-token prompt prefilled under the plan, then greedy decode steps:
 ``SEEDS`` models, ``PROMPTS`` prompts each, ``STEPS`` steps per prompt.
 Steps alternate between the sides and the side that goes first flips every
-step. The logits of each prefill and step must be bitwise equal on both
-sides, else the script stops with an error.
+step; so do the prompt prefills, every prompt. The logits of each prefill
+and step must be bitwise equal on both sides, else the script stops with
+an error.
 
 It prints, per seed and over all steps, each side's median step time, the
 median of the paired differences (change minus parent) and the share of
-steps the change was faster. Pairing steps within one process removes the
-machine's drift between separate runs, so it resolves differences that
-separate benchmark runs cannot. It is a sizing tool, not a gate.
+steps the change was faster, then the same line over all prefills, so a
+change to the decode path shows its cost to the time to first token too.
+Pairing runs within one process removes the machine's drift between
+separate runs, so it resolves differences that separate benchmark runs
+cannot. It is a sizing tool, not a gate.
 """
 
 import argparse
@@ -56,20 +59,21 @@ def random_weights(package, config, seed: int) -> dict[str, np.ndarray]:
             for name, shape in package.checkpoint_io.required_tensors(config)}
 
 
-def run_seed(sides, seed: int) -> tuple[list[float], list[float]]:
-    """Step times of (parent, change) for one seed's model and prompts, in step order."""
+def run_seed(sides, seed: int):
+    """Prefill and step times of (parent, change) for one seed's model and prompts, in order."""
     parent = sides[0]
     weights = random_weights(parent, parent.ModelConfig(**MID), seed)
     models = [pkg.Model(pkg.ModelConfig(**MID), weights, f"ab-{seed}") for pkg in sides]
-    times = ([], [])
+    prefills, times = ([], []), ([], [])
     rng = np.random.default_rng(seed)
-    for _ in range(PROMPTS):
+    for p in range(PROMPTS):
         prompt = rng.integers(0, MID["vocab_size"], size=PROMPT_TOKENS)
-        caches, logits = [], []
-        for pkg, model in zip(sides, models):
-            out, _, cache = pkg.forward_with_plan(model, prompt, PLAN_LAYERS, KEEP_RATIO)
-            caches.append(cache)
-            logits.append(out)
+        caches, logits = [None, None], [None, None]
+        for side in ((0, 1) if p % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            logits[side], _, caches[side] = sides[side].forward_with_plan(
+                models[side], prompt, PLAN_LAYERS, KEEP_RATIO)
+            prefills[side].append(time.perf_counter() - start)
         if not np.array_equal(*logits):
             sys.exit(f"seed {seed}: prefill logits differ between the trees")
         token = int(np.argmax(logits[0][-1]))
@@ -82,15 +86,15 @@ def run_seed(sides, seed: int) -> tuple[list[float], list[float]]:
             if not np.array_equal(*logits):
                 sys.exit(f"seed {seed}: step {step} logits differ between the trees")
             token = int(np.argmax(logits[0][-1]))
-    return times
+    return prefills, times
 
 
-def report(label: str, parent: list[float], change: list[float]) -> None:
+def report(label: str, parent: list[float], change: list[float], runs: str = "steps") -> None:
     a, b = 1e3 * np.asarray(parent), 1e3 * np.asarray(change)
     diff = b - a
     print(f"{label}: parent {np.median(a):.3f} ms, change {np.median(b):.3f} ms, "
           f"paired median {np.median(diff):+.3f} ms ({np.median(diff) / np.median(a):+.1%}), "
-          f"change faster in {np.mean(diff < 0):.0%} of {diff.size} steps")
+          f"change faster in {np.mean(diff < 0):.0%} of {diff.size} {runs}")
 
 
 def main(argv=None) -> None:
@@ -102,13 +106,15 @@ def main(argv=None) -> None:
              load_tree(args.change_src, "orthorank_change"))
     if asdict(sides[0].ModelConfig(**MID)) != asdict(sides[1].ModelConfig(**MID)):
         sys.exit("the trees disagree on the model config")
-    parent_all, change_all = [], []
+    prefill_all, step_all = ([], []), ([], [])
     for seed in range(1, SEEDS + 1):
-        parent, change = run_seed(sides, seed)
-        report(f"seed {seed}", parent, change)
-        parent_all += parent
-        change_all += change
-    report("all", parent_all, change_all)
+        prefills, steps = run_seed(sides, seed)
+        report(f"seed {seed}", *steps)
+        for side in (0, 1):
+            prefill_all[side].extend(prefills[side])
+            step_all[side].extend(steps[side])
+    report("all", *step_all)
+    report("prefill", *prefill_all, runs="prefills")
 
 
 if __name__ == "__main__":
