@@ -60,6 +60,13 @@ def _plan_ratios(plan_layers, keep_ratio, n_layers: int | None = None) -> dict[i
     return {l: float(r) for l, r in zip(layers, ratios)}
 
 
+def _target_sparsity(value) -> float:
+    """``value`` as a float in [0, 1), the sparsities a plan can reach; ConfigError otherwise."""
+    if not (_is_number(value) and 0.0 <= value < 1.0):
+        raise ConfigError(f"target_sparsity must be in [0, 1), got {value!r}")
+    return float(value)
+
+
 @dataclass
 class LayerPlan:
     """The calibrated set of selective layers plus audit metadata.
@@ -67,8 +74,10 @@ class LayerPlan:
     ``layers`` and ``keep_ratio`` resolve through ``_plan_ratios`` (no
     mapping form) and are kept as ascending ints after ``l_sink`` and one
     float or a list of floats aligned with ``layers``, each in (0, 1].
-    ``LayerPlan()`` is the dense plan. ``calib`` records corpus hash and
-    context length so a plan states what produced it.
+    ``target_sparsity`` is None or a float in [0, 1), as
+    ``plan_from_sparsity`` takes it. ``LayerPlan()`` is the dense plan.
+    ``calib`` records corpus hash and context length so a plan states what
+    produced it.
     """
 
     layers: list[int] = field(default_factory=list)
@@ -92,6 +101,8 @@ class LayerPlan:
             )
         if any(r <= 0 for r in ratios.values()):
             raise ConfigError(f"keep ratios must lie in (0, 1], got {self.keep_ratio}")
+        if self.target_sparsity is not None:
+            self.target_sparsity = _target_sparsity(self.target_sparsity)
 
     def ratios(self) -> list[float]:
         return list(_plan_ratios(self.layers, self.keep_ratio).values())
@@ -171,8 +182,7 @@ def plan_from_sparsity(
     Raises when the target exceeds what the eligible set can deliver,
     naming the maximum achievable value.
     """
-    if not (_is_number(target_sparsity) and 0.0 <= target_sparsity < 1.0):
-        raise ConfigError(f"target_sparsity must be in [0, 1), got {target_sparsity!r}")
+    _target_sparsity(target_sparsity)
     if not (_is_number(keep_ratio) and 0.0 < keep_ratio <= 1.0):
         raise ConfigError(f"keep_ratio must be in (0, 1], got {keep_ratio!r}")
     eligible = eligible_layers(n_layers, l_sink)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, OrthoRankError, _is_number
-from .tensor_core import rms_norm
+from .tensor_core import _rms_norm
 from .trace import HiddenTrace
 
 F32 = np.dtype("<f4")
@@ -368,5 +368,5 @@ def generate_synthetic_sink_trace(
     return HiddenTrace(
         layers=list(range(n_layers)),
         hidden=layers,
-        normalized=[rms_norm(s, unit_gain) for s in layers],
+        normalized=[_rms_norm(s, unit_gain, 1e-5) for s in layers],
     )

@@ -127,14 +127,15 @@ def _check_outputs(args) -> None:
 
 
 def cmd_synth_model(args) -> int:
-    d_head = args.d_model // args.heads
+    if args.heads < 1:  # d_head is d_model // heads
+        raise UsageError(f"--heads must be >= 1, got {args.heads}")
     config = ModelConfig(
         n_layers=args.layers,
         d_model=args.d_model,
         n_heads=args.heads,
-        n_kv_heads=args.kv_heads or args.heads,
-        d_head=d_head,
-        d_ffn=args.d_ffn or 4 * args.d_model,
+        n_kv_heads=args.heads if args.kv_heads is None else args.kv_heads,
+        d_head=args.d_model // args.heads,
+        d_ffn=4 * args.d_model if args.d_ffn is None else args.d_ffn,
         vocab_size=args.vocab,
         rope_theta=args.rope_theta,
         norm_eps=args.norm_eps,
@@ -147,12 +148,14 @@ def cmd_synth_model(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.seq_len is not None and args.seq_len < 1:
+        raise UsageError(f"--seq-len must be >= 1, got {args.seq_len}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.synthetic:
         trace = generate_synthetic_sink_trace(
             args.layers,
-            args.seq_len or 101,
+            101 if args.seq_len is None else args.seq_len,
             args.d,
             1 if args.l_sink is None else args.l_sink,
             args.rate,
@@ -160,8 +163,7 @@ def cmd_analyze(args) -> int:
         )
     elif args.model and args.corpus:
         model, corpus = _model_and_corpus(args)
-        seq = corpus[: args.seq_len] if args.seq_len else corpus
-        _, trace, _ = forward_dense(model, seq, HiddenTrace())
+        _, trace, _ = forward_dense(model, corpus[: args.seq_len], HiddenTrace())
     else:
         raise UsageError("analyze needs either --synthetic or both --model and --corpus")
 

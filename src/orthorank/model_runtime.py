@@ -10,6 +10,7 @@ pass by construction.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
@@ -295,7 +296,7 @@ def block_forward(
         rot = tc._rope_rows(q_pos, cfg.rope_theta, d_head, q.dtype)
     q = tc._rope_apply(q, *rot)
 
-    scale = tc.attention_scale(d_head)
+    scale = 1.0 / math.sqrt(d_head)
     group = n_heads // n_kv
     # fold factor: fewer rows than a kernel row group put a GQA group's
     # heads into the rows of one matrix, fewer and taller BLAS matrices

@@ -78,11 +78,14 @@ def select_topk(keys, keep_ratio: float) -> np.ndarray:
     """Indices of the k = floor(p * T) smallest of the T keys: sorted ascending, int64.
 
     ``keys`` is any 1-D array of sort keys, such as ``selection_keys``
-    returns; ties resolve to the smaller index. The result's size is k.
+    returns, else ShapeError; ties resolve to the smaller index. The
+    result's size is k.
     """
     if not (_is_number(keep_ratio) and 0.0 <= keep_ratio <= 1.0):
         raise ConfigError(f"keep_ratio must be in [0, 1], got {keep_ratio!r}")
     keys = np.asarray(keys)
+    if keys.ndim != 1:
+        raise ShapeError(f"select_topk expects 1-D keys, got shape {keys.shape}")
     k = int(math.floor(keep_ratio * keys.shape[0]))
     order = np.argsort(keys, kind="stable")
     return np.sort(order[:k]).astype(np.int64, copy=False)

@@ -1,11 +1,10 @@
 """Dense linear-algebra and transformer kernel primitives.
 
 Tensors are plain C-contiguous numpy arrays, float32 by default. Every
-public operation here is a pure function, preserves the dtype of its
-inputs, and is deterministic for a fixed process environment: calling the
-same op twice on the same data yields bit-identical results, which the
-test suite relies on. Verification code passes float64 arrays through the same functions to
-get the extra precision (see ``as_f64``).
+operation here but the in-place softmax is a pure function; each one
+preserves the dtype of its inputs and is deterministic for a fixed process
+environment: calling the same op twice on the same data yields
+bit-identical results, which the test suite relies on.
 
 Matrix products run on BLAS through one canonical-shape kernel whose output
 rows do not depend on the batch shape: a row of ``matmul(a, b)`` is
@@ -52,17 +51,17 @@ rows, keys) scores that share their ascending query and key positions,
 masked in place, with the row sums of every matrix taken as the rows of one
 matrix against a shared ones table. Ascending positions make its mask test
 O(1): only a last key past the first query masks anything, as no decode
-row's keys do. ``softmax_causal`` is the 2-D public call, into a new array,
-and takes positions in any order. ``rope_apply`` reads cos and sin from a
-table per (theta, d_head, dtype). Shared tables are read-only and grow by
-replacement, so threads may call these functions concurrently.
+row's keys do. The rotary embedding ``_rope_apply`` takes cos and sin rows
+that ``_rope_rows`` gathers from a table per (theta, d_head, dtype).
+Shared tables are read-only and grow by replacement, so threads may call
+these functions concurrently.
 
-Public functions check their arguments; the private kernels they call
-(``_matmul_cols``, ``_rms_norm``, ``_rope_rows`` with ``_rope_apply``,
-``_softmax_in_place``) trust theirs. A decode step checks its arguments
-once at its entry point, so its layer loop calls the kernels directly, and
-a layer whose query rows are its key rows rotates both with one gather of
-cos and sin rows. The kernels run many times per decoded token, so they
+``matmul`` checks its arguments; the private kernels (``_matmul_cols``,
+``_rms_norm``, ``_rope_rows`` with ``_rope_apply``, ``_softmax_in_place``)
+trust theirs. A model checks its weights when it is made and a layer step
+its positions at its entry, so the layer loop calls the kernels directly,
+and a layer whose query rows are its key rows rotates both with one gather
+of cos and sin rows. The kernels run many times per decoded token, so they
 call ufuncs and their ``.reduce`` directly (``np.add.reduce``,
 ``np.maximum.reduce``) and take the result dtype from the operands when
 they share one. numpy's Python-level helpers (``np.mean``, ``np.max``,
@@ -75,7 +74,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 DEFAULT_DTYPE = np.float32
 
@@ -86,16 +85,6 @@ DEFAULT_DTYPE = np.float32
 _ROW_ALIGN = 8
 _COL_ALIGN = 16  # columns of ``b`` are zero-padded to a multiple of this
 _K_CHUNK = 256  # inner-dimension width of one BLAS call
-
-
-def as_f32(x) -> np.ndarray:
-    """Return ``x`` as a C-contiguous float32 array."""
-    return np.ascontiguousarray(x, dtype=np.float32)
-
-
-def as_f64(x) -> np.ndarray:
-    """Return ``x`` as a C-contiguous float64 array (verification mode)."""
-    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,24 +155,16 @@ def _matmul_cols(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return out if m == m_pad and n == n_pad else np.ascontiguousarray(out[..., :m, :n])
 
 
-def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
     """Root-mean-square normalization with a learned element-wise gain.
 
-    out[t] = gain * x[t] / sqrt(mean(x[t]**2) + eps), applied row-wise.
-    Accepts a single vector or a (T, d) matrix.
+    out[t] = gain * x[t] / sqrt(mean(x[t]**2) + eps), row-wise over a
+    vector or (..., d) array, bit for bit the ``np.mean`` form. Trusts its
+    arguments: a gain as long as the rows and ``eps > 0``.
     """
-    if eps <= 0:
-        raise ConfigError(f"rms_norm eps must be > 0, got {eps}")
-    x = np.asarray(x)
-    gain = np.asarray(gain)
-    if x.shape[-1] != gain.shape[-1]:
-        raise ShapeError(f"gain length {gain.shape[-1]} != feature dim {x.shape[-1]}")
-    return _rms_norm(x, gain, eps)
-
-
-def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
-    """``rms_norm`` of arrays it has checked: a gain as long as the rows and ``eps > 0``."""
     sq = np.square(x)
+    # float16 weights are valid and np.mean sums them in float32, so only
+    # float32 and float64 take the direct reduction
     if sq.dtype.char in "fd":
         # np.mean's sum, without its Python wrapper; its division by the
         # count runs in float64 and rounds to the result dtype, which rounds
@@ -195,56 +176,17 @@ def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
     return gain * (x / np.sqrt(ms + eps))
 
 
-def softmax_causal(
-    scores: np.ndarray,
-    row_offsets,
-    key_positions=None,
-) -> np.ndarray:
-    """Row-wise softmax with causal masking, into a new array.
-
-    ``row_offsets[r]`` is the absolute position of query row r; entries whose
-    key position exceeds it are masked to exactly 0. Key positions default to
-    0..Tk-1 but can be passed explicitly when the key set is a subsequence of
-    the context (selective KV). Rows are stabilized by max subtraction.
-
-    The mask is built only from the first column whose key lies past the
-    smallest query position; for a row block over its key prefix that is
-    the block's diagonal. A row's output does not depend on other rows, and
-    dropping trailing masked columns leaves its other entries bit-identical
-    (the row sums run through the row-invariant kernel). Query and key
-    positions may come in any order. The stacked form, which attention
-    uses, is ``_softmax_in_place``, for ascending positions.
-    """
-    scores = np.asarray(scores)
-    if scores.ndim != 2:
-        raise ShapeError(f"softmax_causal expects a 2-D score matrix, got {scores.shape}")
-    q_pos = np.asarray(row_offsets, dtype=np.int64)
-    if q_pos.shape != (scores.shape[0],):
-        raise ShapeError(f"row_offsets length {q_pos.shape} != query count {scores.shape[0]}")
-    if np.any(q_pos < 0):
-        raise ShapeError("query positions must be >= 0")
-    if key_positions is None:
-        k_pos = np.arange(scores.shape[1], dtype=np.int64)
-    else:
-        k_pos = np.asarray(key_positions, dtype=np.int64)
-        if k_pos.shape != (scores.shape[1],):
-            raise ShapeError(f"key_positions length {k_pos.shape} != key count {scores.shape[1]}")
-    out = scores.astype(np.result_type(scores, -np.inf), copy=True)
-    # keys in any order: no row masks a column at or before the smallest
-    # query position, so the mask starts at the first key past it
-    past = np.flatnonzero(k_pos > q_pos.min()) if q_pos.size else ()
-    if len(past):
-        np.copyto(out[:, past[0]:], -np.inf, where=k_pos[past[0]:] > q_pos[:, None])
-    return _normalize_in_place(out)
-
-
 def _softmax_in_place(scores: np.ndarray, q_pos: np.ndarray, k_pos: np.ndarray) -> np.ndarray:
-    """``softmax_causal`` of every matrix of stacked (..., rows, keys) float ``scores``.
+    """Row-wise causal softmax of every matrix of stacked (..., rows, keys) float ``scores``.
 
     All matrices share the int64 query positions ``q_pos`` (rows,) and key
     positions ``k_pos`` (keys,), both ascending, as in an attention block,
-    so the mask is built once. The softmax overwrites ``scores``, which it
-    returns; each matrix equals the 2-D call on it bit for bit.
+    so the mask is built once. A key past its row's query position gets
+    exactly 0, and every row admits at least one key. Rows are stabilized
+    by max subtraction. A row's output does not depend on the rows or
+    matrices beside it, and dropping trailing masked columns leaves its
+    other entries bit-identical. The softmax overwrites ``scores``, which
+    it returns.
     """
     # Positions ascend: a column is masked in some row only past the first
     # query, so only a last key past it needs the search. A decode row's
@@ -252,11 +194,6 @@ def _softmax_in_place(scores: np.ndarray, q_pos: np.ndarray, k_pos: np.ndarray) 
     if q_pos.size and k_pos.size and k_pos[-1] > q_pos[0]:
         lo = k_pos.searchsorted(q_pos[0], side="right")
         np.copyto(scores[..., lo:], -np.inf, where=k_pos[lo:] > q_pos[:, None])
-    return _normalize_in_place(scores)
-
-
-def _normalize_in_place(scores: np.ndarray) -> np.ndarray:
-    """Exponentiate masked stacked scores in place, less each row's max, and divide by row sums."""
     # Every row admits at least one key (its own position), so the max is
     # finite; the initial value only serves an empty batch of rows.
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True, initial=-np.inf)
@@ -316,33 +253,6 @@ def _rope_table(theta_base: float, d_head: int, dtype, rows: int):
     return table
 
 
-def rope_apply(x: np.ndarray, positions, theta_base: float) -> np.ndarray:
-    """Rotary position embedding over (T, n_heads, d_head) tensors.
-
-    Pairs dimension j with j + d_head/2 and rotates each pair by
-    pos * theta_base**(-2j/d_head). Norm of every head vector is preserved.
-    Positions are non-negative integers (else ShapeError). Their cos and
-    sin are rows of one table per (theta_base, d_head, dtype), equal bit
-    for bit to computing them for the positions alone, which the tests pin
-    on this build.
-    """
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise ShapeError(f"rope_apply expects (T, heads, d_head), got {x.shape}")
-    d_head = x.shape[-1]
-    if d_head % 2 != 0:
-        raise ConfigError(f"rope_apply requires an even head dim, got {d_head}")
-    pos = np.asarray(positions)
-    if pos.shape != (x.shape[0],):
-        raise ShapeError(f"positions length {pos.shape} != sequence length {x.shape[0]}")
-    if pos.size and pos.dtype.kind not in "iu":
-        raise ShapeError(f"rope positions must be integers, got dtype {pos.dtype}")
-    if pos.size and pos.min() < 0:
-        raise ShapeError("rope positions must be >= 0")
-    return _rope_apply(x, *_rope_rows(pos.astype(np.intp, copy=False), theta_base, d_head,
-                                      x.dtype))
-
-
 def _rope_rows(pos: np.ndarray, theta_base: float, d_head: int, dtype):
     """Cos and signed sin table rows of int ``pos`` (T,), as (T, 1, d_head) arrays in ``dtype``."""
     cos, sin = _rope_table(theta_base, d_head, dtype,
@@ -351,7 +261,13 @@ def _rope_rows(pos: np.ndarray, theta_base: float, d_head: int, dtype):
 
 
 def _rope_apply(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """``rope_apply`` of (T, heads, d_head) ``x`` with its positions' ``_rope_rows``."""
+    """Rotary position embedding of (T, heads, d_head) ``x``, given its positions' ``_rope_rows``.
+
+    Pairs dimension j with j + d_head/2 (d_head even) and rotates each
+    pair by pos * theta_base**(-2j/d_head); the norm of every head vector
+    is preserved. The table's cos and sin rows equal, bit for bit, those
+    computed for the positions alone, which the tests pin on this build.
+    """
     # [x1 cos - x2 sin, x1 sin + x2 cos] as x [cos, cos] + [x2, x1] [-sin, sin]:
     # the same rounded products, added in an order that rounds the same
     half = x.shape[-1] // 2
@@ -370,8 +286,3 @@ def silu(x: np.ndarray) -> np.ndarray:
     out *= 0.5
     out *= x
     return out
-
-
-def attention_scale(d_head: int) -> float:
-    """The 1/sqrt(d_head) attention score scale."""
-    return 1.0 / math.sqrt(d_head)

@@ -34,9 +34,11 @@ class HiddenTrace:
     recorded: the entries of the layers it ran and the failing layer's
     input states.
 
-    Traces satisfy ``normalized[j] == rms_norm(hidden[j], gain)`` bitwise,
-    with the gain of layer ``layers[j]`` for captured traces and unit gain
-    for synthetic ones.
+    Traces satisfy ``normalized[j] == gain * (hidden[j] /
+    np.sqrt(np.mean(np.square(hidden[j]), -1, keepdims=True) + eps))``
+    bitwise, the RMSNorm of ``tensor_core._rms_norm``, with the gain of
+    layer ``layers[j]`` and the model's ``norm_eps`` for captured traces
+    and unit gain and eps 1e-5 for synthetic ones.
     """
 
     layers: list[int] = field(default_factory=list)

@@ -1,5 +1,6 @@
-"""Constructed models with known behavior, shared across test modules."""
+"""Constructed models with known behavior, and kernel oracles, shared across test modules."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,39 @@ def planted_tokens(n=128, seed=9):
     return np.concatenate([[0], rest])
 
 
+def mean_rms_norm(x, gain, eps):
+    """RMSNorm in its ``np.mean`` form, which ``tensor_core._rms_norm`` equals bit for bit."""
+    return gain * (x / np.sqrt(np.mean(np.square(x), -1, keepdims=True) + eps))
+
+
+def whole_matrix_softmax(scores, q_pos, k_pos):
+    """The causal softmax of a 2-D score matrix, its mask built over every column at once.
+
+    Positions may come in any order. The row sums run through the
+    row-invariant ``tc.matmul``, as the kernel's do, so the result equals
+    ``tensor_core._softmax_in_place`` bit for bit.
+    """
+    masked = np.where(k_pos[None, :] <= q_pos[:, None], scores, -np.inf)
+    exp = np.exp(masked - np.max(masked, axis=1, keepdims=True, initial=-np.inf))
+    return exp / tc.matmul(exp, np.ones((exp.shape[1], 1), exp.dtype))
+
+
+def rope_angles(positions, d_head, theta_base):
+    """The float64 rotation angles of ``positions``, computed for them alone."""
+    inv_freq = theta_base ** (-2.0 * np.arange(d_head // 2, dtype=np.float64) / d_head)
+    return np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
+
+
+def per_call_rope(x, positions, theta_base):
+    """Rotary embedding of (T, heads, d_head) ``x``, cos and sin taken for ``positions`` alone."""
+    half = x.shape[-1] // 2
+    angles = rope_angles(positions, x.shape[-1], theta_base)
+    cos = np.cos(angles).astype(x.dtype)[:, None, :]
+    sin = np.sin(angles).astype(x.dtype)[:, None, :]
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+
+
 def full_width_block_forward(model, layer, x, positions, sel, kv_rows, xn, cache=None,
                              capture_attn0=False):
     """``model_runtime.block_forward`` with full-width attention, one head at a time.
@@ -171,8 +205,10 @@ def full_width_block_forward(model, layer, x, positions, sel, kv_rows, xn, cache
     Every selected query row is scored against every key and the causal
     mask discards the later ones; no row blocks, no key prefixes, no GQA
     stacking, no arena: the keys are the cache's rows followed by the new
-    ones, and the cache is read, not appended to. Same signature, in-place
-    update and returns as ``block_forward``, which must match it bitwise.
+    ones, and the cache is read, not appended to. RMSNorm, rotary and the
+    softmax are the oracles above, not the library's kernels. Same
+    signature, in-place update and returns as ``block_forward``, which
+    must match it bitwise.
     """
     cfg = model.config
     n_heads, n_kv, d_head = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
@@ -181,7 +217,7 @@ def full_width_block_forward(model, layer, x, positions, sel, kv_rows, xn, cache
 
     xk, kv_pos = xn[kv_rows], positions[kv_rows]
     k_new = tc.matmul(xk, w[f"{prefix}.attn.wk.weight"]).reshape(len(kv_rows), n_kv, d_head)
-    k_new = tc.rope_apply(k_new, kv_pos, cfg.rope_theta)
+    k_new = per_call_rope(k_new, kv_pos, cfg.rope_theta)
     v_new = tc.matmul(xk, w[f"{prefix}.attn.wv.weight"]).reshape(len(kv_rows), n_kv, d_head)
     if cache is None:
         keys, values, key_pos = k_new, v_new, kv_pos
@@ -196,14 +232,14 @@ def full_width_block_forward(model, layer, x, positions, sel, kv_rows, xn, cache
 
     q_pos = positions[sel]
     q = tc.matmul(xn[sel], w[f"{prefix}.attn.wq.weight"]).reshape(len(sel), n_heads, d_head)
-    q = tc.rope_apply(q, q_pos, cfg.rope_theta)
+    q = per_call_rope(q, q_pos, cfg.rope_theta)
     ctx = np.empty((len(sel), n_heads, d_head), dtype=x.dtype)
     sink_col = np.flatnonzero(key_pos == 0)
-    scale = tc.attention_scale(d_head)
+    scale = 1.0 / math.sqrt(d_head)
     for h in range(n_heads):
         g = h // (n_heads // n_kv)
         scores = tc.matmul(np.ascontiguousarray(q[:, h]), keys[:, g, :].T) * scale
-        probs = tc.softmax_causal(scores, q_pos, key_positions=key_pos)
+        probs = whole_matrix_softmax(scores, q_pos, key_pos)
         ctx[:, h] = tc.matmul(probs, values[:, g, :])
         if attn0 is not None and sink_col.size:
             attn0 += probs[:, sink_col[0]]
@@ -212,7 +248,7 @@ def full_width_block_forward(model, layer, x, positions, sel, kv_rows, xn, cache
 
     x[sel] = x[sel] + tc.matmul(ctx.reshape(len(sel), n_heads * d_head),
                                 w[f"{prefix}.attn.wo.weight"])
-    xn2 = tc.rms_norm(x[sel], w[f"{prefix}.ffn_norm.gain"], cfg.norm_eps)
+    xn2 = mean_rms_norm(x[sel], w[f"{prefix}.ffn_norm.gain"], cfg.norm_eps)
     hidden = (tc.silu(tc.matmul(xn2, w[f"{prefix}.ffn.w_gate.weight"]))
               * tc.matmul(xn2, w[f"{prefix}.ffn.w_up.weight"]))
     x[sel] = x[sel] + tc.matmul(hidden, w[f"{prefix}.ffn.w_down.weight"])

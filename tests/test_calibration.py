@@ -166,6 +166,22 @@ class TestLayerPlan:
         with pytest.raises(ConfigError, match="keep_ratio must be a number"):
             self.plan(keep_ratio=keep)
 
+    @pytest.mark.parametrize("target", ["x", True, -0.1, 1.0, float("nan"), [0.2], {}])
+    def test_target_sparsity_domain(self, target):
+        # None or a number in [0, 1), the range plan_from_sparsity takes
+        with pytest.raises(ConfigError, match="target_sparsity"):
+            self.plan(target_sparsity=target)
+        data = json.loads(self.plan().to_json())
+        data["target_sparsity"] = target
+        with pytest.raises(ConfigError, match="target_sparsity"):
+            LayerPlan.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("target", [None, 0, 0.0, 0.5, np.float32(0.25)])
+    def test_target_sparsity_kept(self, target):
+        plan = self.plan(target_sparsity=target)
+        assert plan.target_sparsity == (None if target is None else float(target))
+        assert LayerPlan.from_json(plan.to_json()).target_sparsity == plan.target_sparsity
+
     def test_json_schema_keys(self):
         data = json.loads(self.plan().to_json())
         assert set(data) == {"model_id", "l_sink", "target_sparsity",

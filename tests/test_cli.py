@@ -122,6 +122,17 @@ class TestSynthModel:
         assert err.startswith("error:")
         assert "d_model" in err
 
+    @pytest.mark.parametrize("flag, value, match", [
+        ("--heads", "0", "--heads"), ("--heads", "-2", "--heads"),
+        ("--kv-heads", "0", "dimensions"), ("--d-ffn", "0", "dimensions")])
+    def test_size_below_one_refused(self, tmp_path, capsys, flag, value, match):
+        # a zero size is refused, not divided by or replaced with the default
+        out = tmp_path / "ck"
+        code, _, err = run_cli("synth-model", "--out", out, "--layers", "2",
+                               "--d-model", "16", flag, value, capsys=capsys)
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+        assert match in err and not out.exists()
+
 
 class TestAnalyze:
     def test_synthetic_outputs_and_monotone_columns(self, tmp_path, capsys):
@@ -164,6 +175,19 @@ class TestAnalyze:
         assert (out / "norms.csv").exists()
         assert (out / "trace_states.csv").exists()
         assert not (out / "trace_norms.csv").exists()
+
+    @pytest.mark.parametrize("seq_len", ["0", "-150"])
+    @pytest.mark.parametrize("source", ["synthetic", "model"])
+    def test_seq_len_below_one_refused(self, cli_ck, tmp_path, capsys, source, seq_len):
+        # -150 would analyze the first 50 tokens of 200, 0 the default length
+        corpus = write_corpus(tmp_path / "c.txt", helpers.make_tokens(200, 64, seed=1))
+        inputs = ["--synthetic"] if source == "synthetic" else ["--model", cli_ck,
+                                                                "--corpus", corpus]
+        out = tmp_path / "out"
+        code, _, err = run_cli("analyze", *inputs, "--seq-len", seq_len, "--out", out,
+                               capsys=capsys)
+        assert code == 2 and err.startswith("error:") and "--seq-len" in err
+        assert not out.exists()
 
     def test_needs_source(self, tmp_path, capsys):
         code, _, err = run_cli("analyze", "--out", tmp_path / "x", capsys=capsys)

@@ -26,12 +26,11 @@ from orthorank import tensor_core
 from orthorank.checkpoint_io import _synthetic_weights
 from orthorank.model_runtime import ROW_BLOCK, block_forward
 from orthorank.selection import DEFAULT_CRITERION, select_topk, selection_keys
-from orthorank.tensor_core import rms_norm
 from orthorank.trace import HiddenTrace, dump_trace_csv
 
 import helpers
 import reference as ref
-from helpers import make_tokens
+from helpers import make_tokens, mean_rms_norm
 
 
 class TestForwardDense:
@@ -127,7 +126,7 @@ class TestHiddenTrace:
         _, trace, _ = forward_dense(tiny_model, tiny_tokens, HiddenTrace())
         for j, layer in enumerate(trace.layers):
             gain = tiny_model.weights[f"layers.{layer}.attn_norm.gain"]
-            expect = rms_norm(trace.hidden[j], gain, tiny_model.config.norm_eps)
+            expect = mean_rms_norm(trace.hidden[j], gain, tiny_model.config.norm_eps)
             assert np.array_equal(trace.normalized[j], expect)
 
     def test_attn_to_sink_in_unit_interval(self, tiny_model, tiny_tokens):
@@ -228,7 +227,7 @@ class TestDetectSinkLayer:
         generate_synthetic_model(config, 4, tmp_path / "m8")
         model = Model.from_checkpoint(tmp_path / "m8")
         calls = []
-        real = tensor_core._rms_norm  # the kernel that rms_norm and the layer loop call
+        real = tensor_core._rms_norm  # the layer loop's RMSNorm kernel
 
         def counting(*args, **kwargs):
             calls.append(1)
@@ -341,7 +340,7 @@ class TestBlockTruncatedAttention:
         cfg, layer = model.config, 1
         rng = np.random.default_rng(t + history)
         x = rng.standard_normal((t, cfg.d_model)).astype(np.float32)
-        xn = rms_norm(x, model.weights[f"layers.{layer}.attn_norm.gain"], cfg.norm_eps)
+        xn = mean_rms_norm(x, model.weights[f"layers.{layer}.attn_norm.gain"], cfg.norm_eps)
         positions = np.arange(history, history + t, dtype=np.int64)
         rows = np.arange(t, dtype=np.int64)
         picks = {
@@ -386,7 +385,7 @@ class TestBlockTruncatedAttention:
         monkeypatch.setattr(model_runtime, "SCORE_BUDGET", cfg.n_heads * 340 * 3)
         rng = np.random.default_rng(n_sel)
         x = rng.standard_normal((40, cfg.d_model)).astype(np.float32)
-        xn = rms_norm(x, model.weights[f"layers.{layer}.attn_norm.gain"], cfg.norm_eps)
+        xn = mean_rms_norm(x, model.weights[f"layers.{layer}.attn_norm.gain"], cfg.norm_eps)
         positions = np.arange(300, 340, dtype=np.int64)
         prefilled = forward_dense(model, make_tokens(300, cfg.vocab_size))[2]
         sel = np.sort(rng.choice(40, size=n_sel, replace=False))
@@ -417,7 +416,7 @@ class TestBlockTruncatedAttention:
     def test_positions_checked(self, tiny_model, positions):
         cfg, layer = tiny_model.config, 1
         x = np.random.default_rng(0).standard_normal((4, cfg.d_model)).astype(np.float32)
-        xn = rms_norm(x, tiny_model.weights[f"layers.{layer}.attn_norm.gain"], cfg.norm_eps)
+        xn = mean_rms_norm(x, tiny_model.weights[f"layers.{layer}.attn_norm.gain"], cfg.norm_eps)
         rows = np.arange(4)
         with pytest.raises(ShapeError, match="positions"):
             block_forward(tiny_model, layer, x, positions, rows, rows, xn, KVCache(cfg))

@@ -131,6 +131,12 @@ class TestSelectTopk:
         with pytest.raises(ConfigError):
             select_topk(np.array([np.inf, 0.5, 0.1]), ratio)
 
+    @pytest.mark.parametrize("keys", [np.zeros((3, 4)), np.zeros((0, 2)), np.float64(0.5), 0.5])
+    def test_keys_must_be_one_dimensional(self, keys):
+        # a matrix would be ranked by its rows, a scalar has no length
+        with pytest.raises(ShapeError, match="1-D keys"):
+            select_topk(keys, 0.5)
+
     @given(st.integers(1, 512), st.floats(0.0, 1.0), st.integers(0, 2**31))
     @settings(max_examples=120, deadline=None)
     def test_matches_brute_force(self, t, p, seed):
@@ -661,7 +667,7 @@ class TestRmsNormOncePerLayer:
     @pytest.fixture
     def norm_calls(self, monkeypatch):
         calls = Counter()
-        real = tensor_core._rms_norm  # the kernel that rms_norm and the layer loop call
+        real = tensor_core._rms_norm  # the layer loop's RMSNorm kernel
 
         def counting(x, gain, eps):
             calls[id(gain)] += 1
