@@ -228,15 +228,19 @@ def calibrate_greedy(
 
     Every candidate is evaluated against the round's base run, the
     recorded run of ``chosen``, and so resumes at its own layer ``c``, the
-    one layer where the two plans differ. The dense pass, recorded once per
+    one layer where the two plans differ. The base ran ``c`` dense, so the
+    candidate's layer ``c`` scores and selects its rows and takes their
+    outputs from the base's record instead of running its block; only the
+    layers above ``c`` run blocks. The dense pass, recorded once per
     corpus chunk, is the first base; each round's winner, recorded in every
     round but the last, is the next. Candidates run one at a time in
     ascending layer order, and only the running best candidate's record is
     kept besides the base. One-shot candidates resume from the dense base,
     and m=0 returns the empty plan without a pass. The result is
     deterministic and bitwise that of evaluating every candidate from the
-    embeddings. ``l_sink`` must be a layer of the model or -1, else
-    ConfigError before any pass.
+    embeddings. ``l_sink`` must be a layer of the model or -1, every
+    eligible layer a layer of the model after ``l_sink``, and
+    ``keep_ratio`` in (0, 1], else ConfigError before any pass.
     """
     from .eval_harness import _corpus_chunks, _eval_chunks, _resolve_plan
 
@@ -258,10 +262,9 @@ def calibrate_greedy(
             calib=calib,
         )
 
-    empty = plan_of([])
-    _resolve_plan(model, empty)  # l_sink against the model, before any pass
+    _resolve_plan(model, plan_of(eligible))  # l_sink and the eligible layers, before any pass
     if m == 0:
-        return empty
+        return plan_of([])
 
     base = _eval_chunks(model, chunks, LayerPlan(), record=True)
     if one_shot:

@@ -150,8 +150,6 @@ def cmd_synth_model(args) -> int:
 def cmd_analyze(args) -> int:
     if args.seq_len is not None and args.seq_len < 1:
         raise UsageError(f"--seq-len must be >= 1, got {args.seq_len}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.synthetic:
         trace = generate_synthetic_sink_trace(
             args.layers,
@@ -177,12 +175,14 @@ def cmd_analyze(args) -> int:
     )
 
     sink = analysis.sink_token_similarity(trace, sink_positions)
+    cross = [analysis.cross_layer_self_similarity(trace, pos) for pos in cross_positions]
+    norms = analysis.norm_profile(trace)
+    out_dir = Path(args.out)  # made only once every table is computed
+    out_dir.mkdir(parents=True, exist_ok=True)
     sink.to_csv(out_dir / "sink_vs_tokens.csv")
-    for pos in cross_positions:
-        analysis.cross_layer_self_similarity(trace, pos).to_csv(
-            out_dir / f"cross_layer_p{pos}.csv"
-        )
-    analysis.norm_profile(trace).to_csv(out_dir / "norms.csv")
+    for pos, table in zip(cross_positions, cross):
+        table.to_csv(out_dir / f"cross_layer_p{pos}.csv")
+    norms.to_csv(out_dir / "norms.csv")
     if args.dump_trace:
         dump_trace_csv(trace, out_dir / "trace_states.csv")
     written = ["sink_vs_tokens.csv"] + [f"cross_layer_p{p}.csv" for p in cross_positions]

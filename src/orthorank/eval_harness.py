@@ -7,7 +7,9 @@ their reports agree bitwise. The layerwise sweep, the ablation grid and
 greedy calibration pass an earlier recorded run as the base of each
 evaluation, which then resumes at the first layer where the two runs differ,
 from the base's recorded layer inputs; their perplexities equal the
-standalone op's bitwise.
+standalone op's bitwise. When the base ran that layer dense and KV for
+unselected tokens is on, the layer's selected rows are the base's recorded
+output rows, so it mixes them in without running its block.
 """
 
 import hashlib
@@ -126,7 +128,11 @@ def _eval_chunks(model, chunks, plan, criterion=DEFAULT_CRITERION,
     smallest layer whose keep ratio differs or, when the criterion or KV
     setting differs, the smallest plan layer of either run (the last layer
     when nothing differs). Layers outside a plan run dense whatever the
-    rule, so the result is bitwise that of a run from the embeddings.
+    rule, so the result is bitwise that of a run from the embeddings. When
+    the base ran that layer dense, the run has KV for unselected tokens on,
+    the layer is not the last, and no attention mass is captured, the
+    layer's selected rows are bitwise the base's recorded output rows: it
+    takes them from the record (a row mix) instead of running its block.
     Every chunk records into ``trace``, with the chunk index as the step of
     its selection rows. With ``record`` each chunk records into a
     ``HiddenTrace()`` of its own instead (so a chunk's normalized states go
@@ -140,6 +146,9 @@ def _eval_chunks(model, chunks, plan, criterion=DEFAULT_CRITERION,
         (l for l in ratios.keys() | base.ratios.keys()
          if rule != base.rule or ratios.get(l) != base.ratios.get(l)),
         default=model.config.n_layers - 1)  # no record holds the last layer's output
+    mix = (base is not None and compute_kv_for_unselected and first not in base.ratios
+           and first + 1 < model.config.n_layers
+           and (trace is None or trace.attn_to_sink is None))
     nlls, states = [], [] if record else None
     for c, chunk in enumerate(chunks):
         chunk_trace = HiddenTrace() if record else trace
@@ -151,7 +160,8 @@ def _eval_chunks(model, chunks, plan, criterion=DEFAULT_CRITERION,
         else:
             logits = _run_layers(model, None, KVCache(model.config), ratios, criterion,
                                  compute_kv_for_unselected, chunk_trace,
-                                 resume=(first, base.states[c][first]))
+                                 resume=(first, base.states[c][first],
+                                         base.states[c][first + 1] if mix else None))
         if rows:  # the chunk's prefill recorded step 0
             rows[n_rows:] = [(l, c, p, s, k) for l, _, p, s, k in rows[n_rows:]]
         nlls.append(float(np.sum(_chunk_nll(logits[:-1], chunk[1:]))))
@@ -219,8 +229,9 @@ def layerwise_comparison(
     its degradation is visible. Returns {"layers", "dense", "columns":
     {label: [ppl per layer]}}. The dense pass runs once per chunk and
     records its layer inputs; it is the base of every cell, so each cell
-    resumes at its own layer. ``l_sink`` must be a layer of the model or
-    -1, else ConfigError before any pass.
+    resumes at its own layer and, but for the final layer's, takes that
+    layer's selected rows from the dense record. ``l_sink`` must be a
+    layer of the model or -1, else ConfigError before any pass.
     """
     if not criteria:
         raise UsageError("need at least one criterion")

@@ -169,7 +169,8 @@ def _score_keys(states: np.ndarray, sink_state, criterion: Criterion, rng_key) -
 def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
                 ratio: float | None, criterion: Criterion, compute_kv_for_unselected: bool,
                 cache: KVCache, trace: HiddenTrace | None,
-                staged_scores: list[tuple[int, float]] | None = None):
+                staged_scores: list[tuple[int, float]] | None = None,
+                dense_out: np.ndarray | None = None):
     """Run block ``layer`` in place on ``x``; selectively unless ``ratio`` is None.
 
     The attention RMSNorm is computed once and shared by the trace, the
@@ -185,6 +186,12 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
     normalized rows, the scored rows of a plan layer, and the selected
     rows' attention mass on key 0. Returns the selected rows and the
     block's new key and value rows (None when a decode row stores nothing).
+    ``dense_out``, the layer's recorded dense output for the prefill input
+    ``x``, replaces the block: after the norm, scoring and trace, its
+    selected rows are written into ``x`` and no key or value is made. With
+    KV for unselected rows on, selected rows are bitwise the dense block's,
+    so the result is the block's; the caller passes it only then, and with
+    no attention mass captured.
     """
     xn = tc._rms_norm(x, model.weights[_layer_names(layer).attn_norm], model.config.norm_eps)
     if trace is not None:
@@ -217,6 +224,9 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
             chosen = np.isin(rows, sel).astype(np.int64)
             trace.selection.extend((layer, step, p, s, c) for p, s, c in zip(
                 positions.tolist(), keys.tolist(), chosen.tolist()))
+    if dense_out is not None:
+        x[sel] = dense_out[sel]
+        return sel, None, None
     capture_attn0 = trace is not None and trace.attn_to_sink is not None
     kv_rows = rows if compute_kv_for_unselected else sel
     if step and kv_rows.size == 0:  # unselected with KV off: the token skips the layer
@@ -251,14 +261,18 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     layer, and then ``decode_select`` inserts each staged score, so a
     failed step leaves the cache's committed rows, arenas and selection
     state as they were (its ``trace`` keeps what the step recorded).
-    ``resume=(s, x)`` starts a prefill at layer ``s`` from ``x``, the
+    ``resume=(s, x, out)`` starts a prefill at layer ``s`` from ``x``, the
     (T, d) input states of that layer recorded by an earlier run (``x`` is
     not modified and ``token_ids`` is not read). Layers below ``s`` neither
     run nor fill the cache; from ``s`` on, the same ops run on
     the same rows as in a run from the embeddings under any plan that agrees
-    with ``plan`` below ``s``, so the result is bitwise that run's. A
-    ``trace`` (``HiddenTrace``) gets the entries of every layer step the
-    loop runs, from ``s`` on when it resumes.
+    with ``plan`` below ``s``, so the result is bitwise that run's. ``out``
+    is None or the recorded run's output of a dense layer ``s``, its input
+    to layer ``s + 1``: layer ``s`` then mixes the rows it selects from
+    ``out`` into ``x`` instead of running its block (``_layer_step``'s
+    ``dense_out``), and fills no cache rows. A ``trace`` (``HiddenTrace``)
+    gets the entries of every layer step the loop runs, from ``s`` on when
+    it resumes.
     """
     cfg = model.config
     config, model_id = cache.identity
@@ -274,9 +288,9 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
             raise StateError(f"the cache was prefilled under {cache.criterion}; "
                              f"a decode step cannot select under {criterion}")
     if resume is None:
-        first, (x, _) = 0, embed_tokens(model, token_ids)
+        first, (x, _), dense_out = 0, embed_tokens(model, token_ids), None
     else:
-        first, x = resume[0], resume[1].copy()
+        first, x, dense_out = resume[0], resume[1].copy(), resume[2]
     staged = copy.copy(cache)
     staged.layers, staged.sink_state = list(cache.layers), dict(cache.sink_state)
     staged.sorted_history = dict(cache.sorted_history)
@@ -286,7 +300,8 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     scores = []  # a decode step's (layer, score) at each plan layer
     for layer in range(first, cfg.n_layers):
         _layer_step(model, layer, x, positions, plan.get(layer), criterion,
-                    compute_kv_for_unselected, staged, trace, scores)
+                    compute_kv_for_unselected, staged, trace, scores, dense_out)
+        dense_out = None
     vars(cache).update(vars(staged))  # commit: the staged containers replace the cache's
     for layer, score in scores:  # and each score joins its list, ranked as the step ranked it
         decode_select(cache, layer, score, plan[layer])

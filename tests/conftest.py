@@ -105,6 +105,19 @@ def layer_steps(monkeypatch):
     return layers
 
 
+@pytest.fixture(scope="session")
+def layout_models():
+    """Six-layer random models with multi-head and grouped-query attention, by name."""
+    return helpers.attention_layout_models()
+
+
+@pytest.fixture
+def block_runs():
+    """Layers whose block a layer step runs (``selection.block_forward``), in call order."""
+    with helpers.counted_blocks() as layers:
+        yield layers
+
+
 @pytest.fixture
 def softmax_entries(monkeypatch):
     """``scores.size`` of every stacked ``tensor_core._softmax_in_place`` call, in call order."""

@@ -1,11 +1,14 @@
 """Constructed models with known behavior, and kernel oracles, shared across test modules."""
 
+import contextlib
 import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from orthorank import Model, ModelConfig, generate_synthetic_model, load_checkpoint
+from orthorank import selection
 from orthorank import tensor_core as tc
 from orthorank.checkpoint_io import _synthetic_weights, required_tensors, save_checkpoint
 
@@ -28,6 +31,29 @@ def blank_weights(config):
 def make_random_model(config, seed=0):
     """In-memory model drawn as ``generate_synthetic_model``'s, without a file."""
     return Model(config, _synthetic_weights(config, seed), f"random-{seed}")
+
+
+def attention_layout_models():
+    """Six-layer random models, "mha" with 4 KV heads and "gqa" with 2 for its 4 query heads."""
+    return {name: make_random_model(ModelConfig(n_layers=6, d_model=32, n_heads=4,
+                                                n_kv_heads=n_kv, d_head=8, d_ffn=64,
+                                                vocab_size=64), seed=12)
+            for name, n_kv in (("mha", 4), ("gqa", 2))}
+
+
+@contextlib.contextmanager
+def counted_blocks():
+    """Layers whose block a layer step runs (``selection.block_forward``), in call order."""
+    layers = []
+    real_block = selection.block_forward
+
+    def counting_block(model, layer, *args, **kwargs):
+        layers.append(layer)
+        return real_block(model, layer, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "block_forward", counting_block)
+        yield layers
 
 
 def make_uniform_model():

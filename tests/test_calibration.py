@@ -400,7 +400,42 @@ class TestResumedCalibration:
         for plan, _, nlls in seen:
             assert nlls == perplexity(live_model, plan, live_corpus, self.W).chunk_nll
 
-    def test_greedy_layer_steps(self, corpus, layer_steps):
+    @given(layout=st.sampled_from(["mha", "gqa"]), width=st.sampled_from([6, 12, 23, 40]),
+           m=st.integers(1, 3), one_shot=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_mixed_calibration_equals_runs_from_embeddings(self, layout_models, layout, width,
+                                                           m, one_shot):
+        # 6 layers, eligible 1..5: every candidate mixes its layer but layer 5's;
+        # at p = 0.333 the shorter windows select fewer than 8 rows (the GQA fold)
+        model = layout_models[layout]
+        corpus = helpers.make_tokens(2 * width + 3, 64, seed=width)
+        _, chunks = eval_harness._corpus_chunks(corpus, width)
+        seen = []
+        real = eval_harness._eval_chunks
+
+        def spy(model, chunks, plan, *args, **kwargs):
+            run = real(model, chunks, plan, *args, **kwargs)
+            seen.append((plan, run))
+            return run
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eval_harness, "_eval_chunks", spy)
+            plan = calibrate_greedy(model, corpus, m, 0.333, range(1, 6), width,
+                                    one_shot=one_shot)
+        for evaluated, run in seen:
+            fresh = real(model, chunks, evaluated, record=True)
+            assert run.chunk_nll == fresh.chunk_nll
+            for own, want in zip(run.states or [], fresh.states):
+                assert all(np.array_equal(a, b) for a, b in zip(own, want))
+        if one_shot:
+            singles = sorted((perplexity(model, evaluated, corpus, width).perplexity,
+                              evaluated.layers[0]) for evaluated, _ in seen[1:])
+            assert plan.layers == sorted(layer for _, layer in singles[:m])
+        else:
+            assert plan.layers == brute_force_greedy(model, corpus, m, 0.333, range(1, 6),
+                                                     width, 0)
+
+    def test_greedy_layer_steps(self, corpus, layer_steps, block_runs):
         # 8 layers, 2 chunks; the identity layers 2 and 5 win rounds one and two
         model = helpers.make_rotation_model(8, {2, 5})
         plan = calibrate_greedy(model, corpus, 3, 0.333, range(1, 7), 128)
@@ -409,18 +444,29 @@ class TestResumedCalibration:
         # the dense base, then each candidate from its own layer up
         expected = 2 * (8 + sum(8 - c for r in rounds for c in r))
         assert len(layer_steps) == expected == 148  # 240 from the embeddings
+        # a candidate's own layer mixes its rows from the base's record
+        assert len(block_runs) == expected - 2 * sum(map(len, rounds)) == 118
 
-    def test_one_shot_layer_steps(self, corpus, layer_steps):
+    def test_one_shot_layer_steps(self, corpus, layer_steps, block_runs):
         model = helpers.make_rotation_model(8, {2, 5})
         plan = calibrate_greedy(model, corpus, 2, 0.333, range(1, 7), 128, one_shot=True)
         assert plan.layers == [2, 5]
         assert len(layer_steps) == 2 * (8 + sum(8 - c for c in range(1, 7))) == 70  # 96 before
+        assert len(block_runs) == 2 * (8 + sum(7 - c for c in range(1, 7))) == 58
 
     @pytest.mark.parametrize("one_shot", [False, True])
     def test_zero_rounds_make_no_layer_steps(self, corpus, layer_steps, one_shot):
         model = helpers.make_rotation_model(8, {2, 5})
         plan = calibrate_greedy(model, corpus, 0, 0.333, range(1, 7), 128, one_shot=one_shot)
         assert plan.layers == [] and plan.calib["context_len"] == 128
+        assert layer_steps == []
+
+    @pytest.mark.parametrize("one_shot", [False, True])
+    def test_eligible_layer_at_the_sink_refused_before_any_pass(self, live_model, live_corpus,
+                                                                 layer_steps, one_shot):
+        with pytest.raises(ConfigError, match="not after the sink layer 0"):
+            calibrate_greedy(live_model, live_corpus, 1, 0.333, [0, 1], self.W, l_sink=0,
+                             one_shot=one_shot)
         assert layer_steps == []
 
     @pytest.mark.parametrize("corpus_len, context_len", [(20, 32), (64, 1)])

@@ -189,6 +189,15 @@ class TestAnalyze:
         assert code == 2 and err.startswith("error:") and "--seq-len" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--seq-len", "1"], ["--positions", "50"]])
+    def test_refused_trace_or_positions_make_no_directory(self, tmp_path, capsys, flags):
+        # the trace needs 2 rows; position 50 is past a 24-token trace
+        out = tmp_path / "d"
+        code, _, err = run_cli("analyze", "--synthetic", "--seq-len", "24", *flags,
+                               "--out", out, capsys=capsys)
+        assert code == 2 and err.startswith("error:")
+        assert not out.exists()
+
     def test_needs_source(self, tmp_path, capsys):
         code, _, err = run_cli("analyze", "--out", tmp_path / "x", capsys=capsys)
         assert code == 2

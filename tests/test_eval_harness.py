@@ -31,7 +31,9 @@ from orthorank import (
     layerwise_to_csv,
     perplexity,
 )
+from orthorank import eval_harness
 from orthorank.eval_harness import ABLATION_ROWS, _corpus_chunks, _eval_chunks, criterion_label
+from orthorank.selection import CRITERION_KINDS, STAGES
 from orthorank import calibrate_greedy
 
 
@@ -358,23 +360,27 @@ class TestResumedPrefix:
                 assert cell == perplexity(planted_model, plan, corpus, 48,
                                           criterion=crit).perplexity, (crit, layer)
 
-    def test_grid_layer_steps(self, planted_model, layer_steps):
+    def test_grid_layer_steps(self, planted_model, layer_steps, block_runs):
         # 10 layers, 2 chunks: the first row runs every layer, the other six
-        # resume at the plan's first layer (140 from the embeddings)
+        # resume at the plan's first layer (140 from the embeddings); that
+        # layer ran selectively in the first row, so every step runs its block
         corpus = helpers.planted_tokens(128, seed=9)
         ablation_grid(planted_model, make_plan(planted_model, [3, 5, 6]), corpus, 64)
         assert len(layer_steps) == 2 * (10 + 6 * 7) == 104
+        assert block_runs == layer_steps
         assert layer_steps.count(0) == 2
 
-    def test_sweep_layer_steps(self, planted_model, layer_steps):
+    def test_sweep_layer_steps(self, planted_model, layer_steps, block_runs):
         # 10 layers, 2 chunks, 2 criteria: one dense pass, each cell from its
-        # layer up (2 * (10 + 2 * 8 * 10) = 340 from the embeddings)
+        # layer up (2 * (10 + 2 * 8 * 10) = 340 from the embeddings); a cell's
+        # own layer mixes its rows from the dense record, but for the last layer
         corpus = helpers.planted_tokens(128, seed=9)
         layerwise_comparison(planted_model, corpus, 0.5,
                              [Criterion(), Criterion("norm_asc", "normalized")],
                              l_sink=1, context_len=64)
         cells = sum(10 - layer for layer in range(2, 10))
         assert len(layer_steps) == 2 * (10 + 2 * cells) == 164
+        assert len(block_runs) == 2 * (10 + 2 * (cells - 7)) == 136
 
     @pytest.mark.parametrize("corpus_len, context_len", [(20, 32), (64, 1)])
     def test_short_corpus_or_context_is_usage_error(self, planted_model, corpus_len,
@@ -385,6 +391,99 @@ class TestResumedPrefix:
         with pytest.raises(UsageError):
             layerwise_comparison(planted_model, tokens, 0.5, [Criterion()], l_sink=1,
                                  context_len=context_len)
+
+
+_MIX_CRITERIA = st.builds(Criterion, st.sampled_from(CRITERION_KINDS), st.sampled_from(STAGES),
+                          st.just(4))
+# plan layers of the shorter windows select fewer than 8 rows, which fold a
+# GQA group's query heads into the rows of one product
+_MIX_WIDTHS = st.sampled_from([6, 12, 23, 40])
+_MIX_RATIOS = st.sampled_from([0.25, 0.333, 0.5, 1.0])
+
+
+def two_chunks(width):
+    return _corpus_chunks(helpers.make_tokens(2 * width + 3, 64, seed=width), width)[1]
+
+
+class TestRecordedRowMix:
+    """A resumed run's first layer, dense in its base, mixes its rows from the base's record."""
+
+    @given(layout=st.sampled_from(["mha", "gqa"]), width=_MIX_WIDTHS, crit=_MIX_CRITERIA,
+           ratios=st.dictionaries(st.integers(1, 5), _MIX_RATIOS, min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_run_equals_run_from_embeddings(self, layout_models, layout, width, crit,
+                                                  ratios):
+        model = layout_models[layout]
+        n_layers, chunks = model.config.n_layers, two_chunks(width)
+        layers = sorted(ratios)
+        plan = LayerPlan(layers=layers, keep_ratio=[ratios[l] for l in layers])
+        dense = _eval_chunks(model, chunks, LayerPlan(), record=True)
+        with helpers.counted_blocks() as blocks:
+            run = _eval_chunks(model, chunks, plan, crit, base=dense, record=True)
+        fresh = _eval_chunks(model, chunks, plan, crit, record=True)
+        assert run.chunk_nll == fresh.chunk_nll and run.ratios == fresh.ratios
+        for mixed, own in zip(run.states, fresh.states):
+            assert len(mixed) == len(own) == n_layers
+            assert all(np.array_equal(a, b) for a, b in zip(mixed, own))
+        mixes = layers[0] + 1 < n_layers  # the last layer's output is in no record
+        assert len(blocks) == len(chunks) * (n_layers - layers[0] - mixes)
+
+    @given(layout=st.sampled_from(["mha", "gqa"]), width=_MIX_WIDTHS, ratio=_MIX_RATIOS,
+           criteria=st.lists(_MIX_CRITERIA, min_size=1, max_size=2, unique=True),
+           l_sink=st.sampled_from([-1, 1, 3]))
+    @settings(max_examples=25, deadline=None)
+    def test_mixed_sweep_equals_standalone_perplexity(self, layout_models, layout, width,
+                                                      ratio, criteria, l_sink):
+        model = layout_models[layout]
+        n_layers = model.config.n_layers
+        corpus = helpers.make_tokens(2 * width + 3, 64, seed=width)
+        seen = []
+
+        def spy(model, chunks, plan, *args, **kwargs):
+            run = _eval_chunks(model, chunks, plan, *args, **kwargs)
+            seen.append((chunks, plan, args, run))
+            return run
+
+        with helpers.counted_blocks() as blocks, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eval_harness, "_eval_chunks", spy)
+            table = layerwise_comparison(model, corpus, ratio, criteria, l_sink, width)
+        assert len(seen) == 1 + len(criteria) * len(table["layers"])
+        for chunks, plan, args, run in seen[1:]:  # every cell, resumed on the dense record
+            assert run.chunk_nll == _eval_chunks(model, chunks, plan, *args).chunk_nll
+        for crit in criteria:
+            cells = table["columns"][criterion_label(crit, kv=True)]
+            for layer, cell in zip(table["layers"], cells):
+                plan = LayerPlan(layers=[layer], keep_ratio=ratio, l_sink=l_sink)
+                assert cell == perplexity(model, plan, corpus, width, crit).perplexity
+        # every cell mixes its own layer but the final layer's cell, which runs one block
+        per_cell = sum(n_layers - 1 - layer for layer in table["layers"]) + 1
+        assert len(blocks) == 2 * (n_layers + len(criteria) * per_cell)
+
+    @given(layout=st.sampled_from(["mha", "gqa"]), width=_MIX_WIDTHS, crit=_MIX_CRITERIA,
+           first=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_no_mix_without_kv_after_a_selective_base_or_at_the_last_layer(
+            self, layout_models, layout, width, crit, first):
+        model = layout_models[layout]
+        n_layers, chunks = model.config.n_layers, two_chunks(width)
+        plan = LayerPlan(layers=[first, first + 1], keep_ratio=0.333)
+        last = LayerPlan(layers=[n_layers - 1], keep_ratio=0.333)
+        dense = _eval_chunks(model, chunks, LayerPlan(), record=True)
+        kv_off = _eval_chunks(model, chunks, plan, crit, False, record=True)  # a grid base
+        cases = [  # plan, KV setting, base, trace, blocks per chunk
+            (plan, False, dense, None, n_layers - first),  # KV off
+            (plan, True, kv_off, None, n_layers - first),  # the base ran `first` selectively
+            (last, True, dense, None, 1),  # no record holds the last layer's output
+            (plan, True, dense, HiddenTrace(hidden=None, attn_to_sink=[]), n_layers - first),
+        ]
+        for evaluated, kv, base, trace, per_chunk in cases:
+            with helpers.counted_blocks() as blocks:
+                run = _eval_chunks(model, chunks, evaluated, crit, kv, trace, base=base)
+            fresh = _eval_chunks(model, chunks, evaluated, crit, kv)
+            assert run.chunk_nll == fresh.chunk_nll
+            assert len(blocks) == len(chunks) * per_chunk
+            if trace is not None:
+                assert len(trace.attn_to_sink) == len(blocks)
 
 
 class TestDensePlanIsLayerPlan:
