@@ -241,15 +241,11 @@ def cmd_layerwise(args) -> int:
 
 def cmd_ablate(args) -> int:
     model, corpus, plan = _eval_inputs(args)
-    rows = eval_harness.ablation_grid(model, plan, corpus, args.context_len, args.seed)
+    audit = HiddenTrace(hidden=None, selection=[]) if args.audit_csv else None
+    rows = eval_harness.ablation_grid(model, plan, corpus, args.context_len, args.seed, audit)
     eval_harness.ablation_to_csv(rows, args.out)
-    if args.audit_csv:
-        trace = HiddenTrace(hidden=None, selection=[])
-        eval_harness.perplexity(
-            model, plan, corpus, args.context_len,
-            compute_kv_for_unselected=False, trace=trace,
-        )
-        trace.write_selection_csv(args.audit_csv)
+    if audit is not None:
+        audit.write_selection_csv(args.audit_csv)
         print(f"wrote KV-off selection audit to {args.audit_csv}")
     for row in rows:
         kv = "on" if row["kv_for_unselected"] else "off"

@@ -61,12 +61,20 @@ def criterion_label(criterion: Criterion, kv: bool) -> str:
 
 
 def _chunk_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-position NLL in float64 from (T-1, vocab) logits rows."""
+    """Per-position NLL in float64 from (T-1, vocab) logits rows.
+
+    log-sum-exp of each row minus its target's logit. The one float64 copy
+    of the logits is the only array of their size: the target logits are
+    picked from it first, then it is shifted by its row maxima and
+    exponentiated in place. Each step rounds as it would into a new array,
+    so the result is the formula's bit for bit.
+    """
     ls = logits.astype(np.float64)
-    row_max = ls.max(axis=1, keepdims=True)
-    lse = row_max[:, 0] + np.log(np.exp(ls - row_max).sum(axis=1))
     picked = ls[np.arange(targets.size), targets]
-    return lse - picked
+    row_max = np.maximum.reduce(ls, axis=1, keepdims=True)
+    ls -= row_max
+    np.exp(ls, out=ls)
+    return row_max[:, 0] + np.log(np.add.reduce(ls, axis=1)) - picked
 
 
 def _corpus_chunks(corpus_tokens, context_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,19 +283,24 @@ def ablation_grid(
     corpus_tokens,
     context_len: int,
     random_seed: int = 0,
+    audit: HiddenTrace | None = None,
 ) -> list[dict]:
     """The seven-row criterion/stage/KV ablation over one plan.
 
     The first row runs from the embeddings and records its layer inputs; it
     is the base of the other six, which differ from it only in the rule and
     so resume at the plan's first layer. The last row is the default
-    configuration and equals the standalone perplexity op bitwise.
+    configuration and equals the standalone perplexity op bitwise. An
+    ``audit`` trace records the KV-off row's run: from the plan's first
+    layer on, so its selection rows are those a standalone KV-off
+    ``perplexity`` records, bitwise.
     """
     _, chunks = _corpus_chunks(corpus_tokens, context_len)
     rows, base = [], None
     for kind, stage, kv in ABLATION_ROWS:
         crit = Criterion(kind, stage, seed=random_seed)
-        run = _eval_chunks(model, chunks, plan, crit, kv, base=base, record=base is None)
+        run = _eval_chunks(model, chunks, plan, crit, kv, None if kv else audit, base,
+                           record=base is None)
         if base is None:
             base = run
         rows.append(

@@ -23,7 +23,8 @@ from .checkpoint_io import ModelConfig, _check_weights, _layer_names, _read_chec
 from .errors import ConfigError, ShapeError, StateError, UsageError, _is_number
 from .trace import HiddenTrace
 
-ROW_BLOCK = 256  # most rows per attention block (each reads only its key prefix) and per FFN block
+ROW_BLOCK = 256  # most rows per FFN block
+ATTN_ROWS = 64  # most rows per attention block (each reads only its key prefix)
 SCORE_BUDGET = 1 << 18  # most score entries of one attention block, all heads together
 
 
@@ -233,20 +234,28 @@ def block_forward(
 
     Attention runs on blocks of selected rows (their positions ascend), all
     heads at once: one stacked score product, one softmax and one context
-    product per block, with no loop over heads. A block reads only the key
-    prefix up to its last row's position: every later key is masked in all
-    of its rows. Its rows are at most ``ROW_BLOCK``, in whole kernel row
-    groups, and so few that every head's scores together hold at most
-    ``SCORE_BUDGET`` entries (a block of one row may hold more), which
-    bounds the working set; a block's scores are freed before the next
-    block's are made. The heads of one GQA group broadcast against their
-    group's keys: scores read the arena's transposed keys in place and
-    contexts its value rows, so no key or value is copied when d_head is a
-    multiple of the kernel's column block. Fewer selected rows than a
-    kernel row group (every decode step) fold the group's query heads into
-    the rows of the products: one matrix of rows x group rows per KV head,
-    not group matrices of a decode step's one row, each of which the
-    kernel would pad to two rows.
+    product per block, with no loop over heads. A block reads only a key
+    prefix, its cut: the keys up to its last row's position, rounded up to
+    a multiple of the kernel's column block ``tc._COL_ALIGN`` within the
+    layer's committed keys. The score product then fills whole column
+    blocks and returns its result with no trim copy, and the wider cut is
+    exact: its extra keys lie past the block's last query, so the softmax
+    masks them to exact zeros in every row, and they are trailing zero K
+    to the row-sum and context products. Its rows are at most
+    ``ATTN_ROWS``, in whole kernel row groups, and so few that every head's
+    scores over the cut together hold at most ``SCORE_BUDGET`` entries (a
+    block of one row may hold more), which bounds the working set; a
+    block's scores are freed before the next block's are made. Blocks of
+    64 rows rather than 256 keep each block's scores, probabilities and
+    context small, which measured faster on the benchmark's shapes (the
+    README's performance notes). The heads of one GQA group broadcast
+    against their group's keys: scores read the arena's transposed keys in
+    place and contexts its value rows, so no key or value is copied when
+    d_head is a multiple of the kernel's column block. Fewer selected rows
+    than a kernel row group (every decode step) fold the group's query
+    heads into the rows of the products: one matrix of rows x group rows
+    per KV head, not group matrices of a decode step's one row, each of
+    which the kernel would pad to two rows.
     More rows keep one matrix per query head. The FFN (its RMSNorm, gate,
     up and down products) runs on blocks of at most ``ROW_BLOCK`` selected
     rows, so a long prompt's gate and up outputs stay cache-sized. All cuts
@@ -311,21 +320,20 @@ def block_forward(
     heads_ctx = ctx.reshape(len(sel), n_kv, group // f, f, d_head).transpose(1, 2, 0, 3, 4)
     r = 0
     while r < len(sel):
-        # as many rows as keep every head's scores over the key prefix of
-        # the next ROW_BLOCK rows within SCORE_BUDGET, in whole kernel row
+        # as many rows as keep every head's scores over the key cut of the
+        # next ATTN_ROWS rows within SCORE_BUDGET, in whole kernel row
         # groups; a lone row may exceed it
-        last = q_pos[min(r + ROW_BLOCK, len(sel)) - 1]
-        ahead = int(key_pos.searchsorted(last, side="right"))
+        last = q_pos[min(r + ATTN_ROWS, len(sel)) - 1]
+        ahead = _key_cut(key_pos, last)
         n = SCORE_BUDGET // (n_heads * ahead)
-        n = min(ROW_BLOCK, n - n % tc._ROW_ALIGN if n >= tc._ROW_ALIGN else max(n, 1))
+        n = min(ATTN_ROWS, n - n % tc._ROW_ALIGN if n >= tc._ROW_ALIGN else max(n, 1))
         rows = slice(r, r + n)
         block_pos = q_pos[rows]
         m = len(block_pos)
-        # the block's key prefix: keys past its last query are masked in
-        # every row (that prefix is the one just found when the block ends
-        # at that row, as every decode step's does)
-        cut = (ahead if block_pos[-1] == last
-               else int(key_pos.searchsorted(block_pos[-1], side="right")))
+        # the block's key cut: keys past its last query are masked in every
+        # row (that cut is the one just found when the block ends at that
+        # row, as every decode step's does)
+        cut = ahead if block_pos[-1] == last else _key_cut(key_pos, block_pos[-1])
         scores = tc._matmul_cols(heads[:, :, r * f:(r + m) * f], arena.kt[:, None], cut)
         scores *= scale
         probs = tc._softmax_in_place(scores, block_pos.repeat(f), key_pos[:cut])
@@ -355,6 +363,18 @@ def block_forward(
     if x_sel is not x:
         x[sel] = x_sel
     return k_new, v_new, attn0
+
+
+def _key_cut(key_pos: np.ndarray, last) -> int:
+    """The key cut of an attention block whose last query sits at position ``last``.
+
+    The count of keys up to ``last``, rounded up to a multiple of the
+    kernel's ``_COL_ALIGN`` but not past the layer's last key, so the score
+    product needs no trim copy; the extra keys lie past every query of the
+    block.
+    """
+    return min(tc._round_up(int(key_pos.searchsorted(last, side="right")), tc._COL_ALIGN),
+               len(key_pos))
 
 
 def _rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:

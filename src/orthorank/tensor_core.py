@@ -160,7 +160,15 @@ def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
 
     out[t] = gain * x[t] / sqrt(mean(x[t]**2) + eps), row-wise over a
     vector or (..., d) array, bit for bit the ``np.mean`` form. Trusts its
-    arguments: a gain as long as the rows and ``eps > 0``.
+    arguments: a gain as long as the rows and a Python float ``eps > 0``.
+
+    A float32 or float64 ``x`` with a gain of its dtype makes one array of
+    its size: the squares go into it, and once their row means are taken
+    it is overwritten with the normalized rows and scaled by the gain in
+    place. Every step rounds as the formula's does (the product is
+    commutative bit for bit), so the result is the same. Other inputs
+    (float16, integers, a gain of another dtype, whose product promotes)
+    take the formula as it is.
     """
     sq = np.square(x)
     # float16 weights are valid and np.mean sums them in float32, so only
@@ -171,6 +179,12 @@ def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
         # as this division in that dtype does
         ms = np.add.reduce(sq, axis=-1, keepdims=True)
         ms /= x.shape[-1]
+        if gain.dtype == sq.dtype:
+            ms += eps
+            np.sqrt(ms, out=ms)
+            np.divide(x, ms, out=sq)
+            sq *= gain
+            return sq
     else:
         ms = np.mean(sq, axis=-1, keepdims=True)
     return gain * (x / np.sqrt(ms + eps))

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,24 @@ def planted_tokens(n=128, seed=9):
 def mean_rms_norm(x, gain, eps):
     """RMSNorm in its ``np.mean`` form, which ``tensor_core._rms_norm`` equals bit for bit."""
     return gain * (x / np.sqrt(np.mean(np.square(x), -1, keepdims=True) + eps))
+
+
+def formula_chunk_nll(logits, targets):
+    """Per-position NLL in its direct form, which ``eval_harness._chunk_nll`` equals bit for bit."""
+    ls = logits.astype(np.float64)
+    row_max = ls.max(axis=1, keepdims=True)
+    lse = row_max[:, 0] + np.log(np.exp(ls - row_max).sum(axis=1))
+    return lse - ls[np.arange(targets.size), targets]
+
+
+def peak_bytes(fn, *args):
+    """The most bytes ``fn(*args)`` holds at once, its result included, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def whole_matrix_softmax(scores, q_pos, k_pos):

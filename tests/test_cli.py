@@ -19,7 +19,7 @@ import pytest
 import helpers
 import orthorank
 import orthorank.cli
-from orthorank import LayerPlan, eval_harness, weights_sha256
+from orthorank import HiddenTrace, LayerPlan, Model, eval_harness, weights_sha256
 from orthorank.cli import build_parser
 from orthorank.cli import load_corpus, main, parse_positions
 from orthorank.errors import UsageError
@@ -389,6 +389,33 @@ class TestAblate:
         assert audit_rows[0] == ["layer", "step", "position", "score", "selected"]
         assert len(audit_rows) > 1
         assert text.count("perplexity") == 7
+
+    def test_audit_is_the_grid_kv_off_run(self, tmp_path, capsys, layer_steps):
+        # the audit records the grid's own resumed KV-off run, not a second
+        # evaluation from the embeddings: 2 chunks x (6 + 6 x 4) layer steps
+        ck = tmp_path / "ck"
+        assert main(["synth-model", "--out", str(ck), "--layers", "6", "--d-model", "32",
+                     "--heads", "4", "--kv-heads", "2", "--vocab", "64", "--seed", "5"]) == 0
+        tokens = helpers.make_tokens(64, 64, seed=5)
+        corpus = write_corpus(tmp_path / "c.txt", tokens)
+        plan_path = tmp_path / "plan.json"
+        plan = LayerPlan(layers=[2, 3], keep_ratio=0.5, model_id=weights_sha256(ck), l_sink=1)
+        plan.save(plan_path)
+        args = ["ablate", "--model", ck, "--corpus", corpus, "--plan", plan_path,
+                "--context-len", "32"]
+        assert run_cli(*args, "--out", tmp_path / "plain.csv", capsys=capsys)[0] == 0
+        plain = len(layer_steps)
+        audit = tmp_path / "audit.csv"
+        assert run_cli(*args, "--out", tmp_path / "grid.csv", "--audit-csv", audit,
+                       capsys=capsys)[0] == 0
+        assert plain == len(layer_steps) - plain == 60
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "grid.csv").read_bytes()
+        # byte for byte the rows a standalone KV-off evaluation records
+        trace = HiddenTrace(hidden=None, selection=[])
+        eval_harness.perplexity(Model.from_checkpoint(ck), plan, tokens, 32,
+                                compute_kv_for_unselected=False, trace=trace)
+        trace.write_selection_csv(tmp_path / "standalone.csv")
+        assert audit.read_bytes() == (tmp_path / "standalone.csv").read_bytes()
 
 
 class TestFlops:

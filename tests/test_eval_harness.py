@@ -32,7 +32,8 @@ from orthorank import (
     perplexity,
 )
 from orthorank import eval_harness
-from orthorank.eval_harness import ABLATION_ROWS, _corpus_chunks, _eval_chunks, criterion_label
+from orthorank.eval_harness import (ABLATION_ROWS, _chunk_nll, _corpus_chunks, _eval_chunks,
+                                   criterion_label)
 from orthorank.selection import CRITERION_KINDS, STAGES
 from orthorank import calibrate_greedy
 
@@ -40,6 +41,36 @@ from orthorank import calibrate_greedy
 def make_plan(model, layers, keep_ratio=0.333, l_sink=1):
     return LayerPlan(layers=list(layers), keep_ratio=keep_ratio,
                      model_id=model.model_id, l_sink=l_sink)
+
+
+class TestChunkNll:
+    """The NLL kernel works in its one float64 copy and equals the direct formula bitwise."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows, vocab, scale", [(255, 512, 1.0), (1, 7, 30.0),
+                                                    (63, 50, 1e3), (0, 16, 1.0)])
+    def test_equals_formula(self, rows, vocab, scale, dtype):
+        rng = np.random.default_rng(rows + vocab)
+        logits = (rng.standard_normal((rows, vocab)) * scale).astype(dtype)
+        targets = rng.integers(0, vocab, size=rows)
+        got = _chunk_nll(logits, targets)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, helpers.formula_chunk_nll(logits, targets))
+
+    def test_equals_formula_on_a_strided_view(self):
+        # perplexity passes logits[:-1] of a chunk's logits
+        logits = np.random.default_rng(1).standard_normal((256, 96)).astype(np.float32)
+        targets = np.random.default_rng(2).integers(0, 96, size=255)
+        assert np.array_equal(_chunk_nll(logits[:-1], targets),
+                              helpers.formula_chunk_nll(logits[:-1], targets))
+        assert np.array_equal(_chunk_nll(logits[:-1, ::2], targets // 2),
+                              helpers.formula_chunk_nll(logits[:-1, ::2], targets // 2))
+
+    def test_one_working_array(self):
+        logits = np.random.default_rng(3).standard_normal((255, 512)).astype(np.float32)
+        targets = np.random.default_rng(4).integers(0, 512, size=255)
+        working = logits.size * np.dtype(np.float64).itemsize
+        assert helpers.peak_bytes(_chunk_nll, logits, targets) <= 1.25 * working
 
 
 class TestPerplexity:

@@ -24,7 +24,7 @@ from orthorank import (
 from orthorank import model_runtime, selection
 from orthorank import tensor_core
 from orthorank.checkpoint_io import _synthetic_weights
-from orthorank.model_runtime import ROW_BLOCK, block_forward
+from orthorank.model_runtime import ATTN_ROWS, ROW_BLOCK, block_forward
 from orthorank.selection import DEFAULT_CRITERION, select_topk, selection_keys
 from orthorank.trace import HiddenTrace, dump_trace_csv
 
@@ -88,10 +88,11 @@ class TestForwardDense:
         for cut in range(1, len(tokens)):
             part, _, _ = forward_dense(tiny_model, tokens[:cut])
             assert np.array_equal(part, full[:cut]), f"cut={cut}"
-        # prefixes on both sides of an attention row block
+        # prefixes on both sides of an attention and an FFN row block
         tokens = make_tokens(300, tiny_config.vocab_size, seed=4)
         full, _, _ = forward_dense(tiny_model, tokens)
-        for cut in (ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 300):
+        for cut in (ATTN_ROWS - 1, ATTN_ROWS, ATTN_ROWS + 1, ROW_BLOCK - 1, ROW_BLOCK,
+                    ROW_BLOCK + 1, 300):
             part, _, _ = forward_dense(tiny_model, tokens[:cut])
             assert np.array_equal(part, full[:cut]), f"cut={cut}"
         # prompt-sized prefixes: each matmul hands BLAS all rows of a K chunk
@@ -402,13 +403,44 @@ class TestBlockTruncatedAttention:
                 assert np.array_equal(a, b)
 
     def test_dense_softmax_entries_pinned(self, tiny_model, tiny_config, softmax_entries):
-        # 4 layers of blocks whose 4 heads' scores hold at most 2**18 entries:
-        # 256 rows over 256 keys, then 128 over 384 and ever fewer rows down
-        # to 64 over 1024; 256-row blocks held 10,485,760 entries and the
-        # full-width matrices 4 x 4 x 1024 x 1024 = 16,777,216
+        # 4 layers of 64-row blocks whose 4 heads' scores hold at most 2**18
+        # entries: block b reads 64 * b keys, 64 * 64 * 4 * 4 * (1 + ... + 16);
+        # blocks of up to 256 rows within the budget held 9,418,752 entries,
+        # 256-row blocks 10,485,760 and the full-width matrices 4 x 4 x 1024
+        # x 1024 = 16,777,216
         forward_dense(tiny_model, make_tokens(1024, tiny_config.vocab_size, seed=6))
         assert max(softmax_entries) <= 1 << 18
-        assert sum(softmax_entries) == 9_418_752
+        assert sum(softmax_entries) == 8_912_896
+
+    @pytest.mark.parametrize("layers, kv", [([], True), ([2, 3, 4, 5, 6], True),
+                                            ([2, 3, 4, 5, 6], False)],
+                             ids=["dense", "plan", "plan_kv_off"])
+    def test_block_geometry(self, monkeypatch, layers, kv):
+        # the benchmark's mid GQA shape and 1,024-token prompt: every
+        # attention block holds at most ATTN_ROWS rows, and every score
+        # product reads whole column blocks of keys or every key of its
+        # layer, so the kernel returns it with no trim copy
+        model = helpers.make_random_model(ModelConfig(
+            n_layers=8, d_model=256, n_heads=8, n_kv_heads=2, d_head=32, d_ffn=1024,
+            vocab_size=512), seed=7)
+        products = []
+        real = tensor_core._matmul_cols
+
+        def recording(a, b, n):
+            products.append((a.shape[-2], b, n))
+            return real(a, b, n)
+
+        monkeypatch.setattr(tensor_core, "_matmul_cols", recording)
+        _, _, cache = forward_with_plan(model, make_tokens(1024, 512, seed=8), layers, 0.333,
+                                        compute_kv_for_unselected=kv)
+        monkeypatch.undo()
+        for layer, (arena, count) in enumerate(cache.layers):
+            scored = [(m, n) for m, b, n in products if np.shares_memory(b, arena.kt)]
+            summed = [m for m, b, _ in products if np.shares_memory(b, arena.va)]
+            assert len(scored) == len(summed) > 0, layer
+            assert all(m <= ATTN_ROWS for m, _ in scored) and max(summed) <= ATTN_ROWS, layer
+            assert all(n % tensor_core._COL_ALIGN == 0 or n == count for _, n in scored), layer
+            assert scored[-1][1] == count, layer  # the last block reads every key
 
     @pytest.mark.parametrize("positions", [np.arange(-1, 3), np.arange(4, dtype=np.float64),
                                            np.arange(3), np.arange(4)[:, None]],

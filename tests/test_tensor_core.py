@@ -23,7 +23,8 @@ from orthorank.tensor_core import (
 )
 
 import reference as ref
-from helpers import mean_rms_norm, per_call_rope, rope_angles, whole_matrix_softmax
+from helpers import (mean_rms_norm, peak_bytes, per_call_rope, rope_angles,
+                     whole_matrix_softmax)
 
 
 def rand(shape, seed=0, dtype=np.float32):
@@ -416,6 +417,11 @@ class TestRmsNorm:
         x = np.arange(-6, 6).reshape(3, 4)
         expect = x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + 1e-5)
         assert np.array_equal(_rms_norm(x, np.ones(4, dtype=np.int64), 1e-5), expect)
+
+    def test_one_working_array(self):
+        # the squares' buffer becomes the result: no array of x's size beside it
+        x, gain = rand((256, 256), seed=6), rand(256, seed=7)
+        assert peak_bytes(_rms_norm, x, gain, 1e-5) <= 1.25 * x.nbytes
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rows_independent(self, dtype):
