@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, _is_number
+from .errors import ShapeError, UsageError, _is_number
 from .trace import HiddenTrace, _write_csv
 
 
@@ -143,11 +143,15 @@ def scaling_agreement(hidden: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -
     is conditioned by its leading magnitude first. Dividing equal floats is
     exact, which makes any constant positive gain reduce to all-ones and the
     agreement come out exactly 1 rather than within an ulp of it.
+    ``hidden`` is (T, d) and ``gain`` (d,), else ShapeError.
     """
     if not (_is_number(eps) and eps > 0):
         raise UsageError(f"eps must be a number > 0, got {eps!r}")
     x = np.asarray(hidden, dtype=np.float64)
     g = np.asarray(gain, dtype=np.float64)
+    if x.ndim != 2 or g.shape != x.shape[1:]:
+        raise ShapeError(f"scaling_agreement needs (T, d) states and a (d,) gain, got shapes "
+                         f"{x.shape} and {g.shape}")
     lead = float(np.abs(g.flat[0])) if g.size else 0.0
     if np.isfinite(lead) and lead > 0.0:
         g = g / lead

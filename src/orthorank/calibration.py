@@ -158,10 +158,11 @@ def effective_sparsity(layer_fraction: float, keep_ratio: float) -> float:
 
 
 def plan_effective_sparsity(plan: LayerPlan, n_layers: int) -> float:
-    """Effective sparsity a plan achieves on an n_layers model."""
+    """Effective sparsity a plan achieves on an n_layers model; ConfigError for a layer it lacks."""
     if not (_is_number(n_layers, numbers.Integral) and n_layers >= 1):
         raise ConfigError(f"n_layers must be an integer >= 1, got {n_layers!r}")
-    return sum(1.0 - r for r in plan.ratios()) / n_layers
+    ratios = _plan_ratios(plan.layers, plan.keep_ratio, n_layers)
+    return sum(1.0 - r for r in ratios.values()) / n_layers
 
 
 def eligible_layers(n_layers: int, l_sink: int) -> list[int]:

@@ -141,6 +141,8 @@ class KVCache:
     """
 
     def __init__(self, config: ModelConfig):
+        if not isinstance(config, ModelConfig):
+            raise ConfigError(f"KVCache needs a ModelConfig, got {type(config).__name__}")
         self.layers: list[tuple[KVArena, int]] = [
             (KVArena.allocate(config.n_kv_heads, config.d_head, 0, tc.DEFAULT_DTYPE), 0)
             for _ in range(config.n_layers)]
@@ -241,11 +243,13 @@ def block_forward(
     blocks and returns its result with no trim copy, and the wider cut is
     exact: its extra keys lie past the block's last query, so the softmax
     masks them to exact zeros in every row, and they are trailing zero K
-    to the row-sum and context products. Its rows are at most
-    ``ATTN_ROWS``, in whole kernel row groups, and so few that every head's
-    scores over the cut together hold at most ``SCORE_BUDGET`` entries (a
-    block of one row may hold more), which bounds the working set; a
-    block's scores are freed before the next block's are made. Blocks of
+    to the row-sum and context products. Every block of a layer but its
+    last holds the same rows, sized once from the layer's committed keys:
+    at most ``ATTN_ROWS``, in whole kernel row groups, and so few that every
+    head's scores over all those keys together hold at most
+    ``SCORE_BUDGET`` entries (a block of one row may hold more). No cut
+    holds more keys, so that bounds the working set; a block's scores are
+    freed before the next block's are made. Blocks of
     64 rows rather than 256 keep each block's scores, probabilities and
     context small, which measured faster on the benchmark's shapes (the
     README's performance notes). The heads of one GQA group broadcast
@@ -318,22 +322,17 @@ def block_forward(
         n_kv, group // f, len(sel) * f, d_head)
     ctx = np.empty((len(sel), n_heads, d_head), dtype=x.dtype)
     heads_ctx = ctx.reshape(len(sel), n_kv, group // f, f, d_head).transpose(1, 2, 0, 3, 4)
-    r = 0
-    while r < len(sel):
-        # as many rows as keep every head's scores over the key cut of the
-        # next ATTN_ROWS rows within SCORE_BUDGET, in whole kernel row
-        # groups; a lone row may exceed it
-        last = q_pos[min(r + ATTN_ROWS, len(sel)) - 1]
-        ahead = _key_cut(key_pos, last)
-        n = SCORE_BUDGET // (n_heads * ahead)
-        n = min(ATTN_ROWS, n - n % tc._ROW_ALIGN if n >= tc._ROW_ALIGN else max(n, 1))
+    # as many rows as keep every head's scores over all the layer's keys
+    # within SCORE_BUDGET, in whole kernel row groups (a lone row may exceed
+    # it): a block's cut holds no more keys than that
+    n = SCORE_BUDGET // (n_heads * len(key_pos))
+    n = min(ATTN_ROWS, n - n % tc._ROW_ALIGN if n >= tc._ROW_ALIGN else max(n, 1))
+    for r in range(0, len(sel), n):
         rows = slice(r, r + n)
         block_pos = q_pos[rows]
         m = len(block_pos)
-        # the block's key cut: keys past its last query are masked in every
-        # row (that cut is the one just found when the block ends at that
-        # row, as every decode step's does)
-        cut = ahead if block_pos[-1] == last else _key_cut(key_pos, block_pos[-1])
+        # the block's key cut: keys past its last query are masked in every row
+        cut = _key_cut(key_pos, block_pos[-1])
         scores = tc._matmul_cols(heads[:, :, r * f:(r + m) * f], arena.kt[:, None], cut)
         scores *= scale
         probs = tc._softmax_in_place(scores, block_pos.repeat(f), key_pos[:cut])
@@ -344,7 +343,6 @@ def block_forward(
             sink = probs[..., 0].reshape(n_kv, group // f, m, f).transpose(0, 1, 3, 2)
             attn0[rows] = np.cumsum(sink.reshape(n_heads, m), axis=0, dtype=np.float64)[-1]
         del scores, probs  # this block's scores go before the next block's
-        r += n
     if attn0 is not None:
         attn0 /= n_heads
 

@@ -96,8 +96,8 @@ def cos_gradient(h0: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
     Equals (1/||hi||) (h0/||h0|| - cos(h0, hi) hi/||hi||): the residual of
     the unit sink direction orthogonal to hi, shrunk by 1/||hi||. Computed
-    in float64, returned in the input dtype. Two vectors of one length,
-    else ShapeError.
+    in float64, returned in the input dtype when it is a float one, else
+    in float64. Two vectors of one length, else ShapeError.
     """
     h0 = np.asarray(h0)
     hi = np.asarray(hi)
@@ -112,7 +112,8 @@ def cos_gradient(h0: np.ndarray, hi: np.ndarray) -> np.ndarray:
         raise DomainError("cos_gradient is undefined for zero vectors")
     cos = float(a @ b) / (na * nb)
     grad = (a / na - cos * (b / nb)) / nb
-    return grad.astype(np.result_type(h0, hi), copy=False)
+    out = np.result_type(h0, hi)
+    return grad.astype(out if out.kind == "f" else np.float64, copy=False)
 
 
 def importance_norm_sq(h0: np.ndarray, hi: np.ndarray) -> float:

@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UsageError
+
 
 @dataclass
 class HiddenTrace:
@@ -52,7 +54,12 @@ class HiddenTrace:
         return 0 if not self.normalized else self.normalized[0].shape[0]
 
     def write_selection_csv(self, path) -> None:
-        """Write the selection rows as CSV: layer, step, position, score, selected."""
+        """Write the selection rows as CSV: layer, step, position, score, selected.
+
+        UsageError, with no file written, when the trace records no selection.
+        """
+        if self.selection is None:
+            raise UsageError("this trace records no selection rows (selection=None)")
         _write_csv(path, ["layer", "step", "position", "score", "selected"],
                    ([layer, step, position, repr(score), selected]
                     for layer, step, position, score, selected in self.selection))

@@ -223,6 +223,11 @@ class TestLayerPlan:
         got = plan_effective_sparsity(plan, 10)
         assert got == pytest.approx(0.3 * (1 - 0.333), abs=1e-12)
 
+    def test_effective_sparsity_checks_layers(self):
+        # as flop_count does, a layer the model lacks is refused
+        with pytest.raises(ConfigError, match="out of range"):
+            plan_effective_sparsity(LayerPlan(layers=[9], l_sink=-1), 4)
+
 
 def test_corpus_sha256_deterministic():
     a = corpus_sha256(np.array([1, 2, 3]))

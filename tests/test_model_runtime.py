@@ -138,6 +138,12 @@ class TestHiddenTrace:
             # position 0 attends only to itself
             assert attn0[0] == pytest.approx(1.0, abs=1e-6)
 
+    def test_selection_csv_needs_selection(self, tmp_path):
+        path = tmp_path / "selection.csv"
+        with pytest.raises(UsageError, match="no selection"):
+            HiddenTrace().write_selection_csv(path)
+        assert not path.exists()
+
     def test_trace_csv_dump(self, tiny_model, tiny_tokens, tmp_path):
         _, trace, _ = forward_dense(tiny_model, tiny_tokens, HiddenTrace())
         states = tmp_path / "states.csv"
@@ -417,9 +423,12 @@ class TestBlockTruncatedAttention:
                              ids=["dense", "plan", "plan_kv_off"])
     def test_block_geometry(self, monkeypatch, layers, kv):
         # the benchmark's mid GQA shape and 1,024-token prompt: every
-        # attention block holds at most ATTN_ROWS rows, and every score
-        # product reads whole column blocks of keys or every key of its
-        # layer, so the kernel returns it with no trim copy
+        # attention block of a layer but its last holds the rows sized from
+        # the layer's committed keys, 2**18 // (8 heads * 1,024 keys) = 32
+        # on 1,024-key layers and ATTN_ROWS = 64 on the fewer keys of a plan
+        # layer with KV off; every score product reads whole column blocks
+        # of keys or every key of its layer, so the kernel returns it with
+        # no trim copy
         model = helpers.make_random_model(ModelConfig(
             n_layers=8, d_model=256, n_heads=8, n_kv_heads=2, d_head=32, d_ffn=1024,
             vocab_size=512), seed=7)
@@ -438,7 +447,10 @@ class TestBlockTruncatedAttention:
             scored = [(m, n) for m, b, n in products if np.shares_memory(b, arena.kt)]
             summed = [m for m, b, _ in products if np.shares_memory(b, arena.va)]
             assert len(scored) == len(summed) > 0, layer
-            assert all(m <= ATTN_ROWS for m, _ in scored) and max(summed) <= ATTN_ROWS, layer
+            n = 32 if count == 1024 else ATTN_ROWS
+            assert count == 1024 or (not kv and layer in layers), layer
+            assert [m for m, _ in scored] == summed, layer
+            assert all(m == n for m in summed[:-1]) and 0 < summed[-1] <= n, layer
             assert all(n % tensor_core._COL_ALIGN == 0 or n == count for _, n in scored), layer
             assert scored[-1][1] == count, layer  # the last block reads every key
 

@@ -28,6 +28,7 @@ from orthorank import (
     generate_greedy,
     generate_synthetic_sink_trace,
     importance_norm_sq,
+    scaling_agreement,
     select_topk,
     sink_token_similarity,
 )
@@ -62,6 +63,9 @@ _LEAKS = {  # id: (call on a d_model 16 model, the package error it must raise)
     "position_fraction": (lambda m: sink_token_similarity(_SIM_TRACE, [1.5]), UsageError),
     "position_float": (lambda m: cross_layer_self_similarity(_SIM_TRACE, 2.7), UsageError),
     "position_bool": (lambda m: cross_layer_self_similarity(_SIM_TRACE, True), UsageError),
+    "scaling_states_vector": (lambda m: scaling_agreement(np.ones(4), np.ones(4)), ShapeError),
+    "scaling_gain_width": (lambda m: scaling_agreement(np.ones((2, 4)), np.ones(3)), ShapeError),
+    "cache_config": (lambda m: KVCache("x"), ConfigError),
 }
 
 
@@ -177,6 +181,16 @@ class TestCosGradient:
         h0 = np.array([1.0, 2.0, -1.0])
         grad = cos_gradient(h0, 3.0 * h0)
         assert np.allclose(grad, 0.0, atol=1e-12)
+
+    def test_dtype(self):
+        # integer input is computed and returned in float64, not truncated
+        # back to integers; float input keeps its dtype
+        grad = cos_gradient(np.array([1, 2]), np.array([2, 1]))
+        assert grad.dtype == np.float64
+        assert np.array_equal(grad, cos_gradient(np.array([1.0, 2.0]), np.array([2.0, 1.0])))
+        assert np.allclose(grad, [-0.12, 0.24], atol=1e-12)
+        f32 = np.array([1.0, 2.0], dtype=np.float32)
+        assert cos_gradient(f32, f32[::-1]).dtype == np.float32
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
