@@ -119,8 +119,10 @@ def norm_profile(trace: HiddenTrace) -> NormProfile:
 
     The coefficient of variation (population std / mean) runs over positions
     >= 1: near-zero CV is what licenses dropping the per-token norms from
-    the importance ranking.
+    the importance ranking. A trace with no states raises UsageError.
     """
+    if not trace.normalized:
+        raise UsageError("a norm profile needs a trace with normalized states")
     norms = np.stack(
         [np.linalg.norm(states.astype(np.float64), axis=1) for states in trace.normalized]
     )

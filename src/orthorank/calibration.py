@@ -104,9 +104,6 @@ class LayerPlan:
         if self.target_sparsity is not None:
             self.target_sparsity = _target_sparsity(self.target_sparsity)
 
-    def ratios(self) -> list[float]:
-        return list(_plan_ratios(self.layers, self.keep_ratio).values())
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -311,8 +308,12 @@ def flop_count(config: ModelConfig, plan: LayerPlan, seq_len: int) -> dict:
     runtime skips most of the masked attention half (each block of query
     rows reads only its key prefix), so these are a fixed convention, not
     the FLOPs executed; a traced benchmark run reports those as
-    ``tensor_core.matmul.gflop``.
+    ``tensor_core.matmul.gflop``. A ``config`` that is not a ModelConfig or
+    a ``plan`` that is not a LayerPlan raises ConfigError.
     """
+    if not (isinstance(config, ModelConfig) and isinstance(plan, LayerPlan)):
+        raise ConfigError(f"flop_count needs a ModelConfig and a LayerPlan, got "
+                          f"{type(config).__name__} and {type(plan).__name__}")
     if not (_is_number(seq_len, numbers.Integral) and seq_len >= 1):
         raise ConfigError(f"seq_len must be an integer >= 1, got {seq_len!r}")
     ratios = _plan_ratios(plan.layers, plan.keep_ratio, config.n_layers)

@@ -95,8 +95,10 @@ def _resolve_plan(model: Model, plan: LayerPlan) -> dict[int, float]:
     Its layers and its sink layer must exist in the model (``l_sink=-1``
     makes every layer eligible), and a plan made for another model, one
     whose ``model_id`` is neither ``"unknown"`` nor the model's, raises
-    ConfigError.
+    ConfigError, as does a ``plan`` that is not a LayerPlan.
     """
+    if not isinstance(plan, LayerPlan):
+        raise ConfigError(f"a plan must be a LayerPlan, got {type(plan).__name__}")
     if plan.model_id not in ("unknown", model.model_id):
         raise ConfigError(f"the plan was made for model {plan.model_id!r}, "
                           f"not for model {model.model_id!r}")
@@ -239,10 +241,13 @@ def layerwise_comparison(
     records its layer inputs; it is the base of every cell, so each cell
     resumes at its own layer and, but for the final layer's, takes that
     layer's selected rows from the dense record. ``l_sink`` must be a
-    layer of the model or -1, else ConfigError before any pass.
+    layer of the model or -1, and every criterion a Criterion, else
+    ConfigError before any pass.
     """
     if not criteria:
         raise UsageError("need at least one criterion")
+    if not all(isinstance(crit, Criterion) for crit in criteria):
+        raise ConfigError("every criterion of the sweep must be a Criterion")
     _, chunks = _corpus_chunks(corpus_tokens, context_len)
     _resolve_plan(model, LayerPlan(model_id=model.model_id, l_sink=l_sink))
     layers = list(range(l_sink + 1, model.config.n_layers))

@@ -23,9 +23,14 @@ from .checkpoint_io import ModelConfig, _check_weights, _layer_names, _read_chec
 from .errors import ConfigError, ShapeError, StateError, UsageError, _is_number
 from .trace import HiddenTrace
 
-ROW_BLOCK = 256  # most rows per FFN block
-ATTN_ROWS = 64  # most rows per attention block (each reads only its key prefix)
-SCORE_BUDGET = 1 << 18  # most score entries of one attention block, all heads together
+# Row geometry of a layer's blocks. An attention block holds at most
+# ATTN_ROWS rows, in whole ROW_GROUPs, and fewer selected rows than a group
+# fold GQA heads into one matrix's rows. BLOCK_BUDGET bounds the entries of
+# one block's widest array: an attention block's scores, all heads together,
+# and an FFN block's gate and up outputs.
+ROW_GROUP = 8
+ATTN_ROWS = 64
+BLOCK_BUDGET = 1 << 18
 
 
 @dataclass
@@ -245,9 +250,9 @@ def block_forward(
     masks them to exact zeros in every row, and they are trailing zero K
     to the row-sum and context products. Every block of a layer but its
     last holds the same rows, sized once from the layer's committed keys:
-    at most ``ATTN_ROWS``, in whole kernel row groups, and so few that every
+    at most ``ATTN_ROWS``, in whole ``ROW_GROUP``s, and so few that every
     head's scores over all those keys together hold at most
-    ``SCORE_BUDGET`` entries (a block of one row may hold more). No cut
+    ``BLOCK_BUDGET`` entries (a block of one row may hold more). No cut
     holds more keys, so that bounds the working set; a block's scores are
     freed before the next block's are made. Blocks of
     64 rows rather than 256 keep each block's scores, probabilities and
@@ -256,17 +261,20 @@ def block_forward(
     against their group's keys: scores read the arena's transposed keys in
     place and contexts its value rows, so no key or value is copied when
     d_head is a multiple of the kernel's column block. Fewer selected rows
-    than a kernel row group (every decode step) fold the group's query
-    heads into the rows of the products: one matrix of rows x group rows
-    per KV head, not group matrices of a decode step's one row, each of
-    which the kernel would pad to two rows.
-    More rows keep one matrix per query head. The FFN (its RMSNorm, gate,
-    up and down products) runs on blocks of at most ``ROW_BLOCK`` selected
-    rows, so a long prompt's gate and up outputs stay cache-sized. All cuts
-    and folds are bitwise exact because the matmul kernel is invariant to
-    the batch rows and the stack around a matrix, to truncated columns of
-    ``b`` and to trailing zero K, the causal softmax to dropped masked
-    columns, and every row-wise op to the rows beside a row.
+    than a ``ROW_GROUP`` (every decode step) fold the group's query heads
+    into the rows of the products: one matrix of rows x group rows per KV
+    head, not group matrices of a decode step's one row, each of which the
+    kernel would pad to two rows; the softmax takes the row sums of the
+    stack it is given, so a decode step's are the KV heads' folded
+    matrices. More rows keep one matrix per query head. The FFN (its
+    RMSNorm, gate, up and down products) runs on blocks of selected rows
+    under the same budget: every block but the last holds
+    ``BLOCK_BUDGET // d_ffn`` rows (at least one), so a long prompt's gate
+    and up outputs stay cache-sized. All cuts and folds are bitwise exact
+    because the matmul kernel is invariant to the batch rows and the stack
+    around a matrix, to truncated columns of ``b`` and to trailing zero K,
+    the causal softmax to dropped masked columns, and every row-wise op to
+    the rows beside a row.
 
     Returns the new key and value rows plus the per-``sel``-row
     mean-over-heads attention probability on key position 0 when
@@ -311,9 +319,9 @@ def block_forward(
 
     scale = 1.0 / math.sqrt(d_head)
     group = n_heads // n_kv
-    # fold factor: fewer rows than a kernel row group put a GQA group's
-    # heads into the rows of one matrix, fewer and taller BLAS matrices
-    f = group if len(sel) < tc._ROW_ALIGN else 1
+    # fold factor: fewer rows than a ROW_GROUP put a GQA group's heads into
+    # the rows of one matrix, fewer and taller BLAS matrices
+    f = group if len(sel) < ROW_GROUP else 1
     # head-major views, (n_kv, group // f, rows * f, d_head): query head
     # g * group + i * f + j of row r is row r * f + j of matrix (g, i) and
     # reads KV group g; the context rows land in ctx through heads_ctx,
@@ -323,10 +331,10 @@ def block_forward(
     ctx = np.empty((len(sel), n_heads, d_head), dtype=x.dtype)
     heads_ctx = ctx.reshape(len(sel), n_kv, group // f, f, d_head).transpose(1, 2, 0, 3, 4)
     # as many rows as keep every head's scores over all the layer's keys
-    # within SCORE_BUDGET, in whole kernel row groups (a lone row may exceed
-    # it): a block's cut holds no more keys than that
-    n = SCORE_BUDGET // (n_heads * len(key_pos))
-    n = min(ATTN_ROWS, n - n % tc._ROW_ALIGN if n >= tc._ROW_ALIGN else max(n, 1))
+    # within BLOCK_BUDGET, in whole row groups (a lone row may exceed it): a
+    # block's cut holds no more keys than that
+    n = BLOCK_BUDGET // (n_heads * len(key_pos))
+    n = min(ATTN_ROWS, n - n % ROW_GROUP if n >= ROW_GROUP else max(n, 1))
     for r in range(0, len(sel), n):
         rows = slice(r, r + n)
         block_pos = q_pos[rows]
@@ -348,12 +356,13 @@ def block_forward(
 
     x_sel = _rows(x, sel)
     x_sel += tc.matmul(ctx.reshape(len(sel), n_heads * d_head), w[names.wo])
-    # the FFN in blocks of ROW_BLOCK rows: a block's gate and up outputs
-    # stay within a core's cache where a long prompt's would not
+    # the FFN in blocks whose gate and up outputs hold at most BLOCK_BUDGET
+    # entries: they stay within a core's cache where a long prompt's would not
     gain, w_gate, w_up, w_down = (w[names.ffn_norm], w[names.w_gate], w[names.w_up],
                                   w[names.w_down])
-    for r in range(0, len(sel), ROW_BLOCK):
-        block = x_sel[r:r + ROW_BLOCK]
+    n = max(BLOCK_BUDGET // cfg.d_ffn, 1)
+    for r in range(0, len(sel), n):
+        block = x_sel[r:r + n]
         xn2 = tc._rms_norm(block, gain, cfg.norm_eps)
         hidden = tc.silu(tc.matmul(xn2, w_gate))
         hidden *= tc.matmul(xn2, w_up)

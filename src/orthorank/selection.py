@@ -135,11 +135,14 @@ def selection_keys(states: np.ndarray, criterion: Criterion, layer: int) -> np.n
     from a generator keyed by (seed, layer, T) so every (layer, length)
     pair gets a reproducible permutation. The sink key is +inf for every
     kind, so the sink is selected only when selection is exhaustive.
-    States that are not (T, d) with T >= 1 raise UsageError.
+    States that are not (T, d) with T >= 1, or a ``layer`` that is not an
+    integer >= 0, raise UsageError.
     """
     states = np.asarray(states)
     if states.ndim != 2 or states.shape[0] < 1:
         raise UsageError(f"states must be (T, d) with T >= 1, got {states.shape}")
+    if not (_is_number(layer, numbers.Integral) and layer >= 0):
+        raise UsageError(f"layer must be an integer >= 0, got {layer!r}")
     rng_key = (criterion.seed, layer, states.shape[0])
     keys = _score_keys(states, states[0], criterion, rng_key)
     keys[0] = np.inf

@@ -48,11 +48,14 @@ prefix in one call, with no per-head loop and no copy of a key.
 
 The causal softmax of attention is ``_softmax_in_place``: stacked (...,
 rows, keys) scores that share their ascending query and key positions,
-masked in place, with the row sums of every matrix taken as the rows of one
-matrix against a shared ones table. Ascending positions make its mask test
-O(1): only a last key past the first query masks anything, as no decode
-row's keys do. The rotary embedding ``_rope_apply`` takes cos and sin rows
-that ``_rope_rows`` gathers from a table per (theta, d_head, dtype).
+masked in place, with the row sums of the stack taken in one kernel call
+against a shared ones table, one matrix per score matrix. The softmax
+decides no row geometry: the blocks and the GQA fold of
+``model_runtime.block_forward`` shape its stack. Ascending positions make
+its mask test O(1): only a last key past the first query masks anything,
+as no decode row's keys do. The rotary embedding ``_rope_apply`` takes cos
+and sin rows that ``_rope_rows`` gathers from a table per (theta, d_head,
+dtype).
 Shared tables are read-only and grow by replacement, so threads may call
 these functions concurrently.
 
@@ -70,19 +73,12 @@ Python; they are used only off that path: in argument checks, for empty
 products, mixed dtypes and non-float input.
 """
 
-import math
-
 import numpy as np
 
 from .errors import ShapeError
 
 DEFAULT_DTYPE = np.float32
 
-# Rows of a kernel row group. The kernel pads no row count to it (it pads
-# only a one-row ``a``, to two rows); attention blocks come in whole groups,
-# and fewer selected rows than a group fold GQA heads into one matrix's rows,
-# as the softmax folds the row sums of matrices shorter than a group.
-_ROW_ALIGN = 8
 _COL_ALIGN = 16  # columns of ``b`` are zero-padded to a multiple of this
 _K_CHUNK = 256  # inner-dimension width of one BLAS call
 
@@ -216,15 +212,13 @@ def _softmax_in_place(scores: np.ndarray, q_pos: np.ndarray, k_pos: np.ndarray) 
     # kernel: masked columns add exact zeros, so a row's denominator does
     # not change when they are appended or when other rows join the batch.
     # np.sum and einsum group their partial sums by row length and would
-    # break bitwise causality. Every matrix of a stack shares the ones
-    # table, so matrices of fewer rows than a kernel row group are rows of
-    # one matrix: a decode fold's two matrices of 4 rows are one of 8, one
-    # BLAS matrix instead of two. Taller ones stay a stack: as one tall
-    # matrix they made a 1,024-token prefill 11% slower (OpenBLAS 0.3.31,
-    # 2 vCPU).
-    lead, keys = scores.shape[:-1], scores.shape[-1]
-    rows = scores.reshape(math.prod(lead), keys) if lead[-1] < _ROW_ALIGN else scores
-    scores /= _matmul_cols(rows, _ones_rows(keys, scores.dtype), 1).reshape(lead + (1,))
+    # break bitwise causality. The scores go to the kernel as the stack they
+    # are, one matrix per stacked matrix against a shared ones table: a
+    # decode step's row sums are its two KV heads' folded 4-row matrices.
+    # Reshaping the stack into one matrix gains nothing for short matrices
+    # and made a 1,024-token prefill 11% slower for tall ones (OpenBLAS
+    # 0.3.31, 2 vCPU).
+    scores /= _matmul_cols(scores, _ones_rows(scores.shape[-1], scores.dtype), 1)
     return scores
 
 

@@ -23,8 +23,8 @@ from orthorank import (
 )
 from orthorank import model_runtime, selection
 from orthorank import tensor_core
-from orthorank.checkpoint_io import _synthetic_weights
-from orthorank.model_runtime import ATTN_ROWS, ROW_BLOCK, block_forward
+from orthorank.checkpoint_io import _layer_names, _synthetic_weights
+from orthorank.model_runtime import ATTN_ROWS, block_forward
 from orthorank.selection import DEFAULT_CRITERION, select_topk, selection_keys
 from orthorank.trace import HiddenTrace, dump_trace_csv
 
@@ -75,7 +75,7 @@ class TestForwardDense:
         with pytest.raises(UsageError):
             forward_dense(tiny_model, [-1])
 
-    def test_causality_bitwise(self, tiny_model, tiny_tokens, tiny_config):
+    def test_causality_bitwise(self, tiny_model, tiny_tokens, tiny_config, monkeypatch):
         full, _, _ = forward_dense(tiny_model, tiny_tokens)
         for cut in (1, 2, 7, 12, len(tiny_tokens) - 1):
             part, _, _ = forward_dense(tiny_model, tiny_tokens[:cut])
@@ -88,13 +88,18 @@ class TestForwardDense:
         for cut in range(1, len(tokens)):
             part, _, _ = forward_dense(tiny_model, tokens[:cut])
             assert np.array_equal(part, full[:cut]), f"cut={cut}"
-        # prefixes on both sides of an attention and an FFN row block
+        # prefixes on both sides of attention row blocks, then of FFN row
+        # blocks: a budget of 64 rows of the FFN's width cuts its rows into
+        # 64-row blocks (and the attention rows into smaller ones)
         tokens = make_tokens(300, tiny_config.vocab_size, seed=4)
-        full, _, _ = forward_dense(tiny_model, tokens)
-        for cut in (ATTN_ROWS - 1, ATTN_ROWS, ATTN_ROWS + 1, ROW_BLOCK - 1, ROW_BLOCK,
-                    ROW_BLOCK + 1, 300):
-            part, _, _ = forward_dense(tiny_model, tokens[:cut])
-            assert np.array_equal(part, full[:cut]), f"cut={cut}"
+        for budget in (model_runtime.BLOCK_BUDGET, ATTN_ROWS * tiny_config.d_ffn):
+            monkeypatch.setattr(model_runtime, "BLOCK_BUDGET", budget)
+            full, _, _ = forward_dense(tiny_model, tokens)
+            for cut in (ATTN_ROWS - 1, ATTN_ROWS, ATTN_ROWS + 1, 2 * ATTN_ROWS - 1,
+                        2 * ATTN_ROWS, 2 * ATTN_ROWS + 1, 300):
+                part, _, _ = forward_dense(tiny_model, tokens[:cut])
+                assert np.array_equal(part, full[:cut]), f"budget={budget} cut={cut}"
+        monkeypatch.undo()
         # prompt-sized prefixes: each matmul hands BLAS all rows of a K chunk
         # in one call, and BLAS splits them among its threads by the row count
         tokens = make_tokens(1100, tiny_config.vocab_size, seed=5)
@@ -355,7 +360,7 @@ class TestBlockTruncatedAttention:
             "topk": select_topk(selection_keys(xn, DEFAULT_CRITERION, layer), 0.333),
             "random": np.sort(rng.choice(t, size=max(1, t // 3), replace=False)),
             "single": rows[t // 2:t // 2 + 1],
-            # fewer rows than a kernel row group fold a GQA group's heads
+            # fewer rows than a ROW_GROUP fold a GQA group's heads
             # into the rows; 8 and 9 rows do not
             **{f"few{n}": np.sort(rng.choice(t, size=n, replace=False))
                for n in range(1, min(t, 9) + 1)},
@@ -389,7 +394,7 @@ class TestBlockTruncatedAttention:
         # rows, whose heads are folded, into blocks of fewer than 8 rows
         model, layer = gqa_12_3_model, 1
         cfg = model.config
-        monkeypatch.setattr(model_runtime, "SCORE_BUDGET", cfg.n_heads * 340 * 3)
+        monkeypatch.setattr(model_runtime, "BLOCK_BUDGET", cfg.n_heads * 340 * 3)
         rng = np.random.default_rng(n_sel)
         x = rng.standard_normal((40, cfg.d_model)).astype(np.float32)
         xn = mean_rms_norm(x, model.weights[f"layers.{layer}.attn_norm.gain"], cfg.norm_eps)
@@ -428,7 +433,8 @@ class TestBlockTruncatedAttention:
         # on 1,024-key layers and ATTN_ROWS = 64 on the fewer keys of a plan
         # layer with KV off; every score product reads whole column blocks
         # of keys or every key of its layer, so the kernel returns it with
-        # no trim copy
+        # no trim copy. Every FFN gate product of a layer but its last holds
+        # 2**18 // d_ffn 1,024 = 256 rows, and the last the rest
         model = helpers.make_random_model(ModelConfig(
             n_layers=8, d_model=256, n_heads=8, n_kv_heads=2, d_head=32, d_ffn=1024,
             vocab_size=512), seed=7)
@@ -453,6 +459,8 @@ class TestBlockTruncatedAttention:
             assert all(m == n for m in summed[:-1]) and 0 < summed[-1] <= n, layer
             assert all(n % tensor_core._COL_ALIGN == 0 or n == count for _, n in scored), layer
             assert scored[-1][1] == count, layer  # the last block reads every key
+            gated = [m for m, b, _ in products if b is model.weights[_layer_names(layer).w_gate]]
+            assert gated == ([256, 84] if layer in layers else [256] * 4), layer
 
     @pytest.mark.parametrize("positions", [np.arange(-1, 3), np.arange(4, dtype=np.float64),
                                            np.arange(3), np.arange(4)[:, None]],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from orthorank import (
     ConfigError,
     Criterion,
+    ablation_grid,
     DomainError,
     KVCache,
     Model,
@@ -22,12 +23,15 @@ from orthorank import (
     decode_select,
     decode_step_dense,
     decode_step_with_plan,
+    flop_count,
     forward_dense,
     forward_orthorank_layer,
     forward_with_plan,
     generate_greedy,
     generate_synthetic_sink_trace,
     importance_norm_sq,
+    layerwise_comparison,
+    norm_profile,
     scaling_agreement,
     select_topk,
     sink_token_similarity,
@@ -66,6 +70,14 @@ _LEAKS = {  # id: (call on a d_model 16 model, the package error it must raise)
     "scaling_states_vector": (lambda m: scaling_agreement(np.ones(4), np.ones(4)), ShapeError),
     "scaling_gain_width": (lambda m: scaling_agreement(np.ones((2, 4)), np.ones(3)), ShapeError),
     "cache_config": (lambda m: KVCache("x"), ConfigError),
+    "keys_negative_layer": (lambda m: selection_keys(np.ones((3, 4)), Criterion("random", seed=1),
+                                                     -1), UsageError),
+    "flops_config": (lambda m: flop_count("cfg", LayerPlan(), 16), ConfigError),
+    "flops_plan": (lambda m: flop_count(m.config, "x", 16), ConfigError),
+    "norms_no_states": (lambda m: norm_profile(HiddenTrace()), UsageError),
+    "grid_plan": (lambda m: ablation_grid(m, None, make_tokens(16, 32), 8), ConfigError),
+    "sweep_criteria": (lambda m: layerwise_comparison(m, make_tokens(16, 32), 0.5, ["x"], 0, 8),
+                       ConfigError),
 }
 
 
@@ -759,13 +771,12 @@ class TestDecodeStepKernelCalls:
         # The benchmark's decode model and plan after a 1,024-token prompt. A
         # layer that runs its block makes 19 np.matmul calls past its K and V
         # products (Q, score, 5 row-sum and 5 context K chunks, output, gate,
-        # up and 4 down chunks), and hands BLAS 25 matrices past them: the 2
-        # KV heads' score and context products, one row-sum matrix for both
-        # heads' folded rows, and one per weight product. Those hold 104 rows:
-        # 4 per folded score and context matrix (1 row x group 4), 8 per
-        # row-sum matrix and 2 per weight product, whose one row the kernel
-        # pads to two. The 3 dense layers, the K and V of the 5 plan layers
-        # and the output head make the rest.
+        # up and 4 down chunks), and hands BLAS 30 matrices past them: the 2
+        # KV heads' score, row-sum and context products, and one per weight
+        # product. Those hold 104 rows: 4 per folded score, row-sum and
+        # context matrix (1 row x group 4) and 2 per weight product, whose
+        # one row the kernel pads to two. The 3 dense layers, the K and V of
+        # the 5 plan layers and the output head make the rest.
         config = ModelConfig(n_layers=8, d_model=256, n_heads=8, n_kv_heads=2, d_head=32,
                              d_ffn=1024, vocab_size=512)
         model, plan = make_random_model(config, seed=7), [2, 3, 4, 5, 6]
@@ -789,7 +800,7 @@ class TestDecodeStepKernelCalls:
             selected = sum(chosen for *_, chosen in trace.selection)
             seen.add(selected)
             assert (len(matrices), sum(matrices), sum(rows)) == (
-                74 + 19 * selected, 92 + 25 * selected, 346 + 104 * selected)
+                74 + 19 * selected, 107 + 30 * selected, 346 + 104 * selected)
         assert 0 in seen and len(seen) > 1
 
 
@@ -921,7 +932,8 @@ class TestPlanResolver:
             return
         assert type(plan.keep_ratio) in (float, list)
         assert all(type(v) is int for v in plan.layers)
-        assert all(type(r) is float for r in plan.ratios())
+        ratios = plan.keep_ratio if type(plan.keep_ratio) is list else [plan.keep_ratio]
+        assert all(type(r) is float for r in ratios)
         assert logits is not None, (layers, ratio)
         canonical, _, _ = forward_with_plan(tiny_model, tokens, plan.layers, plan.keep_ratio)
         assert np.array_equal(logits, canonical)

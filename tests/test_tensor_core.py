@@ -275,9 +275,9 @@ class TestStackedMatmul:
 
 # The benchmark model's products: a's leading axes, the inner dimension, b's
 # shape (or the row-sum ones table) and n. The weights are 2-D; the decode
-# fold's score and context products stack its 2 KV heads over 1,030 keys (the
-# score reads a key arena of 1,040 columns), and its row sums take both
-# heads' folded rows as one matrix.
+# fold's score, row-sum and context products stack its 2 KV heads over 1,030
+# keys (the score reads a key arena of 1,040 columns), each head's matrix the
+# 4 folded rows of its query heads.
 BENCHMARK_PRODUCTS = {
     "k_v": ((), 256, (256, 64), 64),
     "q_o": ((), 256, (256, 256), 256),
@@ -286,7 +286,7 @@ BENCHMARK_PRODUCTS = {
     "head": ((), 256, (256, 512), 512),
     "score": ((2, 1), 32, (2, 1, 32, 1040), 1030),
     "context": ((2, 1), 1030, (2, 1, 1030, 32), 32),
-    "row_sum": ((), 1030, None, 1),
+    "row_sum": ((2, 1), 1030, None, 1),
 }
 ROW_COUNTS = [*range(1, 18), 85, 341]
 
@@ -606,13 +606,15 @@ class TestSoftmaxKernel:
            seed=st.integers(0, 2**31))
     @settings(max_examples=80, deadline=None)
     def test_folded_row_sums_equal_per_matrix(self, rows, lead, keys, dtype, seed):
-        # the softmax takes every matrix's row sums as rows of one matrix
+        # the softmax takes the row sums of the stack it is given, folded
+        # GQA heads or not, in one call against the shared ones table
         stack = np.exp(rand((*lead, rows, keys), seed=seed, dtype=dtype))
         ones = tensor_core._ones_rows(keys, np.dtype(dtype))
-        folded = _matmul_cols(stack.reshape(-1, keys), ones, 1).reshape(*lead, rows, 1)
+        stacked = _matmul_cols(stack, ones, 1)
+        assert stacked.shape == (*lead, rows, 1)
         for idx in np.ndindex(*lead):
-            assert np.array_equal(folded[idx], _matmul_cols(stack[idx], ones, 1))
-            assert np.array_equal(folded[idx], matmul(stack[idx], np.ones((keys, 1), dtype)))
+            assert np.array_equal(stacked[idx], _matmul_cols(stack[idx], ones, 1))
+            assert np.array_equal(stacked[idx], matmul(stack[idx], np.ones((keys, 1), dtype)))
 
 
 class TestRopeApply:

@@ -1,4 +1,4 @@
-"""Step-interleaved A/B timing of decode steps, prefills and evaluations from two source trees.
+"""Paired in-process A/B timing of decode, prefill, evaluation and calibration runs of two trees.
 
     python tools/ab_decode.py PARENT_SRC CHANGE_SRC
 
@@ -10,21 +10,27 @@ arrays: the 8-layer mid GQA model, the plan [2..6] at keep 0.333, a
 ``SEEDS`` models, ``PROMPTS`` prompts each, ``STEPS`` steps per prompt.
 Each seed's model then runs the benchmark's prefill workload ``EVALS``
 times: the dense and the plan perplexity of an ``EVAL_TOKENS``-token
-corpus in ``EVAL_CONTEXT``-token chunks.
+corpus in ``EVAL_CONTEXT``-token chunks. Each seed's model of the
+benchmark's calibrate shape, the 8-layer small MHA model, then runs its
+workload ``CALIBRATIONS`` times: ``calibrate_greedy`` of ``CALIB_M`` layers
+among ``CALIB_ELIGIBLE`` at keep ``KEEP_RATIO`` over a ``CALIB_TOKENS``-token
+corpus in ``CALIB_CONTEXT``-token windows, then ``ablation_grid`` of its plan.
 Steps alternate between the sides and the side that goes first flips every
-step; so do the prompt prefills, every prompt, and the evaluations, every
-round. The logits of each prefill and step and the perplexity of each
-evaluation must be bitwise equal on both sides, else the script stops with
-an error.
+step; so do the prompt prefills, every prompt, and the evaluations and
+calibrations, every round. The logits of each prefill and step, the
+perplexity of each evaluation, and the plan and grid rows of each
+calibration must be equal on both sides (bitwise for the numbers), else the
+script stops with an error.
 
 It prints, per seed and over all steps, each side's median step time, the
 median of the paired differences (change minus parent) and the share of
 steps the change was faster, then the same line over all prefills, so a
 change to the decode path shows its cost to the time to first token too,
-and over all dense and all plan evaluations.
-Pairing runs within one process removes the machine's drift between
-separate runs, so it resolves differences that separate benchmark runs
-cannot. It is a sizing tool, not a gate.
+over all dense and all plan evaluations, and over all calibrations and all
+ablation grids. Pairing runs within one process removes the machine's drift
+between separate runs, so it resolves differences that separate benchmark
+runs cannot: the calibrate workload's own benchmark scaling differs from one
+process to the next. It is a sizing tool, not a gate.
 """
 
 import argparse
@@ -41,6 +47,10 @@ MID = dict(n_layers=8, d_model=256, n_heads=8, n_kv_heads=2, d_head=32, d_ffn=10
 PLAN_LAYERS, KEEP_RATIO = [2, 3, 4, 5, 6], 0.333
 SEEDS, PROMPTS, PROMPT_TOKENS, STEPS = 2, 6, 1024, 64
 EVALS, EVAL_TOKENS, EVAL_CONTEXT = 10, 512, 256
+SMALL = dict(n_layers=8, d_model=64, n_heads=4, n_kv_heads=4, d_head=16, d_ffn=256,
+             vocab_size=256)
+CALIBRATIONS, CALIB_TOKENS, CALIB_CONTEXT, CALIB_M = 10, 256, 128, 3
+CALIB_ELIGIBLE = [1, 2, 3, 4, 5, 6]
 
 
 def load_tree(src: str, name: str):
@@ -111,6 +121,30 @@ def run_seed(sides, seed: int):
     return prefills, times, evals
 
 
+def run_calibrations(sides, seed: int):
+    """Calibration and ablation-grid times of (parent, change) for one seed's small model."""
+    weights = random_weights(sides[0], sides[0].ModelConfig(**SMALL), seed)
+    models = [pkg.Model(pkg.ModelConfig(**SMALL), weights, f"ab-small-{seed}") for pkg in sides]
+    corpus = np.random.default_rng(seed).integers(0, SMALL["vocab_size"], size=CALIB_TOKENS)
+    times = {"calibrate": ([], []), "ablate": ([], [])}
+    for c in range(CALIBRATIONS):
+        plans, rows = [None, None], [None, None]
+        for side in ((0, 1) if c % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            plans[side] = sides[side].calibrate_greedy(models[side], corpus, CALIB_M, KEEP_RATIO,
+                                                       CALIB_ELIGIBLE, CALIB_CONTEXT)
+            grid = time.perf_counter()
+            rows[side] = sides[side].ablation_grid(models[side], plans[side], corpus,
+                                                   CALIB_CONTEXT)
+            times["calibrate"][side].append(grid - start)
+            times["ablate"][side].append(time.perf_counter() - grid)
+        if plans[0].to_json() != plans[1].to_json():
+            sys.exit(f"seed {seed}: calibrated plans differ between the trees")
+        if rows[0] != rows[1]:
+            sys.exit(f"seed {seed}: ablation grid rows differ between the trees")
+    return times
+
+
 def report(label: str, parent: list[float], change: list[float], runs: str = "steps") -> None:
     a, b = 1e3 * np.asarray(parent), 1e3 * np.asarray(change)
     diff = b - a
@@ -130,18 +164,23 @@ def main(argv=None) -> None:
         sys.exit("the trees disagree on the model config")
     prefill_all, step_all = ([], []), ([], [])
     eval_all = {"dense eval": ([], []), "plan eval": ([], [])}
+    calib_all = {"calibrate": ([], []), "ablate": ([], [])}
     for seed in range(1, SEEDS + 1):
         prefills, steps, evals = run_seed(sides, seed)
         report(f"seed {seed}", *steps)
+        calibrations = run_calibrations(sides, seed)
         for side in (0, 1):
             prefill_all[side].extend(prefills[side])
             step_all[side].extend(steps[side])
-            for label, times in evals.items():
-                eval_all[label][side].extend(times[side])
+            for all_times, times in ((eval_all, evals), (calib_all, calibrations)):
+                for label in all_times:
+                    all_times[label][side].extend(times[label][side])
     report("all", *step_all)
     report("prefill", *prefill_all, runs="prefills")
     for label, times in eval_all.items():
         report(label, *times, runs="evaluations")
+    for label, times in calib_all.items():
+        report(label, *times, runs="runs")
 
 
 if __name__ == "__main__":
