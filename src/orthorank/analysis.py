@@ -58,7 +58,12 @@ def default_cross_positions(seq_len: int) -> list[int]:
 
 
 def _check_positions(trace: HiddenTrace, positions, allow_sink: bool) -> list[int]:
+    """``positions`` as ints within the trace's sequence; None means the default sink positions."""
+    if not isinstance(trace, HiddenTrace):
+        raise UsageError(f"expected a HiddenTrace, got {type(trace).__name__}")
     seq = trace.seq_len
+    if positions is None:
+        positions = default_sink_positions(seq)
     out = []
     for p in positions:
         if not _is_number(p, numbers.Integral):
@@ -74,8 +79,6 @@ def _check_positions(trace: HiddenTrace, positions, allow_sink: bool) -> list[in
 
 def sink_token_similarity(trace: HiddenTrace, positions=None) -> SimilarityMatrix:
     """cos(h_bar_0, h_bar_i) per captured layer (rows) and position (cols)."""
-    if positions is None:
-        positions = default_sink_positions(trace.seq_len)
     positions = _check_positions(trace, positions, allow_sink=False)
     values = np.empty((len(trace.layers), len(positions)))
     for j, states in enumerate(trace.normalized):

@@ -155,7 +155,12 @@ def effective_sparsity(layer_fraction: float, keep_ratio: float) -> float:
 
 
 def plan_effective_sparsity(plan: LayerPlan, n_layers: int) -> float:
-    """Effective sparsity a plan achieves on an n_layers model; ConfigError for a layer it lacks."""
+    """Effective sparsity a plan achieves on an n_layers model.
+
+    ConfigError for a ``plan`` that is not a LayerPlan or a layer the model lacks.
+    """
+    if not isinstance(plan, LayerPlan):
+        raise ConfigError(f"a plan must be a LayerPlan, got {type(plan).__name__}")
     if not (_is_number(n_layers, numbers.Integral) and n_layers >= 1):
         raise ConfigError(f"n_layers must be an integer >= 1, got {n_layers!r}")
     ratios = _plan_ratios(plan.layers, plan.keep_ratio, n_layers)

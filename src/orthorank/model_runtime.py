@@ -68,6 +68,13 @@ class Model:
         return self.weights["lm_head.weight"]
 
 
+def _config_of(model: Model) -> ModelConfig:
+    """``model``'s config; UsageError when ``model`` is not a Model."""
+    if not isinstance(model, Model):
+        raise UsageError(f"expected a Model, got {type(model).__name__}")
+    return model.config
+
+
 class KVArena(NamedTuple):
     """One layer's preallocated KV buffers; a cache commits their first rows.
 
@@ -135,14 +142,16 @@ class KVCache:
     commits by replacing the (arena, count) pairs, so committed rows never
     change. Only layers run selectively have ``sorted_history[o]``, their
     one score list: one score per processed token in ascending order, +inf
-    for the sink, which decode ranks a new score against; and
-    ``sink_state[o]``, the sink's row at the criterion's stage (normalized
-    or raw) that decode scores new tokens against. ``identity`` is the
-    (config, model_id) of the model the cache steps: the config from the
-    start, the id None until the first step records it. ``criterion`` is
-    the selection ``Criterion`` of the cache's first step, None before.
-    A step commits only after its last layer, so a failed one leaves the
-    cache unchanged.
+    for the sink, which an append ranks each new row's score against before
+    inserting it; and ``sink_state[o]``, the sink's row at the criterion's
+    stage (normalized or raw) that an append scores its rows against.
+    ``identity`` is the (config, model_id) of the model the cache steps: the
+    config from the start, the id None until the first step records it.
+    ``criterion`` is the selection ``Criterion`` of the cache's first step,
+    None before.
+    A step commits only after its last layer, replacing each score list it
+    ranked on with its staged copy, so a failed one leaves the cache
+    unchanged.
     """
 
     def __init__(self, config: ModelConfig):
@@ -424,11 +433,11 @@ def forward_dense(
     Returns (T, vocab) logits, the ``trace`` passed in (None without one),
     which gets one entry per layer in each list it records (``HiddenTrace()``
     records block inputs and their pre-attention RMSNorm outputs), and the
-    populated KV cache.
+    populated KV cache. A ``model`` that is not a Model raises UsageError.
     """
     from .selection import DEFAULT_CRITERION, _run_layers
 
-    cache = KVCache(model.config)
+    cache = KVCache(_config_of(model))
     logits = _run_layers(model, token_ids, cache, {}, DEFAULT_CRITERION, True, trace)
     return logits, trace, cache
 

@@ -12,9 +12,12 @@ unselected tokens ride the residual stream through unchanged.
 Prefill and decode, dense and selective, run one per-layer step: the
 layer's attention RMSNorm once, one scoring rule against a sink state, row
 selection, the block; a layer outside the plan keeps every row.
-Prefill ranks all T rows against row 0 and caches that sink row at the
-criterion's stage (normalized or raw); decode scores its new row against
-the cached sink state, so both give a token the same score, bitwise.
+Prefill ranks all T rows against row 0 by top-k and caches that sink row
+at the criterion's stage (normalized or raw) and the ascending score list.
+Rows appended to a prefilled cache, one decode token or several, follow
+one rule: each is scored against the cached sink state by the prefill's
+scoring rule and ranked in order by ``decode_select`` against the list as
+the rows before it left it.
 """
 
 import copy
@@ -32,6 +35,7 @@ from .errors import ConfigError, DomainError, ShapeError, StateError, UsageError
 from .model_runtime import (
     KVCache,
     Model,
+    _config_of,
     block_forward,
     embed_tokens,
     lm_head_logits,
@@ -136,32 +140,40 @@ def selection_keys(states: np.ndarray, criterion: Criterion, layer: int) -> np.n
     pair gets a reproducible permutation. The sink key is +inf for every
     kind, so the sink is selected only when selection is exhaustive.
     States that are not (T, d) with T >= 1, or a ``layer`` that is not an
-    integer >= 0, raise UsageError.
+    integer >= 0, raise UsageError, and a ``criterion`` that is not a
+    Criterion ConfigError.
     """
     states = np.asarray(states)
     if states.ndim != 2 or states.shape[0] < 1:
         raise UsageError(f"states must be (T, d) with T >= 1, got {states.shape}")
     if not (_is_number(layer, numbers.Integral) and layer >= 0):
         raise UsageError(f"layer must be an integer >= 0, got {layer!r}")
-    rng_key = (criterion.seed, layer, states.shape[0])
-    keys = _score_keys(states, states[0], criterion, rng_key)
+    if not isinstance(criterion, Criterion):
+        raise ConfigError(f"a criterion must be a Criterion, got {type(criterion).__name__}")
+    keys = _score_keys(states, states[0], criterion, layer)
     keys[0] = np.inf
     return keys
 
 
-def _score_keys(states: np.ndarray, sink_state, criterion: Criterion, rng_key) -> np.ndarray:
-    """The one scoring rule of prefill and decode: float64 keys of ``states``' rows.
+def _score_keys(states: np.ndarray, sink_state, criterion: Criterion, layer: int,
+                positions: np.ndarray | None = None) -> np.ndarray:
+    """The one scoring rule of prefill and appends: float64 keys of ``states``' rows.
 
-    Orthogonal kinds score |<sink_state, h_i>|, norm kinds ||h_i||, and
-    ``random`` draws one key per row from a generator keyed by ``rng_key``;
-    descending kinds negate their ascending counterparts. A row's key does
-    not depend on how many rows are scored with it, so a decode row's key
-    equals the prefill key of the same row bitwise. That is why the dot
+    Orthogonal kinds score |<sink_state, h_i>|, norm kinds ||h_i||;
+    descending kinds negate their ascending counterparts. ``random`` draws a
+    prefill's T keys from one generator keyed by (seed, layer, T) and, given
+    the rows' ``positions``, an appended row's key from its own generator
+    keyed by (seed, layer, position). Every other kind's key of a row does
+    not depend on how many rows are scored with it, so an appended row's
+    key equals the prefill key of the same row bitwise. That is why the dot
     product is an ``einsum``: a BLAS matrix-vector product rounds
     differently at different row counts.
     """
     if criterion.kind == "random":
-        return np.random.default_rng(rng_key).random(states.shape[0])
+        if positions is None:
+            return np.random.default_rng((criterion.seed, layer, len(states))).random(len(states))
+        return np.array([np.random.default_rng((criterion.seed, layer, p)).random()
+                         for p in positions.tolist()])
     s64 = states.astype(np.float64, copy=False)
     if criterion.kind.startswith("orthogonal"):
         keys = np.abs(np.einsum("ij,j->i", s64, sink_state.astype(np.float64, copy=False)))
@@ -173,23 +185,23 @@ def _score_keys(states: np.ndarray, sink_state, criterion: Criterion, rng_key) -
 def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
                 ratio: float | None, criterion: Criterion, compute_kv_for_unselected: bool,
                 cache: KVCache, trace: HiddenTrace | None,
-                staged_scores: list[tuple[int, float]] | None = None,
                 dense_out: np.ndarray | None = None):
     """Run block ``layer`` in place on ``x``; selectively unless ``ratio`` is None.
 
     The attention RMSNorm is computed once and shared by the trace, the
-    scoring stage and the block. A step past position 0 decodes. Prefill
-    keeps the k = floor(p * T) rows with the lowest keys against row 0 (a
+    scoring stage and the block. A step from position 0 prefills: it keeps
+    the k = floor(p * T) rows with the lowest keys against row 0 (a
     non-finite key raises UsageError) and caches the keys in ascending order
     as the layer's score list and row 0 at the criterion's stage as its sink
-    state; decode scores its one row against that sink state (StateError if
-    none) and ranks it as ``decode_select`` would against the committed
-    score list, which it leaves as it is: it appends (layer, score) to
-    ``staged_scores`` for the commit to insert. A ``trace`` records the
-    layer and each kind of entry it holds a list for: the block input and
-    normalized rows, the scored rows of a plan layer, and the selected
-    rows' attention mass on key 0. Returns the selected rows and the
-    block's new key and value rows (None when a decode row stores nothing).
+    state. A step past position 0 appends its n >= 1 rows: it scores them
+    against that sink state (StateError if none), replaces the staged
+    ``cache``'s score list with a copy, and selects each row in order by
+    ``decode_select`` on that copy, which inserts the row's score before
+    the next row is ranked. A ``trace`` records the layer and each kind of
+    entry it holds a list for: the block input and normalized rows, the
+    scored rows of a plan layer, and the selected rows' attention mass on
+    key 0. Returns the selected rows and the block's new key and value rows
+    (None when an append stores nothing).
     ``dense_out``, the layer's recorded dense output for the prefill input
     ``x``, replaces the block: after the norm, scoring and trace, its
     selected rows are written into ``x`` and no key or value is made. With
@@ -203,7 +215,7 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
         if trace.hidden is not None:
             trace.hidden.append(x.copy())
             trace.normalized.append(xn)
-    step = int(positions[0])  # 0 in a prefill, the new token's position in decode
+    step = int(positions[0])  # 0 in a prefill, the first appended row's position
     rows = np.arange(x.shape[0], dtype=np.int64)
     sel = rows
     if ratio is not None:
@@ -212,11 +224,11 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
             sink = cache.sink_state.get(layer)
             if sink is None:
                 raise StateError(f"layer {layer} has no sink state; prefill with the plan first")
-            keys = _score_keys(stage, sink, criterion, (criterion.seed, layer, step))
-            score = float(keys[0])
-            if not _decode_rank(cache, layer, score, ratio):
-                sel = rows[:0]
-            staged_scores.append((layer, score))
+            keys = _score_keys(stage, sink, criterion, layer, positions)
+            cache.sorted_history[layer] = list(cache.sorted_history[layer])
+            chosen = [decode_select(cache, layer, s, ratio) for s in keys.tolist()]
+            if not all(chosen):  # all or none, a decode step's two cases, need no index array
+                sel = rows[chosen] if any(chosen) else rows[:0]
         else:
             keys = selection_keys(stage, criterion, layer)
             if not np.isfinite(keys[1:]).all():
@@ -233,7 +245,7 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
         return sel, None, None
     capture_attn0 = trace is not None and trace.attn_to_sink is not None
     kv_rows = rows if compute_kv_for_unselected else sel
-    if step and kv_rows.size == 0:  # unselected with KV off: the token skips the layer
+    if step and kv_rows.size == 0:  # none selected with KV off: the rows skip the layer
         if capture_attn0:
             trace.attn_to_sink.append(np.zeros(0))
         return sel, None, None
@@ -246,25 +258,27 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
 
 def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselected,
                 trace=None, resume=None) -> np.ndarray:
-    """Prefill ``token_ids`` into an empty ``cache``, or decode one token onto it; logits.
+    """Prefill ``token_ids`` into an empty ``cache``, or append them to it; their logits.
 
     The one layer loop: layers outside ``plan`` run dense, so the empty plan
     is the dense forward pass and the dense decode step. It alone checks and
     commits a step. The model's config must be the cache's, and its id the
     one the cache's first step recorded (any id at the first step, which
     records it), else StateError before any layer runs. Two in-memory
-    models that share a config and an id pass as one. A decode step must
+    models that share a config and an id pass as one. An append must
     also run selectively exactly the layers its prefill did, under the
     criterion the prefill recorded (any keep ratio and KV setting), else
-    StateError before any layer runs. The layers run on a staged copy of
-    the cache's containers: its (arena, count) pairs, which
-    ``block_forward`` replaces after writing past the counts, and its sink
-    states and score lists, which a prefill replaces. A decode step ranks
-    each plan layer's score against the committed list and stages only the
-    score. The staged containers replace the cache's only after the last
-    layer, and then ``decode_select`` inserts each staged score, so a
-    failed step leaves the cache's committed rows, arenas and selection
-    state as they were (its ``trace`` keeps what the step recorded).
+    StateError before any layer runs; a ``model`` that is not a Model
+    raises UsageError and a ``criterion`` that is not a Criterion
+    ConfigError. The layers run on a staged copy of the cache's containers:
+    its (arena, count) pairs, which ``block_forward`` replaces after
+    writing past the counts, and its sink states and score lists, which a
+    prefill replaces and an append's plan layer replaces with a copy that
+    ranks the appended rows. The staged containers replace the cache's
+    only after the last layer, so a failed step leaves the cache's
+    committed rows, arenas and selection state as they were (its ``trace``
+    keeps what the step recorded). With finite states an append of n tokens
+    therefore equals n one-token appends bitwise.
     ``resume=(s, x, out)`` starts a prefill at layer ``s`` from ``x``, the
     (T, d) input states of that layer recorded by an earlier run (``x`` is
     not modified and ``token_ids`` is not read). Layers below ``s`` neither
@@ -278,7 +292,9 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     gets the entries of every layer step the loop runs, from ``s`` on when
     it resumes.
     """
-    cfg = model.config
+    if not isinstance(criterion, Criterion):
+        raise ConfigError(f"a criterion must be a Criterion, got {type(criterion).__name__}")
+    cfg = _config_of(model)
     config, model_id = cache.identity
     if config != cfg or model_id not in (None, model.model_id):
         raise StateError(f"the cache holds model {model_id!r} with {config}; "
@@ -301,14 +317,11 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     staged.n_tokens, staged.identity = cache.n_tokens + x.shape[0], (cfg, model.model_id)
     staged.criterion = criterion if cache.criterion is None else cache.criterion
     positions = np.arange(cache.n_tokens, staged.n_tokens, dtype=np.int64)
-    scores = []  # a decode step's (layer, score) at each plan layer
     for layer in range(first, cfg.n_layers):
         _layer_step(model, layer, x, positions, plan.get(layer), criterion,
-                    compute_kv_for_unselected, staged, trace, scores, dense_out)
+                    compute_kv_for_unselected, staged, trace, dense_out)
         dense_out = None
     vars(cache).update(vars(staged))  # commit: the staged containers replace the cache's
-    for layer, score in scores:  # and each score joins its list, ranked as the step ranked it
-        decode_select(cache, layer, score, plan[layer])
     return lm_head_logits(model, x)
 
 
@@ -365,8 +378,9 @@ def forward_with_plan(
     ``trace`` passed in (None without one), which gets one entry per layer
     in each list it records, and the cache.
     """
-    plan = _plan_ratios(plan_layers, keep_ratio, model.config.n_layers)
-    cache = KVCache(model.config)
+    config = _config_of(model)
+    plan = _plan_ratios(plan_layers, keep_ratio, config.n_layers)
+    cache = KVCache(config)
     logits = _run_layers(model, token_ids, cache, plan, criterion,
                          compute_kv_for_unselected, trace)
     return logits, trace, cache
@@ -382,15 +396,9 @@ def decode_select(cache: KVCache, layer: int, new_score: float, keep_ratio: floa
     a binary search in H, and s is inserted in order either way: every
     token becomes context. A layer without a list raises StateError, a
     score that is not a finite number UsageError, and a ratio outside
-    [0, 1] ConfigError.
+    [0, 1] ConfigError, each with H left as it is. An append's plan layer
+    calls it on each new row in order, on its staged copy of H.
     """
-    selected = _decode_rank(cache, layer, new_score, keep_ratio)
-    insort(cache.sorted_history[layer], float(new_score))
-    return selected
-
-
-def _decode_rank(cache: KVCache, layer: int, new_score: float, keep_ratio: float) -> bool:
-    """``decode_select``'s answer and checks, with the score list left as it is."""
     ranked = cache.sorted_history.get(layer)
     if ranked is None:
         raise StateError(f"layer {layer} has no score list; prefill with the plan first")
@@ -399,7 +407,9 @@ def _decode_rank(cache: KVCache, layer: int, new_score: float, keep_ratio: float
     if not (_is_number(keep_ratio) and 0.0 <= keep_ratio <= 1.0):
         raise ConfigError(f"keep_ratio must be in [0, 1], got {keep_ratio!r}")
     k = int(math.floor(keep_ratio * (len(ranked) + 1)))
-    return bisect_right(ranked, new_score) + 1 <= k
+    selected = bisect_right(ranked, new_score) + 1 <= k
+    insort(ranked, float(new_score))
+    return selected
 
 
 def decode_step_with_plan(
@@ -427,7 +437,7 @@ def decode_step_with_plan(
     token's position as the step of its selection rows. A failed step
     leaves the cache as it was and what it recorded in the trace.
     """
-    plan = _plan_ratios(plan_layers, keep_ratio, model.config.n_layers)
+    plan = _plan_ratios(plan_layers, keep_ratio, _config_of(model).n_layers)
     return _run_layers(model, [token_id], cache, plan, criterion,
                        compute_kv_for_unselected, trace), cache
 

@@ -25,8 +25,9 @@ class HiddenTrace:
       array when a decode token skips the block). Off by default.
     - ``selection`` holds one row ``(layer, step, position, score,
       selected)`` per token a plan layer scored: step 0 in a prefill (the
-      chunk index under ``perplexity``), the token's position in decode.
-      Off by default.
+      chunk index under ``perplexity``); for an append to a prefilled
+      cache, the first position of the step, which is the token's position
+      in a one-token decode step. Off by default.
 
     ``HiddenTrace()`` records states only, ``HiddenTrace(hidden=None,
     attn_to_sink=[])`` sink mass only and ``HiddenTrace(hidden=None,

@@ -2,11 +2,12 @@
 
 Run it as ``python tests/output_digest.py``; it prints one hex digest. It
 covers prefill logits and K/V (dense, two plans, KV for unselected tokens
-on and off), 20 plan decode steps' logits and attention mass on the sink,
-``generate_greedy`` with KV on and off, ``detect_sink_layer``, a greedy
-and a one-shot calibration plan, the seven ablation-grid rows and a
-layerwise criterion table. Models are drawn in
-memory from fixed seeds, so nothing is downloaded or written.
+on and off) and 20 plan decode steps' logits, attention mass on the sink
+and selection rows, under the default criterion and, on the first plan,
+under a random and a raw-state norm criterion; ``generate_greedy`` with KV
+on and off, ``detect_sink_layer``, a greedy and a one-shot calibration
+plan, the seven ablation-grid rows and a layerwise criterion table. Models
+are drawn in memory from fixed seeds, so nothing is downloaded or written.
 
 Two uses: a change that must keep every result bit for bit prints the same
 digest before and after it, and two runs that differ only in the BLAS
@@ -36,6 +37,10 @@ SMALL = ModelConfig(n_layers=8, d_model=64, n_heads=4, n_kv_heads=4, d_head=16,
                     d_ffn=256, vocab_size=256)
 PLANS = [orr.LayerPlan(layers=[2, 3, 4, 5, 6], keep_ratio=0.333, l_sink=1),
          orr.LayerPlan(layers=[1, 5], keep_ratio=[0.5, 1.0])]
+# (plan, criterion) of each plan run: every criterion kind scores decode rows its own way
+PLAN_RUNS = [(PLANS[0], orr.Criterion()), (PLANS[1], orr.Criterion()),
+             (PLANS[0], orr.Criterion("random", seed=5)),
+             (PLANS[0], orr.Criterion("norm_desc", "raw_hidden"))]
 PROMPT_LEN = 600
 DECODE_STEPS = 20
 
@@ -63,20 +68,19 @@ def digest() -> str:
     logits, _, cache = orr.forward_dense(model, prompt)
     out.add(logits)
     out.add_cache(cache)
-    for plan in PLANS:
+    for plan, criterion in PLAN_RUNS:
         for kv in (True, False):
-            logits, _, cache = orr.forward_with_plan(model, prompt, plan.layers,
-                                                     plan.keep_ratio, compute_kv_for_unselected=kv)
+            logits, _, cache = orr.forward_with_plan(model, prompt, plan.layers, plan.keep_ratio,
+                                                     criterion, kv)
             out.add(logits)
             out.add_cache(cache)
-            trace = orr.HiddenTrace(hidden=None, attn_to_sink=[])
+            trace = orr.HiddenTrace(hidden=None, attn_to_sink=[], selection=[])
             for token in make_tokens(DECODE_STEPS, MID.vocab_size, seed=2):
                 logits, cache = orr.decode_step_with_plan(model, cache, int(token), plan.layers,
-                                                          plan.keep_ratio,
-                                                          compute_kv_for_unselected=kv,
-                                                          trace=trace)
+                                                          plan.keep_ratio, criterion, kv, trace)
                 out.add(logits)
             out.add(*trace.attn_to_sink)
+            out.add(trace.selection)
     for kv in (True, False):
         out.add(orr.generate_greedy(model, prompt[:64], 8, PLANS[0].layers, PLANS[0].keep_ratio,
                                     compute_kv_for_unselected=kv))

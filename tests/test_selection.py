@@ -23,6 +23,7 @@ from orthorank import (
     decode_select,
     decode_step_dense,
     decode_step_with_plan,
+    detect_sink_layer,
     flop_count,
     forward_dense,
     forward_orthorank_layer,
@@ -32,6 +33,8 @@ from orthorank import (
     importance_norm_sq,
     layerwise_comparison,
     norm_profile,
+    perplexity,
+    plan_effective_sparsity,
     scaling_agreement,
     select_topk,
     sink_token_similarity,
@@ -78,6 +81,20 @@ _LEAKS = {  # id: (call on a d_model 16 model, the package error it must raise)
     "grid_plan": (lambda m: ablation_grid(m, None, make_tokens(16, 32), 8), ConfigError),
     "sweep_criteria": (lambda m: layerwise_comparison(m, make_tokens(16, 32), 0.5, ["x"], 0, 8),
                        ConfigError),
+    "keys_criterion": (lambda m: selection_keys(np.ones((3, 4)), "x", 0), ConfigError),
+    "plan_criterion": (lambda m: forward_with_plan(m, make_tokens(8, 32), [1], 0.5, "x"),
+                       ConfigError),
+    "ppl_criterion": (lambda m: perplexity(m, None, make_tokens(16, 32), 8, criterion="x"),
+                      ConfigError),
+    "generate_criterion": (lambda m: generate_greedy(m, make_tokens(8, 32), 2, [1], 0.5, "x"),
+                           ConfigError),
+    "dense_model": (lambda m: forward_dense("m", make_tokens(8, 32)), UsageError),
+    "sink_layer_model": (lambda m: detect_sink_layer("m", make_tokens(16, 32)), UsageError),
+    "dense_step_model": (lambda m: decode_step_dense("m", KVCache(m.config), 1), UsageError),
+    "plan_step_model": (lambda m: decode_step_with_plan("m", KVCache(m.config), 1, [1], 0.5),
+                        UsageError),
+    "sparsity_plan": (lambda m: plan_effective_sparsity("x", 4), ConfigError),
+    "similarity_trace": (lambda m: sink_token_similarity("x"), UsageError),
 }
 
 
@@ -1164,6 +1181,56 @@ class TestFailedStepLeavesCache:
         forward_with_plan(model, np.arange(20), [], 1.0)  # dense layers do not score
 
 
+class TestAppend:
+    """Rows appended to a prefilled cache in one step are ranked as one-token steps rank them."""
+
+    @pytest.mark.parametrize("kind", CRITERION_KINDS)
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("kv_on", [True, False])
+    def test_append_equals_one_token_steps(self, kind, stage, kv_on):
+        config = ModelConfig(n_layers=6, d_model=64, n_heads=4, n_kv_heads=2, d_head=16,
+                             d_ffn=128, vocab_size=64)
+        model = make_random_model(config, seed=3)
+        tokens, c = make_tokens(60, config.vocab_size, seed=8), 40
+        criterion, layers = Criterion(kind, stage, seed=5), [2, 3]
+        appending = HiddenTrace(hidden=None, selection=[])
+        stepping = HiddenTrace(hidden=None, selection=[])
+        _, _, appended = forward_with_plan(model, tokens[:c], layers, 0.5, criterion, kv_on)
+        _, _, stepped = forward_with_plan(model, tokens[:c], layers, 0.5, criterion, kv_on)
+        got = selection._run_layers(model, tokens[c:], appended, {2: 0.5, 3: 0.5}, criterion,
+                                    kv_on, appending)
+        want = np.vstack([decode_step_with_plan(model, stepped, int(t), layers, 0.5, criterion,
+                                                kv_on, stepping)[0] for t in tokens[c:]])
+        assert got.tobytes() == want.tobytes()
+        assert cache_bytes(appended) == cache_bytes(stepped)
+        appended.check()
+        # the same rows, scores and choices, layer by layer; an append's step is its first position
+        assert appending.selection == sorted((l, c, p, s, k) for l, _, p, s, k in stepping.selection)
+        assert {k for *_, k in appending.selection} == {0, 1}
+
+    def test_nonfinite_later_row_leaves_cache(self, nan_token_model, monkeypatch):
+        # plan layer 0 scores the embeddings, so only the NaN token's row is non-finite there
+        tokens = finite_tokens(32, nan_token_model.config.vocab_size)
+        _, _, cache = forward_with_plan(nan_token_model, tokens[:28], [0, 3], 0.5)
+        before = cache_bytes(cache)
+        ranked, real = [], selection.decode_select
+
+        def recording(cache, layer, score, ratio):
+            ranked.append((layer, score))
+            return real(cache, layer, score, ratio)
+
+        monkeypatch.setattr(selection, "decode_select", recording)
+        with pytest.raises(UsageError, match="finite"):
+            selection._run_layers(nan_token_model, [*tokens[28:], NAN_TOKEN], cache,
+                                  {0: 0.5, 3: 0.5}, Criterion(), True)
+        # layer 0 inserted four finite scores into its staged list, then met the fifth row
+        assert [layer for layer, _ in ranked] == [0] * 5
+        assert np.isfinite([score for _, score in ranked[:4]]).all()
+        assert np.isnan(ranked[4][1])
+        assert cache_bytes(cache) == before
+        cache.check()
+
+
 # Small models of every head layout; tied and untied.
 _FUZZ_CONFIGS = st.builds(
     lambda n_layers, n_kv, group, d_head, d_ffn, vocab, tied: ModelConfig(
@@ -1220,10 +1287,14 @@ class TestStepFuzz:
             config, n_heads=config.n_kv_heads * (3 - group),
             d_model=config.n_kv_heads * (3 - group) * config.d_head), seed)
         steps = st.integers(0, vocab - 1) | st.sampled_from(
-            ["out_of_vocab", "unplanned", "other_model", "subset_plan", "other_criterion"])
+            ["append", "out_of_vocab", "unplanned", "other_model", "subset_plan",
+             "other_criterion"])
         for step in data.draw(st.lists(steps, max_size=5), "steps"):
             token, step_plan, step_model, step_criterion = step, plan, model, criterion
-            if step == "out_of_vocab":
+            if step == "append":  # n tokens onto the cache in one step
+                token = data.draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=8),
+                                  "tokens")
+            elif step == "out_of_vocab":
                 token = data.draw(st.sampled_from([-1, vocab]), "token")
             elif step == "unplanned":
                 if not unplanned:
@@ -1242,11 +1313,16 @@ class TestStepFuzz:
                     st.builds(Criterion, st.sampled_from(CRITERION_KINDS), st.sampled_from(STAGES),
                               st.integers(0, 4)).filter(lambda c: c != criterion), "criterion")
             # a step off the prefill's selective layers or criterion fails
-            must_fail = not isinstance(step, int) and (step != "other_criterion" or bool(plan))
+            must_fail = (not isinstance(step, int) and step != "append"
+                         and (step != "other_criterion" or bool(plan)))
             before = cache_bytes(cache)
             try:
-                decode_step_with_plan(step_model, cache, token, step_plan, ratio,
-                                      step_criterion, kv_on)
+                if step == "append":
+                    selection._run_layers(step_model, token, cache, dict.fromkeys(plan, ratio),
+                                          step_criterion, kv_on)
+                else:
+                    decode_step_with_plan(step_model, cache, token, step_plan, ratio,
+                                          step_criterion, kv_on)
             except OrthoRankError as exc:
                 assert must_fail, (step, exc)
                 if step in ("other_model", "subset_plan", "other_criterion"):
@@ -1254,5 +1330,5 @@ class TestStepFuzz:
                 assert cache_bytes(cache) == before
             else:
                 assert not must_fail, step
-                assert cache.n_tokens == before[0] + 1
+                assert cache.n_tokens == before[0] + (len(token) if step == "append" else 1)
             cache.check()

@@ -6,30 +6,35 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_ab_decode_pairs_a_tree_with_itself(capsys, monkeypatch):
-    spec = importlib.util.spec_from_file_location("ab_decode", ROOT / "tools" / "ab_decode.py")
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_ab_decode_pairs_a_tree_with_itself(capsys, monkeypatch):
+    tool = load_tool("ab_decode")
     for name, value in dict(SEEDS=1, PROMPTS=2, PROMPT_TOKENS=16, STEPS=3, EVALS=3,
                             EVAL_TOKENS=40, EVAL_CONTEXT=16, CALIBRATIONS=2, CALIB_TOKENS=32,
                             CALIB_CONTEXT=16, CALIB_M=2).items():
         monkeypatch.setattr(tool, name, value)
     src = str(ROOT / "src")
-    tool.main([src, src])
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["seed 1", "all", "prefill", "dense eval",
-                                                      "plan eval", "calibrate", "ablate"]
-    assert all("change faster in" in line and "of 6 steps" in line for line in lines[:2])
-    assert "change faster in" in lines[2] and lines[2].endswith("of 2 prefills")
-    assert all("change faster in" in line and line.endswith("of 3 evaluations")
-               for line in lines[3:5])
-    assert all("change faster in" in line and line.endswith("of 2 runs") for line in lines[5:])
+    counts = {"seed 1": "of 6 steps", "all": "of 6 steps", "prefill": "of 2 prefills",
+              "dense eval": "of 3 evaluations", "plan eval": "of 3 evaluations",
+              "calibrate": "of 2 runs", "ablate": "of 2 runs"}
+    for argv, labels in [([src, src], list(counts)),
+                         ([src, src, "--only", "decode"], ["seed 1", "all", "prefill"]),
+                         ([src, src, "--only", "calibrate"], ["calibrate", "ablate"])]:
+        tool.main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == labels
+        assert all("change faster in" in line and line.endswith(counts[label])
+                   for label, line in zip(labels, lines))
 
 
 def test_code_lines_counts_statements_only(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool("code_lines")
     (tmp_path / "mod.py").write_text(
         '"""Module docstring,\n\non three lines."""\n'
         "import os\n"

@@ -1,19 +1,23 @@
 """Paired in-process A/B timing of decode, prefill, evaluation and calibration runs of two trees.
 
-    python tools/ab_decode.py PARENT_SRC CHANGE_SRC
+    python tools/ab_decode.py PARENT_SRC CHANGE_SRC [--only WORKLOAD]
 
 Each SRC is a directory that holds an ``orthorank`` package (a checkout's
 ``src``). Both trees are imported into one process under two package
-names, and both sides run the benchmark's decode shape on the same weight
-arrays: the 8-layer mid GQA model, the plan [2..6] at keep 0.333, a
-1,024-token prompt prefilled under the plan, then greedy decode steps:
-``SEEDS`` models, ``PROMPTS`` prompts each, ``STEPS`` steps per prompt.
-Each seed's model then runs the benchmark's prefill workload ``EVALS``
-times: the dense and the plan perplexity of an ``EVAL_TOKENS``-token
-corpus in ``EVAL_CONTEXT``-token chunks. Each seed's model of the
-benchmark's calibrate shape, the 8-layer small MHA model, then runs its
-workload ``CALIBRATIONS`` times: ``calibrate_greedy`` of ``CALIB_M`` layers
-among ``CALIB_ELIGIBLE`` at keep ``KEEP_RATIO`` over a ``CALIB_TOKENS``-token
+names; the same SRC given twice pairs a tree with itself, so its paired
+medians are the noise floor of the measurement. ``--only`` runs one of
+the benchmark's workloads (``decode``, ``prefill`` or ``calibrate``)
+instead of all three.
+For the decode workload both sides run the benchmark's decode shape on
+the same weight arrays: the 8-layer mid GQA model, the plan [2..6] at keep
+0.333, a 1,024-token prompt prefilled under the plan, then greedy decode
+steps: ``SEEDS`` models, ``PROMPTS`` prompts each, ``STEPS`` steps per
+prompt. For the prefill workload each seed's model runs ``EVALS`` times:
+the dense and the plan perplexity of an ``EVAL_TOKENS``-token corpus in
+``EVAL_CONTEXT``-token chunks. For the calibrate workload each seed's model
+of the benchmark's calibrate shape, the 8-layer small MHA model, runs
+``CALIBRATIONS`` times: ``calibrate_greedy`` of ``CALIB_M`` layers among
+``CALIB_ELIGIBLE`` at keep ``KEEP_RATIO`` over a ``CALIB_TOKENS``-token
 corpus in ``CALIB_CONTEXT``-token windows, then ``ablation_grid`` of its plan.
 Steps alternate between the sides and the side that goes first flips every
 step; so do the prompt prefills, every prompt, and the evaluations and
@@ -27,10 +31,11 @@ median of the paired differences (change minus parent) and the share of
 steps the change was faster, then the same line over all prefills, so a
 change to the decode path shows its cost to the time to first token too,
 over all dense and all plan evaluations, and over all calibrations and all
-ablation grids. Pairing runs within one process removes the machine's drift
-between separate runs, so it resolves differences that separate benchmark
-runs cannot: the calibrate workload's own benchmark scaling differs from one
-process to the next. It is a sizing tool, not a gate.
+ablation grids; ``--only`` prints its workload's lines alone. Pairing runs
+within one process removes the machine's drift between separate runs, so it
+resolves differences that separate benchmark runs cannot: the calibrate
+workload's own benchmark scaling differs from one process to the next. It
+is a sizing tool, not a gate.
 """
 
 import argparse
@@ -51,6 +56,10 @@ SMALL = dict(n_layers=8, d_model=64, n_heads=4, n_kv_heads=4, d_head=16, d_ffn=2
              vocab_size=256)
 CALIBRATIONS, CALIB_TOKENS, CALIB_CONTEXT, CALIB_M = 10, 256, 128, 3
 CALIB_ELIGIBLE = [1, 2, 3, 4, 5, 6]
+WORKLOADS = ("decode", "prefill", "calibrate")
+# the summary lines in print order, each with what it counts
+RUNS = {"all": "steps", "prefill": "prefills", "dense eval": "evaluations",
+        "plan eval": "evaluations", "calibrate": "runs", "ablate": "runs"}
 
 
 def load_tree(src: str, name: str):
@@ -58,6 +67,8 @@ def load_tree(src: str, name: str):
     init = Path(src).resolve() / "orthorank" / "__init__.py"
     if not init.is_file():
         sys.exit(f"{src} holds no orthorank package")
+    for stale in [key for key in sys.modules if key.startswith(name + ".")]:
+        del sys.modules[stale]  # a second load in one process imports every module afresh
     spec = importlib.util.spec_from_file_location(name, init,
                                                   submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
@@ -75,11 +86,15 @@ def random_weights(package, config, seed: int) -> dict[str, np.ndarray]:
             for name, shape in package.checkpoint_io.required_tensors(config)}
 
 
-def run_seed(sides, seed: int):
+def mid_models(sides, seed: int):
+    """Each side's mid model of one seed, on the same weight arrays."""
+    weights = random_weights(sides[0], sides[0].ModelConfig(**MID), seed)
+    return [pkg.Model(pkg.ModelConfig(**MID), weights, f"ab-{seed}") for pkg in sides]
+
+
+def run_decode(sides, seed: int):
     """Prefill and step times of (parent, change) for one seed's model and prompts, in order."""
-    parent = sides[0]
-    weights = random_weights(parent, parent.ModelConfig(**MID), seed)
-    models = [pkg.Model(pkg.ModelConfig(**MID), weights, f"ab-{seed}") for pkg in sides]
+    models = mid_models(sides, seed)
     prefills, times = ([], []), ([], [])
     rng = np.random.default_rng(seed)
     for p in range(PROMPTS):
@@ -102,12 +117,18 @@ def run_seed(sides, seed: int):
             if not np.array_equal(*logits):
                 sys.exit(f"seed {seed}: step {step} logits differ between the trees")
             token = int(np.argmax(logits[0][-1]))
+    return prefills, times
+
+
+def run_evals(sides, seed: int):
+    """Dense and plan evaluation times of (parent, change) for one seed's model."""
+    models = mid_models(sides, seed)
     # each side's plan per evaluation: None is the dense plan
     plans = {"dense eval": (None, None),
              "plan eval": tuple(pkg.LayerPlan(layers=PLAN_LAYERS, keep_ratio=KEEP_RATIO,
                                               l_sink=1) for pkg in sides)}
     evals = {label: ([], []) for label in plans}
-    corpus = rng.integers(0, MID["vocab_size"], size=EVAL_TOKENS)
+    corpus = np.random.default_rng([seed, 1]).integers(0, MID["vocab_size"], size=EVAL_TOKENS)
     for e in range(EVALS):
         for label, plan in plans.items():
             ppl = [None, None]
@@ -118,7 +139,7 @@ def run_seed(sides, seed: int):
                 evals[label][side].append(time.perf_counter() - start)
             if ppl[0] != ppl[1]:
                 sys.exit(f"seed {seed}: {label} perplexities differ between the trees")
-    return prefills, times, evals
+    return evals
 
 
 def run_calibrations(sides, seed: int):
@@ -157,30 +178,31 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
+    parser.add_argument("--only", choices=WORKLOADS, help="run this workload alone")
     args = parser.parse_args(argv)
     sides = (load_tree(args.parent_src, "orthorank_parent"),
              load_tree(args.change_src, "orthorank_change"))
     if asdict(sides[0].ModelConfig(**MID)) != asdict(sides[1].ModelConfig(**MID)):
         sys.exit("the trees disagree on the model config")
-    prefill_all, step_all = ([], []), ([], [])
-    eval_all = {"dense eval": ([], []), "plan eval": ([], [])}
-    calib_all = {"calibrate": ([], []), "ablate": ([], [])}
+    workloads = WORKLOADS if args.only is None else (args.only,)
+    totals = {label: ([], []) for label in RUNS}
     for seed in range(1, SEEDS + 1):
-        prefills, steps, evals = run_seed(sides, seed)
-        report(f"seed {seed}", *steps)
-        calibrations = run_calibrations(sides, seed)
-        for side in (0, 1):
-            prefill_all[side].extend(prefills[side])
-            step_all[side].extend(steps[side])
-            for all_times, times in ((eval_all, evals), (calib_all, calibrations)):
-                for label in all_times:
-                    all_times[label][side].extend(times[label][side])
-    report("all", *step_all)
-    report("prefill", *prefill_all, runs="prefills")
-    for label, times in eval_all.items():
-        report(label, *times, runs="evaluations")
-    for label, times in calib_all.items():
-        report(label, *times, runs="runs")
+        results = []
+        if "decode" in workloads:
+            prefills, steps = run_decode(sides, seed)
+            report(f"seed {seed}", *steps)
+            results.append({"all": steps, "prefill": prefills})
+        if "prefill" in workloads:
+            results.append(run_evals(sides, seed))
+        if "calibrate" in workloads:
+            results.append(run_calibrations(sides, seed))
+        for times in results:
+            for label, pair in times.items():
+                for side in (0, 1):
+                    totals[label][side].extend(pair[side])
+    for label, (parent, change) in totals.items():
+        if parent:
+            report(label, parent, change, RUNS[label])
 
 
 if __name__ == "__main__":
