@@ -13,7 +13,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -140,17 +139,18 @@ class KVCache:
     run with KV computation for unselected tokens disabled. A step writes
     its rows past the counts, into a larger arena when they do not fit, and
     commits by replacing the (arena, count) pairs, so committed rows never
-    change. Only layers run selectively have ``sorted_history[o]``, their
-    one score list: one score per processed token in ascending order, +inf
-    for the sink, which an append ranks each new row's score against before
-    inserting it; and ``sink_state[o]``, the sink's row at the criterion's
-    stage (normalized or raw) that an append scores its rows against.
+    change. Only layers run selectively have ``selective[l]``, their one
+    record ``(sink, keys)``: the sink's row at the criterion's stage
+    (normalized or raw) that an append scores its rows against, and the
+    float64 selection key of every processed token in position order, the
+    sink's +inf first, which an append ranks each new row's key against
+    before it appends it.
     ``identity`` is the (config, model_id) of the model the cache steps: the
     config from the start, the id None until the first step records it.
     ``criterion`` is the selection ``Criterion`` of the cache's first step,
     None before.
-    A step commits only after its last layer, replacing each score list it
-    ranked on with its staged copy, so a failed one leaves the cache
+    A step commits only after its last layer, replacing each record it
+    appended keys to with the new record, so a failed one leaves the cache
     unchanged.
     """
 
@@ -160,9 +160,8 @@ class KVCache:
         self.layers: list[tuple[KVArena, int]] = [
             (KVArena.allocate(config.n_kv_heads, config.d_head, 0, tc.DEFAULT_DTYPE), 0)
             for _ in range(config.n_layers)]
-        self.sink_state: dict[int, np.ndarray] = {}
         self.n_tokens = 0
-        self.sorted_history: dict[int, list[float]] = {}
+        self.selective: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.identity: tuple[ModelConfig, str | None] = (config, None)
         self.criterion = None
 
@@ -185,11 +184,10 @@ class KVCache:
         config's KV layout. Every arena holds keys, values and positions of
         one capacity, a whole number of kernel column blocks, at least its
         committed row count; the committed positions ascend strictly below
-        ``n_tokens``. A layer without a score list ran dense, so with KV
-        for every token: it holds ``n_tokens`` rows. A selective layer
-        holds at most that many (fewer only with KV for unselected tokens
-        off), its sink state, and an ascending score list with one score
-        per token (checked in one pass, no sort).
+        ``n_tokens``. A layer without a record ran dense, so with KV for
+        every token: it holds ``n_tokens`` rows. A selective layer holds at
+        most that many (fewer only with KV for unselected tokens off), and
+        its record one key per token, the sink's +inf first.
         """
         n, config = self.n_tokens, self.identity[0]
         if len(self.layers) != config.n_layers:
@@ -206,16 +204,15 @@ class KVCache:
             pos = pos[:rows]
             if np.any(np.diff(pos) <= 0) or (pos.size and not 0 <= pos[0] <= pos[-1] < n):
                 raise StateError(f"layer {layer} positions are not ascending below {n}")
-            ranked = self.sorted_history.get(layer)
-            if ranked is None:
+            record = self.selective.get(layer)
+            if record is None:
                 if pos.size != n:
                     raise StateError(f"dense layer {layer} holds {pos.size} rows for {n} tokens")
                 continue
-            if pos.size > n or len(ranked) != n:
-                raise StateError(f"selective layer {layer} holds {pos.size} rows and "
-                                 f"{len(ranked)} scores for {n} tokens")
-            if layer not in self.sink_state or not all(a <= b for a, b in pairwise(ranked)):
-                raise StateError(f"layer {layer} lacks its sink state or ascending score list")
+            keys = record[1]
+            if pos.size > n or np.shape(keys) != (n,) or not (n and keys[0] == np.inf):
+                raise StateError(f"selective layer {layer} holds {pos.size} rows and keys of "
+                                 f"shape {np.shape(keys)} for {n} tokens, the sink's +inf first")
 
 
 def block_forward(
@@ -257,8 +254,13 @@ def block_forward(
     blocks and returns its result with no trim copy, and the wider cut is
     exact: its extra keys lie past the block's last query, so the softmax
     masks them to exact zeros in every row, and they are trailing zero K
-    to the row-sum and context products. Every block of a layer but its
-    last holds the same rows, sized once from the layer's committed keys:
+    to the row-sum and context products. That exactness needs finite
+    values: a masked key's value row still enters the context product with
+    probability 0, and 0 x NaN is NaN. So a row whose states are not finite
+    makes non-finite every earlier row whose block's cut reaches its key,
+    and the causal-prefix contract holds for finite states only. Every
+    block of a layer but its last holds the same rows, sized once from the
+    layer's committed keys:
     at most ``ATTN_ROWS``, in whole ``ROW_GROUP``s, and so few that every
     head's scores over all those keys together hold at most
     ``BLOCK_BUDGET`` entries (a block of one row may hold more). No cut
@@ -434,6 +436,10 @@ def forward_dense(
     which gets one entry per layer in each list it records (``HiddenTrace()``
     records block inputs and their pre-attention RMSNorm outputs), and the
     populated KV cache. A ``model`` that is not a Model raises UsageError.
+    A prefix's logits equal the same rows of a longer sequence's bitwise
+    only while every state is finite: a token whose embedding is NaN makes
+    NaN the logits of the earlier tokens whose attention block's key cut
+    reaches it (``block_forward``).
     """
     from .selection import DEFAULT_CRITERION, _run_layers
 

@@ -12,18 +12,18 @@ unselected tokens ride the residual stream through unchanged.
 Prefill and decode, dense and selective, run one per-layer step: the
 layer's attention RMSNorm once, one scoring rule against a sink state, row
 selection, the block; a layer outside the plan keeps every row.
-Prefill ranks all T rows against row 0 by top-k and caches that sink row
-at the criterion's stage (normalized or raw) and the ascending score list.
-Rows appended to a prefilled cache, one decode token or several, follow
-one rule: each is scored against the cached sink state by the prefill's
-scoring rule and ranked in order by ``decode_select`` against the list as
-the rows before it left it.
+Prefill ranks all T rows against row 0 by top-k and caches one record per
+plan layer: that sink row at the criterion's stage (normalized or raw) and
+the T keys in position order. Rows appended to a prefilled cache, one
+decode token or several, follow one rule: each is scored against the
+cached sink state by the prefill's scoring rule and ranked in order by
+``decode_select`` against the keys of every earlier token, its own
+appended before the next row is ranked.
 """
 
 import copy
 import math
 import numbers
-from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,11 +155,11 @@ def selection_keys(states: np.ndarray, criterion: Criterion, layer: int) -> np.n
     return keys
 
 
-def _score_keys(states: np.ndarray, sink_state, criterion: Criterion, layer: int,
+def _score_keys(states: np.ndarray, sink, criterion: Criterion, layer: int,
                 positions: np.ndarray | None = None) -> np.ndarray:
     """The one scoring rule of prefill and appends: float64 keys of ``states``' rows.
 
-    Orthogonal kinds score |<sink_state, h_i>|, norm kinds ||h_i||;
+    Orthogonal kinds score |<sink, h_i>|, norm kinds ||h_i||;
     descending kinds negate their ascending counterparts. ``random`` draws a
     prefill's T keys from one generator keyed by (seed, layer, T) and, given
     the rows' ``positions``, an appended row's key from its own generator
@@ -176,7 +176,7 @@ def _score_keys(states: np.ndarray, sink_state, criterion: Criterion, layer: int
                          for p in positions.tolist()])
     s64 = states.astype(np.float64, copy=False)
     if criterion.kind.startswith("orthogonal"):
-        keys = np.abs(np.einsum("ij,j->i", s64, sink_state.astype(np.float64, copy=False)))
+        keys = np.abs(np.einsum("ij,j->i", s64, sink.astype(np.float64, copy=False)))
     else:
         keys = np.linalg.norm(s64, axis=1)
     return -keys if criterion.kind.endswith("_desc") else keys
@@ -191,17 +191,16 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
     The attention RMSNorm is computed once and shared by the trace, the
     scoring stage and the block. A step from position 0 prefills: it keeps
     the k = floor(p * T) rows with the lowest keys against row 0 (a
-    non-finite key raises UsageError) and caches the keys in ascending order
-    as the layer's score list and row 0 at the criterion's stage as its sink
-    state. A step past position 0 appends its n >= 1 rows: it scores them
-    against that sink state (StateError if none), replaces the staged
-    ``cache``'s score list with a copy, and selects each row in order by
-    ``decode_select`` on that copy, which inserts the row's score before
-    the next row is ranked. A ``trace`` records the layer and each kind of
-    entry it holds a list for: the block input and normalized rows, the
-    scored rows of a plan layer, and the selected rows' attention mass on
-    key 0. Returns the selected rows and the block's new key and value rows
-    (None when an append stores nothing).
+    non-finite key raises UsageError) and records row 0 at the criterion's
+    stage as the layer's sink state, with the keys in position order. A step
+    past position 0 appends its n >= 1 rows: it scores them against that
+    sink state and selects each row in order by ``decode_select``, which
+    replaces the staged ``cache``'s record with one that holds the row's key
+    before the next row is ranked. A ``trace`` records the layer and each
+    kind of entry it holds a list for: the block input and normalized rows,
+    the scored rows of a plan layer, and the selected rows' attention mass
+    on key 0. Returns the selected rows and the block's new key and value
+    rows (None when an append stores nothing).
     ``dense_out``, the layer's recorded dense output for the prefill input
     ``x``, replaces the block: after the norm, scoring and trace, its
     selected rows are written into ``x`` and no key or value is made. With
@@ -221,11 +220,7 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
     if ratio is not None:
         stage = x if criterion.stage == "raw_hidden" else xn
         if step:
-            sink = cache.sink_state.get(layer)
-            if sink is None:
-                raise StateError(f"layer {layer} has no sink state; prefill with the plan first")
-            keys = _score_keys(stage, sink, criterion, layer, positions)
-            cache.sorted_history[layer] = list(cache.sorted_history[layer])
+            keys = _score_keys(stage, cache.selective[layer][0], criterion, layer, positions)
             chosen = [decode_select(cache, layer, s, ratio) for s in keys.tolist()]
             if not all(chosen):  # all or none, a decode step's two cases, need no index array
                 sel = rows[chosen] if any(chosen) else rows[:0]
@@ -234,8 +229,7 @@ def _layer_step(model: Model, layer: int, x: np.ndarray, positions: np.ndarray,
             if not np.isfinite(keys[1:]).all():
                 raise UsageError(f"layer {layer} scores must be finite; its states are not")
             sel = select_topk(keys, ratio)
-            cache.sorted_history[layer] = sorted(keys.tolist())
-            cache.sink_state[layer] = stage[0].copy()
+            cache.selective[layer] = (stage[0].copy(), keys)
         if trace is not None and trace.selection is not None:
             chosen = np.isin(rows, sel).astype(np.int64)
             trace.selection.extend((layer, step, p, s, c) for p, s, c in zip(
@@ -264,21 +258,24 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     is the dense forward pass and the dense decode step. It alone checks and
     commits a step. The model's config must be the cache's, and its id the
     one the cache's first step recorded (any id at the first step, which
-    records it), else StateError before any layer runs. Two in-memory
-    models that share a config and an id pass as one. An append must
-    also run selectively exactly the layers its prefill did, under the
-    criterion the prefill recorded (any keep ratio and KV setting), else
-    StateError before any layer runs; a ``model`` that is not a Model
-    raises UsageError and a ``criterion`` that is not a Criterion
-    ConfigError. The layers run on a staged copy of the cache's containers:
-    its (arena, count) pairs, which ``block_forward`` replaces after
-    writing past the counts, and its sink states and score lists, which a
-    prefill replaces and an append's plan layer replaces with a copy that
-    ranks the appended rows. The staged containers replace the cache's
-    only after the last layer, so a failed step leaves the cache's
-    committed rows, arenas and selection state as they were (its ``trace``
-    keeps what the step recorded). With finite states an append of n tokens
-    therefore equals n one-token appends bitwise.
+    records it), else StateError before any layer runs. Two in-memory models
+    that share a config and an id pass as one. An append must also run
+    selectively exactly the layers its prefill did, under the criterion the
+    prefill recorded (any keep ratio and KV setting), else StateError before
+    any layer runs; a ``model`` that is not a Model or a ``cache`` that is
+    not a KVCache raises UsageError and a ``criterion`` that is not a
+    Criterion ConfigError. The layers run on a staged copy of the cache's
+    containers: its (arena, count) pairs, which ``block_forward`` replaces
+    after writing past the counts, and its selective layers' records, which
+    a prefill sets and ``decode_select`` replaces with one that holds each
+    appended row's key. The staged containers replace the cache's only after
+    the last layer, so a failed step leaves the cache's committed rows,
+    arenas and selection state as they were (its ``trace`` keeps what the
+    step recorded). With finite states an append of n tokens therefore
+    equals n one-token appends bitwise, and a prefix's logits equal the same
+    rows of the longer run's. Both contracts hold only for finite states: a
+    non-finite row makes the earlier rows of its own call non-finite too
+    (``block_forward``).
     ``resume=(s, x, out)`` starts a prefill at layer ``s`` from ``x``, the
     (T, d) input states of that layer recorded by an earlier run (``x`` is
     not modified and ``token_ids`` is not read). Layers below ``s`` neither
@@ -295,12 +292,14 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     if not isinstance(criterion, Criterion):
         raise ConfigError(f"a criterion must be a Criterion, got {type(criterion).__name__}")
     cfg = _config_of(model)
+    if not isinstance(cache, KVCache):
+        raise UsageError(f"expected a KVCache, got {type(cache).__name__}")
     config, model_id = cache.identity
     if config != cfg or model_id not in (None, model.model_id):
         raise StateError(f"the cache holds model {model_id!r} with {config}; "
                          f"it cannot step model {model.model_id!r} with {cfg}")
     if cache.n_tokens:
-        selective = sorted(cache.sorted_history)
+        selective = sorted(cache.selective)
         if sorted(plan) != selective:
             raise StateError(f"the cache's prefill ran layers {selective} selectively; "
                              f"a decode step cannot run layers {sorted(plan)} selectively")
@@ -312,8 +311,7 @@ def _run_layers(model, token_ids, cache, plan, criterion, compute_kv_for_unselec
     else:
         first, x, dense_out = resume[0], resume[1].copy(), resume[2]
     staged = copy.copy(cache)
-    staged.layers, staged.sink_state = list(cache.layers), dict(cache.sink_state)
-    staged.sorted_history = dict(cache.sorted_history)
+    staged.layers, staged.selective = list(cache.layers), dict(cache.selective)
     staged.n_tokens, staged.identity = cache.n_tokens + x.shape[0], (cfg, model.model_id)
     staged.criterion = criterion if cache.criterion is None else cache.criterion
     positions = np.arange(cache.n_tokens, staged.n_tokens, dtype=np.int64)
@@ -344,9 +342,12 @@ def forward_orthorank_layer(
     new key and value rows, and ``sel``, the selected rows' indices as
     ``select_topk`` returns them. A ``trace`` records the layer step as
     ``forward_with_plan``'s would. ``x`` is (T, d_model) with T >= 1, else
-    ShapeError.
+    ShapeError; a ``model`` that is not a Model raises UsageError and a
+    ``criterion`` that is not a Criterion ConfigError.
     """
-    (layer, ratio), = _plan_ratios([layer_index], keep_ratio, model.config.n_layers).items()
+    (layer, ratio), = _plan_ratios([layer_index], keep_ratio, _config_of(model).n_layers).items()
+    if not isinstance(criterion, Criterion):
+        raise ConfigError(f"a criterion must be a Criterion, got {type(criterion).__name__}")
     x_out = np.array(x, copy=True)
     if x_out.ndim != 2 or not x_out.shape[0] or x_out.shape[1] != model.config.d_model:
         raise ShapeError(f"forward_orthorank_layer expects (T, {model.config.d_model}) states "
@@ -370,11 +371,11 @@ def forward_with_plan(
 
     ``plan_layers`` is any iterable of distinct layer indices and
     ``keep_ratio`` one number or a per-plan-layer list, resolved by
-    ``_plan_ratios``: there is no ``{layer: ratio}`` mapping form, and a
-    bad plan raises ConfigError. The empty plan, ``LayerPlan()``'s, is
-    exactly the dense forward pass (same kernel, same arithmetic). The
-    returned cache holds the ascending score list and the cached sink state
-    for each plan layer, ready for decode. Returns (T, vocab) logits, the
+    ``_plan_ratios``: there is no ``{layer: ratio}`` mapping form, and a bad
+    plan raises ConfigError. The empty plan, ``LayerPlan()``'s, is exactly
+    the dense forward pass (same kernel, same arithmetic). The returned
+    cache holds each plan layer's record, its sink state and every token's
+    key in position order, ready for decode. Returns (T, vocab) logits, the
     ``trace`` passed in (None without one), which gets one entry per layer
     in each list it records, and the cache.
     """
@@ -389,26 +390,31 @@ def forward_with_plan(
 def decode_select(cache: KVCache, layer: int, new_score: float, keep_ratio: float) -> bool:
     """Streaming selection for one new token at one selective layer.
 
-    With H the layer's score list ``cache.sorted_history[layer]`` (every
-    prior token's score, ascending, the sink's +inf included) and the new
-    score s, the token is selected iff s ranks within k = floor(p * (|H|+1))
-    of the pooled set; equal scores favor the incumbent entry. The rank is
-    a binary search in H, and s is inserted in order either way: every
-    token becomes context. A layer without a list raises StateError, a
-    score that is not a finite number UsageError, and a ratio outside
-    [0, 1] ConfigError, each with H left as it is. An append's plan layer
-    calls it on each new row in order, on its staged copy of H.
+    With H the layer's keys ``cache.selective[layer][1]`` (every prior
+    token's key in position order, the sink's +inf first) and the new score
+    s, the token is selected iff s ranks within k = floor(p * (|H|+1)) of
+    the pooled set: fewer than k keys of H are <= s, so equal keys favor
+    the incumbent entry. s joins H either way, every token becomes context:
+    the layer's record is replaced by one whose keys end with s, never
+    changed in place. A layer without a record raises StateError, a score
+    that is not a finite number UsageError, and a ratio outside [0, 1]
+    ConfigError, each with the record left as it is, and a ``cache`` that
+    is not a KVCache UsageError. An append's plan layer calls it on each
+    new row in order, on its staged cache.
     """
-    ranked = cache.sorted_history.get(layer)
-    if ranked is None:
-        raise StateError(f"layer {layer} has no score list; prefill with the plan first")
+    if not isinstance(cache, KVCache):
+        raise UsageError(f"expected a KVCache, got {type(cache).__name__}")
+    record = cache.selective.get(layer)
+    if record is None:
+        raise StateError(f"layer {layer} has no selection record; prefill with the plan first")
     if not (_is_number(new_score) and math.isfinite(new_score)):
         raise UsageError(f"new_score must be finite, got {new_score}")
     if not (_is_number(keep_ratio) and 0.0 <= keep_ratio <= 1.0):
         raise ConfigError(f"keep_ratio must be in [0, 1], got {keep_ratio!r}")
-    k = int(math.floor(keep_ratio * (len(ranked) + 1)))
-    selected = bisect_right(ranked, new_score) + 1 <= k
-    insort(ranked, float(new_score))
+    sink, keys = record
+    k = int(math.floor(keep_ratio * (len(keys) + 1)))
+    selected = int(np.count_nonzero(keys <= new_score)) + 1 <= k
+    cache.selective[layer] = (sink, np.append(keys, float(new_score)))
     return selected
 
 

@@ -93,6 +93,12 @@ _LEAKS = {  # id: (call on a d_model 16 model, the package error it must raise)
     "dense_step_model": (lambda m: decode_step_dense("m", KVCache(m.config), 1), UsageError),
     "plan_step_model": (lambda m: decode_step_with_plan("m", KVCache(m.config), 1, [1], 0.5),
                         UsageError),
+    "layer_model": (lambda m: forward_orthorank_layer("m", 1, np.ones((4, 16)), 0.5), UsageError),
+    "layer_criterion": (lambda m: forward_orthorank_layer(m, 1, np.ones((4, 16)), 0.5, "x"),
+                        ConfigError),
+    "plan_step_cache": (lambda m: decode_step_with_plan(m, "c", 1, [1], 0.5), UsageError),
+    "dense_step_cache": (lambda m: decode_step_dense(m, "c", 1), UsageError),
+    "select_cache": (lambda m: decode_select("c", 1, 0.5, 0.5), UsageError),
     "sparsity_plan": (lambda m: plan_effective_sparsity("x", 4), ConfigError),
     "similarity_trace": (lambda m: sink_token_similarity("x"), UsageError),
 }
@@ -407,13 +413,13 @@ class TestForwardOrthorankLayer:
 class TestDecodeSelect:
     def cache_with_history(self, model, layer, history):
         cache = KVCache(model.config)
-        cache.sorted_history[layer] = sorted(history)
+        cache.selective[layer] = (np.zeros(model.config.d_model), np.array(history))
         return cache
 
     def test_rank_within_k(self, tiny_model):
         cache = self.cache_with_history(tiny_model, 1, [np.inf, 0.1, 0.2, 0.9])
         assert decode_select(cache, 1, 0.15, 0.5) is True
-        assert cache.sorted_history[1] == [0.1, 0.15, 0.2, 0.9, np.inf]
+        assert cache.selective[1][1].tolist() == [np.inf, 0.1, 0.2, 0.9, 0.15]
 
     def test_zero_ratio_never_selects(self, tiny_model):
         cache = self.cache_with_history(tiny_model, 1, [np.inf, 0.1])
@@ -431,7 +437,7 @@ class TestDecodeSelect:
     def test_appends_even_when_rejected(self, tiny_model):
         cache = self.cache_with_history(tiny_model, 1, [np.inf, 0.1])
         decode_select(cache, 1, 0.9, 0.5)
-        assert cache.sorted_history[1] == [0.1, 0.9, np.inf]
+        assert cache.selective[1][1].tolist() == [np.inf, 0.1, 0.9]
 
     def test_missing_history(self, tiny_model):
         cache = KVCache(tiny_model.config)
@@ -447,14 +453,14 @@ class TestDecodeSelect:
         cache = self.cache_with_history(tiny_model, 1, [np.inf, 0.1])
         with pytest.raises(UsageError):
             decode_select(cache, 1, "0.5", 0.5)
-        assert cache.sorted_history[1] == [0.1, np.inf]
+        assert cache.selective[1][1].tolist() == [np.inf, 0.1]
 
     @pytest.mark.parametrize("ratio", [7.0, -0.5, "x", None])
     def test_ratio_domain(self, tiny_model, ratio):
         cache = self.cache_with_history(tiny_model, 1, [np.inf, 0.1])
         with pytest.raises(ConfigError):
             decode_select(cache, 1, 5.0, ratio)
-        assert cache.sorted_history[1] == [0.1, np.inf]
+        assert cache.selective[1][1].tolist() == [np.inf, 0.1]
 
     def test_consistent_with_prefill_when_boundary_stable(self, tiny_model):
         # constructed so each arrival decision matches the full-sequence mask
@@ -475,7 +481,7 @@ class TestDecodeSelect:
            keep_ratio=st.sampled_from([0.0, 0.2, 0.333, 0.5, 1.0]))
     @settings(max_examples=80, deadline=None)
     def test_rank_matches_brute_force_count(self, tiny_model, history, arrivals, keep_ratio):
-        # ties and the +inf sink entry included; the list stays in step
+        # ties and the +inf sink entry included; the keys stay in step, in arrival order
         cache = self.cache_with_history(tiny_model, 2, [np.inf] + history)
         pooled = [np.inf] + history
         for s in arrivals:
@@ -483,16 +489,17 @@ class TestDecodeSelect:
             expect = sum(1 for v in pooled if v <= s) + 1 <= k
             assert decode_select(cache, 2, s, keep_ratio) is expect
             pooled.append(s)
-            assert cache.sorted_history[2] == sorted(pooled)
+            assert cache.selective[2][1].tolist() == pooled
 
-    def test_prefill_keeps_sorted_history(self, tiny_model, tiny_tokens):
+    def test_prefill_keeps_keys_in_position_order(self, tiny_model, tiny_tokens):
         audit = HiddenTrace(hidden=None, selection=[])
         _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1, 2], 0.5, trace=audit)
         for token in tiny_tokens[10:14]:
             decode_step_with_plan(tiny_model, cache, int(token), [1, 2], 0.5, trace=audit)
         for layer in (1, 2):
-            scored = sorted(row[3] for row in audit.selection if row[0] == layer)
-            assert cache.sorted_history[layer] == scored
+            scored = [row[3] for row in audit.selection if row[0] == layer]
+            assert [row[2] for row in audit.selection if row[0] == layer] == list(range(14))
+            assert cache.selective[layer][1].tolist() == scored
         cache.check()
 
 
@@ -515,12 +522,12 @@ class TestForwardWithPlan:
     def test_cache_state_for_plan_layers(self, tiny_model, tiny_tokens):
         _, trace, cache = forward_with_plan(
             tiny_model, tiny_tokens, [1, 3], 0.5, trace=HiddenTrace())
-        assert set(cache.sorted_history) == {1, 3}
+        assert set(cache.selective) == {1, 3}
         for layer in (1, 3):
-            hist = cache.sorted_history[layer]
-            assert len(hist) == len(tiny_tokens)
-            assert hist[-1] == np.inf
-            assert np.array_equal(cache.sink_state[layer], trace.normalized[layer][0])
+            sink, keys = cache.selective[layer]
+            assert keys.dtype == np.float64 and keys.shape == (len(tiny_tokens),)
+            assert keys[0] == np.inf
+            assert np.array_equal(sink, trace.normalized[layer][0])
 
     def test_out_of_range_plan_layer(self, tiny_model, tiny_tokens):
         with pytest.raises(ConfigError):
@@ -607,7 +614,7 @@ class TestDecodeWithPlan:
     def test_history_grows_per_decode(self, tiny_model, tiny_tokens):
         _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1], 0.5)
         decode_step_with_plan(tiny_model, cache, int(tiny_tokens[10]), [1], 0.5)
-        assert len(cache.sorted_history[1]) == 11
+        assert len(cache.selective[1][1]) == 11
         assert cache.n_tokens == 11
         cache.check()
 
@@ -695,7 +702,7 @@ class TestDecodeWithPlan:
             decode_step_with_plan(tiny_model, cache, int(tiny_tokens[10]), [2, 3], 0.5)
         assert [(k.shape[0], p.size) for k, p in zip(cache.keys, cache.positions)] == rows
         assert cache.n_tokens == 10
-        assert len(cache.sorted_history[2]) == 10
+        assert len(cache.selective[2][1]) == 10
 
     def test_bad_plan_is_config_error(self, tiny_model, tiny_tokens):
         _, _, cache = forward_with_plan(tiny_model, tiny_tokens[:10], [1, 2], 0.5)
@@ -847,7 +854,7 @@ class TestKVCacheCheck:
 
     @pytest.mark.parametrize("breakage", [
         "extra_token", "short_values", "positions_unsorted", "dense_layer_short",
-        "count_past_capacity", "keys_misshaped", "history_short", "sorted_stale",
+        "count_past_capacity", "keys_misshaped", "history_short", "history_empty",
         "sink_missing", "layout_swapped", "layer_missing",
     ])
     def test_broken_invariant_raises(self, tiny_model, tiny_tokens, breakage):
@@ -866,9 +873,10 @@ class TestKVCacheCheck:
         elif breakage == "keys_misshaped":
             cache.layers[1] = (arena._replace(kt=arena.kt[:, :-1]), rows)
         elif breakage == "history_short":
-            cache.sorted_history[1].pop()
-        elif breakage == "sorted_stale":
-            cache.sorted_history[2][-1] = -1.0
+            sink, keys = cache.selective[1]
+            cache.selective[1] = (sink, keys[:-1])
+        elif breakage == "history_empty":
+            cache.selective[1] = (cache.selective[1][0], np.zeros(0))
         elif breakage == "layout_swapped":  # a consistent arena of twice the KV heads
             n_kv, d_head, capacity = arena.kt.shape
             cache.layers[1] = (arena._replace(
@@ -876,8 +884,9 @@ class TestKVCacheCheck:
                 va=np.zeros((2 * n_kv, capacity, d_head), arena.va.dtype)), rows)
         elif breakage == "layer_missing":
             cache.layers.pop()
-        else:
-            del cache.sink_state[1]
+        else:  # the record's keys do not start with the sink's +inf
+            sink, keys = cache.selective[2]
+            cache.selective[2] = (sink, np.append(keys[1:], 0.5))
         with pytest.raises(StateError):
             cache.check()
 
@@ -985,8 +994,7 @@ def cache_bytes(cache):
     """Every field of a cache as bytes, so NaN entries compare equal."""
     return (cache.n_tokens, cache.identity, cache.criterion,
             [a.tobytes() for a in cache.keys + cache.values + cache.positions],
-            {l: s.tobytes() for l, s in cache.sink_state.items()},
-            {l: np.array(h).tobytes() for l, h in cache.sorted_history.items()})
+            {l: (s.tobytes(), k.tobytes()) for l, (s, k) in cache.selective.items()})
 
 
 @pytest.fixture(scope="module")
@@ -1159,15 +1167,15 @@ class TestFailedStepLeavesCache:
         decode_step_with_plan(model, cache, int(tokens[41]), [2, 3], 1.0, Criterion(seed=3))
         cache.check()
 
-    def test_step_without_sink_state(self):
-        # only a hand-edited cache lacks a planned layer's sink state
+    def test_step_without_selective_record(self):
+        # only a hand-edited cache lacks a planned layer's record
         model = make_random_model(ModelConfig(n_layers=6, d_model=32, n_heads=4, n_kv_heads=2,
                                               d_head=8, d_ffn=64, vocab_size=50))
         tokens = make_tokens(41, 50, seed=5)
         _, _, cache = forward_with_plan(model, tokens[:40], [2, 3], 0.5)
-        del cache.sink_state[3]
+        del cache.selective[3]
         before = cache_bytes(cache)
-        with pytest.raises(StateError, match="layer 3 has no sink state"):
+        with pytest.raises(StateError, match=r"ran layers \[2\] selectively"):
             decode_step_with_plan(model, cache, int(tokens[40]), [2, 3], 0.5)
         assert cache_bytes(cache) == before
 
@@ -1207,6 +1215,12 @@ class TestAppend:
         # the same rows, scores and choices, layer by layer; an append's step is its first position
         assert appending.selection == sorted((l, c, p, s, k) for l, _, p, s, k in stepping.selection)
         assert {k for *_, k in appending.selection} == {0, 1}
+        # the plan's first layer sees the same input rows however they arrive, so its record
+        # is a one-pass prefill's bitwise; random keys are drawn per prefill length
+        if kind != "random":
+            _, _, prefilled = forward_with_plan(model, tokens, layers, 0.5, criterion, kv_on)
+            assert [a.tobytes() for a in appended.selective[2]] == \
+                [a.tobytes() for a in prefilled.selective[2]]
 
     def test_nonfinite_later_row_leaves_cache(self, nan_token_model, monkeypatch):
         # plan layer 0 scores the embeddings, so only the NaN token's row is non-finite there
@@ -1223,7 +1237,7 @@ class TestAppend:
         with pytest.raises(UsageError, match="finite"):
             selection._run_layers(nan_token_model, [*tokens[28:], NAN_TOKEN], cache,
                                   {0: 0.5, 3: 0.5}, Criterion(), True)
-        # layer 0 inserted four finite scores into its staged list, then met the fifth row
+        # layer 0 appended four finite keys to its staged record, then met the fifth row
         assert [layer for layer, _ in ranked] == [0] * 5
         assert np.isfinite([score for _, score in ranked[:4]]).all()
         assert np.isnan(ranked[4][1])

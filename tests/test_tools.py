@@ -1,6 +1,7 @@
 """The sizing tools under ``tools/`` run end to end on small inputs."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +32,10 @@ def test_ab_decode_pairs_a_tree_with_itself(capsys, monkeypatch):
         assert [line.split(":")[0] for line in lines] == labels
         assert all("change faster in" in line and line.endswith(counts[label])
                    for label, line in zip(labels, lines))
+        # the parent's interquartile range sits beside the paired median
+        assert all(re.search(r"paired median [-+]\d+\.\d{3} ms \([-+]\d+\.\d%\) against "
+                             r"parent IQR \d+\.\d{3} ms \(\d+\.\d%\), change faster", line)
+                   for line in lines)
 
 
 def test_code_lines_counts_statements_only(tmp_path, capsys):

@@ -8,34 +8,37 @@ names; the same SRC given twice pairs a tree with itself, so its paired
 medians are the noise floor of the measurement. ``--only`` runs one of
 the benchmark's workloads (``decode``, ``prefill`` or ``calibrate``)
 instead of all three.
-For the decode workload both sides run the benchmark's decode shape on
-the same weight arrays: the 8-layer mid GQA model, the plan [2..6] at keep
-0.333, a 1,024-token prompt prefilled under the plan, then greedy decode
-steps: ``SEEDS`` models, ``PROMPTS`` prompts each, ``STEPS`` steps per
-prompt. For the prefill workload each seed's model runs ``EVALS`` times:
-the dense and the plan perplexity of an ``EVAL_TOKENS``-token corpus in
-``EVAL_CONTEXT``-token chunks. For the calibrate workload each seed's model
-of the benchmark's calibrate shape, the 8-layer small MHA model, runs
-``CALIBRATIONS`` times: ``calibrate_greedy`` of ``CALIB_M`` layers among
-``CALIB_ELIGIBLE`` at keep ``KEEP_RATIO`` over a ``CALIB_TOKENS``-token
-corpus in ``CALIB_CONTEXT``-token windows, then ``ablation_grid`` of its plan.
-Steps alternate between the sides and the side that goes first flips every
-step; so do the prompt prefills, every prompt, and the evaluations and
+Both sides run on the same weight arrays, drawn by the parent tree's
+``checkpoint_io._synthetic_weights`` as the test suite's models are. For
+the decode workload both sides run the benchmark's decode shape: the
+8-layer mid GQA model, the plan [2..6] at keep 0.333, a 1,024-token prompt
+prefilled under the plan, then greedy decode steps: ``SEEDS`` models,
+``PROMPTS`` prompts each, ``STEPS`` steps per prompt. For the prefill
+workload each seed's model runs ``EVALS`` times: the dense and the plan
+perplexity of an ``EVAL_TOKENS``-token corpus in ``EVAL_CONTEXT``-token
+chunks. For the calibrate workload each seed's model of the benchmark's
+calibrate shape, the 8-layer small MHA model, runs ``CALIBRATIONS`` times:
+``calibrate_greedy`` of ``CALIB_M`` layers among ``CALIB_ELIGIBLE`` at
+keep ``KEEP_RATIO`` over a ``CALIB_TOKENS``-token corpus in
+``CALIB_CONTEXT``-token windows, then ``ablation_grid`` of its plan. Steps
+alternate between the sides and the side that goes first flips every step;
+so do the prompt prefills, every prompt, and the evaluations and
 calibrations, every round. The logits of each prefill and step, the
 perplexity of each evaluation, and the plan and grid rows of each
-calibration must be equal on both sides (bitwise for the numbers), else the
-script stops with an error.
+calibration must be equal on both sides (bitwise for the numbers), else
+the script stops with an error.
 
 It prints, per seed and over all steps, each side's median step time, the
-median of the paired differences (change minus parent) and the share of
-steps the change was faster, then the same line over all prefills, so a
-change to the decode path shows its cost to the time to first token too,
-over all dense and all plan evaluations, and over all calibrations and all
-ablation grids; ``--only`` prints its workload's lines alone. Pairing runs
-within one process removes the machine's drift between separate runs, so it
-resolves differences that separate benchmark runs cannot: the calibrate
-workload's own benchmark scaling differs from one process to the next. It
-is a sizing tool, not a gate.
+median of the paired differences (change minus parent) beside the
+interquartile range of the parent's times (the spread a claimed gain must
+exceed) and the share of steps the change was faster, then the same line
+over all prefills, so a change to the decode path shows its cost to the
+time to first token too, over all dense and all plan evaluations, and over
+all calibrations and all ablation grids; ``--only`` prints its workload's
+lines alone. Pairing runs within one process removes the machine's drift
+between separate runs, so it resolves differences that separate benchmark
+runs cannot: the calibrate workload's own benchmark scaling differs from
+one process to the next. It is a sizing tool, not a gate.
 """
 
 import argparse
@@ -77,18 +80,9 @@ def load_tree(src: str, name: str):
     return package
 
 
-def random_weights(package, config, seed: int) -> dict[str, np.ndarray]:
-    """Weights drawn like the test suite's ``make_random_model``."""
-    rng = np.random.default_rng(seed)
-    scale = np.float32(config.d_model ** -0.5)
-    return {name: np.ones(shape, dtype=np.float32) if name.endswith("gain")
-            else rng.standard_normal(shape, dtype=np.float32) * scale
-            for name, shape in package.checkpoint_io.required_tensors(config)}
-
-
 def mid_models(sides, seed: int):
     """Each side's mid model of one seed, on the same weight arrays."""
-    weights = random_weights(sides[0], sides[0].ModelConfig(**MID), seed)
+    weights = sides[0].checkpoint_io._synthetic_weights(sides[0].ModelConfig(**MID), seed)
     return [pkg.Model(pkg.ModelConfig(**MID), weights, f"ab-{seed}") for pkg in sides]
 
 
@@ -144,7 +138,7 @@ def run_evals(sides, seed: int):
 
 def run_calibrations(sides, seed: int):
     """Calibration and ablation-grid times of (parent, change) for one seed's small model."""
-    weights = random_weights(sides[0], sides[0].ModelConfig(**SMALL), seed)
+    weights = sides[0].checkpoint_io._synthetic_weights(sides[0].ModelConfig(**SMALL), seed)
     models = [pkg.Model(pkg.ModelConfig(**SMALL), weights, f"ab-small-{seed}") for pkg in sides]
     corpus = np.random.default_rng(seed).integers(0, SMALL["vocab_size"], size=CALIB_TOKENS)
     times = {"calibrate": ([], []), "ablate": ([], [])}
@@ -169,8 +163,10 @@ def run_calibrations(sides, seed: int):
 def report(label: str, parent: list[float], change: list[float], runs: str = "steps") -> None:
     a, b = 1e3 * np.asarray(parent), 1e3 * np.asarray(change)
     diff = b - a
+    q1, q3 = np.percentile(a, [25, 75])
     print(f"{label}: parent {np.median(a):.3f} ms, change {np.median(b):.3f} ms, "
-          f"paired median {np.median(diff):+.3f} ms ({np.median(diff) / np.median(a):+.1%}), "
+          f"paired median {np.median(diff):+.3f} ms ({np.median(diff) / np.median(a):+.1%}) "
+          f"against parent IQR {q3 - q1:.3f} ms ({(q3 - q1) / np.median(a):.1%}), "
           f"change faster in {np.mean(diff < 0):.0%} of {diff.size} {runs}")
 
 
